@@ -35,6 +35,22 @@ RUNS = [
 ]
 
 
+def check_run(proc: subprocess.CompletedProcess, expect: int) -> str:
+    """"ok" when the run exited with the expected verdict and printed a report
+    that agrees with it; a crash also exits 1, so a refutation must say so."""
+    if proc.returncode != expect:
+        return f"UNEXPECTED exit {proc.returncode} (wanted {expect})"
+    try:
+        result = json.loads(proc.stdout)["result"]
+    except (ValueError, KeyError, TypeError):
+        return "UNEXPECTED output: no JSON report on stdout"
+    if not isinstance(result, dict):
+        return "UNEXPECTED output: report has no result object"
+    if expect == 1 and result.get("unisingular") is not False:
+        return 'UNEXPECTED report: exit 1 without result["unisingular"] == false'
+    return "ok"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--extended", action="store_true", help="include the n=15,17 table rows")
@@ -65,8 +81,8 @@ def main() -> int:
         dest = OUT / f"{name}.json"
         if proc.stdout.strip():
             dest.write_text(proc.stdout)
-        status = "ok" if proc.returncode == expect else f"UNEXPECTED exit {proc.returncode} (wanted {expect})"
-        if proc.returncode != expect:
+        status = check_run(proc, expect)
+        if status != "ok":
             failures += 1
             sys.stderr.write(proc.stderr)
         print(f"{name:32s} exit={proc.returncode} [{time.time()-t0:6.1f}s] {status}")

@@ -17,7 +17,7 @@ from .gf2 import (
     rank_nullspace,
 )
 from .intlinalg import IntMatrix, rank_exact, _bareiss
-from .perms import Partition, PermGroup, class_reps_symmetric
+from .perms import IndexedGroup, Partition, PermGroup, class_reps_symmetric, orbit, orbits
 from .specht import action_matrix, twisted_action_matrix
 from .symplectic import build_space, embed_permutation
 
@@ -230,77 +230,6 @@ def audit_embedded_group(G: PermGroup, seed: int = meataxe.DEFAULT_SEED) -> Audi
     return audit_gf2_classes(f"embed:{G.name}:d={G.degree}", classes, module, seed)
 
 
-def audit_gf2_module_elements(rep_id: str, module: GF2Module, bound: int = 10**6,
-                              seed: int = meataxe.DEFAULT_SEED) -> AuditReport:
-    """Audit a matrix group by closing it and computing its own classes."""
-    from .gf2 import matrix_group_closure
-
-    els = matrix_group_closure(module.gens, bound)
-    classes = _matrix_conjugacy_classes(els, module.gens)
-    recs = [
-        (f"c{i}", size, order, rep)
-        for i, (size, rep, order) in enumerate(classes)
-    ]
-    return audit_gf2_classes(rep_id, recs, module, seed)
-
-
-def _matrix_order(M: BitMatrix) -> int:
-    ident = BitMatrix.identity(M.nrows)
-    P = M
-    o = 1
-    while P != ident:
-        P = P * M
-        o += 1
-        assert o <= 10**7
-    return o
-
-
-def _matrix_conjugacy_classes(els: list[BitMatrix], gens: list[BitMatrix]):
-    """(size, rep, order) via conjugation orbits under the generators."""
-    gen_invs = [_matrix_inverse(g) for g in gens]
-    unseen = {m.rows: m for m in els}
-    out = []
-    while unseen:
-        key = min(unseen)
-        rep = unseen[key]
-        orbit = {key}
-        frontier = [rep]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, gi in zip(gens, gen_invs):
-                    y = g * x * gi
-                    if y.rows not in orbit:
-                        orbit.add(y.rows)
-                        nxt.append(y)
-            frontier = nxt
-        for k in orbit:
-            unseen.pop(k, None)
-        out.append((len(orbit), rep, _matrix_order(rep)))
-    out.sort(key=lambda rec: (rec[2], rec[0], rec[1].rows))
-    return out
-
-
-def _matrix_inverse(M: BitMatrix) -> BitMatrix:
-    n = M.nrows
-    aug = [(r << n) | (1 << i) for i, r in enumerate(M.rows)]
-    pivots = {}
-    for v in aug:
-        for c, pr in pivots.items():
-            if (v >> (c + n)) & 1:
-                v ^= pr
-        if v >> n:
-            c = (v >> n).bit_length() - 1
-            for c2 in list(pivots):
-                if (pivots[c2] >> (c + n)) & 1:
-                    pivots[c2] ^= v
-            pivots[c] = v
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    mask = (1 << n) - 1
-    return BitMatrix([pivots[i] & mask for i in range(n)], n)
-
-
 # ---------------------------------------------------------------------------
 # 2-generated subgroup census
 # ---------------------------------------------------------------------------
@@ -323,78 +252,44 @@ class CensusEntry:
         }
 
 
-def subgroup_census(elements: list[BitMatrix], seed: int = meataxe.DEFAULT_SEED) -> list[CensusEntry]:
-    """Scan every unordered generator pair from `elements`, close the
-    subgroup, and record (order, irreducible?, unisingular?) per distinct
-    subgroup.  Class-size fingerprints are attached to irreducible subgroups.
+def two_generated_subgroups(group: IndexedGroup) -> dict[frozenset[int], tuple[int, int]]:
+    """Every 2-generated subgroup, as a set of element indices, mapped to the
+    first generator pair that closes it.
 
-    Finds all 2-generated subgroups; makes no claim of finding subgroups that
-    need three or more generators.
+    <x, y> depends only on <x> and <y>, so only pairs of cyclic-subgroup
+    generators are closed.
     """
-    if len(elements) > 2000:
-        raise ValueError("census input capped at 2000 elements")
-    n = len(elements)
-    dim = elements[0].nrows
-    index = {m.rows: i for i, m in enumerate(elements)}
-    if len(index) != n:
-        raise ValueError("duplicate elements in census input")
-    # Cayley table over element indices (the input must be a closed group)
-    table = []
-    for a in elements:
-        row = []
-        for b in elements:
-            key = (a * b).rows
-            if key not in index:
-                raise ValueError("census input is not closed under multiplication")
-            row.append(index[key])
-        table.append(row)
-    ident = index[BitMatrix.identity(dim).rows]
-    # per-element eigenvalue-1 flag
-    eig1 = [
-        rank_nullspace(m + BitMatrix.identity(dim))[0] < dim for m in elements
-    ]
-
-    def close_pair(i: int, j: int) -> frozenset[int]:
-        seen = {ident, i, j}
-        frontier = [ident, i, j]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in (i, j):
-                    y = table[x][g]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
-
+    times = [row.__getitem__ for row in group.cayley_table]
     subgroups: dict[frozenset[int], tuple[int, int]] = {}
-    for i in range(n):
-        for j in range(i, n):
-            H = close_pair(i, j)
+    cyclic = group.cyclic_generators()
+    for k, i in enumerate(cyclic):
+        for j in cyclic[k:]:
+            H = frozenset(orbit(i, (times[i], times[j])))
             if H not in subgroups:
                 subgroups[H] = (i, j)
+    return subgroups
+
+
+def subgroup_census(group: IndexedGroup, seed: int = meataxe.DEFAULT_SEED) -> list[CensusEntry]:
+    """Find every 2-generated subgroup of a GF(2) matrix group and record
+    (order, irreducible?, unisingular?) per distinct subgroup.  Class-size
+    fingerprints are attached to irreducible subgroups.
+
+    Makes no claim of finding subgroups that need three or more generators.
+    """
+    elements = group.elements
+    if len(elements) > 2000:
+        raise ValueError("census input capped at 2000 elements")
+    dim = elements[0].nrows
+    table = group.cayley_table  # table[b][a] = index of x_a * x_b
+    ident = BitMatrix.identity(dim)
+    eig1 = [rank_nullspace(m + ident)[0] < dim for m in elements]
+    subgroups = two_generated_subgroups(group)
 
     def class_sizes(H: frozenset[int], gens: tuple[int, int]) -> tuple[int, ...]:
-        ginv = [next(h for h in H if table[g][h] == ident) for g in gens]
-        unseen = set(H)
-        sizes = []
-        while unseen:
-            x0 = min(unseen)
-            orbit = {x0}
-            frontier = [x0]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g, gi in zip(gens, ginv):
-                        y = table[table[g][x]][gi]
-                        if y not in orbit:
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            unseen -= orbit
-            sizes.append(len(orbit))
-        return tuple(sorted(sizes))
+        # y * g -> g * y is conjugation by g
+        conj = [{table[g][y]: table[y][g] for y in H}.__getitem__ for g in gens]
+        return tuple(sorted(len(c) for c in orbits(sorted(H), conj)))
 
     agg: dict[tuple[int, bool, bool], list] = {}
     for H, gens in sorted(subgroups.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = checked claim verified, 1 = claim refuted (payload lists the
-offenders), 2 = usage error.  Every run prints a JSON report (or CSV with
---format csv) on standard output.
+offenders), 2 = usage error or a group too large to close.  Every run prints a
+JSON report (or CSV with --format csv) on standard output.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .audit import (
     subgroup_census,
 )
 from .fixed_vectors import FixedVectorError, build_fixed_vector
-from .gf2 import matrix_group_closure, rank_nullspace, BitMatrix
-from .perms import Partition, builtin_group, class_rep_for
+from .gf2 import rank_nullspace, BitMatrix
+from .perms import ClosureOverflow, IndexedGroup, Partition, builtin_group, class_rep_for, closure
 from .reports import CLAIMS, RunReport, report_csv
 from .specht import SpechtRep, rep_mod2
 from .symplectic import embed_group, permutation_module_gf2
@@ -61,15 +61,13 @@ def _int_list(s: str) -> list[int]:
 
 
 def _build_group(args):
-    if args.group == "pgl2":
-        if args.q is None:
-            raise SystemExit(2)
-        return builtin_group("pgl2", q=args.q)
-    if args.group in ("s_n", "a_n"):
-        if args.n is None:
-            raise SystemExit(2)
-        return builtin_group(args.group, n=args.n)
-    return builtin_group(args.group)
+    param = {"pgl2": "q", "s_n": "n", "a_n": "n"}.get(args.group)
+    if param is None:
+        return builtin_group(args.group)
+    value = getattr(args, param)
+    if value is None:
+        raise ValueError(f"--group {args.group} requires --{param}")
+    return builtin_group(args.group, **{param: value})
 
 
 def _emit(args, subcommand: str, anchors: list[str], result: dict, t0: float, verdict: bool) -> int:
@@ -157,7 +155,7 @@ def cmd_embed_audit(args) -> int:
         factors = meataxe.composition_factors(module, args.seed)
         dims = [f.dim for f in factors]
         top = max(factors, key=lambda f: f.dim)
-        els = matrix_group_closure(top.gens)
+        els = closure(top.gens)
         uni = all(
             rank_nullspace(m + BitMatrix.identity(top.dim))[0] < top.dim for m in els
         )
@@ -197,13 +195,12 @@ def cmd_embed_audit(args) -> int:
 def cmd_embed_census(args) -> int:
     t0 = time.time()
     G = _build_group(args)
-    module = embed_group(G)
-    els = matrix_group_closure(module.gens)
-    census = subgroup_census(els, args.seed)
+    group = IndexedGroup(embed_group(G).gens)
+    census = subgroup_census(group, args.seed)
     orders = sorted(irreducible_orders(census))
     result = {
         "group": G.name,
-        "group_order": len(els),
+        "group_order": len(group.elements),
         "census": [e.to_payload() for e in census],
         "irreducible_orders": orders,
     }
@@ -393,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     args.raw_args = argv
     try:
         return args.fn(args)
-    except (ValueError, NotImplementedError) as e:
+    except (ValueError, NotImplementedError, ClosureOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -253,34 +253,6 @@ def preserves_form(M: BitMatrix, J: BitMatrix) -> bool:
     return M.transpose() * J * M == J
 
 
-class ClosureOverflow(RuntimeError):
-    pass
-
-
-def matrix_group_closure(generators: list[BitMatrix], bound: int = 10**6) -> list[BitMatrix]:
-    """Exact breadth-first closure of a matrix generator list over GF(2)."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    n = generators[0].ncols
-    if any(g.ncols != n or g.nrows != n for g in generators):
-        raise ValueError("generators must be square of a common dimension")
-    ident = BitMatrix.identity(n)
-    seen = {ident.rows: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in generators:
-                prod = m * g
-                if prod.rows not in seen:
-                    seen[prod.rows] = prod
-                    if len(seen) > bound:
-                        raise ClosureOverflow(f"matrix closure exceeded bound {bound}")
-                    nxt.append(prod)
-        frontier = nxt
-    return [seen[k] for k in sorted(seen)]
-
-
 @dataclass
 class GF2Module:
     """A module over GF(2) given by the generator action matrices."""

@@ -8,9 +8,9 @@ Points are 1-based in all external interfaces (cycle strings, apply) and
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
-from math import factorial
+from dataclasses import dataclass
+from functools import cached_property
+from math import factorial, lcm
 
 CLOSURE_BOUND = 10**6
 
@@ -131,10 +131,11 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Right-to-left composition: (p*q)(x) = p(q(x))."""
-        if self.degree != other.degree:
+        if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        s = self.images
-        return Permutation(tuple(s[i] for i in other.images))
+        product = object.__new__(Permutation)  # a composite of bijections needs no check
+        product.images = tuple(map(self.images.__getitem__, other.images))
+        return product
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
@@ -171,10 +172,7 @@ class Permutation:
         return [i + 1 for i in range(self.degree) if self.images[i] == i]
 
     def order(self) -> int:
-        o = 1
-        for c in self.cycles():
-            o = o * len(c) // _gcd(o, len(c))
-        return o
+        return lcm(*map(len, self.cycles()))
 
     def is_even(self) -> bool:
         return self.cycle_type().is_even_class()
@@ -198,12 +196,6 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, d={self.degree})"
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def class_rep_for(ct: Partition) -> Permutation:
     """Canonical S_n representative of a cycle type: cycles filled consecutively."""
     cycles = []
@@ -219,113 +211,166 @@ def class_reps_symmetric(n: int) -> list[tuple[Partition, Permutation]]:
     return [(ct, class_rep_for(ct)) for ct in partitions_of(n)]
 
 
-def closure(generators, bound: int = CLOSURE_BOUND) -> list[Permutation]:
-    """Exact breadth-first closure of a generator list.
+def orbit(start, maps, bound: int = CLOSURE_BOUND) -> list:
+    """Breadth-first orbit of `start` under the callables `maps`, in the
+    order found.  Raises ClosureOverflow if more than `bound` points are found.
+    """
+    seen = {start}
+    out = [start]
+    for x in out:
+        for m in maps:
+            y = m(x)
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+                if len(out) > bound:
+                    raise ClosureOverflow(f"closure exceeded bound {bound}")
+    return out
 
-    Raises ClosureOverflow if more than `bound` elements are found.
+
+def orbits(points, maps) -> list[list[int]]:
+    """Split `points`, ascending indices closed under `maps`, into orbits;
+    each orbit is found from, and listed first by, its least point."""
+    found = bytearray(points[-1] + 1)
+    out = []
+    for p in points:
+        if not found[p]:
+            orb = orbit(p, maps)
+            for x in orb:
+                found[x] = 1
+            out.append(orb)
+    return out
+
+
+def _canonical_key(x) -> tuple[int, ...]:
+    return x.images if isinstance(x, Permutation) else x.rows
+
+
+def closure(generators, bound: int | None = None) -> list:
+    """Exact closure of a list of Permutations or of square BitMatrices,
+    sorted by canonical key (`images` or `rows`).
+
+    The finite group is the orbit of its first generator under right
+    multiplication by the generators.  Raises ClosureOverflow if more than
+    `bound` (default CLOSURE_BOUND) elements are found.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    d = gens[0].degree
-    if any(g.degree != d for g in gens):
-        raise ValueError("generators must share a degree")
-    gen_images = [g.images for g in gens]
-    ident = tuple(range(d))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for gi in gen_images:
-                prod = tuple(gi[i] for i in t)
-                if prod not in seen:
-                    seen.add(prod)
-                    if len(seen) > bound:
-                        raise ClosureOverflow(f"closure exceeded bound {bound}")
-                    nxt.append(prod)
-        frontier = nxt
-    return [Permutation(t) for t in sorted(seen)]
+    bound = CLOSURE_BOUND if bound is None else bound
+    els = orbit(gens[0], [lambda x, g=g: x * g for g in gens], bound)
+    return sorted(els, key=_canonical_key)
+
+
+class IndexedGroup:
+    """A finite group of Permutations or BitMatrices with numbered elements.
+
+    `elements` is the closure of `generators` sorted by canonical key, and
+    `index` maps each element to its number 0..N-1.  For the k-th generator
+    g, `left[k][i]` and `right[k][i]` are the indices of g * x_i and x_i * g.
+    Powers, orders, classes, cyclic subgroups and the full Cayley table are
+    computed on demand.
+    """
+
+    def __init__(self, generators):
+        self.generators = list(generators)
+        self.elements = closure(self.generators)
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.left = [[self.index[g * x] for x in self.elements] for g in self.generators]
+        self.right = [[self.index[x * g] for x in self.elements] for g in self.generators]
+
+    def powers(self, i: int) -> list[int]:
+        """Indices of x, x^2, ..., x^ord(x) (the identity) for x = elements[i]."""
+        g = self.elements[i]
+        out = [i]
+        x = g * g
+        while x != g:
+            out.append(self.index[x])
+            x = x * g
+        return out
+
+    def order(self, i: int) -> int:
+        return len(self.powers(i))
+
+    @cached_property
+    def identity(self) -> int:
+        return self.powers(0)[-1]
+
+    def conjugacy_classes(self) -> list[tuple[int, int, int]]:
+        """Exact classes as (class size, representative index, element order).
+
+        Each class is the conjugation orbit of its least index under the
+        generators.  Sorted by (element order, class size, representative).
+        """
+        n = len(self.elements)
+        conj = []
+        for lt, r in zip(self.left, self.right):
+            c = [0] * n
+            for a in range(n):
+                c[r[a]] = lt[a]  # x_a * g -> g * x_a is conjugation by g
+            conj.append(c.__getitem__)
+        classes = [(len(orb), orb[0], self.order(orb[0])) for orb in orbits(range(n), conj)]
+        return sorted(classes, key=lambda c: (c[2], c[0], c[1]))
+
+    def cyclic_generators(self) -> list[int]:
+        """One generator per cyclic subgroup, the least index generating it;
+        ascending."""
+        seen = set()
+        out = []
+        for i in range(len(self.elements)):
+            cyclic = frozenset(self.powers(i))
+            if cyclic not in seen:
+                seen.add(cyclic)
+                out.append(i)
+        return out
+
+    @cached_property
+    def cayley_table(self) -> list[tuple[int, ...]]:
+        """table[b][a] is the index of x_a * x_b.
+
+        Row b is right multiplication by x_b.  The rows form the right regular
+        representation: the closure of the generators' `right` permutations,
+        ordered by the image of the identity.
+        """
+        e = self.identity
+        regular = closure([Permutation(r) for r in self.right])
+        return [p.images for p in sorted(regular, key=lambda p: p.images[e])]
 
 
 @dataclass
 class PermGroup:
-    """A permutation group given by generators, with cached exact closure."""
+    """A permutation group given by generators, with its indexed closure."""
 
     generators: list[Permutation]
     name: str = "group"
-    closure_bound: int = CLOSURE_BOUND
-    _elements: list[Permutation] | None = field(default=None, repr=False)
 
     @property
     def degree(self) -> int:
         return self.generators[0].degree
 
+    @cached_property
+    def indexed(self) -> IndexedGroup:
+        return IndexedGroup(self.generators)
+
     def elements(self) -> list[Permutation]:
-        if self._elements is None:
-            self._elements = closure(self.generators, self.closure_bound)
-        return self._elements
+        return self.indexed.elements
 
     def order(self) -> int:
-        return len(self.elements())
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in set(self.elements())
+        return len(self.indexed.elements)
 
     def is_transitive(self) -> bool:
-        d = self.degree
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = g.images[x]
-                    if y not in reached:
-                        reached.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return len(reached) == d
+        return len(orbit(0, [g.images.__getitem__ for g in self.generators])) == self.degree
 
     def conjugacy_classes(self) -> list[tuple[int, Permutation, int]]:
-        """Exact classes as (class size, representative, element order).
-
-        Each class is the conjugation orbit of its first-found element under
-        the generators; sizes sum to the group order.  Deterministic order:
-        sorted by (element order, class size, representative images).
-        """
-        els = self.elements()
-        gens = self.generators
-        ginvs = [g.inverse() for g in gens]
-        unseen = {e.images for e in els}
-        out = []
-        while unseen:
-            rep_images = min(unseen)
-            rep = Permutation(rep_images)
-            orbit = {rep_images}
-            frontier = [rep]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g, gi in zip(gens, ginvs):
-                        y = g * x * gi
-                        if y.images not in orbit:
-                            orbit.add(y.images)
-                            nxt.append(y)
-                frontier = nxt
-            unseen -= orbit
-            out.append((len(orbit), rep, rep.order()))
-        out.sort(key=lambda rec: (rec[2], rec[0], rec[1].images))
-        assert sum(sz for sz, _, _ in out) == len(els)
-        return out
+        """Exact classes as (class size, representative, element order),
+        sorted by (element order, class size, representative images); the
+        representative has the least images in its class."""
+        G = self.indexed
+        return [(size, G.elements[i], order) for size, i, order in G.conjugacy_classes()]
 
     def cycle_types(self) -> set[tuple[int, ...]]:
         """Cycle types present in the group (from its conjugacy classes)."""
         return {rep.cycle_type().parts for _, rep, _ in self.conjugacy_classes()}
-
-    def random_element(self, rng: random.Random) -> Permutation:
-        els = self.elements()
-        return els[rng.randrange(len(els))]
 
     def to_payload(self) -> dict:
         return {
@@ -376,17 +421,6 @@ def _affine_f3_square(linear_gens, include_translations=True):
     return gens
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _primitive_root(q: int) -> int:
     phi = q - 1
     factors = set()
@@ -429,26 +463,8 @@ def _l3_2_flag_gens() -> list[Permutation]:
     vecs = [v for v in itertools.product(range(2), repeat=3) if any(v)]
     flags = [(p, l) for p in vecs for l in vecs if sum(a * b for a, b in zip(p, l)) % 2 == 0]
 
-    def matmul(A, B):
-        return tuple(
-            tuple(sum(A[i][k] * B[k][j] for k in range(3)) % 2 for j in range(3)) for i in range(3)
-        )
-
     def matvec(A, v):
         return tuple(sum(A[i][j] * v[j] for j in range(3)) % 2 for i in range(3))
-
-    def inv3(A):
-        # brute force over the 168 invertibles is overkill; square-and-multiply
-        # on order: |GL_3(2)| elements have order dividing 84, so A^-1 = A^83... simpler:
-        # search small powers (all elementary matrices here have order 2).
-        ident = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-        P = A
-        prev = ident
-        for _ in range(200):
-            if P == ident:
-                return prev
-            prev, P = P, matmul(P, A)
-        raise AssertionError("inverse not found")
 
     gens = []
     for i in range(3):
@@ -458,10 +474,11 @@ def _l3_2_flag_gens() -> list[Permutation]:
             E = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
             E[i][j] = 1
             E = tuple(tuple(r) for r in E)
-            Einv = inv3(E)
-            EinvT = tuple(tuple(Einv[j2][i2] for j2 in range(3)) for i2 in range(3))
+            # the transvection E = I + e_ij is an involution over F2, so the
+            # covector action l -> l E^-1 is l -> E^T l as a column
+            ET = tuple(tuple(E[j2][i2] for j2 in range(3)) for i2 in range(3))
             gens.append(
-                _perm_from_point_map(flags, lambda f, E=E, T=EinvT: (matvec(E, f[0]), matvec(T, f[1])))
+                _perm_from_point_map(flags, lambda f, E=E, T=ET: (matvec(E, f[0]), matvec(T, f[1])))
             )
     return gens
 
@@ -490,8 +507,10 @@ def builtin_group(name: str, **params) -> PermGroup:
             gens.append(frob)
         return PermGroup(gens, name=name)
     if name == "pgl2":
+        from .arith import is_prime  # arith imports perms
+
         q = params["q"]
-        if not _is_prime(q) or q == 2:
+        if not is_prime(q) or q == 2:
             raise ValueError(f"pgl2 requires an odd prime q, got {q}")
         return PermGroup(_pgl2_gens(q), name=f"pgl2_{q}")
     if name == "l3_2_flags":

@@ -15,7 +15,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .gf2 import BitMatrix, GF2Module
 from .intlinalg import IntMatrix
@@ -498,9 +498,7 @@ def character_mn(shape_parts: tuple[int, ...], type_parts: tuple[int, ...]) -> i
 def fixed_space_dim_via_characters(shape: Partition, sigma_type: Partition) -> int:
     """Dimension of the fixed space of a class element, as the average of the
     character over the cyclic group it generates."""
-    order = 1
-    for ln in sigma_type.parts:
-        order = order * ln // _gcd(order, ln)
+    order = lcm(*sigma_type.parts)
     total = 0
     for j in range(order):
         powered = _power_cycle_type(sigma_type, j)
@@ -512,12 +510,6 @@ def fixed_space_dim_via_characters(shape: Partition, sigma_type: Partition) -> i
 def _power_cycle_type(ct: Partition, j: int) -> Partition:
     out = []
     for ln in ct.parts:
-        g = _gcd(ln, j % ln) if j % ln else ln
+        g = gcd(ln, j)
         out.extend([ln // g] * g)
     return Partition(tuple(sorted(out, reverse=True)))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -28,14 +28,14 @@ from eigenone.audit import (
     subgroup_census,
 )
 from eigenone.fixed_vectors import build_fixed_vector
-from eigenone.gf2 import BitMatrix, matrix_group_closure, rank_nullspace
+from eigenone.gf2 import BitMatrix, rank_nullspace
 from eigenone.meataxe import (
     composition_factors,
     factor_dimensions,
     is_absolutely_irreducible,
     is_irreducible,
 )
-from eigenone.perms import Partition, builtin_group, class_reps_symmetric
+from eigenone.perms import IndexedGroup, Partition, builtin_group, class_reps_symmetric, closure
 from eigenone.specht import specht_mod2_module
 from eigenone.symplectic import build_space, embed_group, permutation_module_gf2
 
@@ -98,13 +98,13 @@ def test_criterion_4_agl2_3_unirealization_group_theory():
     G = builtin_group("agl2_3")
     space = build_space(9)
     module = embed_group(G, space)  # asserts the form is preserved
-    els = matrix_group_closure(module.gens)
-    assert len(els) == 432
+    group = IndexedGroup(module.gens)
+    assert len(group.elements) == 432
     assert is_irreducible(module)
     assert is_absolutely_irreducible(module)
     rep = audit_embedded_group(G)
     assert rep.unisingular
-    census = subgroup_census(els)
+    census = subgroup_census(group)
     assert irreducible_orders(census) == {72, 144, 216, 432}
     elapsed = time.time() - t0
     assert elapsed < 1200
@@ -152,7 +152,7 @@ def test_criterion_6_steinberg_flag_module():
     assert len(eights) == 1
     st = eights[0]
     assert is_absolutely_irreducible(st)
-    st_els = matrix_group_closure(st.gens)
+    st_els = closure(st.gens)
     ident = BitMatrix.identity(8)
     assert all(rank_nullspace(m + ident)[0] < 8 for m in st_els)
     elapsed = time.time() - t0

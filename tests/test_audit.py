@@ -12,10 +12,19 @@ from eigenone.audit import (
     audit_specht,
     conjecture_table,
     subgroup_census,
+    two_generated_subgroups,
 )
-from eigenone.gf2 import BitMatrix, matrix_group_closure, rank_nullspace
+from eigenone.gf2 import BitMatrix, GF2Module, rank_nullspace
 from eigenone.intlinalg import IntMatrix
-from eigenone.perms import Partition, Permutation, builtin_group, class_reps_symmetric
+from eigenone.meataxe import is_irreducible
+from eigenone.perms import (
+    IndexedGroup,
+    Partition,
+    Permutation,
+    builtin_group,
+    class_reps_symmetric,
+    closure,
+)
 from eigenone.specht import action_matrix, twisted_action_matrix
 from eigenone.symplectic import build_space, embed_group, embed_permutation
 
@@ -139,13 +148,13 @@ def test_agl2_3_every_element_has_eigenvalue_one():
     # per-element confirmation of what the class audit asserts classwise
     mod = embed_group(builtin_group("agl2_3"))
     ident = BitMatrix.identity(8)
-    for m in matrix_group_closure(mod.gens):
+    for m in closure(mod.gens):
         rank, _ = rank_nullspace(m + ident)
         assert rank < 8
 
 
 def test_census_trivial_input():
-    entries = subgroup_census([BitMatrix.identity(8)])
+    entries = subgroup_census(IndexedGroup([BitMatrix.identity(8)]))
     assert len(entries) == 1
     e = entries[0]
     assert e.order == 1 and not e.irreducible and e.unisingular
@@ -156,9 +165,9 @@ def test_census_cyclic_nine_contains_non_unisingular():
     # eigenvalue 1, so some census subgroup is not unisingular
     sp = build_space(9)
     M = embed_permutation(Permutation.from_cycles(9, [tuple(range(1, 10))]), sp)
-    els = matrix_group_closure([M])
-    assert len(els) == 9
-    entries = subgroup_census(els)
+    group = IndexedGroup([M])
+    assert len(group.elements) == 9
+    entries = subgroup_census(group)
     assert any(not e.unisingular for e in entries)
     orders = {e.order for e in entries}
     assert orders == {1, 3, 9}
@@ -167,39 +176,101 @@ def test_census_cyclic_nine_contains_non_unisingular():
 def test_census_restriction_consistency():
     # subgroups of a unisingular group are unisingular on the audited classes
     mod = embed_group(builtin_group("asl2_3"))
-    els = matrix_group_closure(mod.gens)
-    entries = subgroup_census(els)
+    entries = subgroup_census(IndexedGroup(mod.gens))
     assert all(e.unisingular for e in entries)
 
 
 def test_census_input_caps():
+    # S_7 embedded in dimension 6: 5040 elements, over the 2000-element cap
+    group = IndexedGroup(embed_group(builtin_group("s_n", n=7)).gens)
+    assert len(group.elements) == 5040
     with pytest.raises(ValueError):
-        subgroup_census([BitMatrix.identity(2)] * 2001)
+        subgroup_census(group)
 
 
-def test_census_requires_closed_input():
-    from eigenone.symplectic import build_space
-
+def test_census_group_is_closed():
+    # the census takes an IndexedGroup, whose elements are a closure
     sp = build_space(9)
     M = embed_permutation(Permutation.from_cycles(9, [(1, 2)]), sp)
     N = embed_permutation(Permutation.from_cycles(9, [(1, 2, 3)]), sp)
-    with pytest.raises(ValueError):
-        subgroup_census([M, N])
+    group = IndexedGroup([M, N])
+    assert len(group.elements) == 6
+    assert all(a * b in group.index for a in group.elements for b in group.elements)
+    assert {e.order for e in subgroup_census(group)} == {1, 2, 3, 6}
 
 
-def test_audit_gf2_module_elements_flag_factor():
+def _all_pairs_census(group: IndexedGroup) -> tuple[set[frozenset[int]], list[dict]]:
+    """Reference census: close <x, y> for every element pair x <= y on a table
+    of explicit matrix products, with classes from explicit conjugates."""
+    els = group.elements
+    dim = els[0].nrows
+    ident = BitMatrix.identity(dim)
+    prod = [[group.index[a * b] for b in els] for a in els]
+    e = group.index[ident]
+    inv = [row.index(e) for row in prod]
+
+    def close(i, j):
+        H, frontier = {e}, {e}
+        while frontier:
+            frontier = {prod[x][g] for x in frontier for g in (i, j)} - H
+            H |= frontier
+        return frozenset(H)
+
+    subgroups = {}
+    for i in range(len(els)):
+        for j in range(i, len(els)):
+            subgroups.setdefault(close(i, j), (i, j))
+    agg = {}
+    for H, (i, j) in sorted(subgroups.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+        irr = is_irreducible(GF2Module(dim, [els[i], els[j]]))
+        uni = all(rank_nullspace(els[x] + ident)[0] < dim for x in H)
+        rec = agg.setdefault((len(H), irr, uni), [0, []])
+        rec[0] += 1
+        if irr:
+            classes = {frozenset(prod[prod[h][x]][inv[h]] for h in H) for x in H}
+            fp = sorted(len(c) for c in classes)
+            if fp not in rec[1]:
+                rec[1].append(fp)
+    payload = [
+        {"order": order, "irreducible": irr, "unisingular": uni, "count": count,
+         "class_size_fingerprints": fps}
+        for (order, irr, uni), (count, fps) in sorted(agg.items())
+    ]
+    return set(subgroups), payload
+
+
+@pytest.mark.parametrize("source", ["asl2_3", "cyclic9"])
+def test_census_matches_all_pairs_brute_force(source):
+    sp = build_space(9)
+    if source == "asl2_3":
+        gens = embed_group(builtin_group("asl2_3"), sp).gens
+    else:
+        gens = [embed_permutation(Permutation.from_cycles(9, [tuple(range(1, 10))]), sp)]
+    group = IndexedGroup(gens)
+    subgroups, payload = _all_pairs_census(group)
+    assert set(two_generated_subgroups(group)) == subgroups
+    assert [e.to_payload() for e in subgroup_census(group)] == payload
+
+
+def test_flag_factor_classes_unisingular():
     # close the 8-dimensional flag-module factor and audit its own classes
-    from eigenone.audit import audit_gf2_module_elements
     from eigenone.meataxe import composition_factors
     from eigenone.symplectic import permutation_module_gf2
 
     pm = permutation_module_gf2(builtin_group("l3_2_flags"))
     top = max(composition_factors(pm), key=lambda f: f.dim)
-    rep = audit_gf2_module_elements("flag-8dim", top)
+    group = IndexedGroup(top.gens)
+    classes = [
+        (f"c{n}", size, order, group.elements[i])
+        for n, (size, i, order) in enumerate(group.conjugacy_classes())
+    ]
+    rep = audit_gf2_classes("flag-8dim", classes, top)
     assert rep.dim == 8
     assert rep.unisingular
     assert rep.irreducible and rep.absolutely_irreducible
-    assert sum(r.size for r in rep.records) == 168
+    assert sorted((r.element_order, r.size) for r in rep.records) == [
+        (1, 1), (2, 21), (3, 56), (4, 42), (7, 24), (7, 24)
+    ]
 
 
 def test_audit_gf2_classes_reducible_module_flags():

@@ -132,6 +132,48 @@ def test_embed_audit_payload_has_group_and_space(capsys):
     assert res["space"]["dim"] == 8
 
 
+@pytest.mark.parametrize("verb", ["audit", "census"])
+@pytest.mark.parametrize("group,flag", [("pgl2", "--q"), ("s_n", "--n"), ("a_n", "--n")])
+def test_embed_group_missing_parameter(capsys, verb, group, flag):
+    code = main(["embed", verb, "--group", group])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --group {group} requires {flag}\n"
+
+
+def test_closure_overflow_is_usage_error(capsys, monkeypatch):
+    import eigenone.perms
+
+    monkeypatch.setattr(eigenone.perms, "CLOSURE_BOUND", 1000)
+    code = main(["embed", "audit", "--group", "s_n", "--n", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: closure exceeded bound 1000\n"
+
+
+def test_reproduce_all_rejects_crash_as_refutation():
+    import importlib.util
+    import pathlib
+    import subprocess
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+    spec = importlib.util.spec_from_file_location("reproduce_all", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def run(code, out):
+        return subprocess.CompletedProcess([], code, stdout=out, stderr="")
+
+    refuted = json.dumps({"result": {"unisingular": False}})
+    assert script.check_run(run(1, refuted), 1) == "ok"
+    assert script.check_run(run(1, ""), 1) != "ok"  # a traceback also exits 1
+    assert script.check_run(run(1, json.dumps({"result": {"unisingular": True}})), 1) != "ok"
+    assert script.check_run(run(0, refuted), 1) != "ok"
+    assert script.check_run(run(0, json.dumps({"result": {"all_match": True}})), 0) == "ok"
+
+
 def test_unknown_flag_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["specht", "audit", "--n", "5", "--family", "hook", "--frobnicate"])

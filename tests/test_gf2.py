@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from eigenone.gf2 import (
     BitMatrix,
-    ClosureOverflow,
     eval_poly_at_matrix,
     gf2_charpoly,
     gf2_det,
-    matrix_group_closure,
     pdeg,
     pdiv,
     peval1,
@@ -24,6 +22,7 @@ from eigenone.gf2 import (
     preserves_form,
     rank_nullspace,
 )
+from eigenone.perms import ClosureOverflow, closure
 
 
 def rand_bitmatrix(n, rng):
@@ -130,7 +129,7 @@ def test_preserves_form():
 
 
 def test_closure_identity():
-    assert len(matrix_group_closure([BitMatrix.identity(4)])) == 1
+    assert len(closure([BitMatrix.identity(4)])) == 1
 
 
 def test_closure_s5_faithful_dim4():
@@ -140,7 +139,7 @@ def test_closure_s5_faithful_dim4():
     G = builtin_group("s_n", n=5)
     mod = embed_group(G, build_space(5))
     assert mod.dim == 4
-    assert len(matrix_group_closure(mod.gens)) == 120
+    assert len(closure(mod.gens)) == 120
 
 
 def test_closure_bound():
@@ -149,7 +148,7 @@ def test_closure_bound():
 
     mod = embed_group(builtin_group("s_n", n=5))
     with pytest.raises(ClosureOverflow):
-        matrix_group_closure(mod.gens, bound=10)
+        closure(mod.gens, bound=10)
 
 
 def test_hex_round_trip_narrow_and_wide():

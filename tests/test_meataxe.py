@@ -79,17 +79,33 @@ def test_direct_sum_factors_are_multiset_union():
     assert factor_dimensions(_direct_sum(m1, m2)) == sorted(d1 + d2)
 
 
-def _random_basis_change(mod: GF2Module, rng: random.Random) -> GF2Module:
-    from eigenone.audit import _matrix_inverse
+def _inverse(M: BitMatrix) -> BitMatrix | None:
+    """Gauss-Jordan inverse over GF(2) on rows [M | I]; None when singular."""
+    n = M.nrows
+    aug = [(r << n) | (1 << i) for i, r in enumerate(M.rows)]
+    pivots = {}
+    for v in aug:
+        for c, pr in pivots.items():
+            if (v >> (c + n)) & 1:
+                v ^= pr
+        if v >> n:
+            c = (v >> n).bit_length() - 1
+            for c2 in list(pivots):
+                if (pivots[c2] >> (c + n)) & 1:
+                    pivots[c2] ^= v
+            pivots[c] = v
+    if len(pivots) != n:
+        return None
+    mask = (1 << n) - 1
+    return BitMatrix([pivots[i] & mask for i in range(n)], n)
 
+
+def _random_basis_change(mod: GF2Module, rng: random.Random) -> GF2Module:
     n = mod.dim
-    while True:
+    Pi = None
+    while Pi is None:
         P = BitMatrix([rng.getrandbits(n) for _ in range(n)], n)
-        try:
-            Pi = _matrix_inverse(P)
-            break
-        except ValueError:
-            continue
+        Pi = _inverse(P)
     return GF2Module(n, [P * g * Pi for g in mod.gens])
 
 

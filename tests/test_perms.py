@@ -193,6 +193,32 @@ def test_class_cycle_type_constant_sampled():
             assert rep.conjugate_by(g).cycle_type() == ct
 
 
+def test_indexed_group_tables_and_powers():
+    G = builtin_group("asl2_3").indexed
+    els = G.elements
+    assert [x.images for x in els] == sorted(x.images for x in els)
+    assert els[G.identity].is_identity()
+    for k, g in enumerate(G.generators):
+        assert G.left[k] == [G.index[g * x] for x in els]
+        assert G.right[k] == [G.index[x * g] for x in els]
+    table = G.cayley_table
+    assert all(table[b][a] == G.index[x * y] for a, x in enumerate(els) for b, y in enumerate(els))
+    for i, x in enumerate(els):
+        powers = G.powers(i)
+        assert G.order(i) == len(powers) == x.order()
+        assert powers[-1] == G.identity
+
+
+def test_cyclic_generators_agl2_3():
+    G = builtin_group("agl2_3").indexed
+    gens = G.cyclic_generators()
+    assert len(gens) == 212
+    least = {}
+    for i in range(len(G.elements)):
+        least.setdefault(frozenset(G.powers(i)), i)
+    assert gens == sorted(least.values())
+
+
 def test_partitions_of_count():
     assert sum(1 for _ in partitions_of(7)) == 15
     assert sum(1 for _ in partitions_of(12)) == 77
