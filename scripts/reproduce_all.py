@@ -2,7 +2,7 @@
 """Run the full verification battery through the CLI and write one JSON
 report per claim into out/ (created next to the repo root).
 
-Usage: python scripts/reproduce_all.py [--extended] [--pmax N] [--jobs N]
+Usage: python scripts/reproduce_all.py [--pmax N] [--jobs N]
 """
 
 import argparse
@@ -17,6 +17,7 @@ OUT = HERE / "out"
 
 RUNS = [
     ("conjecture_table", ["specht", "conjecture-table", "--n", "5,7,9,11,13"], 0),
+    ("conjecture_table_extended", ["specht", "conjecture-table", "--n", "15,17"], 0),
     ("specht_audit_hook_n9", ["specht", "audit", "--n", "9", "--family", "n-2,1,1"], 0),
     ("specht_audit_two_n9", ["specht", "audit", "--n", "9", "--family", "n-2,2"], 0),
     ("specht_audit_twisted_n9", ["specht", "audit", "--n", "9", "--family", "n-2,2'"], 1),
@@ -53,7 +54,6 @@ def check_run(proc: subprocess.CompletedProcess, expect: int) -> str:
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--extended", action="store_true", help="include the n=15,17 table rows")
     ap.add_argument("--pmax", type=int, default=10**4)
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
@@ -67,9 +67,6 @@ def main() -> int:
         "frobenius_scan_g1_1",
         ["nt", "frobenius-scan", "--a", "1", "--t", "1", "--pmax", str(args.pmax),
          "--group", "agammal1_9", "--jobs", str(args.jobs)], 0))
-    if args.extended:
-        runs.append(("conjecture_table_extended",
-                     ["specht", "conjecture-table", "--n", "15,17"], 0))
 
     OUT.mkdir(exist_ok=True)
     failures = 0

@@ -3,13 +3,12 @@ discriminants by resultants, factorization types over prime fields, Frobenius
 cycle-type scans against a target permutation group, hyperelliptic point
 counts, and L-polynomials with the mod-2 parity cross-check.
 
-All polynomial arithmetic is exact; randomized equal-degree splitting is
-seeded and reproducible.
+All polynomial arithmetic is exact and deterministic; factorization types
+come from distinct-degree factorization alone.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -251,36 +250,13 @@ class FactorizationType:
         return {"p": self.p, "degrees": list(self.degrees), "squarefree": self.squarefree}
 
 
-def _equal_degree_split(f, d: int, p: int, rng: random.Random):
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    while True:
-        a = [rng.randrange(p) for _ in range(n)] + [1]
-        a = fp_trim(a, p)
-        g = fp_gcd(f, a, p)
-        if 0 < len(g) - 1 < n:
-            pieces = [g, fp_divmod(f, g, p)[0]]
-        else:
-            b = fp_powmod(a, (p**d - 1) // 2, f, p)
-            b = list(b)
-            if b:
-                b[0] = (b[0] - 1) % p
-            else:
-                b = [p - 1]
-            g = fp_gcd(f, fp_trim(b, p), p)
-            if not (0 < len(g) - 1 < n):
-                continue
-            pieces = [g, fp_divmod(f, g, p)[0]]
-        out = []
-        for piece in pieces:
-            out.extend(_equal_degree_split(fp_monic(piece, p), d, p, rng))
-        return out
+def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
+    """Squarefree test, then distinct-degree factorization.
 
-
-def factor_mod_p(f: ZPoly, p: int, seed: int = 0xC0FFEE) -> FactorizationType:
-    """Squarefree test, then distinct-degree + equal-degree factorization."""
+    The part g_d of f collecting its irreducible factors of degree d has
+    degree d times their number, so the degrees need no equal-degree split
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 14.2).
+    """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     if f[-1] % p == 0:
@@ -289,9 +265,8 @@ def factor_mod_p(f: ZPoly, p: int, seed: int = 0xC0FFEE) -> FactorizationType:
     n = len(fp) - 1
     if fp_gcd(fp, fp_trim([i * c % p for i, c in enumerate(fp)][1:], p), p) != [1]:
         return FactorizationType(p, (), squarefree=False)
-    rng = random.Random((seed, p, tuple(f)).__hash__())
     degrees = []
-    factors = []
+    prod = [1]
     h = [0, 1]  # x
     v = list(fp)
     d = 0
@@ -299,21 +274,17 @@ def factor_mod_p(f: ZPoly, p: int, seed: int = 0xC0FFEE) -> FactorizationType:
         d += 1
         if 2 * d > len(v) - 1:
             degrees.append(len(v) - 1)
-            factors.append(v)
+            prod = fp_mul(prod, v, p)
             break
         h = fp_powmod(h, p, v, p)
         g = fp_gcd(v, _sub_x(h, p), p)
         if len(g) - 1 > 0:
-            for piece in _equal_degree_split(fp_monic(g, p), d, p, rng):
-                degrees.append(d)
-                factors.append(piece)
+            degrees += [d] * ((len(g) - 1) // d)
+            prod = fp_mul(prod, g, p)
             v = fp_monic(fp_divmod(v, g, p)[0], p)
             h = fp_mod(h, v, p)
-    prod = [1]
-    for q in factors:
-        prod = fp_mul(prod, q, p)
-    assert prod == fp, "product of factors must reproduce f mod p"
-    assert sum(degrees) == n
+    if prod != fp or sum(degrees) != n:
+        raise AssertionError("distinct-degree factorization must reproduce f mod p")
     return FactorizationType(p, tuple(sorted(degrees)), squarefree=True)
 
 
@@ -381,14 +352,14 @@ class FrobeniusScan:
 
 
 def _scan_prime_worker(work: tuple) -> tuple[int, tuple[int, ...]]:
-    f, p, seed = work
-    ft = factor_mod_p(list(f), p, seed)
+    f, p = work
+    ft = factor_mod_p(list(f), p)
     assert ft.squarefree, f"p={p} should be a good prime"
     return p, ft.degrees
 
 
 def frobenius_scan(
-    f: ZPoly, pmax: int, group: PermGroup, seed: int = 0xC0FFEE, jobs: int = 1
+    f: ZPoly, pmax: int, group: PermGroup, jobs: int = 1
 ) -> FrobeniusScan:
     """For each good odd prime p <= pmax: factorization type of f mod p, the
     eigenvalue-1 nullity of an embedded permutation of that cycle type, and
@@ -408,7 +379,7 @@ def frobenius_scan(
             listed_bad.append(p)
         else:
             good.append(p)
-    work = [(tuple(f), p, seed) for p in good]
+    work = [(tuple(f), p) for p in good]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -604,10 +575,10 @@ def lpoly_from_counts(f: ZPoly, p: int) -> LPolynomial:
     return LPolynomial(p, full)
 
 
-def frobenius_charpoly_gf2(f: ZPoly, p: int, seed: int = 0xC0FFEE) -> int:
+def frobenius_charpoly_gf2(f: ZPoly, p: int) -> int:
     """GF(2) characteristic polynomial of the embedded Frobenius permutation
     for f at a good prime p (well-defined up to conjugacy)."""
-    ft = factor_mod_p(f, p, seed)
+    ft = factor_mod_p(f, p)
     if not ft.squarefree:
         raise ValueError(f"bad prime {p}")
     space = build_space(zp_degree(f))

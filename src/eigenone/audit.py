@@ -16,8 +16,16 @@ from .gf2 import (
     peval1,
     rank_nullspace,
 )
-from .intlinalg import IntMatrix, rank_exact, _bareiss
-from .perms import IndexedGroup, Partition, PermGroup, class_reps_symmetric, orbit, orbits
+from .intlinalg import IntMatrix, _bareiss, det_exact
+from .perms import (
+    IndexedGroup,
+    Partition,
+    PermGroup,
+    class_rep_for,
+    class_reps_symmetric,
+    orbit,
+    orbits,
+)
 from .specht import action_matrix, twisted_action_matrix
 from .symplectic import build_space, embed_permutation
 
@@ -86,25 +94,11 @@ class AuditReport:
 
 
 def _int_class_record(label: str, size: int, order: int, M: IntMatrix) -> ClassRecord:
-    n = M.nrows
-    B = IntMatrix.identity(n) - M
-    rows = [list(r) for r in B.rows]
-    rank, det = _bareiss(rows)
-    geo = n - rank
-    if det != 0:
-        assert geo == 0
-        return ClassRecord(label, size, order, det, 0, 0)
-    # algebraic multiplicity: dim - rank((M-I)^k) once the rank stabilizes;
-    # equals the charpoly route, cross-checked in the tests
-    N = M - IntMatrix.identity(n)
-    P = N
-    r_prev = rank
-    while True:
-        P = P * N
-        r_next = rank_exact(P)
-        if r_next == r_prev:
-            return ClassRecord(label, size, order, 0, n - r_prev, geo)
-        r_prev = r_next
+    rank, det = _bareiss([list(r) for r in (IntMatrix.identity(M.nrows) - M).rows])
+    geo = M.nrows - rank
+    # M has finite order, so it is semisimple over QQ: the algebraic
+    # multiplicity of eigenvalue 1 equals the geometric one
+    return ClassRecord(label, size, order, det, geo, geo)
 
 
 def _gf2_class_record(label: str, size: int, order: int, M: BitMatrix) -> ClassRecord:
@@ -154,13 +148,13 @@ def audit_gf2_classes(
 # Specht audits
 # ---------------------------------------------------------------------------
 
-def audit_specht(n: int, family: str, group: str = "s_n", extended: bool = False) -> AuditReport:
+def audit_specht(n: int, family: str, group: str = "s_n") -> AuditReport:
     """Audit a Specht-family representation over the integers, one matrix per
     conjugacy class (det(I - M) is a class function).
 
     family: "(n-2,1,1)", "(n-2,2)" or "(n-2,2)'"; group: "s_n" or "a_n".
-    Default range is 5 <= n <= 13; extended=True raises the cap to 17 (the
-    class count grows as p(n), so expect minutes there).  For a_n only even
+    Supported range is 5 <= n <= 17 (the class count grows as p(n); n = 17
+    takes tens of seconds per family).  For a_n only even
     classes are audited (every element of A_n lies in an even S_n class and
     det(I - M) is constant on S_n classes); reported sizes are S_n class
     sizes.
@@ -169,9 +163,8 @@ def audit_specht(n: int, family: str, group: str = "s_n", extended: bool = False
         raise ValueError(f"unknown family {family!r}")
     if group not in ("s_n", "a_n"):
         raise ValueError(f"unknown group {group!r}")
-    bound = 17 if extended else 13
-    if not 5 <= n <= bound:
-        raise ValueError(f"n={n} outside supported range 5..{bound}")
+    if not 5 <= n <= 17:
+        raise ValueError(f"n={n} outside supported range 5..17")
     shape = Partition((n - 2, 1, 1)) if family == FAMILY_HOOK else Partition((n - 2, 2))
     twisted = family == FAMILY_TWO_CONJ
     classes = []
@@ -193,12 +186,8 @@ def conjecture_table(ns: list[int]) -> list[dict]:
             raise ValueError("table rows need odd n >= 5")
         shape = Partition((n - 2, 2))
         ct = Partition((n - 2, 2))
-        from .perms import class_rep_for
-
-        rep = class_rep_for(ct)
-        M = twisted_action_matrix(rep, shape)
-        rows_ = [list(r) for r in (IntMatrix.identity(M.nrows) - M).rows]
-        _, det = _bareiss(rows_)
+        M = twisted_action_matrix(class_rep_for(ct), shape)
+        det = det_exact(IntMatrix.identity(M.nrows) - M)
         k = (n - 1) // 2
         rows.append(
             {

@@ -91,7 +91,7 @@ def _emit(args, subcommand: str, anchors: list[str], result: dict, t0: float, ve
 
 def cmd_specht_audit(args) -> int:
     t0 = time.time()
-    rep = audit_specht(args.n, args.family, args.group, extended=args.extended)
+    rep = audit_specht(args.n, args.family, args.group)
     anchor = {
         "(n-2,1,1)": "specht-audit-hook",
         "(n-2,2)": "specht-audit-two",
@@ -258,7 +258,7 @@ def cmd_nt_frobenius_scan(args) -> int:
     t0 = time.time()
     G = _build_group(args)
     f = malle_g(args.a, args.t) if args.poly is None else args.poly
-    scan = frobenius_scan(f, args.pmax, G, args.seed, jobs=args.jobs)
+    scan = frobenius_scan(f, args.pmax, G, jobs=args.jobs)
     result = scan.to_payload()
     verdict = scan.all_eig1 and scan.all_types_in_group
     return _emit(args, "frobenius-scan", [CLAIMS["frobenius-scan"]], result, t0, verdict)
@@ -271,7 +271,7 @@ def cmd_nt_lpoly_check(args) -> int:
     ok = True
     for p in args.primes:
         L = lpoly_from_counts(f, p)
-        cp = frobenius_charpoly_gf2(f, p, args.seed)
+        cp = frobenius_charpoly_gf2(f, p)
         even = L.jacobian_order() % 2 == 0
         match = L.reversed_mod2() == cp
         ok = ok and even and match
@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", type=_family_arg, required=True)
     p.add_argument("--group", choices=["s_n", "a_n"], default="s_n")
-    p.add_argument("--extended", action="store_true", help="allow n up to 17")
     common(p)
     p.set_defaults(fn=cmd_specht_audit)
 

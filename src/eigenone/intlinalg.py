@@ -84,9 +84,6 @@ class IntMatrix:
             raise ValueError("trace of non-square matrix")
         return sum(self.rows[i][i] for i in range(self.nrows))
 
-    def mod(self, m: int) -> "IntMatrix":
-        return IntMatrix([[a % m for a in r] for r in self.rows])
-
     def to_json(self) -> str:
         """Entries as decimal strings (they may exceed native word size)."""
         return json.dumps([[str(a) for a in r] for r in self.rows])
@@ -264,30 +261,6 @@ def eig1_multiplicity(M: IntMatrix) -> tuple[int, int]:
     geo = M.nrows - rank_exact(M - IntMatrix.identity(M.nrows))
     assert geo <= alg
     return alg, geo
-
-
-def eig1_multiplicity_by_rank_powers(M: IntMatrix) -> tuple[int, int]:
-    """Same value as eig1_multiplicity, computed without the characteristic
-    polynomial: algebraic = dim - rank((M-I)^k) once the rank stabilizes.
-
-    Cheaper on the matrices audited here (finite order, so stabilization is
-    immediate); cross-checked against the charpoly route in the test suite.
-    """
-    if not M.is_square:
-        raise ValueError("eigenvalue multiplicity of non-square matrix")
-    n = M.nrows
-    N = M - IntMatrix.identity(n)
-    r = rank_exact(N)
-    geo = n - r
-    if geo == 0:
-        return 0, 0
-    P = N
-    while True:
-        P = P * N
-        r2 = rank_exact(P)
-        if r2 == r:
-            return n - r, geo
-        r = r2
 
 
 def permutation_matrix(images0: tuple[int, ...]) -> IntMatrix:

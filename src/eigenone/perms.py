@@ -483,6 +483,16 @@ def _l3_2_flag_gens() -> list[Permutation]:
     return gens
 
 
+def _refuse_large_order(n: int, first: int) -> None:
+    """Raise ClosureOverflow up front when first * (first + 1) * ... * n, the
+    order of S_n (first = 2) or A_n (first = 3), exceeds CLOSURE_BOUND."""
+    order = 1
+    for k in range(first, n + 1):
+        order *= k
+        if order > CLOSURE_BOUND:
+            raise ClosureOverflow(f"closure exceeded bound {CLOSURE_BOUND}")
+
+
 def builtin_group(name: str, **params) -> PermGroup:
     """Constructors for the explicitly named groups.
 
@@ -517,6 +527,7 @@ def builtin_group(name: str, **params) -> PermGroup:
         return PermGroup(_l3_2_flag_gens(), name="l3_2_flags")
     if name == "s_n":
         n = params["n"]
+        _refuse_large_order(n, 2)
         if n == 1:
             return PermGroup([Permutation.identity(1)], name="s_1")
         gens = [Permutation.from_cycles(n, [(1, 2)])]
@@ -525,6 +536,7 @@ def builtin_group(name: str, **params) -> PermGroup:
         return PermGroup(gens, name=f"s_{n}")
     if name == "a_n":
         n = params["n"]
+        _refuse_large_order(n, 3)
         if n <= 2:
             return PermGroup([Permutation.identity(max(n, 1))], name=f"a_{n}")
         if n == 3:

@@ -354,9 +354,6 @@ def garnir_coords(t: Tableau) -> list[int]:
 # Representation matrices
 # ---------------------------------------------------------------------------
 
-_MATRIX_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], IntMatrix] = {}
-
-
 def action_matrix(sigma: Permutation, shape: Partition) -> IntMatrix:
     """Matrix of sigma on the Specht module, columns = images of basis vectors."""
     if sigma.degree != shape.n:
@@ -367,17 +364,11 @@ def action_matrix(sigma: Permutation, shape: Partition) -> IntMatrix:
         return IntMatrix([[1]])
     if shape.parts == tuple([1] * n):
         return IntMatrix([[1 if sigma.is_even() else -1]])
-    key = (shape.parts, sigma.images)
-    M = _MATRIX_CACHE.get(key)
-    if M is not None:
-        return M
     B = _basis(shape.parts)
     cols = []
     for exp in B.expansions:
         cols.append(straighten(tv_apply_perm(sigma, exp), shape))
-    M = IntMatrix([[cols[j][i] for j in range(B.dim)] for i in range(B.dim)])
-    _MATRIX_CACHE[key] = M
-    return M
+    return IntMatrix([[cols[j][i] for j in range(B.dim)] for i in range(B.dim)])
 
 
 def twisted_action_matrix(sigma: Permutation, shape: Partition) -> IntMatrix:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from eigenone.arith import (
     disc_resultant,
     factor_mod_p,
     field_modulus,
+    fp_divmod,
     frobenius_charpoly_gf2,
     frobenius_scan,
     lpoly_from_counts,
@@ -115,11 +117,41 @@ def test_factor_mod_p_rejects_bad_input():
         factor_mod_p([1, 0, 5], 5)
 
 
-def test_factor_mod_p_deterministic_across_reseeds():
-    g = malle_g(2, 7)
-    base = factor_mod_p(g, 101, seed=1).degrees
-    for seed in range(2, 7):
-        assert factor_mod_p(g, 101, seed=seed).degrees == base
+def _trial_division_degrees(f, p):
+    """Irreducible-factor degrees of a monic f mod p, found by dividing by
+    every monic polynomial of degree <= deg f / 2 in increasing degree (the
+    first divisor of each degree left is irreducible); None when a factor
+    divides f twice."""
+    f = [c % p for c in f]
+    n = len(f) - 1
+    degrees = []
+    for d in range(1, n // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            g = list(low) + [1]
+            q, r = fp_divmod(f, g, p)
+            if not r:
+                if not fp_divmod(q, g, p)[1]:
+                    return None
+                degrees.append(d)
+                f = q
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return tuple(sorted(degrees))
+
+
+def test_factor_mod_p_degrees_match_trial_division():
+    rng = random.Random(11)
+    squarefree = 0
+    for p in (3, 5):
+        for _ in range(40):
+            f = [rng.randint(-10, 10) for _ in range(rng.randint(1, 9))] + [1]
+            expected = _trial_division_degrees(f, p)
+            ft = factor_mod_p(f, p)
+            assert ft.squarefree == (expected is not None), (f, p)
+            if expected is not None:
+                assert ft.degrees == expected, (f, p)
+                squarefree += 1
+    assert squarefree >= 40
 
 
 def test_frobenius_scan_x9_minus_2_has_eig1_offenders():

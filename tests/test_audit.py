@@ -56,17 +56,36 @@ def test_audit_specht_rejects_bad_args():
 
 
 def test_geometric_multiplicity_matches_character_average():
-    # dual route: fixed-space dimension = average of the character over the
-    # cyclic group generated by a class representative
-    from eigenone.specht import fixed_space_dim_via_characters
+    # dual routes: the fixed-space dimension is the average of the (twisted)
+    # character over the cyclic group generated by a class representative,
+    # and the algebraic multiplicity is the charpoly oracle's
+    from eigenone.intlinalg import eig1_multiplicity
+    from eigenone.specht import character_mn, fixed_space_dim_via_characters
+
+    def twisted_fixed_space_dim(shape, sigma):
+        total, x = 0, sigma
+        for _ in range(sigma.order()):
+            sign = 1 if x.is_even() else -1
+            total += sign * character_mn(shape.parts, x.cycle_type().parts)
+            x = x * sigma
+        return total // sigma.order()
 
     for n in range(5, 9):
-        for shape in [(n - 2, 2), (n - 2, 1, 1)]:
-            rep = audit_specht(n, FAMILY_TWO if shape[1] == 2 else FAMILY_HOOK)
+        for family in (FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ):
+            shape = Partition((n - 2, 1, 1) if family == FAMILY_HOOK else (n - 2, 2))
+            twisted = family == FAMILY_TWO_CONJ
+            rep = audit_specht(n, family)
             by_label = {r.label: r for r in rep.records}
-            for ct, _ in class_reps_symmetric(n):
-                expected = fixed_space_dim_via_characters(Partition(shape), ct)
-                assert by_label[str(ct)].geo_mult == expected, (n, shape, ct)
+            for ct, sigma in class_reps_symmetric(n):
+                rec = by_label[str(ct)]
+                if twisted:
+                    expected = twisted_fixed_space_dim(shape, sigma)
+                    M = twisted_action_matrix(sigma, shape)
+                else:
+                    expected = fixed_space_dim_via_characters(shape, ct)
+                    M = action_matrix(sigma, shape)
+                assert rec.geo_mult == expected, (n, family, ct)
+                assert rec.alg_mult == eig1_multiplicity(M)[0], (n, family, ct)
 
 
 def test_det_constant_on_class_sampled():

@@ -116,11 +116,11 @@ def test_csv_frobenius_scan(capsys):
     assert all(line.split(",")[-1] == "True" for line in lines[1:])
 
 
-def test_specht_audit_extended_flag(capsys):
+def test_specht_audit_n_range(capsys):
     code, _ = run_cli(capsys, "specht", "audit", "--n", "14", "--family", "hook")
-    assert code == 2  # out of default range
-    code, out = run_cli(capsys, "specht", "audit", "--n", "14", "--family", "hook", "--extended")
     assert code == 0
+    assert main(["specht", "audit", "--n", "18", "--family", "hook"]) == 2
+    assert capsys.readouterr().err == "error: n=18 outside supported range 5..17\n"
 
 
 def test_embed_audit_payload_has_group_and_space(capsys):
@@ -145,7 +145,11 @@ def test_embed_group_missing_parameter(capsys, verb, group, flag):
 def test_closure_overflow_is_usage_error(capsys, monkeypatch):
     import eigenone.perms
 
+    def no_closure(*args, **kwargs):
+        raise AssertionError("S_10 must be refused from its order, before closing")
+
     monkeypatch.setattr(eigenone.perms, "CLOSURE_BOUND", 1000)
+    monkeypatch.setattr(eigenone.perms, "closure", no_closure)
     code = main(["embed", "audit", "--group", "s_n", "--n", "10"])
     captured = capsys.readouterr()
     assert code == 2

@@ -11,7 +11,6 @@ from eigenone.intlinalg import (
     charpoly_exact,
     det_exact,
     eig1_multiplicity,
-    eig1_multiplicity_by_rank_powers,
     permutation_matrix,
     rank_exact,
 )
@@ -183,15 +182,6 @@ def test_eig1_planted_jordan_blocks():
         got = eig1_multiplicity(A)
         assert got == (alg, geo)
         assert got[1] <= got[0]
-        assert eig1_multiplicity_by_rank_powers(A) == got
-
-
-def test_rank_power_route_matches_charpoly_route():
-    rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        M = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        assert eig1_multiplicity_by_rank_powers(M) == eig1_multiplicity(M)
 
 
 def test_intpoly_division_by_x_minus_1():

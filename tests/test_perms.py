@@ -104,6 +104,21 @@ def test_closure_bound_enforced():
         closure([perm(9, (1, 2)), perm(9, tuple(range(1, 10)))], bound=1000)
 
 
+def test_s_n_a_n_refused_from_order_before_closing(monkeypatch):
+    import eigenone.perms
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure must not run")
+
+    monkeypatch.setattr(eigenone.perms, "CLOSURE_BOUND", 360)
+    monkeypatch.setattr(eigenone.perms, "closure", no_closure)
+    assert builtin_group("s_n", n=5).degree == 5  # 5! = 120
+    assert builtin_group("a_n", n=6).degree == 6  # 6!/2 = 360, at the bound
+    for name, n in [("s_n", 6), ("a_n", 7), ("s_n", 10**9)]:
+        with pytest.raises(ClosureOverflow, match="^closure exceeded bound 360$"):
+            builtin_group(name, n=n)
+
+
 def test_closure_is_closed_spot_check():
     G = builtin_group("agl2_3")
     els = G.elements()
