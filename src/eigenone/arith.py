@@ -35,13 +35,6 @@ def zp_deriv(f: ZPoly) -> ZPoly:
     return zp_trim([i * c for i, c in enumerate(f)][1:])
 
 
-def zp_eval(f: ZPoly, x: int) -> int:
-    v = 0
-    for c in reversed(f):
-        v = v * x + c
-    return v
-
-
 # ---------------------------------------------------------------------------
 # The degree-9 family g_{a,t} and its auxiliary form r(a, t)
 # ---------------------------------------------------------------------------
@@ -245,9 +238,6 @@ class FactorizationType:
         if not self.squarefree:
             raise ValueError("cycle type only meaningful for squarefree reduction")
         return Partition(tuple(sorted(self.degrees, reverse=True)))
-
-    def to_payload(self) -> dict:
-        return {"p": self.p, "degrees": list(self.degrees), "squarefree": self.squarefree}
 
 
 def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
@@ -522,10 +512,6 @@ class LPolynomial:
     p: int
     coeffs: list[int]
 
-    @property
-    def genus(self) -> int:
-        return len(self.coeffs) // 2
-
     def jacobian_order(self) -> int:
         return sum(self.coeffs)
 
@@ -538,9 +524,6 @@ class LPolynomial:
             if c % 2:
                 out |= 1 << (deg - i)
         return out
-
-    def to_payload(self) -> dict:
-        return {"p": self.p, "coeffs": [str(c) for c in self.coeffs]}
 
 
 def lpoly_from_counts(f: ZPoly, p: int) -> LPolynomial:

@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 = checked claim verified, 1 = claim refuted (payload lists the
-offenders), 2 = usage error or a group too large to close.  Every run prints a
-JSON report (or CSV with --format csv) on standard output.
+offenders), 2 = usage error or a group too large to close, 3 = internal error
+(a traceback on standard error and nothing on standard output), so a crash
+never reads as a refutation.  Every verdict prints a JSON report on standard
+output.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .audit import (
 from .fixed_vectors import FixedVectorError, build_fixed_vector
 from .gf2 import rank_nullspace, BitMatrix
 from .perms import ClosureOverflow, IndexedGroup, Partition, builtin_group, class_rep_for, closure
-from .reports import CLAIMS, RunReport, report_csv
-from .specht import SpechtRep, rep_mod2
+from .reports import CLAIMS, RunReport
+from .specht import generator_matrices, rep_mod2
 from .symplectic import embed_group, permutation_module_gf2
 
 DEFAULT_SEED = meataxe.DEFAULT_SEED
@@ -70,7 +72,7 @@ def _build_group(args):
     return builtin_group(args.group, **{param: value})
 
 
-def _emit(args, subcommand: str, anchors: list[str], result: dict, t0: float, verdict: bool) -> int:
+def _emit(args, anchors: list[str], result: dict, t0: float, verdict: bool) -> int:
     report = RunReport(
         command=list(args.raw_args),
         seed=args.seed,
@@ -78,10 +80,7 @@ def _emit(args, subcommand: str, anchors: list[str], result: dict, t0: float, ve
         result=result,
         wall_time_s=time.time() - t0,
     )
-    if args.format == "csv":
-        sys.stdout.write(report_csv(subcommand, result))
-    else:
-        sys.stdout.write(report.to_json() + "\n")
+    sys.stdout.write(report.to_json() + "\n")
     return 0 if verdict else 1
 
 
@@ -97,7 +96,7 @@ def cmd_specht_audit(args) -> int:
         "(n-2,2)": "specht-audit-two",
         "(n-2,2)'": "specht-audit-twisted" if args.group == "s_n" else "specht-audit-alternating",
     }[args.family]
-    return _emit(args, "specht-audit", [CLAIMS[anchor]], rep.to_payload(), t0, rep.unisingular)
+    return _emit(args, [CLAIMS[anchor]], rep.to_payload(), t0, rep.unisingular)
 
 
 def cmd_specht_table(args) -> int:
@@ -105,14 +104,13 @@ def cmd_specht_table(args) -> int:
     rows = conjecture_table(args.n)
     ok = all(r["matches"] for r in rows)
     result = {"rows": rows, "all_match": ok}
-    return _emit(args, "conjecture-table", [CLAIMS["conjecture-table"]], result, t0, ok)
+    return _emit(args, [CLAIMS["conjecture-table"]], result, t0, ok)
 
 
 def cmd_specht_mod2(args) -> int:
     t0 = time.time()
     shape = Partition((args.n - 2, 1, 1)) if args.family == "(n-2,1,1)" else Partition((args.n - 2, 2))
-    rep = SpechtRep(shape)
-    module = rep_mod2(rep.generator_matrices(twisted=args.family == "(n-2,2)'"))
+    module = rep_mod2(generator_matrices(shape, twisted=args.family == "(n-2,2)'"))
     factors = meataxe.factor_dimensions(module, args.seed)
     result = {
         "n": args.n,
@@ -125,7 +123,7 @@ def cmd_specht_mod2(args) -> int:
     if args.expect_dims is not None:
         verdict = sorted(args.expect_dims) == factors
         result["expected_dims"] = sorted(args.expect_dims)
-    return _emit(args, "mod2-factors", [CLAIMS["mod2-factors"]], result, t0, verdict)
+    return _emit(args, [CLAIMS["mod2-factors"]], result, t0, verdict)
 
 
 def cmd_specht_fixed_vector(args) -> int:
@@ -138,9 +136,9 @@ def cmd_specht_fixed_vector(args) -> int:
     try:
         fv = build_fixed_vector(sigma, args.family)
     except FixedVectorError as e:
-        return _emit(args, "fixed-vector", [CLAIMS["fixed-vector"]],
+        return _emit(args, [CLAIMS["fixed-vector"]],
                      {"error": str(e), "sigma": sigma.cycle_string()}, t0, False)
-    return _emit(args, "fixed-vector", [CLAIMS["fixed-vector"]], fv.to_payload(), t0, True)
+    return _emit(args, [CLAIMS["fixed-vector"]], fv.to_payload(), t0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +175,7 @@ def cmd_embed_audit(args) -> int:
         if args.expect_dims is not None:
             verdict = verdict and sorted(args.expect_dims) == dims
             result["expected_dims"] = sorted(args.expect_dims)
-        return _emit(args, "embed-audit", anchors, result, t0, verdict)
+        return _emit(args, anchors, result, t0, verdict)
     rep = audit_embedded_group(G, args.seed)
     result = rep.to_payload()
     result["group"] = G.to_payload()
@@ -185,11 +183,11 @@ def cmd_embed_audit(args) -> int:
     from .symplectic import build_space
 
     result["space"] = build_space(G.degree).to_payload()
-    result["form_preserved"] = True  # asserted during embedding
+    result["form_preserved"] = True  # embed_group raises if a generator breaks the form
     anchor = "embed-audit-agl2_3" if G.name == "agl2_3" else (
         "embed-audit-pgl2" if G.name.startswith("pgl2") else "embed-audit"
     )
-    return _emit(args, "embed-audit", [CLAIMS[anchor]], result, t0, rep.unisingular)
+    return _emit(args, [CLAIMS[anchor]], result, t0, rep.unisingular)
 
 
 def cmd_embed_census(args) -> int:
@@ -208,7 +206,7 @@ def cmd_embed_census(args) -> int:
     if args.expect_irreducible_orders is not None:
         verdict = sorted(args.expect_irreducible_orders) == orders
         result["expected_irreducible_orders"] = sorted(args.expect_irreducible_orders)
-    return _emit(args, "census", [CLAIMS["embed-census"]], result, t0, verdict)
+    return _emit(args, [CLAIMS["embed-census"]], result, t0, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +248,7 @@ def cmd_nt_disc_verify(args) -> int:
         },
     }
     verdict = ok and special_ok and bad_ok
-    return _emit(args, "disc-verify", [CLAIMS["disc-identity"], CLAIMS["disc-special"]],
+    return _emit(args, [CLAIMS["disc-identity"], CLAIMS["disc-special"]],
                  result, t0, verdict)
 
 
@@ -261,7 +259,7 @@ def cmd_nt_frobenius_scan(args) -> int:
     scan = frobenius_scan(f, args.pmax, G, jobs=args.jobs)
     result = scan.to_payload()
     verdict = scan.all_eig1 and scan.all_types_in_group
-    return _emit(args, "frobenius-scan", [CLAIMS["frobenius-scan"]], result, t0, verdict)
+    return _emit(args, [CLAIMS["frobenius-scan"]], result, t0, verdict)
 
 
 def cmd_nt_lpoly_check(args) -> int:
@@ -285,7 +283,7 @@ def cmd_nt_lpoly_check(args) -> int:
             }
         )
     result = {"a": args.a, "t": args.t, "primes": rows, "all_pass": ok}
-    return _emit(args, "lpoly-check", [CLAIMS["lpoly-parity"]], result, t0, ok)
+    return _emit(args, [CLAIMS["lpoly-parity"]], result, t0, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--jobs", type=int, default=1)
 
     specht = sub.add_parser("specht", help="Specht-module audits").add_subparsers(
@@ -368,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--poly", type=_int_list, default=None,
-                   help="override polynomial, ascending coefficients")
+                   help="override polynomial, ascending coefficients; write --poly=-2,0,... "
+                        "when the first coefficient is negative")
     common(p)
     p.set_defaults(fn=cmd_nt_frobenius_scan)
 
@@ -392,6 +390,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, NotImplementedError, ClosureOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,15 +5,14 @@ nonzero fixed vector of sigma.
 Case selection: permutations with enough fixed points (3 for the hook shape,
 4 for the two-row shape) get a directly fixed polytabloid; otherwise the
 tableau is chosen by the size of the smallest cycle.  Every returned vector
-is verified nonzero (straighten + rank) and verified fixed (action matrix);
-a zero result raises, it is never silently returned.
+is verified nonzero (a nonzero straightened coordinate) and verified fixed
+(action matrix); a zero result raises, it is never silently returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import IntMatrix, rank_exact
 from .perms import Partition, Permutation
 from .specht import (
     Tableau,
@@ -150,14 +149,14 @@ class FixedVector:
 
 def build_fixed_vector(sigma: Permutation, family: str) -> FixedVector:
     """Select the witness tableau for sigma, form E, and verify it: nonzero
-    (straighten, then rank of the coordinate row) and fixed (action matrix
-    times coordinates reproduces them).  Raises FixedVectorError on zero."""
+    (a nonzero coordinate after straightening) and fixed (action matrix times
+    coordinates reproduces them).  Raises FixedVectorError on zero."""
     n = sigma.degree
     shape = Partition((n - 2, 1, 1)) if family == FAMILY_HOOK else Partition((n - 2, 2))
     t, direct = witness_tableau(sigma, family)
     vec = polytabloid_expand(t) if direct else fixed_vector_sum(sigma, t)
     coords = straighten(vec, shape)
-    if rank_exact(IntMatrix([coords])) != 1:
+    if not any(coords):
         raise FixedVectorError(
             f"case analysis produced the zero vector for {sigma.cycle_string()} on {family}"
         )

@@ -116,9 +116,6 @@ class BitMatrix:
             vv ^= low
         return acc
 
-    def to_int_entries(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
-
     def to_hex_rows(self) -> list[str]:
         nwords = max(1, -(-self.ncols // WORD))
         out = []
@@ -129,19 +126,6 @@ class BitMatrix:
                 v |= word << (WORD * (nwords - 1 - w))
             out.append(format(v, f"0{16 * nwords}x"))
         return out
-
-    @classmethod
-    def from_hex_rows(cls, hex_rows: list[str], ncols: int) -> "BitMatrix":
-        nwords = max(1, -(-ncols // WORD))
-        rows = []
-        for h in hex_rows:
-            v = int(h, 16)
-            r = 0
-            for w in range(nwords):
-                word = (v >> (WORD * (nwords - 1 - w))) & ((1 << WORD) - 1)
-                r |= word << (WORD * w)
-            rows.append(r)
-        return cls(rows, ncols)
 
     def __repr__(self):
         return f"BitMatrix({self.nrows}x{self.ncols})"
@@ -179,13 +163,6 @@ def rank_nullspace(M: BitMatrix) -> tuple[int, list[int]]:
 def gf2_rank(M: BitMatrix) -> int:
     rank, _ = rank_nullspace(M)
     return rank
-
-
-def gf2_det(M: BitMatrix) -> int:
-    """Determinant over GF(2): 1 iff square and full rank."""
-    if not M.is_square:
-        raise ValueError("determinant of non-square matrix")
-    return 1 if gf2_rank(M) == M.nrows else 0
 
 
 def is_invertible(M: BitMatrix) -> bool:
@@ -340,14 +317,6 @@ def peval1(f: int) -> int:
     return f.bit_count() & 1
 
 
-def poly_to_hex(f: int) -> str:
-    return format(f, "x")
-
-
-def poly_from_hex(s: str) -> int:
-    return int(s, 16)
-
-
 def _berlekamp_squarefree(f: int) -> list[int]:
     """Distinct irreducible factors of a squarefree f over GF(2)."""
     d = pdeg(f)
@@ -408,13 +377,6 @@ def poly_factor(f: int) -> dict[int, int]:
 
     decompose(f, 1)
     return out
-
-
-def poly_is_irreducible(f: int) -> bool:
-    if pdeg(f) <= 0:
-        return False
-    fac = poly_factor(f)
-    return len(fac) == 1 and next(iter(fac.values())) == 1
 
 
 def eval_poly_at_matrix(f: int, M: BitMatrix) -> BitMatrix:

@@ -112,19 +112,6 @@ class Permutation:
         p = cls(images)
         return p
 
-    @classmethod
-    def from_cycle_string(cls, d: int, s: str) -> "Permutation":
-        s = s.strip()
-        if s in ("()", ""):
-            return cls.identity(d)
-        cycles = []
-        for part in s.replace(")(", ")|(").split("|"):
-            part = part.strip()
-            if not (part.startswith("(") and part.endswith(")")):
-                raise ValueError(f"bad cycle string: {s!r}")
-            cycles.append(tuple(int(x) for x in part[1:-1].split(",")))
-        return cls.from_cycles(d, cycles)
-
     def apply(self, point: int) -> int:
         """Image of a 1-based point."""
         return self.images[point - 1] + 1
@@ -142,10 +129,6 @@ class Permutation:
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(inv)
-
-    def conjugate_by(self, g: "Permutation") -> "Permutation":
-        """g * self * g^-1."""
-        return g * self * g.inverse()
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles as 1-based tuples, each starting at its minimum."""
@@ -176,9 +159,6 @@ class Permutation:
 
     def is_even(self) -> bool:
         return self.cycle_type().is_even_class()
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -357,9 +337,6 @@ class PermGroup:
 
     def order(self) -> int:
         return len(self.indexed.elements)
-
-    def is_transitive(self) -> bool:
-        return len(orbit(0, [g.images.__getitem__ for g in self.generators])) == self.degree
 
     def conjugacy_classes(self) -> list[tuple[int, Permutation, int]]:
         """Exact classes as (class size, representative, element order),
@@ -548,12 +525,3 @@ def builtin_group(name: str, **params) -> PermGroup:
             gens.append(Permutation.from_cycles(n, [tuple(range(2, n + 1))]))
         return PermGroup(gens, name=f"a_{n}")
     raise ValueError(f"unsupported builtin group: {name}")
-
-
-BUILTIN_ORDERS = {
-    "agl2_3": 432,
-    "asl2_3": 216,
-    "agl1_9": 72,
-    "agammal1_9": 144,
-    "l3_2_flags": 168,
-}

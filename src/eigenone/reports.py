@@ -1,4 +1,4 @@
-"""Run reports: canonical JSON payloads with claim anchors, plus CSV export.
+"""Run reports: canonical JSON payloads with claim anchors.
 
 Payloads are deterministic for a fixed command and seed (sorted keys, no
 timestamps inside the result); wall time is reported alongside but excluded
@@ -7,7 +7,6 @@ from the canonical bytes.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -63,63 +62,3 @@ class RunReport:
     def canonical_bytes(self) -> bytes:
         """Deterministic bytes for a fixed command and seed (no timings)."""
         return self.to_json(include_wall_time=False).encode()
-
-
-def _csv_escape(x) -> str:
-    s = str(x)
-    if any(ch in s for ch in ",\"\n"):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
-
-
-def rows_to_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_csv_escape(x) for x in row) + "\n")
-    return buf.getvalue()
-
-
-def report_csv(subcommand: str, result: dict) -> str:
-    """Flatten the table-like part of a result payload to CSV."""
-    if subcommand == "conjecture-table":
-        header = ["n", "dim", "class", "det_one_minus", "closed_form", "matches"]
-        rows = [[r[h] for h in header] for r in result["rows"]]
-    elif subcommand in ("specht-audit", "embed-audit"):
-        header = [
-            "class", "size", "element_order", "det_one_minus",
-            "eig1_algebraic", "eig1_geometric", "has_eigenvalue_one",
-        ]
-        rows = [[r[h] for h in header] for r in result["classes"]]
-    elif subcommand == "census":
-        header = ["order", "irreducible", "unisingular", "count", "class_size_fingerprints"]
-        rows = [
-            [e["order"], e["irreducible"], e["unisingular"], e["count"],
-             ";".join("+".join(map(str, f)) for f in e["class_size_fingerprints"])]
-            for e in result["census"]
-        ]
-    elif subcommand == "frobenius-scan":
-        header = ["p", "cycle_type", "eig1_nullity", "has_eigenvalue_one", "type_in_group"]
-        rows = [
-            [r["p"], "+".join(map(str, r["cycle_type"])), r["eig1_nullity"],
-             r["has_eigenvalue_one"], r["type_in_group"]]
-            for r in result["records"]
-        ]
-    elif subcommand == "lpoly-check":
-        header = ["p", "jacobian_order", "even", "reversed_matches_frobenius"]
-        rows = [[r["p"], r["jacobian_order"], r["even"], r["reversed_matches_frobenius"]]
-                for r in result["primes"]]
-    elif subcommand == "mod2-factors":
-        header = ["n", "family", "dim", "factors", "irreducible"]
-        rows = [[result["n"], result["family"], result["dim"],
-                 "+".join(map(str, result["factor_dims"])), result["irreducible"]]]
-    elif subcommand == "disc-verify":
-        header = ["a", "t", "matches"]
-        rows = [[r["a"], r["t"], r["matches"]] for r in result["samples"]]
-    elif subcommand == "fixed-vector":
-        header = ["sigma", "family", "tableau", "nonzero"]
-        rows = [[result["sigma"], result["family"], json.dumps(result["tableau"]),
-                 result["nonzero"]]]
-    else:
-        raise ValueError(f"no CSV layout for {subcommand}")
-    return rows_to_csv(header, rows)

@@ -4,9 +4,8 @@ The integral representation matrices are computed on the basis of standard
 polytabloids, ordered lexicographically by column reading word.  Coordinates
 of an arbitrary module element (a sparse integer combination of tabloids) are
 found by reduction against the leading tabloids of the standard polytabloids,
-which are maximal in tabloid dominance order; a Garnir rewriting engine at the
-tableau level is provided as well and the two routes are cross-checked in the
-test suite.
+which are maximal in tabloid dominance order.  The test suite cross-checks
+this against Garnir rewriting at the tableau level (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from .gf2 import BitMatrix, GF2Module
 from .intlinalg import IntMatrix
@@ -58,15 +57,6 @@ class Tableau:
     def column_word(self) -> tuple[int, ...]:
         return tuple(x for col in self.columns() for x in col)
 
-    def is_standard(self) -> bool:
-        for row in self.rows:
-            if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-                return False
-        for col in self.columns():
-            if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
-                return False
-        return True
-
     def apply(self, sigma: Permutation) -> "Tableau":
         if sigma.degree != self.n:
             raise ValueError("degree mismatch")
@@ -92,24 +82,15 @@ def perm_tabloid(sigma: Permutation, T: Tabloid) -> Tabloid:
     return tuple(tuple(sorted(sigma.apply(x) for x in row)) for row in T)
 
 
-_DOM_KEYS: dict[Tabloid, tuple[int, ...]] = {}
-
-
 def _dominance_key(T: Tabloid) -> tuple[int, ...]:
-    """Injective key compatible with tabloid dominance order (bigger = more
-    dominant): cumulative counts of entries <= m in the first r rows."""
-    key = _DOM_KEYS.get(T)
-    if key is None:
-        n = sum(len(r) for r in T)
-        counts = []
-        for m in range(1, n + 1):
-            acc = 0
-            for row in T:
-                acc += sum(1 for x in row if x <= m)
-                counts.append(acc)
-        key = tuple(counts)
-        _DOM_KEYS[T] = key
-    return key
+    """Key compatible with tabloid dominance order (bigger = more dominant):
+    the row of each entry, read from n down to 1.
+
+    At the largest entry whose row differs between T and S, T dominates S
+    only if that entry lies lower in T, so this is a linear extension of
+    dominance; straightening needs no more, as coordinates are unique."""
+    row_of = {x: i for i, row in enumerate(T) for x in row}
+    return tuple(row_of[m] for m in range(len(row_of), 0, -1))
 
 
 def _perm_sign(order: tuple[int, ...]) -> int:
@@ -194,17 +175,6 @@ def standard_tableaux(shape_parts: tuple[int, ...]) -> tuple[Tableau, ...]:
     return tuple(tabs)
 
 
-def hook_length_count(shape: Partition) -> int:
-    conj = shape.conjugate()
-    d = factorial(shape.n)
-    for i, ln in enumerate(shape.parts):
-        for j in range(ln):
-            hook = (ln - j - 1) + (conj.parts[j] - i - 1) + 1
-            assert d % hook == 0
-            d //= hook
-    return d
-
-
 class NotInSpechtModule(ValueError):
     pass
 
@@ -263,93 +233,6 @@ def straighten(v: dict[Tabloid, int], shape: Partition) -> list[int]:
     return coords
 
 
-def expand_coords(coords: list[int], shape: Partition) -> dict[Tabloid, int]:
-    """Inverse of straighten: tabloid expansion of a coordinate vector."""
-    B = _basis(shape.parts)
-    out: dict[Tabloid, int] = {}
-    for c, exp in zip(coords, B.expansions):
-        if c:
-            tv_add_scaled(out, exp, c)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Garnir rewriting at the tableau level
-# ---------------------------------------------------------------------------
-
-def _sort_columns(t: Tableau) -> tuple[Tableau, int]:
-    cols = t.columns()
-    sign = 1
-    sorted_cols = []
-    for col in cols:
-        order = sorted(range(len(col)), key=lambda i: col[i])
-        sign *= _perm_sign(tuple(order))
-        sorted_cols.append([col[i] for i in order])
-    shape = [len(r) for r in t.rows]
-    rows = [[sorted_cols[j][i] for j in range(ln)] for i, ln in enumerate(shape)]
-    return Tableau.of(rows), sign
-
-
-def _find_row_violation(t: Tableau) -> tuple[int, int] | None:
-    """Leftmost adjacent column pair with a descent, topmost row: (row, col)."""
-    for j in range(len(t.rows[0]) - 1):
-        for i, row in enumerate(t.rows):
-            if len(row) > j + 1 and row[j] > row[j + 1]:
-                return i, j
-    return None
-
-
-def garnir_expand(t: Tableau) -> dict[Tableau, int]:
-    """e_t as an integer combination of standard polytabloids, by the Garnir
-    relation at the leftmost column-descent violation, topmost row."""
-    return dict(_garnir_expand_cached(t))
-
-
-@lru_cache(maxsize=200000)
-def _garnir_expand_cached(t: Tableau) -> tuple[tuple[Tableau, int], ...]:
-    u, sign = _sort_columns(t)
-    viol = _find_row_violation(u)
-    if viol is None:
-        return ((u, sign),)
-    i, j = viol
-    colA = u.columns()[j]
-    colB = u.columns()[j + 1]
-    A = colA[i:]
-    B = colB[: i + 1]
-    union = sorted(A + B)
-    cells = [(r, j) for r in range(i, len(colA))] + [(r, j + 1) for r in range(i + 1)]
-    old_vals = A + B
-    out: dict[Tableau, int] = {}
-    for sel in itertools.combinations(union, len(A)):
-        if list(sel) == sorted(A):
-            continue  # identity shuffle
-        rest = sorted(set(union) - set(sel))
-        new_vals = list(sel) + rest
-        # sign of the rearrangement of the involved values
-        pos = {v: k for k, v in enumerate(old_vals)}
-        sign_shuffle = _perm_sign(tuple(pos[v] for v in new_vals))
-        rows = [list(r) for r in u.rows]
-        for (r, c), v in zip(cells, new_vals):
-            rows[r][c] = v
-        for sub_t, sub_c in _garnir_expand_cached(Tableau.of(rows)):
-            nv = out.get(sub_t, 0) - sign_shuffle * sub_c
-            if nv:
-                out[sub_t] = nv
-            elif sub_t in out:
-                del out[sub_t]
-    return tuple((k, sign * v) for k, v in out.items())
-
-
-def garnir_coords(t: Tableau) -> list[int]:
-    """Coordinates of e_t on the standard basis via Garnir rewriting."""
-    B = _basis(t.shape.parts)
-    index = {tab: i for i, tab in enumerate(B.tableaux)}
-    coords = [0] * B.dim
-    for s, c in garnir_expand(t).items():
-        coords[index[s]] += c
-    return coords
-
-
 # ---------------------------------------------------------------------------
 # Representation matrices
 # ---------------------------------------------------------------------------
@@ -377,36 +260,15 @@ def twisted_action_matrix(sigma: Permutation, shape: Partition) -> IntMatrix:
     return M if sigma.is_even() else -M
 
 
-@dataclass
-class SpechtRep:
-    """Ordered standard basis of a shape plus matrices of requested elements."""
-
-    shape: Partition
-
-    @property
-    def basis(self) -> tuple[Tableau, ...]:
-        return _basis(self.shape.parts).tableaux
-
-    @property
-    def dim(self) -> int:
-        return _basis(self.shape.parts).dim
-
-    def matrix(self, sigma: Permutation, twisted: bool = False) -> IntMatrix:
-        return twisted_action_matrix(sigma, self.shape) if twisted else action_matrix(sigma, self.shape)
-
-    def generator_matrices(self, twisted: bool = False) -> list[IntMatrix]:
-        n = self.shape.n
-        gens = [Permutation.from_cycles(n, [(1, 2)])]
-        if n > 2:
-            gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
-        return [self.matrix(g, twisted) for g in gens]
-
-    def to_payload(self) -> dict:
-        return {
-            "shape": list(self.shape.parts),
-            "dim": self.dim,
-            "basis": [t.to_lists() for t in self.basis],
-        }
+def generator_matrices(shape: Partition, twisted: bool = False) -> list[IntMatrix]:
+    """Matrices of the generators (1,2) and (1,2,...,n) of S_n on the
+    standard basis of the shape, or on its sign twist."""
+    n = shape.n
+    gens = [Permutation.from_cycles(n, [(1, 2)])]
+    if n > 2:
+        gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
+    matrix = twisted_action_matrix if twisted else action_matrix
+    return [matrix(g, shape) for g in gens]
 
 
 def rep_mod2(mats: list[IntMatrix]) -> GF2Module:
@@ -415,43 +277,6 @@ def rep_mod2(mats: list[IntMatrix]) -> GF2Module:
         raise ValueError("need at least one matrix")
     dim = mats[0].nrows
     return GF2Module(dim, [BitMatrix.from_entries(M.rows) for M in mats])
-
-
-def specht_mod2_module(n: int, shape: Partition) -> GF2Module:
-    rep = SpechtRep(shape)
-    return rep_mod2(rep.generator_matrices())
-
-
-# ---------------------------------------------------------------------------
-# Permutation (tabloid) modules, for cross-checks
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def tabloids_of_shape(shape_parts: tuple[int, ...]) -> tuple[Tabloid, ...]:
-    n = sum(shape_parts)
-
-    def split(remaining: tuple[int, ...], parts: tuple[int, ...]):
-        if not parts:
-            yield ()
-            return
-        k = parts[0]
-        for chosen in itertools.combinations(remaining, k):
-            rest = tuple(x for x in remaining if x not in set(chosen))
-            for tail in split(rest, parts[1:]):
-                yield (chosen,) + tail
-
-    return tuple(sorted(split(tuple(range(1, n + 1)), shape_parts)))
-
-
-def tabloid_action_matrix(sigma: Permutation, shape: Partition) -> IntMatrix:
-    """Permutation matrix of sigma on the tabloid basis of the shape."""
-    tabs = tabloids_of_shape(shape.parts)
-    index = {T: i for i, T in enumerate(tabs)}
-    m = len(tabs)
-    M = [[0] * m for _ in range(m)]
-    for j, T in enumerate(tabs):
-        M[index[perm_tabloid(sigma, T)]][j] = 1
-    return IntMatrix(M)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,12 @@ def build_space(d: int) -> SymplecticSpace:
     full = (1 << dim) - 1
     gram = BitMatrix([full ^ (1 << i) for i in range(dim)], dim)
     # alternating: zero diagonal, symmetric; nondegenerate: full rank
-    assert all(gram.get(i, i) == 0 for i in range(dim))
-    assert gram == gram.transpose()
-    assert gf2_rank(gram) == dim
+    if any(gram.get(i, i) for i in range(dim)):
+        raise AssertionError("Gram matrix must have a zero diagonal")
+    if gram != gram.transpose():
+        raise AssertionError("Gram matrix must be symmetric")
+    if gf2_rank(gram) != dim:
+        raise AssertionError("Gram matrix must be nondegenerate")
     return SymplecticSpace(d, dim, gram)
 
 
@@ -79,7 +82,8 @@ def embed_group(G: PermGroup, space: SymplecticSpace | None = None) -> GF2Module
         raise ValueError("degree mismatch")
     gens = [embed_permutation(g, space) for g in G.generators]
     for m in gens:
-        assert preserves_form(m, space.gram)
+        if not preserves_form(m, space.gram):
+            raise AssertionError("embedded generator does not preserve the form")
     return GF2Module(space.dim, gens)
 
 

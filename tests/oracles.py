@@ -1,0 +1,369 @@
+"""Reference implementations the test suite checks production output against.
+
+Nothing here runs on a command-line path.  Each routine reaches a quantity
+the package computes another way: the Berkowitz characteristic polynomial
+against the one-Bareiss eigenvalue-1 verdict, Garnir rewriting against
+leading-tabloid straightening, tabloid permutation modules against the
+character oracle, and so on.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial
+
+from eigenone.gf2 import BitMatrix, GF2Module, gf2_rank, pdeg, pmod
+from eigenone.intlinalg import IntMatrix, _bareiss
+from eigenone.perms import Partition, PermGroup, Permutation, orbit
+from eigenone.specht import (
+    Tableau,
+    Tabloid,
+    _basis,
+    _perm_sign,
+    generator_matrices,
+    perm_tabloid,
+    rep_mod2,
+    tv_add_scaled,
+)
+
+# ---------------------------------------------------------------------------
+# Permutations
+# ---------------------------------------------------------------------------
+
+
+def conjugate_by(p: Permutation, g: Permutation) -> Permutation:
+    """g * p * g^-1."""
+    return g * p * g.inverse()
+
+
+def is_identity(p: Permutation) -> bool:
+    return all(i == j for i, j in enumerate(p.images))
+
+
+def is_transitive(G: PermGroup) -> bool:
+    return len(orbit(0, [g.images.__getitem__ for g in G.generators])) == G.degree
+
+
+# ---------------------------------------------------------------------------
+# Integer linear algebra: rank, trace, the Berkowitz characteristic polynomial
+# ---------------------------------------------------------------------------
+
+
+def trace(M: IntMatrix) -> int:
+    if not M.is_square:
+        raise ValueError("trace of non-square matrix")
+    return sum(M.rows[i][i] for i in range(M.nrows))
+
+
+def rank_exact(M: IntMatrix) -> int:
+    """Rank over the rationals, fraction-free."""
+    if M.nrows == 0 or M.ncols == 0:
+        return 0
+    rows = [list(r) for r in M.rows]
+    rank, _ = _bareiss(rows)
+    return rank
+
+
+@dataclass(frozen=True)
+class IntPoly:
+    """Integer polynomial, coefficients ascending, no trailing zeros."""
+
+    coeffs: tuple[int, ...]
+
+    @classmethod
+    def of(cls, coeffs) -> "IntPoly":
+        c = list(coeffs)
+        while c and c[-1] == 0:
+            c.pop()
+        return cls(tuple(c))
+
+    def __call__(self, x: int) -> int:
+        v = 0
+        for c in reversed(self.coeffs):
+            v = v * x + c
+        return v
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def divide_by_x_minus_1(self) -> "IntPoly | None":
+        """Exact quotient by (x - 1), or None if 1 is not a root."""
+        if self.is_zero():
+            raise ValueError("cannot divide the zero polynomial")
+        if self(1) != 0:
+            return None
+        out = []
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc += c
+            out.append(acc)
+        assert out[-1] == 0
+        return IntPoly.of(reversed(out[:-1]))
+
+
+def charpoly_exact(M: IntMatrix) -> IntPoly:
+    """Characteristic polynomial det(xI - M) via the Berkowitz algorithm.
+
+    Division-free, so exact over the integers for any input.
+    """
+    if not M.is_square:
+        raise ValueError("characteristic polynomial of non-square matrix")
+    n = M.nrows
+    if n == 0:
+        return IntPoly.of([1])
+    A = M.rows
+    # coeffs of det(xI - A_i) for the leading i x i block, descending powers
+    c = [1, -A[0][0]]
+    for i in range(2, n + 1):
+        blk = [row[: i - 1] for row in A[: i - 1]]
+        R = A[i - 1][: i - 1]
+        C = [A[r][i - 1] for r in range(i - 1)]
+        a = A[i - 1][i - 1]
+        # q = [1, -a, -R.C, -R.blk.C, -R.blk^2.C, ...] of length i + 1
+        q = [1, -a]
+        v = C
+        for _ in range(i - 1):
+            q.append(-sum(r * x for r, x in zip(R, v)))
+            if len(q) == i + 1:
+                break
+            v = [sum(blk[r][k] * v[k] for k in range(i - 1)) for r in range(i - 1)]
+        newc = [0] * (i + 1)
+        for k in range(i + 1):
+            s = 0
+            for j in range(len(c)):
+                kj = k - j
+                if 0 <= kj < len(q):
+                    s += c[j] * q[kj]
+            newc[k] = s
+        c = newc
+    return IntPoly.of(reversed(c))
+
+
+def eig1_multiplicity(M: IntMatrix) -> tuple[int, int]:
+    """(algebraic, geometric) multiplicity of eigenvalue 1.
+
+    Algebraic: highest k with (x-1)^k dividing the characteristic polynomial,
+    by repeated exact synthetic division.  Geometric: dim - rank(M - I) over
+    the rationals.
+    """
+    if not M.is_square:
+        raise ValueError("eigenvalue multiplicity of non-square matrix")
+    p = charpoly_exact(M)
+    alg = 0
+    while True:
+        q = p.divide_by_x_minus_1()
+        if q is None:
+            break
+        alg += 1
+        p = q
+    geo = M.nrows - rank_exact(M - IntMatrix.identity(M.nrows))
+    assert geo <= alg
+    return alg, geo
+
+
+def permutation_matrix(images0: tuple[int, ...]) -> IntMatrix:
+    """Column-vector convention: column j has a 1 in row images0[j]."""
+    n = len(images0)
+    M = [[0] * n for _ in range(n)]
+    for j, i in enumerate(images0):
+        M[i][j] = 1
+    return IntMatrix(M)
+
+
+def zp_eval(f: list[int], x: int) -> int:
+    """Value at x of an integer polynomial with ascending coefficients."""
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+# ---------------------------------------------------------------------------
+# GF(2)
+# ---------------------------------------------------------------------------
+
+
+def gf2_det(M: BitMatrix) -> int:
+    """Determinant over GF(2): 1 iff square and full rank."""
+    if not M.is_square:
+        raise ValueError("determinant of non-square matrix")
+    return 1 if gf2_rank(M) == M.nrows else 0
+
+
+def to_int_entries(M: BitMatrix) -> list[list[int]]:
+    return [[(r >> j) & 1 for j in range(M.ncols)] for r in M.rows]
+
+
+def from_hex_rows(hex_rows: list[str], ncols: int) -> BitMatrix:
+    """Inverse of BitMatrix.to_hex_rows: 64-bit words, the word holding the
+    lowest columns printed first."""
+    nwords = max(1, -(-ncols // 64))
+    rows = []
+    for h in hex_rows:
+        v = int(h, 16)
+        r = 0
+        for w in range(nwords):
+            word = (v >> (64 * (nwords - 1 - w))) & ((1 << 64) - 1)
+            r |= word << (64 * w)
+        rows.append(r)
+    return BitMatrix(rows, ncols)
+
+
+def is_irreducible_by_trial_division(f: int) -> bool:
+    """f in GF(2)[x] (bit i = coefficient of x^i) has positive degree and no
+    factor of degree 1 .. deg(f)/2."""
+    d = pdeg(f)
+    if d <= 0:
+        return False
+    return all(pmod(f, g) for g in range(2, 1 << (d // 2 + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Specht modules: hook lengths, re-expansion, Garnir rewriting
+# ---------------------------------------------------------------------------
+
+
+def hook_length_count(shape: Partition) -> int:
+    conj = shape.conjugate()
+    d = factorial(shape.n)
+    for i, ln in enumerate(shape.parts):
+        for j in range(ln):
+            hook = (ln - j - 1) + (conj.parts[j] - i - 1) + 1
+            assert d % hook == 0
+            d //= hook
+    return d
+
+
+def expand_coords(coords: list[int], shape: Partition) -> dict[Tabloid, int]:
+    """Inverse of straighten: tabloid expansion of a coordinate vector."""
+    B = _basis(shape.parts)
+    out: dict[Tabloid, int] = {}
+    for c, exp in zip(coords, B.expansions):
+        if c:
+            tv_add_scaled(out, exp, c)
+    return out
+
+
+def _sort_columns(t: Tableau) -> tuple[Tableau, int]:
+    cols = t.columns()
+    sign = 1
+    sorted_cols = []
+    for col in cols:
+        order = sorted(range(len(col)), key=lambda i: col[i])
+        sign *= _perm_sign(tuple(order))
+        sorted_cols.append([col[i] for i in order])
+    shape = [len(r) for r in t.rows]
+    rows = [[sorted_cols[j][i] for j in range(ln)] for i, ln in enumerate(shape)]
+    return Tableau.of(rows), sign
+
+
+def _find_row_violation(t: Tableau) -> tuple[int, int] | None:
+    """Leftmost adjacent column pair with a descent, topmost row: (row, col)."""
+    for j in range(len(t.rows[0]) - 1):
+        for i, row in enumerate(t.rows):
+            if len(row) > j + 1 and row[j] > row[j + 1]:
+                return i, j
+    return None
+
+
+def garnir_expand(t: Tableau) -> dict[Tableau, int]:
+    """e_t as an integer combination of standard polytabloids, by the Garnir
+    relation at the leftmost column-descent violation, topmost row."""
+    return dict(_garnir_expand_cached(t))
+
+
+@lru_cache(maxsize=200000)
+def _garnir_expand_cached(t: Tableau) -> tuple[tuple[Tableau, int], ...]:
+    u, sign = _sort_columns(t)
+    viol = _find_row_violation(u)
+    if viol is None:
+        return ((u, sign),)
+    i, j = viol
+    colA = u.columns()[j]
+    colB = u.columns()[j + 1]
+    A = colA[i:]
+    B = colB[: i + 1]
+    union = sorted(A + B)
+    cells = [(r, j) for r in range(i, len(colA))] + [(r, j + 1) for r in range(i + 1)]
+    old_vals = A + B
+    out: dict[Tableau, int] = {}
+    for sel in itertools.combinations(union, len(A)):
+        if list(sel) == sorted(A):
+            continue  # identity shuffle
+        rest = sorted(set(union) - set(sel))
+        new_vals = list(sel) + rest
+        # sign of the rearrangement of the involved values
+        pos = {v: k for k, v in enumerate(old_vals)}
+        sign_shuffle = _perm_sign(tuple(pos[v] for v in new_vals))
+        rows = [list(r) for r in u.rows]
+        for (r, c), v in zip(cells, new_vals):
+            rows[r][c] = v
+        for sub_t, sub_c in _garnir_expand_cached(Tableau.of(rows)):
+            nv = out.get(sub_t, 0) - sign_shuffle * sub_c
+            if nv:
+                out[sub_t] = nv
+            elif sub_t in out:
+                del out[sub_t]
+    return tuple((k, sign * v) for k, v in out.items())
+
+
+def garnir_coords(t: Tableau) -> list[int]:
+    """Coordinates of e_t on the standard basis via Garnir rewriting."""
+    B = _basis(t.shape.parts)
+    index = {tab: i for i, tab in enumerate(B.tableaux)}
+    coords = [0] * B.dim
+    for s, c in garnir_expand(t).items():
+        coords[index[s]] += c
+    return coords
+
+
+def specht_mod2_module(n: int, shape: Partition) -> GF2Module:
+    return rep_mod2(generator_matrices(shape))
+
+
+# ---------------------------------------------------------------------------
+# Tabloid permutation modules and dominance order
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def tabloids_of_shape(shape_parts: tuple[int, ...]) -> tuple[Tabloid, ...]:
+    n = sum(shape_parts)
+
+    def split(remaining: tuple[int, ...], parts: tuple[int, ...]):
+        if not parts:
+            yield ()
+            return
+        k = parts[0]
+        for chosen in itertools.combinations(remaining, k):
+            rest = tuple(x for x in remaining if x not in set(chosen))
+            for tail in split(rest, parts[1:]):
+                yield (chosen,) + tail
+
+    return tuple(sorted(split(tuple(range(1, n + 1)), shape_parts)))
+
+
+def tabloid_action_matrix(sigma: Permutation, shape: Partition) -> IntMatrix:
+    """Permutation matrix of sigma on the tabloid basis of the shape."""
+    tabs = tabloids_of_shape(shape.parts)
+    index = {T: i for i, T in enumerate(tabs)}
+    m = len(tabs)
+    M = [[0] * m for _ in range(m)]
+    for j, T in enumerate(tabs):
+        M[index[perm_tabloid(sigma, T)]][j] = 1
+    return IntMatrix(M)
+
+
+def dominance_counts(T: Tabloid) -> tuple[int, ...]:
+    """Cumulative counts of entries <= m in the first r rows, for every m and
+    r.  T dominates S exactly when every count of T is >= that of S."""
+    n = sum(len(r) for r in T)
+    counts = []
+    for m in range(1, n + 1):
+        acc = 0
+        for row in T:
+            acc += sum(1 for x in row if x <= m)
+            counts.append(acc)
+    return tuple(counts)

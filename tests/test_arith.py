@@ -19,9 +19,9 @@ from eigenone.arith import (
     malle_r,
     primes_up_to,
     resultant,
-    zp_eval,
 )
 from eigenone.perms import builtin_group
+from oracles import zp_eval
 
 
 def test_malle_g_special_coefficients():

@@ -27,6 +27,7 @@ from eigenone.perms import (
 )
 from eigenone.specht import action_matrix, twisted_action_matrix
 from eigenone.symplectic import build_space, embed_group, embed_permutation
+from oracles import conjugate_by
 
 
 def test_trivial_representation_unisingular():
@@ -59,8 +60,8 @@ def test_geometric_multiplicity_matches_character_average():
     # dual routes: the fixed-space dimension is the average of the (twisted)
     # character over the cyclic group generated by a class representative,
     # and the algebraic multiplicity is the charpoly oracle's
-    from eigenone.intlinalg import eig1_multiplicity
     from eigenone.specht import character_mn, fixed_space_dim_via_characters
+    from oracles import eig1_multiplicity
 
     def twisted_fixed_space_dim(shape, sigma):
         total, x = 0, sigma
@@ -100,7 +101,7 @@ def test_det_constant_on_class_sampled():
         base = det_exact(IntMatrix.identity(M.nrows) - M)
         for _ in range(3):
             g = els[rng.randrange(len(els))]
-            M2 = action_matrix(rep.conjugate_by(g), sh)
+            M2 = action_matrix(conjugate_by(rep, g), sh)
             assert det_exact(IntMatrix.identity(M2.nrows) - M2) == base
 
 
@@ -293,7 +294,7 @@ def test_flag_factor_classes_unisingular():
 
 
 def test_audit_gf2_classes_reducible_module_flags():
-    from eigenone.specht import specht_mod2_module
+    from oracles import specht_mod2_module
 
     mod = specht_mod2_module(5, Partition((3, 1, 1)))
     classes = [("id", 1, 1, BitMatrix.identity(6))]

@@ -93,29 +93,6 @@ def test_determinism_byte_identical(capsys):
     assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
 
 
-def test_csv_format(capsys):
-    code, out = run_cli(capsys, "specht", "conjecture-table", "--n", "5,7", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,dim,class,det_one_minus,closed_form,matches"
-    assert len(lines) == 3
-
-
-def test_csv_audit_format(capsys):
-    code, out = run_cli(capsys, "specht", "audit", "--n", "5", "--family", "hook", "--format", "csv")
-    assert code == 0
-    assert out.splitlines()[0].startswith("class,size,element_order")
-
-
-def test_csv_frobenius_scan(capsys):
-    code, out = run_cli(capsys, "nt", "frobenius-scan", "--a", "1", "--t", "-32",
-                        "--pmax", "100", "--group", "agl2_3", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "p,cycle_type,eig1_nullity,has_eigenvalue_one,type_in_group"
-    assert all(line.split(",")[-1] == "True" for line in lines[1:])
-
-
 def test_specht_audit_n_range(capsys):
     code, _ = run_cli(capsys, "specht", "audit", "--n", "14", "--family", "hook")
     assert code == 0
@@ -179,9 +156,57 @@ def test_reproduce_all_rejects_crash_as_refutation():
 
 
 def test_unknown_flag_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["specht", "audit", "--n", "5", "--family", "hook", "--frobnicate"])
-    assert exc.value.code == 2
+    for flag in (["--frobnicate"], ["--format", "csv"]):  # --format was removed
+        with pytest.raises(SystemExit) as exc:
+            main(["specht", "audit", "--n", "5", "--family", "hook", *flag])
+        assert exc.value.code == 2
+
+
+def test_internal_error_is_not_a_refutation(capsys, monkeypatch):
+    import eigenone.cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("planted internal failure")
+
+    monkeypatch.setattr(eigenone.cli, "audit_specht", crash)
+    code = main(["specht", "audit", "--n", "5", "--family", "hook"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "planted internal failure" in captured.err
+
+
+def test_embed_audit_form_check_survives_optimize():
+    # the payload's "form_preserved": true rests on this check, so it must
+    # still fire under python -O, which strips assert statements
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    program = (
+        "import sys, eigenone.symplectic\n"
+        "from eigenone.cli import main\n"
+        "eigenone.symplectic.preserves_form = lambda M, J: False\n"
+        "sys.exit(main(['embed', 'audit', '--group', 'agl2_3']))\n"
+    )
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "does not preserve the form" in proc.stderr
+
+
+def test_frobenius_scan_poly_with_negative_first_coefficient(capsys):
+    code, out = run_cli(capsys, "nt", "frobenius-scan", "--a", "1", "--t", "1", "--pmax", "50",
+                        "--group", "agl2_3", "--poly=-2,0,0,0,0,0,0,0,0,1")
+    assert code == 1  # x^9 - 2 has eigenvalue-1 offenders, e.g. p = 7
+    result = json.loads(out)["result"]
+    assert result["poly"][0] == "-2"
+    assert result["eig1_offender_primes"] == [7, 13, 19, 37]
 
 
 def test_missing_subcommand_usage_error():

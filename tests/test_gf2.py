@@ -8,7 +8,6 @@ from eigenone.gf2 import (
     BitMatrix,
     eval_poly_at_matrix,
     gf2_charpoly,
-    gf2_det,
     pdeg,
     pdiv,
     peval1,
@@ -16,13 +15,11 @@ from eigenone.gf2 import (
     pmod,
     pmul,
     poly_factor,
-    poly_from_hex,
-    poly_is_irreducible,
-    poly_to_hex,
     preserves_form,
     rank_nullspace,
 )
 from eigenone.perms import ClosureOverflow, closure
+from oracles import from_hex_rows, gf2_det, is_irreducible_by_trial_division
 
 
 def rand_bitmatrix(n, rng):
@@ -86,13 +83,14 @@ def test_charpoly_degree_and_det_term():
 
 def test_charpoly_matches_integer_route_mod_2():
     # independent route: Berkowitz over ZZ, reduced mod 2
-    from eigenone.intlinalg import IntMatrix, charpoly_exact
+    from eigenone.intlinalg import IntMatrix
+    from oracles import charpoly_exact, to_int_entries
 
     rng = random.Random(7)
     for _ in range(60):
         n = rng.randint(1, 8)
         M = rand_bitmatrix(n, rng)
-        ip = charpoly_exact(IntMatrix(M.to_int_entries()))
+        ip = charpoly_exact(IntMatrix(to_int_entries(M)))
         bits = 0
         for i, c in enumerate(ip.coeffs):
             if c % 2:
@@ -156,7 +154,7 @@ def test_hex_round_trip_narrow_and_wide():
     for ncols in [1, 8, 63, 64, 65, 130]:
         rows = [rng.getrandbits(ncols) for _ in range(5)]
         M = BitMatrix(rows, ncols)
-        assert BitMatrix.from_hex_rows(M.to_hex_rows(), ncols) == M
+        assert from_hex_rows(M.to_hex_rows(), ncols) == M
 
 
 def test_hex_word_convention():
@@ -165,6 +163,24 @@ def test_hex_word_convention():
     h = M.to_hex_rows()[0]
     assert len(h) == 32
     assert h == "0000000000000001" + "0000000000000000"
+    # rows 1, 2^(ncols-1) and the bits 0, 1, 4, 64, 129 that fit, pinned
+    pinned = {
+        1: ["0000000000000001", "0000000000000001", "0000000000000001"],
+        64: ["0000000000000001", "8000000000000000", "0000000000000013"],
+        65: [
+            "0000000000000001" "0000000000000000",
+            "0000000000000000" "0000000000000001",
+            "0000000000000013" "0000000000000001",
+        ],
+        130: [
+            "0000000000000001" "0000000000000000" "0000000000000000",
+            "0000000000000000" "0000000000000000" "0000000000000002",
+            "0000000000000013" "0000000000000001" "0000000000000002",
+        ],
+    }
+    for ncols, hex_rows in pinned.items():
+        mask = sum(1 << b for b in (0, 1, 4, 64, 129) if b < ncols)
+        assert BitMatrix([1, 1 << (ncols - 1), mask], ncols).to_hex_rows() == hex_rows
 
 
 # GF(2)[x] helpers -----------------------------------------------------------
@@ -202,14 +218,10 @@ def test_poly_factor_product_reconstructs(f):
     fac = poly_factor(f)
     prod = 1
     for p, m in fac.items():
-        assert poly_is_irreducible(p)
+        assert is_irreducible_by_trial_division(p)
         for _ in range(m):
             prod = pmul(prod, p)
     assert prod == f
-
-
-def test_poly_hex_round_trip():
-    assert poly_from_hex(poly_to_hex(0b1011)) == 0b1011
 
 
 def test_eval_poly_at_matrix():

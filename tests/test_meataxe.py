@@ -11,8 +11,8 @@ from eigenone.meataxe import (
     is_irreducible,
 )
 from eigenone.perms import Partition, builtin_group
-from eigenone.specht import specht_mod2_module
 from eigenone.symplectic import embed_group, permutation_module_gf2
+from oracles import specht_mod2_module
 
 
 def test_trivial_module():

