@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import VerificationError
 from .gf2 import BitMatrix, gf2_charpoly, rank_nullspace
 from .intlinalg import IntMatrix, det_exact
 from .perms import Partition, PermGroup, class_rep_for
@@ -103,7 +104,8 @@ def disc_resultant(f: ZPoly) -> int:
     res = resultant(f, zp_deriv(f))
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     q, r = divmod(sign * res, f[-1])
-    assert r == 0
+    if r:
+        raise VerificationError("Res(f, f') must be divisible by lc(f)")
     return q
 
 
@@ -274,7 +276,7 @@ def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
             v = fp_monic(fp_divmod(v, g, p)[0], p)
             h = fp_mod(h, v, p)
     if prod != fp or sum(degrees) != n:
-        raise AssertionError("distinct-degree factorization must reproduce f mod p")
+        raise VerificationError("distinct-degree factorization must reproduce f mod p")
     return FactorizationType(p, tuple(sorted(degrees)), squarefree=True)
 
 
@@ -344,7 +346,8 @@ class FrobeniusScan:
 def _scan_prime_worker(work: tuple) -> tuple[int, tuple[int, ...]]:
     f, p = work
     ft = factor_mod_p(list(f), p)
-    assert ft.squarefree, f"p={p} should be a good prime"
+    if not ft.squarefree:
+        raise VerificationError(f"p={p} should be a good prime")
     return p, ft.degrees
 
 
@@ -397,7 +400,7 @@ def frobenius_scan(
 POINT_BUDGET = 10**7
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # owner: Fq, one entry per extension degree of a prime
 def field_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree k over F_p
     (ordered by the coefficient tuple (c_0..c_{k-1}))."""
@@ -420,7 +423,7 @@ def field_modulus(p: int, k: int) -> tuple[int, ...]:
     for coeffs in it.product(range(p), repeat=k):
         if irreducible(coeffs):
             return tuple(coeffs) + (1,)
-    raise AssertionError("no irreducible found")
+    raise VerificationError("no irreducible found")
 
 
 class Fq:
@@ -500,7 +503,8 @@ def curve_count(f: ZPoly, p: int, k: int) -> int:
             count += 2
     g = (d - 1) // 2
     q = p**k
-    assert (count - (q + 1)) ** 2 <= 4 * g * g * q, "Weil bound violated"
+    if (count - (q + 1)) ** 2 > 4 * g * g * q:
+        raise VerificationError(f"Weil bound violated: {count} points over F_{q}")
     return count
 
 
@@ -544,7 +548,8 @@ def lpoly_from_counts(f: ZPoly, p: int) -> LPolynomial:
         for i in range(1, k + 1):
             acc += (-1) ** (i - 1) * e[k - i] * s[i - 1]
         q, r = divmod(acc, k)
-        assert r == 0, "Newton identity division must be exact"
+        if r:
+            raise VerificationError("Newton identity division must be exact")
         e.append(q)
     c = [(-1) ** i * e[i] for i in range(g + 1)]
     full = c + [0] * g
@@ -554,7 +559,8 @@ def lpoly_from_counts(f: ZPoly, p: int) -> LPolynomial:
     from math import comb
 
     for i, ci in enumerate(full):
-        assert ci * ci <= comb(2 * g, i) ** 2 * p**i, "Weil coefficient bound violated"
+        if ci * ci > comb(2 * g, i) ** 2 * p**i:
+            raise VerificationError(f"Weil coefficient bound violated: c_{i} = {ci}")
     return LPolynomial(p, full)
 
 

@@ -241,21 +241,34 @@ class CensusEntry:
         }
 
 
-def two_generated_subgroups(group: IndexedGroup) -> dict[frozenset[int], tuple[int, int]]:
+def two_generated_subgroups(
+    group: IndexedGroup,
+) -> dict[frozenset[int], tuple[frozenset[int], tuple[int, int]]]:
     """Every 2-generated subgroup, as a set of element indices, mapped to the
-    first generator pair that closes it.
+    representative of its conjugacy class and a generator pair of that
+    representative.
 
-    <x, y> depends only on <x> and <y>, so only pairs of cyclic-subgroup
-    generators are closed.
+    <x, y> depends only on <x> and <y>, so only cyclic-subgroup generators
+    are paired.  If <a> = g<x>g^-1, then <a, b> = g<x, b'>g^-1 where b'
+    generates <g^-1 b g>: so x runs over one cyclic subgroup per conjugacy
+    class, y over the cyclic subgroups whose class has not had its turn as
+    x yet, and every subgroup found brings in its conjugates.
     """
     times = [row.__getitem__ for row in group.cayley_table]
-    subgroups: dict[frozenset[int], tuple[int, int]] = {}
-    cyclic = group.cyclic_generators()
-    for k, i in enumerate(cyclic):
-        for j in cyclic[k:]:
-            H = frozenset(orbit(i, (times[i], times[j])))
-            if H not in subgroups:
-                subgroups[H] = (i, j)
+    maps = [lambda S, c=c.__getitem__: frozenset(map(c, S)) for c in group.conjugators()]
+    cyclic = {i: frozenset(group.powers(i)) for i in group.cyclic_generators()}
+    done: set[frozenset[int]] = set()  # cyclic subgroups already taken as <x>
+    subgroups: dict[frozenset[int], tuple[frozenset[int], tuple[int, int]]] = {}
+    for x, X in cyclic.items():
+        if X in done:
+            continue
+        partners = [y for y, Y in cyclic.items() if Y not in done]
+        done.update(orbit(X, maps))
+        for y in partners:
+            K = frozenset(orbit(x, (times[x], times[y])))
+            if K not in subgroups:
+                for H in orbit(K, maps):
+                    subgroups[H] = (K, (x, y))
     return subgroups
 
 
@@ -264,7 +277,10 @@ def subgroup_census(group: IndexedGroup, seed: int = meataxe.DEFAULT_SEED) -> li
     (order, irreducible?, unisingular?) per distinct subgroup.  Class-size
     fingerprints are attached to irreducible subgroups.
 
-    Makes no claim of finding subgroups that need three or more generators.
+    All three are invariant under conjugation, so they are computed once per
+    conjugacy class of subgroups, on its representative; the MeatAxe certifies
+    either verdict, so it does not depend on the generator pair.  Makes no
+    claim of finding subgroups that need three or more generators.
     """
     elements = group.elements
     if len(elements) > 2000:
@@ -273,25 +289,28 @@ def subgroup_census(group: IndexedGroup, seed: int = meataxe.DEFAULT_SEED) -> li
     table = group.cayley_table  # table[b][a] = index of x_a * x_b
     ident = BitMatrix.identity(dim)
     eig1 = [rank_nullspace(m + ident)[0] < dim for m in elements]
-    subgroups = two_generated_subgroups(group)
 
-    def class_sizes(H: frozenset[int], gens: tuple[int, int]) -> tuple[int, ...]:
+    def invariants(K: frozenset[int], gens: tuple[int, int]) -> tuple:
+        irr = meataxe.is_irreducible(GF2Module(dim, [elements[g] for g in gens]), seed)
+        uni = all(eig1[x] for x in K)
+        if not irr:
+            return irr, uni, None
         # y * g -> g * y is conjugation by g
-        conj = [{table[g][y]: table[y][g] for y in H}.__getitem__ for g in gens]
-        return tuple(sorted(len(c) for c in orbits(sorted(H), conj)))
+        conj = [{table[g][y]: table[y][g] for y in K}.__getitem__ for g in gens]
+        return irr, uni, tuple(sorted(len(c) for c in orbits(sorted(K), conj)))
 
+    per_class: dict[frozenset[int], tuple] = {}
     agg: dict[tuple[int, bool, bool], list] = {}
-    for H, gens in sorted(subgroups.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-        mod = GF2Module(dim, [elements[gens[0]], elements[gens[1]]])
-        irr = meataxe.is_irreducible(mod, seed)
-        uni = all(eig1[x] for x in H)
-        key = (len(H), irr, uni)
-        rec = agg.setdefault(key, [0, []])
+    for H, (K, gens) in sorted(
+        two_generated_subgroups(group).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
+    ):
+        if K not in per_class:
+            per_class[K] = invariants(K, gens)
+        irr, uni, fp = per_class[K]
+        rec = agg.setdefault((len(H), irr, uni), [0, []])
         rec[0] += 1
-        if irr:
-            fp = class_sizes(H, gens)
-            if fp not in rec[1]:
-                rec[1].append(fp)
+        if irr and fp not in rec[1]:
+            rec[1].append(fp)
     out = [
         CensusEntry(order, irr, uni, count, fps)
         for (order, irr, uni), (count, fps) in sorted(agg.items())

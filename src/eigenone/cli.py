@@ -2,9 +2,9 @@
 
 Exit codes: 0 = checked claim verified, 1 = claim refuted (payload lists the
 offenders), 2 = usage error or a group too large to close, 3 = internal error
-(a traceback on standard error and nothing on standard output), so a crash
-never reads as a refutation.  Every verdict prints a JSON report on standard
-output.
+or a failed check (`VerificationError`; a traceback on standard error and
+nothing on standard output), so a crash never reads as a refutation.  Every
+verdict prints a JSON report on standard output.
 """
 
 from __future__ import annotations

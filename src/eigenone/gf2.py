@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import VerificationError
+
 WORD = 64
 
 
@@ -156,7 +158,8 @@ def rank_nullspace(M: BitMatrix) -> tuple[int, list[int]]:
             if (pr >> f) & 1:
                 v |= 1 << c
         basis.append(v)
-    assert rank + len(basis) == m
+    if rank + len(basis) != m:
+        raise VerificationError("rank + nullity must equal the column count")
     return rank, basis
 
 
@@ -338,7 +341,8 @@ def _berlekamp_squarefree(f: int) -> list[int]:
     h = next(b for b in basis if pdeg(b) >= 1)  # non-constant subalgebra element
     g1 = pgcd(f, h)
     g2 = pgcd(f, h ^ 1)
-    assert 0 < pdeg(g1) < d and 0 < pdeg(g2) < d
+    if not (0 < pdeg(g1) < d and 0 < pdeg(g2) < d):
+        raise VerificationError("Berlekamp split must give two proper factors")
     return _berlekamp_squarefree(g1) + _berlekamp_squarefree(g2)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import VerificationError
 from .gf2 import (
     BitMatrix,
     GF2Module,
@@ -95,7 +96,8 @@ def _split_by_subspace(module: GF2Module, sub: dict[int, int]) -> tuple[GF2Modul
             if (v >> pcol) & 1:
                 out |= 1 << r
                 v ^= B[r]
-        assert v == 0, "vector not in the invariant subspace"
+        if v:
+            raise VerificationError("vector not in the invariant subspace")
         return out
 
     def coords_quot(v: int) -> int:
@@ -144,7 +146,8 @@ def _decide(module: GF2Module, rng: random.Random):
                     W = BitMatrix([dual[c] for c in sorted(dual)], n)
                     _, comp = rank_nullspace(W)
                     sub = spin(comp, gens)
-                    assert 0 < len(sub) < n
+                    if not 0 < len(sub) < n:
+                        raise VerificationError("the dual split must give a proper submodule")
                     return "split", sub
                 return "irreducible", None
     raise MeatAxeError(f"no decision for a {n}-dimensional module after {MAX_ATTEMPTS} attempts")
@@ -175,7 +178,8 @@ def composition_factors(module: GF2Module, seed: int = DEFAULT_SEED) -> list[GF2
         chop(q)
 
     chop(module)
-    assert sum(f.dim for f in out) == module.dim
+    if sum(f.dim for f in out) != module.dim:
+        raise VerificationError("composition factor dimensions must sum to the module dimension")
     out.sort(key=lambda f: (f.dim, [g.rows for g in f.gens]))
     return out
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, lcm
 
+from .errors import VerificationError
+
 CLOSURE_BOUND = 10**6
 
 
@@ -248,8 +250,8 @@ class IndexedGroup:
     `elements` is the closure of `generators` sorted by canonical key, and
     `index` maps each element to its number 0..N-1.  For the k-th generator
     g, `left[k][i]` and `right[k][i]` are the indices of g * x_i and x_i * g.
-    Powers, orders, classes, cyclic subgroups and the full Cayley table are
-    computed on demand.
+    Powers, orders, conjugation maps, classes, cyclic subgroups and the full
+    Cayley table are computed on demand.
     """
 
     def __init__(self, generators):
@@ -276,6 +278,18 @@ class IndexedGroup:
     def identity(self) -> int:
         return self.powers(0)[-1]
 
+    def conjugators(self) -> list[list[int]]:
+        """For the k-th generator g, `conjugators()[k][i]` is the index of
+        g * x_i * g^-1."""
+        n = len(self.elements)
+        out = []
+        for lt, r in zip(self.left, self.right):
+            c = [0] * n
+            for a, b in zip(r, lt):
+                c[a] = b  # x_a * g -> g * x_a is conjugation by g
+            out.append(c)
+        return out
+
     def conjugacy_classes(self) -> list[tuple[int, int, int]]:
         """Exact classes as (class size, representative index, element order).
 
@@ -283,12 +297,7 @@ class IndexedGroup:
         generators.  Sorted by (element order, class size, representative).
         """
         n = len(self.elements)
-        conj = []
-        for lt, r in zip(self.left, self.right):
-            c = [0] * n
-            for a in range(n):
-                c[r[a]] = lt[a]  # x_a * g -> g * x_a is conjugation by g
-            conj.append(c.__getitem__)
+        conj = [c.__getitem__ for c in self.conjugators()]
         classes = [(len(orb), orb[0], self.order(orb[0])) for orb in orbits(range(n), conj)]
         return sorted(classes, key=lambda c: (c[2], c[0], c[1]))
 
@@ -413,7 +422,7 @@ def _primitive_root(q: int) -> int:
     for g in range(2, q):
         if all(pow(g, phi // f, q) != 1 for f in factors):
             return g
-    raise AssertionError("no primitive root found")
+    raise VerificationError("no primitive root found")
 
 
 def _pgl2_gens(q: int) -> list[Permutation]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
+from .errors import VerificationError
 from .gf2 import BitMatrix, GF2Module
 from .intlinalg import IntMatrix
 from .perms import Partition, Permutation
@@ -167,7 +168,7 @@ def _gen_standard(shape: tuple[int, ...]) -> list[Tableau]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # owner: _SpechtBasis, one entry per shape audited
 def standard_tableaux(shape_parts: tuple[int, ...]) -> tuple[Tableau, ...]:
     """All standard tableaux of a shape, ordered by column reading word."""
     tabs = _gen_standard(shape_parts)
@@ -175,8 +176,8 @@ def standard_tableaux(shape_parts: tuple[int, ...]) -> tuple[Tableau, ...]:
     return tuple(tabs)
 
 
-class NotInSpechtModule(ValueError):
-    pass
+class NotInSpechtModule(VerificationError):
+    """Straightening found a vector outside the Specht module."""
 
 
 class _SpechtBasis:
@@ -188,10 +189,11 @@ class _SpechtBasis:
         self.dim = len(self.tableaux)
         self.expansions = [polytabloid_expand(t) for t in self.tableaux]
         self.leader_index = {tabloid_of(t): i for i, t in enumerate(self.tableaux)}
-        assert len(self.leader_index) == self.dim
+        if len(self.leader_index) != self.dim:
+            raise VerificationError(f"standard tableaux of {shape_parts} must have distinct leaders")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # owner: action_matrix and straighten, one entry per shape audited
 def _basis(shape_parts: tuple[int, ...]) -> _SpechtBasis:
     return _SpechtBasis(shape_parts)
 
@@ -283,7 +285,7 @@ def rep_mod2(mats: list[IntMatrix]) -> GF2Module:
 # Murnaghan-Nakayama character oracle (via beta-sets)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # owner: fixed_space_dim_via_characters, the recursion's memo
 def character_mn(shape_parts: tuple[int, ...], type_parts: tuple[int, ...]) -> int:
     """Character of the Specht module of the given shape on the given class."""
     if sum(shape_parts) != sum(type_parts):
@@ -319,7 +321,8 @@ def fixed_space_dim_via_characters(shape: Partition, sigma_type: Partition) -> i
     for j in range(order):
         powered = _power_cycle_type(sigma_type, j)
         total += character_mn(shape.parts, powered.parts)
-    assert total % order == 0
+    if total % order:
+        raise VerificationError("character average over a cyclic group must be an integer")
     return total // order
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import VerificationError
 from .gf2 import BitMatrix, GF2Module, gf2_rank, preserves_form
 from .perms import PermGroup, Permutation
 
@@ -33,11 +34,11 @@ def build_space(d: int) -> SymplecticSpace:
     gram = BitMatrix([full ^ (1 << i) for i in range(dim)], dim)
     # alternating: zero diagonal, symmetric; nondegenerate: full rank
     if any(gram.get(i, i) for i in range(dim)):
-        raise AssertionError("Gram matrix must have a zero diagonal")
+        raise VerificationError("Gram matrix must have a zero diagonal")
     if gram != gram.transpose():
-        raise AssertionError("Gram matrix must be symmetric")
+        raise VerificationError("Gram matrix must be symmetric")
     if gf2_rank(gram) != dim:
-        raise AssertionError("Gram matrix must be nondegenerate")
+        raise VerificationError("Gram matrix must be nondegenerate")
     return SymplecticSpace(d, dim, gram)
 
 
@@ -83,7 +84,7 @@ def embed_group(G: PermGroup, space: SymplecticSpace | None = None) -> GF2Module
     gens = [embed_permutation(g, space) for g in G.generators]
     for m in gens:
         if not preserves_form(m, space.gram):
-            raise AssertionError("embedded generator does not preserve the form")
+            raise VerificationError("embedded generator does not preserve the form")
     return GF2Module(space.dim, gens)
 
 

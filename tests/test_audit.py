@@ -259,17 +259,34 @@ def _all_pairs_census(group: IndexedGroup) -> tuple[set[frozenset[int]], list[di
     return set(subgroups), payload
 
 
-@pytest.mark.parametrize("source", ["asl2_3", "cyclic9"])
+@pytest.mark.parametrize("source", ["asl2_3", "agl1_9", "agammal1_9", "cyclic9"])
 def test_census_matches_all_pairs_brute_force(source):
     sp = build_space(9)
-    if source == "asl2_3":
-        gens = embed_group(builtin_group("asl2_3"), sp).gens
-    else:
+    if source == "cyclic9":
         gens = [embed_permutation(Permutation.from_cycles(9, [tuple(range(1, 10))]), sp)]
+    else:
+        gens = embed_group(builtin_group(source), sp).gens
     group = IndexedGroup(gens)
     subgroups, payload = _all_pairs_census(group)
     assert set(two_generated_subgroups(group)) == subgroups
     assert [e.to_payload() for e in subgroup_census(group)] == payload
+
+
+def test_agl2_3_two_generated_subgroups_up_to_conjugacy():
+    group = IndexedGroup(embed_group(builtin_group("agl2_3")).gens)
+    subgroups = two_generated_subgroups(group)
+    assert len(subgroups) == 637
+    assert len({K for K, _ in subgroups.values()}) == 43
+    # every subgroup is g K g^-1 for some element g, with products taken
+    # from explicit matrices; each representative is closed by its pair
+    els = group.elements
+    prod = [[group.index[a * b] for b in els] for a in els]
+    e = group.index[BitMatrix.identity(8)]
+    inv = [row.index(e) for row in prod]
+    for H, (K, (x, y)) in subgroups.items():
+        assert subgroups[K] == (K, (x, y))
+        assert K == frozenset(group.index[a] for a in closure([els[x], els[y]]))
+        assert any(H == frozenset(prod[prod[g][k]][inv[g]] for k in K) for g in range(len(els)))
 
 
 def test_flag_factor_classes_unisingular():

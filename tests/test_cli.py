@@ -176,28 +176,64 @@ def test_internal_error_is_not_a_refutation(capsys, monkeypatch):
     assert "Traceback" in captured.err and "planted internal failure" in captured.err
 
 
-def test_embed_audit_form_check_survives_optimize():
-    # the payload's "form_preserved": true rests on this check, so it must
-    # still fire under python -O, which strips assert statements
+def run_optimized(program: str):
+    """Run a Python program under python -O, which strips assert statements,
+    with src/ on the import path."""
     import os
     import pathlib
     import subprocess
     import sys
 
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    program = (
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-O", "-c", program], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_embed_audit_form_check_survives_optimize():
+    # the payload's "form_preserved": true rests on this check, so it must
+    # still fire under python -O
+    proc = run_optimized(
         "import sys, eigenone.symplectic\n"
         "from eigenone.cli import main\n"
         "eigenone.symplectic.preserves_form = lambda M, J: False\n"
         "sys.exit(main(['embed', 'audit', '--group', 'agl2_3']))\n"
     )
-    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True, text=True,
-                          env=env, timeout=120)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "does not preserve the form" in proc.stderr
+
+
+def test_lpoly_check_weil_bound_survives_optimize():
+    # counting every nonzero value as a square puts #C(F_125) at about 2q,
+    # outside the Weil bound |#C - (q + 1)| <= 2g sqrt(q); the guard must
+    # fire under python -O
+    proc = run_optimized(
+        "import sys, eigenone.arith\n"
+        "from eigenone.cli import main\n"
+        "eigenone.arith.Fq.squares = lambda F: set(range(F.q))\n"
+        "sys.exit(main(['nt', 'lpoly-check', '--a', '1', '--t', '-32', '--primes', '5']))\n"
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "VerificationError: Weil bound violated" in proc.stderr
+
+
+def test_straightening_failure_is_internal_error(capsys, monkeypatch):
+    # a vector outside the Specht module is a failed check, not a usage error
+    import eigenone.cli
+    from eigenone.specht import NotInSpechtModule
+
+    def fail(*args, **kwargs):
+        raise NotInSpechtModule("planted straightening failure")
+
+    monkeypatch.setattr(eigenone.cli, "audit_specht", fail)
+    code = main(["specht", "audit", "--n", "9", "--family", "hook"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "planted straightening failure" in captured.err
 
 
 def test_frobenius_scan_poly_with_negative_first_coefficient(capsys):

@@ -1,5 +1,5 @@
-"""Layout guard: the package holds only code that the package itself or the
-scripts reach.
+"""Layout guards: the package holds only code that the package itself or the
+scripts reach, and no check that python -O would strip.
 
 A module-level function or class in src/eigenone that is referenced nowhere
 in src/eigenone or scripts/, apart from inside its own definition, runs on no
@@ -48,3 +48,15 @@ def test_every_package_definition_is_referenced():
     # an allowed exception that gains a caller must leave the list as well
     unreached = unreferenced_definitions()
     assert sorted(entry.split(":")[1] for entry in unreached) == sorted(UNREACHED_ALLOWED), unreached
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so a check written as one stops
+    # running; checks raise eigenone.errors.VerificationError instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
