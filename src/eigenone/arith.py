@@ -10,10 +10,9 @@ come from distinct-degree factorization alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import VerificationError
-from .gf2 import BitMatrix, gf2_charpoly, rank_nullspace
+from .gf2 import fixed_space_dim, gf2_charpoly
 from .intlinalg import IntMatrix, det_exact
 from .perms import Partition, PermGroup, class_rep_for
 from .symplectic import build_space, embed_permutation
@@ -387,8 +386,7 @@ def frobenius_scan(
         ct = tuple(sorted(degrees, reverse=True))
         if ct not in nullity_cache:
             M = embed_permutation(class_rep_for(Partition(ct)), space)
-            rank, _ = rank_nullspace(M + BitMatrix.identity(space.dim))
-            nullity_cache[ct] = space.dim - rank
+            nullity_cache[ct] = fixed_space_dim(M)
         records.append(FrobeniusRecord(p, degrees, nullity_cache[ct], ct in group_types))
     return FrobeniusScan(f, pmax, group.name, listed_bad, records)
 
@@ -400,7 +398,6 @@ def frobenius_scan(
 POINT_BUDGET = 10**7
 
 
-@lru_cache(maxsize=16)  # owner: Fq, one entry per extension degree of a prime
 def field_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree k over F_p
     (ordered by the coefficient tuple (c_0..c_{k-1}))."""

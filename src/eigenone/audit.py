@@ -11,10 +11,10 @@ from . import meataxe
 from .gf2 import (
     BitMatrix,
     GF2Module,
+    fixed_space_dim,
     gf2_charpoly,
     pdiv,
     peval1,
-    rank_nullspace,
 )
 from .intlinalg import IntMatrix, _bareiss, det_exact
 from .perms import (
@@ -26,14 +26,15 @@ from .perms import (
     orbit,
     orbits,
 )
-from .specht import action_matrix, twisted_action_matrix
+from .specht import (  # the FAMILY_* names are audit_specht's family argument
+    FAMILY_HOOK,
+    FAMILY_TWO,
+    FAMILY_TWO_CONJ,
+    action_matrix,
+    family_shape,
+    twisted_action_matrix,
+)
 from .symplectic import build_space, embed_permutation
-
-FAMILY_HOOK = "(n-2,1,1)"
-FAMILY_TWO = "(n-2,2)"
-FAMILY_TWO_CONJ = "(n-2,2)'"
-FAMILIES = (FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ)
-
 
 @dataclass
 class ClassRecord:
@@ -102,10 +103,7 @@ def _int_class_record(label: str, size: int, order: int, M: IntMatrix) -> ClassR
 
 
 def _gf2_class_record(label: str, size: int, order: int, M: BitMatrix) -> ClassRecord:
-    n = M.nrows
-    MI = M + BitMatrix.identity(n)
-    rank, _ = rank_nullspace(MI)
-    geo = n - rank
+    geo = fixed_space_dim(M)
     det = 0 if geo else 1
     cp = gf2_charpoly(M)
     alg = 0
@@ -127,21 +125,19 @@ def audit_int_classes(rep_id: str, classes: list[tuple[str, int, int, IntMatrix]
 def audit_gf2_classes(
     rep_id: str,
     classes: list[tuple[str, int, int, BitMatrix]],
-    module: GF2Module | None = None,
+    module: GF2Module,
     seed: int = meataxe.DEFAULT_SEED,
 ) -> AuditReport:
+    """Audit the classes, and certify the module irreducible or not with the
+    MeatAxe; an irreducible module is absolutely irreducible iff its
+    commuting algebra is GF(2)."""
     if not classes:
         raise ValueError("no classes to audit")
     dim = classes[0][3].nrows
     records = [_gf2_class_record(*c) for c in classes]
-    report = AuditReport(rep_id, dim, "GF2", records)
-    if module is not None:
-        report.irreducible = meataxe.is_irreducible(module, seed)
-        if report.irreducible:
-            report.absolutely_irreducible = meataxe.is_absolutely_irreducible(module, seed)
-        else:
-            report.absolutely_irreducible = False
-    return report
+    irreducible = meataxe.is_irreducible(module, seed)
+    absolutely = irreducible and meataxe.endomorphism_algebra_dim(module) == 1
+    return AuditReport(rep_id, dim, "GF2", records, irreducible, absolutely)
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +148,18 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> AuditReport:
     """Audit a Specht-family representation over the integers, one matrix per
     conjugacy class (det(I - M) is a class function).
 
-    family: "(n-2,1,1)", "(n-2,2)" or "(n-2,2)'"; group: "s_n" or "a_n".
+    family: FAMILY_HOOK, FAMILY_TWO or FAMILY_TWO_CONJ; group: "s_n" or "a_n".
     Supported range is 5 <= n <= 17 (the class count grows as p(n); n = 17
     takes tens of seconds per family).  For a_n only even
     classes are audited (every element of A_n lies in an even S_n class and
     det(I - M) is constant on S_n classes); reported sizes are S_n class
     sizes.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     if group not in ("s_n", "a_n"):
         raise ValueError(f"unknown group {group!r}")
     if not 5 <= n <= 17:
         raise ValueError(f"n={n} outside supported range 5..17")
-    shape = Partition((n - 2, 1, 1)) if family == FAMILY_HOOK else Partition((n - 2, 2))
-    twisted = family == FAMILY_TWO_CONJ
+    shape, twisted = family_shape(family, n)
     classes = []
     for ct, rep in class_reps_symmetric(n):
         if group == "a_n" and not ct.is_even_class():
@@ -287,8 +280,7 @@ def subgroup_census(group: IndexedGroup, seed: int = meataxe.DEFAULT_SEED) -> li
         raise ValueError("census input capped at 2000 elements")
     dim = elements[0].nrows
     table = group.cayley_table  # table[b][a] = index of x_a * x_b
-    ident = BitMatrix.identity(dim)
-    eig1 = [rank_nullspace(m + ident)[0] < dim for m in elements]
+    eig1 = [fixed_space_dim(m) > 0 for m in elements]
 
     def invariants(K: frozenset[int], gens: tuple[int, int]) -> tuple:
         irr = meataxe.is_irreducible(GF2Module(dim, [elements[g] for g in gens]), seed)

@@ -31,27 +31,35 @@ from .audit import (
     irreducible_orders,
     subgroup_census,
 )
-from .fixed_vectors import FixedVectorError, build_fixed_vector
-from .gf2 import rank_nullspace, BitMatrix
+from .fixed_vectors import build_fixed_vector
+from .gf2 import fixed_space_dim
 from .perms import ClosureOverflow, IndexedGroup, Partition, builtin_group, class_rep_for, closure
 from .reports import CLAIMS, RunReport
-from .specht import generator_matrices, rep_mod2
+from .specht import (
+    FAMILY_HOOK,
+    FAMILY_TWO,
+    FAMILY_TWO_CONJ,
+    family_shape,
+    generator_matrices,
+    rep_mod2,
+)
 from .symplectic import embed_group, permutation_module_gf2
 
 DEFAULT_SEED = meataxe.DEFAULT_SEED
+GROUP_CHOICES = ["agl2_3", "asl2_3", "agl1_9", "agammal1_9", "pgl2", "l3_2_flags", "s_n", "a_n"]
 
 
 def _family_arg(s: str) -> str:
     aliases = {
-        "n-2,1,1": "(n-2,1,1)",
-        "(n-2,1,1)": "(n-2,1,1)",
-        "hook": "(n-2,1,1)",
-        "n-2,2": "(n-2,2)",
-        "(n-2,2)": "(n-2,2)",
-        "two": "(n-2,2)",
-        "n-2,2'": "(n-2,2)'",
-        "(n-2,2)'": "(n-2,2)'",
-        "twisted": "(n-2,2)'",
+        "n-2,1,1": FAMILY_HOOK,
+        FAMILY_HOOK: FAMILY_HOOK,
+        "hook": FAMILY_HOOK,
+        "n-2,2": FAMILY_TWO,
+        FAMILY_TWO: FAMILY_TWO,
+        "two": FAMILY_TWO,
+        "n-2,2'": FAMILY_TWO_CONJ,
+        FAMILY_TWO_CONJ: FAMILY_TWO_CONJ,
+        "twisted": FAMILY_TWO_CONJ,
     }
     if s not in aliases:
         raise argparse.ArgumentTypeError(f"family must be one of {sorted(set(aliases))}")
@@ -92,9 +100,9 @@ def cmd_specht_audit(args) -> int:
     t0 = time.time()
     rep = audit_specht(args.n, args.family, args.group)
     anchor = {
-        "(n-2,1,1)": "specht-audit-hook",
-        "(n-2,2)": "specht-audit-two",
-        "(n-2,2)'": "specht-audit-twisted" if args.group == "s_n" else "specht-audit-alternating",
+        FAMILY_HOOK: "specht-audit-hook",
+        FAMILY_TWO: "specht-audit-two",
+        FAMILY_TWO_CONJ: "specht-audit-twisted" if args.group == "s_n" else "specht-audit-alternating",
     }[args.family]
     return _emit(args, [CLAIMS[anchor]], rep.to_payload(), t0, rep.unisingular)
 
@@ -109,8 +117,8 @@ def cmd_specht_table(args) -> int:
 
 def cmd_specht_mod2(args) -> int:
     t0 = time.time()
-    shape = Partition((args.n - 2, 1, 1)) if args.family == "(n-2,1,1)" else Partition((args.n - 2, 2))
-    module = rep_mod2(generator_matrices(shape, twisted=args.family == "(n-2,2)'"))
+    shape, twisted = family_shape(args.family, args.n)
+    module = rep_mod2(generator_matrices(shape, twisted))
     factors = meataxe.factor_dimensions(module, args.seed)
     result = {
         "n": args.n,
@@ -132,12 +140,7 @@ def cmd_specht_fixed_vector(args) -> int:
     if ct.n != args.n:
         print(f"cycle type {ct} does not partition n={args.n}", file=sys.stderr)
         return 2
-    sigma = class_rep_for(ct)
-    try:
-        fv = build_fixed_vector(sigma, args.family)
-    except FixedVectorError as e:
-        return _emit(args, [CLAIMS["fixed-vector"]],
-                     {"error": str(e), "sigma": sigma.cycle_string()}, t0, False)
+    fv = build_fixed_vector(class_rep_for(ct), args.family)
     return _emit(args, [CLAIMS["fixed-vector"]], fv.to_payload(), t0, True)
 
 
@@ -154,10 +157,10 @@ def cmd_embed_audit(args) -> int:
         dims = [f.dim for f in factors]
         top = max(factors, key=lambda f: f.dim)
         els = closure(top.gens)
-        uni = all(
-            rank_nullspace(m + BitMatrix.identity(top.dim))[0] < top.dim for m in els
-        )
-        absirr = meataxe.is_absolutely_irreducible(top, args.seed)
+        uni = all(fixed_space_dim(m) > 0 for m in els)
+        # a composition factor is certified irreducible, so it is absolutely
+        # irreducible iff its commuting algebra is GF(2)
+        absirr = meataxe.endomorphism_algebra_dim(top) == 1
         result = {
             "group": G.name,
             "module": "permutation",
@@ -332,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = embed.add_parser("audit")
-    p.add_argument("--group", required=True,
-                   choices=["agl2_3", "asl2_3", "agl1_9", "agammal1_9", "pgl2", "l3_2_flags", "s_n", "a_n"])
+    p.add_argument("--group", required=True, choices=GROUP_CHOICES)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--module", choices=["symplectic", "permutation"], default="symplectic")
@@ -342,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_embed_audit)
 
     p = embed.add_parser("census")
-    p.add_argument("--group", required=True,
-                   choices=["agl2_3", "asl2_3", "agl1_9", "agammal1_9", "pgl2", "l3_2_flags", "s_n", "a_n"])
+    p.add_argument("--group", required=True, choices=GROUP_CHOICES)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--expect-irreducible-orders", type=_int_list, default=None)
@@ -360,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--pmax", type=int, default=10**4)
-    p.add_argument("--group", required=True,
-                   choices=["agl2_3", "asl2_3", "agl1_9", "agammal1_9", "pgl2", "l3_2_flags", "s_n", "a_n"])
+    p.add_argument("--group", required=True, choices=GROUP_CHOICES)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--poly", type=_int_list, default=None,
@@ -387,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     args.raw_args = argv
     try:
         return args.fn(args)
-    except (ValueError, NotImplementedError, ClosureOverflow) as e:
+    except (ValueError, ClosureOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

@@ -13,24 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import Partition, Permutation
+from .errors import VerificationError
+from .perms import Permutation
 from .specht import (
+    FAMILY_HOOK,
+    FAMILY_TWO,
     Tableau,
     Tabloid,
     action_matrix,
+    family_shape,
     polytabloid_expand,
     straighten,
     tv_add_scaled,
     tv_apply_perm,
 )
 
-FAMILY_HOOK = "(n-2,1,1)"
-FAMILY_TWO = "(n-2,2)"
 
-
-class FixedVectorError(RuntimeError):
-    """The case analysis produced a zero vector: an implementation bug or a
-    genuine gap in the case table."""
+class FixedVectorError(VerificationError):
+    """The case analysis produced a zero or unfixed vector: an implementation
+    bug or a genuine gap in the case table, never a refuted claim."""
 
 
 def fixed_vector_sum(sigma: Permutation, t: Tableau) -> dict[Tabloid, int]:
@@ -150,9 +151,8 @@ class FixedVector:
 def build_fixed_vector(sigma: Permutation, family: str) -> FixedVector:
     """Select the witness tableau for sigma, form E, and verify it: nonzero
     (a nonzero coordinate after straightening) and fixed (action matrix times
-    coordinates reproduces them).  Raises FixedVectorError on zero."""
-    n = sigma.degree
-    shape = Partition((n - 2, 1, 1)) if family == FAMILY_HOOK else Partition((n - 2, 2))
+    coordinates reproduces them).  Raises FixedVectorError when either fails."""
+    shape, _ = family_shape(family, sigma.degree)
     t, direct = witness_tableau(sigma, family)
     vec = polytabloid_expand(t) if direct else fixed_vector_sum(sigma, t)
     coords = straighten(vec, shape)

@@ -133,22 +133,29 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
 
+def echelon_insert(pivots: dict[int, int], v: int) -> int:
+    """Add the row v to a reduced echelon basis {pivot column: row}: reduce v
+    by the pivots and, if a remainder is left, clear its top bit from the
+    other rows and store it under that bit.  Returns the remainder (0 when v
+    was already in the span)."""
+    for c, r in pivots.items():
+        if (v >> c) & 1:
+            v ^= r
+    if v:
+        c = v.bit_length() - 1
+        for c2, r in pivots.items():
+            if (r >> c) & 1:
+                pivots[c2] = r ^ v
+        pivots[c] = v
+    return v
+
+
 def rank_nullspace(M: BitMatrix) -> tuple[int, list[int]]:
     """Rank and a basis of {v : M v = 0} (v ints over column indices)."""
-    rows = list(M.rows)
-    n, m = M.nrows, M.ncols
-    pivots = {}  # column -> reduced row
-    for r in rows:
-        for c, pr in pivots.items():
-            if (r >> c) & 1:
-                r ^= pr
-        if r:
-            c = r.bit_length() - 1
-            # back-substitute into existing rows to reach RREF
-            for c2 in list(pivots):
-                if (pivots[c2] >> c) & 1:
-                    pivots[c2] ^= r
-            pivots[c] = r
+    m = M.ncols
+    pivots: dict[int, int] = {}  # column -> reduced row
+    for r in M.rows:
+        echelon_insert(pivots, r)
     rank = len(pivots)
     free_cols = [c for c in range(m) if c not in pivots]
     basis = []
@@ -161,6 +168,12 @@ def rank_nullspace(M: BitMatrix) -> tuple[int, list[int]]:
     if rank + len(basis) != m:
         raise VerificationError("rank + nullity must equal the column count")
     return rank, basis
+
+
+def fixed_space_dim(M: BitMatrix) -> int:
+    """dim ker(M + I): the multiplicity of eigenvalue 1 as a fixed space."""
+    rank, _ = rank_nullspace(M + BitMatrix.identity(M.nrows))
+    return M.nrows - rank
 
 
 def gf2_rank(M: BitMatrix) -> int:
@@ -346,40 +359,30 @@ def _berlekamp_squarefree(f: int) -> list[int]:
     return _berlekamp_squarefree(g1) + _berlekamp_squarefree(g2)
 
 
-def poly_factor(f: int) -> dict[int, int]:
-    """Full factorization over GF(2): {irreducible: multiplicity}."""
+def poly_factor(f: int) -> set[int]:
+    """The distinct irreducible factors of f over GF(2).
+
+    When f' != 0, q = f / gcd(f, f') is the product of the factors of odd
+    multiplicity, and q / gcd(q, gcd(f, f')) that of the factors of
+    multiplicity one, which Berlekamp splits; every other factor stays in
+    gcd(f, f') with even multiplicity.  When f' = 0, f is the square of
+    psqrt(f).  So each factor is split off once, at the step where its
+    multiplicity is one.
+    """
     if f == 0:
         raise ValueError("cannot factor the zero polynomial")
-    out: dict[int, int] = {}
-    if f == 1:
-        return out
-
-    def add(p, m):
-        out[p] = out.get(p, 0) + m
-
-    def decompose(g: int, mult: int):
-        if pdeg(g) <= 0:
-            return
-        d = pderiv(g)
+    out: set[int] = set()
+    while pdeg(f) > 0:
+        d = pderiv(f)
         if d == 0:
-            decompose(psqrt(g), 2 * mult)
-            return
-        c = pgcd(g, d)
-        w = pdiv(g, c)
-        i = 1
-        while pdeg(w) > 0:
-            y = pgcd(w, c)
-            z = pdiv(w, y)
-            if pdeg(z) > 0:
-                for p in _berlekamp_squarefree(z):
-                    add(p, i * mult)
-            w = y
-            c = pdiv(c, y)
-            i += 1
-        if pdeg(c) > 0:
-            decompose(c, mult)
-
-    decompose(f, 1)
+            f = psqrt(f)
+            continue
+        c = pgcd(f, d)
+        q = pdiv(f, c)
+        simple = pdiv(q, pgcd(q, c))
+        if pdeg(simple) > 0:
+            out.update(_berlekamp_squarefree(simple))
+        f = c
     return out
 
 

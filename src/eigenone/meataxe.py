@@ -16,6 +16,7 @@ from .errors import VerificationError
 from .gf2 import (
     BitMatrix,
     GF2Module,
+    echelon_insert,
     eval_poly_at_matrix,
     gf2_charpoly,
     pdeg,
@@ -49,27 +50,11 @@ def spin(vectors: list[int], gens: list[BitMatrix]) -> dict[int, int]:
     """Smallest invariant subspace containing the row vectors, as a reduced
     {pivot column: row} basis (vectors act on the right: v -> v*g)."""
     basis: dict[int, int] = {}
-    queue: list[int] = []
-
-    def insert(v: int) -> None:
-        for c, r in basis.items():
-            if (v >> c) & 1:
-                v ^= r
-        if not v:
-            return
-        c = v.bit_length() - 1
-        for c2 in list(basis):
-            if (basis[c2] >> c) & 1:
-                basis[c2] ^= v
-        basis[c] = v
-        queue.append(v)
-
-    for v in vectors:
-        insert(v)
+    queue = list(vectors)
     while queue:
-        v = queue.pop()
-        for g in gens:
-            insert(g.row_apply(v))
+        v = echelon_insert(basis, queue.pop())
+        if v:
+            queue.extend(g.row_apply(v) for g in gens)
     return basis
 
 
@@ -211,10 +196,3 @@ def endomorphism_algebra_dim(module: GF2Module) -> int:
     rank, _ = rank_nullspace(BitMatrix(rows, n * n))
     return n * n - rank
 
-
-def is_absolutely_irreducible(module: GF2Module, seed: int = DEFAULT_SEED) -> bool:
-    """True iff the commuting algebra is one-dimensional.  Rejects reducible
-    input."""
-    if not is_irreducible(module, seed):
-        raise ValueError("module is reducible; absolute irreducibility undefined here")
-    return endomorphism_algebra_dim(module) == 1

@@ -370,57 +370,34 @@ class PermGroup:
 # Built-in groups
 # ---------------------------------------------------------------------------
 
-def _f9_elements():
-    # F9 = F3[i] with i^2 = -1; elements as (a, b) meaning a + b*i.
-    return [(a, b) for a in range(3) for b in range(3)]
-
-
-def _f9_mul(x, y):
-    return ((x[0] * y[0] - x[1] * y[1]) % 3, (x[0] * y[1] + x[1] * y[0]) % 3)
-
-
-def _f9_add(x, y):
-    return ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3)
-
-
 def _perm_from_point_map(points, fn) -> Permutation:
     idx = {p: i for i, p in enumerate(points)}
     return Permutation(tuple(idx[fn(p)] for p in points))
 
 
-def _affine_f3_square(linear_gens, include_translations=True):
+_F3_IDENTITY = [[1, 0], [0, 1]]
+
+
+def _affine_f3_square(maps) -> list[Permutation]:
+    """The affine maps p -> A p + b of F_3^2, given as (A, b) pairs, as
+    permutations of the points (i, j) in lexicographic order."""
     pts = [(i, j) for i in range(3) for j in range(3)]
-    gens = []
-    if include_translations:
-        for b in ((1, 0), (0, 1)):
-            gens.append(_perm_from_point_map(pts, lambda p, b=b: ((p[0] + b[0]) % 3, (p[1] + b[1]) % 3)))
-    for A in linear_gens:
-        gens.append(
-            _perm_from_point_map(
-                pts,
-                lambda p, A=A: (
-                    (A[0][0] * p[0] + A[0][1] * p[1]) % 3,
-                    (A[1][0] * p[0] + A[1][1] * p[1]) % 3,
-                ),
-            )
+    return [
+        _perm_from_point_map(
+            pts,
+            lambda p, A=A, b=b: (
+                (A[0][0] * p[0] + A[0][1] * p[1] + b[0]) % 3,
+                (A[1][0] * p[0] + A[1][1] * p[1] + b[1]) % 3,
+            ),
         )
-    return gens
+        for A, b in maps
+    ]
 
 
 def _primitive_root(q: int) -> int:
-    phi = q - 1
-    factors = set()
-    m = phi
-    i = 2
-    while i * i <= m:
-        while m % i == 0:
-            factors.add(i)
-            m //= i
-        i += 1
-    if m > 1:
-        factors.add(m)
+    """The least g whose powers run through all q - 1 units mod the prime q."""
     for g in range(2, q):
-        if all(pow(g, phi // f, q) != 1 for f in factors):
+        if len(orbit(1, [lambda x: x * g % q])) == q - 1:
             return g
     raise VerificationError("no primitive root found")
 
@@ -485,23 +462,19 @@ def builtin_group(name: str, **params) -> PermGroup:
     Supported names: agl2_3, asl2_3, agl1_9, agammal1_9, pgl2 (param q, odd
     prime), l3_2_flags, s_n (param n), a_n (param n).
     """
-    if name == "agl2_3":
-        sl2_gens = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
-        gens = _affine_f3_square(sl2_gens + [[[2, 0], [0, 1]]])
-        return PermGroup(gens, name="agl2_3")
-    if name == "asl2_3":
-        gens = _affine_f3_square([[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
-        return PermGroup(gens, name="asl2_3")
+    if name in ("agl2_3", "asl2_3"):
+        linear = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]  # generate SL(2,3)
+        if name == "agl2_3":
+            linear.append([[2, 0], [0, 1]])
+        maps = [(_F3_IDENTITY, b) for b in ((1, 0), (0, 1))] + [(A, (0, 0)) for A in linear]
+        return PermGroup(_affine_f3_square(maps), name=name)
     if name in ("agl1_9", "agammal1_9"):
-        els = _f9_elements()
-        g9 = (1, 1)  # generator of F9*, order 8
-        mul_g = _perm_from_point_map(els, lambda x: _f9_mul(g9, x))
-        add_1 = _perm_from_point_map(els, lambda x: _f9_add(x, (1, 0)))
-        gens = [mul_g, add_1]
+        # F_9 = F_3[i], i^2 = -1, with a + b i at the point (a, b): multiplying
+        # by the generator 1 + i of F_9^*, adding 1, and Frobenius x -> x^3
+        maps = [([[1, 2], [1, 1]], (0, 0)), (_F3_IDENTITY, (1, 0))]
         if name == "agammal1_9":
-            frob = _perm_from_point_map(els, lambda x: _f9_mul(_f9_mul(x, x), x))
-            gens.append(frob)
-        return PermGroup(gens, name=name)
+            maps.append(([[1, 0], [0, 2]], (0, 0)))
+        return PermGroup(_affine_f3_square(maps), name=name)
     if name == "pgl2":
         from .arith import is_prime  # arith imports perms
 

@@ -168,7 +168,6 @@ def _gen_standard(shape: tuple[int, ...]) -> list[Tableau]:
     return out
 
 
-@lru_cache(maxsize=8)  # owner: _SpechtBasis, one entry per shape audited
 def standard_tableaux(shape_parts: tuple[int, ...]) -> tuple[Tableau, ...]:
     """All standard tableaux of a shape, ordered by column reading word."""
     tabs = _gen_standard(shape_parts)
@@ -238,6 +237,25 @@ def straighten(v: dict[Tabloid, int], shape: Partition) -> list[int]:
 # ---------------------------------------------------------------------------
 # Representation matrices
 # ---------------------------------------------------------------------------
+
+FAMILY_HOOK = "(n-2,1,1)"
+FAMILY_TWO = "(n-2,2)"
+FAMILY_TWO_CONJ = "(n-2,2)'"
+# audited family -> (parts after the first part n - 2, sign-twisted)
+FAMILIES = {
+    FAMILY_HOOK: ((1, 1), False),
+    FAMILY_TWO: ((2,), False),
+    FAMILY_TWO_CONJ: ((2,), True),
+}
+
+
+def family_shape(family: str, n: int) -> tuple[Partition, bool]:
+    """The shape of a family's S_n module, and whether it is sign-twisted."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    tail, twisted = FAMILIES[family]
+    return Partition((n - 2, *tail)), twisted
+
 
 def action_matrix(sigma: Permutation, shape: Partition) -> IntMatrix:
     """Matrix of sigma on the Specht module, columns = images of basis vectors."""

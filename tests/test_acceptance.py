@@ -31,8 +31,8 @@ from eigenone.fixed_vectors import build_fixed_vector
 from eigenone.gf2 import BitMatrix, rank_nullspace
 from eigenone.meataxe import (
     composition_factors,
+    endomorphism_algebra_dim,
     factor_dimensions,
-    is_absolutely_irreducible,
     is_irreducible,
 )
 from eigenone.perms import IndexedGroup, Partition, builtin_group, class_reps_symmetric, closure
@@ -101,7 +101,7 @@ def test_criterion_4_agl2_3_unirealization_group_theory():
     group = IndexedGroup(module.gens)
     assert len(group.elements) == 432
     assert is_irreducible(module)
-    assert is_absolutely_irreducible(module)
+    assert endomorphism_algebra_dim(module) == 1
     rep = audit_embedded_group(G)
     assert rep.unisingular
     census = subgroup_census(group)
@@ -151,7 +151,7 @@ def test_criterion_6_steinberg_flag_module():
     eights = [f for f in factors if f.dim == 8]
     assert len(eights) == 1
     st = eights[0]
-    assert is_absolutely_irreducible(st)
+    assert endomorphism_algebra_dim(st) == 1  # a factor is certified irreducible
     st_els = closure(st.gens)
     ident = BitMatrix.identity(8)
     assert all(rank_nullspace(m + ident)[0] < 8 for m in st_els)

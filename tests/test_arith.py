@@ -76,6 +76,16 @@ def test_disc_identity_20_samples_and_negative_control():
     assert disc_resultant(g) != malle_disc_formula(3, 5)
 
 
+def test_disc_resultant_division_check_fires(monkeypatch):
+    # Res(f, f') = 1 is not divisible by lc(2x^2 + 1) = 2
+    import eigenone.arith
+    from eigenone.errors import VerificationError
+
+    monkeypatch.setattr(eigenone.arith, "resultant", lambda f, g: 1)
+    with pytest.raises(VerificationError, match="divisible by lc"):
+        disc_resultant([1, 0, 2])
+
+
 def test_resultant_against_root_product():
     # Res(f, g) for f = (x-1)(x-2), g = (x-3)(x+4): product of g at roots of f
     f = [2, -3, 1]
@@ -217,6 +227,16 @@ def test_lpoly_structure():
     # functional equation c_{8-i} = p^{4-i} c_i
     for i in range(4):
         assert L.coeffs[8 - i] == 5 ** (4 - i) * L.coeffs[i]
+
+
+def test_newton_exactness_check_fires(monkeypatch):
+    # counts with s_1 = 1 and s_2 = 0 give e_2 = (e_1 s_1 - s_2) / 2 = 1/2
+    import eigenone.arith
+    from eigenone.errors import VerificationError
+
+    monkeypatch.setattr(eigenone.arith, "curve_count", lambda f, p, k: p**k + 1 - (k == 1))
+    with pytest.raises(VerificationError, match="Newton identity division must be exact"):
+        lpoly_from_counts(malle_g(1, -32), 5)
 
 
 def test_lpoly_parity_and_frobenius_match():

@@ -318,3 +318,13 @@ def test_audit_gf2_classes_reducible_module_flags():
     rep = audit_gf2_classes("s311-mod2", classes, mod)
     assert rep.irreducible is False
     assert rep.absolutely_irreducible is False
+
+
+def test_audit_gf2_classes_irreducible_not_absolutely():
+    # C3 on GF(4) = GF(2)^2: irreducible over GF(2), commuting algebra GF(4)
+    C = BitMatrix.from_entries([[0, 1], [1, 1]])  # companion of x^2+x+1
+    classes = [("1", 1, 1, BitMatrix.identity(2)), ("3a", 1, 3, C), ("3b", 1, 3, C * C)]
+    rep = audit_gf2_classes("c3-gf4", classes, GF2Module(2, [C]))
+    assert rep.irreducible is True
+    assert rep.absolutely_irreducible is False
+    assert rep.offenders == ["3a", "3b"]

@@ -220,6 +220,34 @@ def test_lpoly_check_weil_bound_survives_optimize():
     assert "VerificationError: Weil bound violated" in proc.stderr
 
 
+def test_lpoly_check_newton_check_survives_optimize():
+    # counts with s_1 = 1 and s_2 = 0 make Newton's e_2 = 1/2; the exactness
+    # guard must fire under python -O
+    proc = run_optimized(
+        "import sys, eigenone.arith\n"
+        "from eigenone.cli import main\n"
+        "eigenone.arith.curve_count = lambda f, p, k: p**k + 1 - (k == 1)\n"
+        "sys.exit(main(['nt', 'lpoly-check', '--a', '1', '--t', '-32', '--primes', '5']))\n"
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "VerificationError: Newton identity division must be exact" in proc.stderr
+
+
+def test_failed_fixed_vector_check_is_internal_error(capsys, monkeypatch):
+    # an unfixed witness is a failed check, not a refuted claim
+    import eigenone.fixed_vectors
+    from eigenone.specht import Tableau
+
+    bad = Tableau.of([[1, 4, 5], [2], [3]])
+    monkeypatch.setattr(eigenone.fixed_vectors, "witness_tableau", lambda s, f: (bad, True))
+    code = main(["specht", "fixed-vector", "--n", "5", "--cycle-type", "5", "--family", "n-2,1,1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "FixedVectorError" in captured.err
+
+
 def test_straightening_failure_is_internal_error(capsys, monkeypatch):
     # a vector outside the Specht module is a failed check, not a usage error
     import eigenone.cli

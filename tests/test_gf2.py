@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from eigenone.gf2 import (
     BitMatrix,
     eval_poly_at_matrix,
+    fixed_space_dim,
     gf2_charpoly,
     pdeg,
     pdiv,
@@ -96,6 +97,15 @@ def test_charpoly_matches_integer_route_mod_2():
             if c % 2:
                 bits |= 1 << i
         assert gf2_charpoly(M) == bits
+
+
+def test_fixed_space_dim_counts_fixed_vectors():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        M = rand_bitmatrix(n, rng)
+        fixed = sum(1 for v in range(1 << n) if M.apply(v) == v)
+        assert 1 << fixed_space_dim(M) == fixed
 
 
 def test_charpoly_value_at_1_iff_nullity():
@@ -202,26 +212,37 @@ def test_poly_factor_known():
     # x^9 + 1 = (x+1)(x^2+x+1)(x^6+x^3+1)
     f = (1 << 9) | 1
     fac = poly_factor(f)
-    assert fac == {0b11: 1, 0b111: 1, 0b1001001: 1}
+    assert fac == {0b11, 0b111, 0b1001001}
+    assert all(is_irreducible_by_trial_division(p) for p in fac)
 
 
-def test_poly_factor_multiplicities():
+def test_poly_factor_repeated_factors():
     f = pmul(pmul(0b11, 0b11), 0b111)  # (x+1)^2 (x^2+x+1)
-    assert poly_factor(f) == {0b11: 2, 0b111: 1}
+    assert poly_factor(f) == {0b11, 0b111}
     # inseparable square: (x^3+x+1)^2 has zero derivative
     sq = pmul(0b1011, 0b1011)
-    assert poly_factor(sq) == {0b1011: 2}
+    assert poly_factor(sq) == {0b1011}
+    # odd multiplicity above one: (x+1)^3 (x^3+x+1)^2 (x^2+x+1)^5
+    f = 1
+    for p, m in ((0b11, 3), (0b1011, 2), (0b111, 5)):
+        for _ in range(m):
+            f = pmul(f, p)
+    assert poly_factor(f) == {0b11, 0b1011, 0b111}
+    assert poly_factor(1) == set()
 
 
 @given(st.integers(2, 400))
 def test_poly_factor_product_reconstructs(f):
+    # each factor is irreducible by trial division and divides f, and
+    # dividing f by the factors as often as they go leaves 1
     fac = poly_factor(f)
-    prod = 1
-    for p, m in fac.items():
+    rest = f
+    for p in fac:
         assert is_irreducible_by_trial_division(p)
-        for _ in range(m):
-            prod = pmul(prod, p)
-    assert prod == f
+        assert pmod(rest, p) == 0
+        while pmod(rest, p) == 0:
+            rest = pdiv(rest, p)
+    assert rest == 1
 
 
 def test_eval_poly_at_matrix():

@@ -7,7 +7,6 @@ from eigenone.meataxe import (
     composition_factors,
     endomorphism_algebra_dim,
     factor_dimensions,
-    is_absolutely_irreducible,
     is_irreducible,
 )
 from eigenone.perms import Partition, builtin_group
@@ -19,7 +18,7 @@ def test_trivial_module():
     mod = GF2Module(1, [BitMatrix.identity(1)])
     assert factor_dimensions(mod) == [1]
     assert is_irreducible(mod)
-    assert is_absolutely_irreducible(mod)
+    assert endomorphism_algebra_dim(mod) == 1
 
 
 def test_specht_311_mod2():
@@ -36,7 +35,7 @@ def test_specht_52_mod2_irreducible():
 def test_agl2_3_absolutely_irreducible():
     mod = embed_group(builtin_group("agl2_3"))
     assert is_irreducible(mod)
-    assert is_absolutely_irreducible(mod)
+    assert endomorphism_algebra_dim(mod) == 1
 
 
 def test_flag_module_8dim_factor_absolutely_irreducible():
@@ -44,13 +43,7 @@ def test_flag_module_8dim_factor_absolutely_irreducible():
     factors = composition_factors(pm)
     eight = [f for f in factors if f.dim == 8]
     assert len(eight) == 1
-    assert is_absolutely_irreducible(eight[0])
-
-
-def test_reducible_input_rejected_for_absolute_irreducibility():
-    mod = specht_mod2_module(5, Partition((3, 1, 1)))
-    with pytest.raises(ValueError):
-        is_absolutely_irreducible(mod)
+    assert endomorphism_algebra_dim(eight[0]) == 1  # a factor is certified irreducible
 
 
 def test_not_absolutely_irreducible_example():
@@ -59,7 +52,6 @@ def test_not_absolutely_irreducible_example():
     mod = GF2Module(2, [C])
     assert is_irreducible(mod)
     assert endomorphism_algebra_dim(mod) == 2
-    assert not is_absolutely_irreducible(mod)
 
 
 def _direct_sum(a: GF2Module, b: GF2Module) -> GF2Module:
@@ -115,6 +107,18 @@ def test_factors_invariant_under_basis_change():
     base = factor_dimensions(mod)
     for _ in range(10):
         assert factor_dimensions(_random_basis_change(mod, rng)) == base
+
+
+def test_dimension_sum_check_fires(monkeypatch):
+    # a split that hands back the submodule twice, in place of the submodule
+    # and the quotient, breaks the dimension count, which must raise
+    import eigenone.meataxe as mx
+    from eigenone.errors import VerificationError
+
+    split = mx._split_by_subspace
+    monkeypatch.setattr(mx, "_split_by_subspace", lambda m, sub: (split(m, sub)[0],) * 2)
+    with pytest.raises(VerificationError, match="must sum to the module dimension"):
+        composition_factors(specht_mod2_module(5, Partition((3, 1, 1))))
 
 
 def test_factors_re_irreducible():

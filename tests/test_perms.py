@@ -157,6 +157,31 @@ def test_pgl2_19():
     assert is_transitive(G)
 
 
+def test_builtin_generators_pinned():
+    # the reports print these generators, so their cycles and order are pinned
+    pinned = {
+        ("agl1_9", None): ["(2,8,4,5,3,6,7,9)", "(1,4,7)(2,5,8)(3,6,9)"],
+        ("agammal1_9", None): ["(2,8,4,5,3,6,7,9)", "(1,4,7)(2,5,8)(3,6,9)", "(2,3)(5,6)(8,9)"],
+        ("pgl2", 19): [
+            "(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19)",
+            "(2,3,5,9,17,14,8,15,10,19,18,16,12,4,7,13,6,11)",
+            "(1,20)(3,11)(4,14)(5,6)(7,17)(8,12)(9,13)(10,18)(15,16)",
+        ],
+    }
+    for (name, q), cycles in pinned.items():
+        G = builtin_group(name) if q is None else builtin_group(name, q=q)
+        assert [g.cycle_string() for g in G.generators] == cycles
+
+
+def test_pgl2_multiplier_is_least_primitive_root():
+    # the second generator multiplies by the least primitive root g mod q,
+    # so its cycle through 1 lists the powers g^0, g^1, ... of that root
+    for q in [p for p in range(3, 100) if all(p % d for d in range(2, p))]:
+        g = min(a for a in range(2, q) if len({pow(a, k, q) for k in range(q - 1)}) == q - 1)
+        mult = builtin_group("pgl2", q=q).generators[1]
+        assert mult.apply(2) == g + 1  # point k + 1 holds k in F_q
+
+
 def test_pgl2_rejects_non_prime():
     with pytest.raises(ValueError):
         builtin_group("pgl2", q=9)
