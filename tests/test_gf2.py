@@ -216,7 +216,7 @@ def test_poly_factor_known():
     assert all(is_irreducible_by_trial_division(p) for p in fac)
 
 
-def test_poly_factor_repeated_factors():
+def test_poly_factor_multiplicities():
     f = pmul(pmul(0b11, 0b11), 0b111)  # (x+1)^2 (x^2+x+1)
     assert poly_factor(f) == {0b11, 0b111}
     # inseparable square: (x^3+x+1)^2 has zero derivative
