@@ -52,22 +52,28 @@ def check_run(proc: subprocess.CompletedProcess, expect: int) -> str:
     return "ok"
 
 
+def battery(pmax: int = 10**4, jobs: int = 1) -> list[tuple[str, list[str], int]]:
+    """(report name, CLI argv, expected exit code) of every run; the committed
+    reports in out/ are those of the defaults."""
+    runs = list(RUNS)
+    runs.append((
+        "frobenius_scan_g1_m32",
+        ["nt", "frobenius-scan", "--a", "1", "--t", "-32", "--pmax", str(pmax),
+         "--group", "agl2_3", "--jobs", str(jobs)], 0))
+    runs.append((
+        "frobenius_scan_g1_1",
+        ["nt", "frobenius-scan", "--a", "1", "--t", "1", "--pmax", str(pmax),
+         "--group", "agammal1_9", "--jobs", str(jobs)], 0))
+    return runs
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--pmax", type=int, default=10**4)
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
-    runs = list(RUNS)
-    runs.append((
-        "frobenius_scan_g1_m32",
-        ["nt", "frobenius-scan", "--a", "1", "--t", "-32", "--pmax", str(args.pmax),
-         "--group", "agl2_3", "--jobs", str(args.jobs)], 0))
-    runs.append((
-        "frobenius_scan_g1_1",
-        ["nt", "frobenius-scan", "--a", "1", "--t", "1", "--pmax", str(args.pmax),
-         "--group", "agammal1_9", "--jobs", str(args.jobs)], 0))
-
+    runs = battery(args.pmax, args.jobs)
     OUT.mkdir(exist_ok=True)
     failures = 0
     for name, argv, expect in runs:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import VerificationError
+from .errors import UsageError, VerificationError
 from .gf2 import fixed_space_dim, gf2_charpoly
 from .intlinalg import IntMatrix, det_exact
 from .perms import Partition, PermGroup, class_rep_for
@@ -478,13 +478,14 @@ def curve_count(f: ZPoly, p: int, k: int) -> int:
     d = zp_degree(f)
     if d % 2 == 0:
         raise ValueError("only odd-degree models here")
+    # p comes from the command line (lpoly-check --primes)
     if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+        raise UsageError(f"p must be an odd prime, got {p}")
     if p**k > POINT_BUDGET:
-        raise ValueError(f"p^k = {p**k} exceeds the enumeration budget {POINT_BUDGET}")
+        raise UsageError(f"p^k = {p**k} exceeds the enumeration budget {POINT_BUDGET}")
     disc = disc_resultant(f)
     if disc % p == 0 or f[-1] % p == 0:
-        raise ValueError(f"bad prime {p}")
+        raise UsageError(f"bad prime {p}")
     F = Fq(p, k)
     sq = F.squares()
     fp = [c % p for c in f]
@@ -566,7 +567,7 @@ def frobenius_charpoly_gf2(f: ZPoly, p: int) -> int:
     for f at a good prime p (well-defined up to conjugacy)."""
     ft = factor_mod_p(f, p)
     if not ft.squarefree:
-        raise ValueError(f"bad prime {p}")
+        raise UsageError(f"bad prime {p}")
     space = build_space(zp_degree(f))
     M = embed_permutation(class_rep_for(ft.cycle_type), space)
     return gf2_charpoly(M)

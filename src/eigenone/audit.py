@@ -7,15 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import meataxe
-from .gf2 import (
-    BitMatrix,
-    GF2Module,
-    fixed_space_dim,
-    gf2_charpoly,
-    pdiv,
-    peval1,
-)
+from .errors import DEFAULT_SEED, UsageError
+from .gf2 import BitMatrix, GF2Module, fixed_space_dim, pdiv, peval1
 from .intlinalg import IntMatrix, _bareiss, det_exact
 from .perms import (
     IndexedGroup,
@@ -34,7 +27,11 @@ from .specht import (  # the FAMILY_* names are audit_specht's family argument
     family_shape,
     twisted_action_matrix,
 )
-from .symplectic import build_space, embed_permutation
+
+# The GF(2) audits import meataxe, symplectic and gf2_charpoly where they run:
+# an integral Specht audit then loads neither meataxe nor symplectic, and
+# perfbench's tracer, which loads this module before it wraps the GF(2)
+# layers, still reaches every call.
 
 @dataclass
 class ClassRecord:
@@ -105,6 +102,8 @@ def _int_class_record(label: str, size: int, order: int, M: IntMatrix) -> ClassR
 def _gf2_class_record(label: str, size: int, order: int, M: BitMatrix) -> ClassRecord:
     geo = fixed_space_dim(M)
     det = 0 if geo else 1
+    from .gf2 import gf2_charpoly
+
     cp = gf2_charpoly(M)
     alg = 0
     while peval1(cp) == 0:
@@ -126,11 +125,13 @@ def audit_gf2_classes(
     rep_id: str,
     classes: list[tuple[str, int, int, BitMatrix]],
     module: GF2Module,
-    seed: int = meataxe.DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
 ) -> AuditReport:
     """Audit the classes, and certify the module irreducible or not with the
     MeatAxe; an irreducible module is absolutely irreducible iff its
     commuting algebra is GF(2)."""
+    from . import meataxe
+
     if not classes:
         raise ValueError("no classes to audit")
     dim = classes[0][3].nrows
@@ -156,9 +157,9 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> AuditReport:
     sizes.
     """
     if group not in ("s_n", "a_n"):
-        raise ValueError(f"unknown group {group!r}")
+        raise UsageError(f"unknown group {group!r}")
     if not 5 <= n <= 17:
-        raise ValueError(f"n={n} outside supported range 5..17")
+        raise UsageError(f"n={n} outside supported range 5..17")
     shape, twisted = family_shape(family, n)
     classes = []
     for ct, rep in class_reps_symmetric(n):
@@ -176,7 +177,7 @@ def conjecture_table(ns: list[int]) -> list[dict]:
     rows = []
     for n in ns:
         if n < 5 or n % 2 == 0:
-            raise ValueError("table rows need odd n >= 5")
+            raise UsageError("table rows need odd n >= 5")
         shape = Partition((n - 2, 2))
         ct = Partition((n - 2, 2))
         M = twisted_action_matrix(class_rep_for(ct), shape)
@@ -199,11 +200,11 @@ def conjecture_table(ns: list[int]) -> list[dict]:
 # Embedded permutation-group audits
 # ---------------------------------------------------------------------------
 
-def audit_embedded_group(G: PermGroup, seed: int = meataxe.DEFAULT_SEED) -> AuditReport:
+def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> AuditReport:
     """Embed a permutation group symplectically and audit its classes over GF(2)."""
-    space = build_space(G.degree)
-    from .symplectic import embed_group
+    from .symplectic import build_space, embed_group, embed_permutation
 
+    space = build_space(G.degree)
     module = embed_group(G, space)
     classes = []
     for size, rep, order in G.conjugacy_classes():
@@ -265,7 +266,7 @@ def two_generated_subgroups(
     return subgroups
 
 
-def subgroup_census(group: IndexedGroup, seed: int = meataxe.DEFAULT_SEED) -> list[CensusEntry]:
+def subgroup_census(group: IndexedGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]:
     """Find every 2-generated subgroup of a GF(2) matrix group and record
     (order, irreducible?, unisingular?) per distinct subgroup.  Class-size
     fingerprints are attached to irreducible subgroups.
@@ -275,9 +276,11 @@ def subgroup_census(group: IndexedGroup, seed: int = meataxe.DEFAULT_SEED) -> li
     either verdict, so it does not depend on the generator pair.  Makes no
     claim of finding subgroups that need three or more generators.
     """
+    from . import meataxe
+
     elements = group.elements
     if len(elements) > 2000:
-        raise ValueError("census input capped at 2000 elements")
+        raise UsageError("census input capped at 2000 elements")
     dim = elements[0].nrows
     table = group.cayley_table  # table[b][a] = index of x_a * x_b
     eig1 = [fixed_space_dim(m) > 0 for m in elements]

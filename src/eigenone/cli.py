@@ -1,10 +1,14 @@
 """Command-line surface.
 
 Exit codes: 0 = checked claim verified, 1 = claim refuted (payload lists the
-offenders), 2 = usage error or a group too large to close, 3 = internal error
-or a failed check (`VerificationError`; a traceback on standard error and
+offenders), 2 = usage error (`UsageError`, or argparse) or a group too large to
+close (`ClosureOverflow`), 3 = internal error or a failed check (any other
+exception, `VerificationError` included; a traceback on standard error and
 nothing on standard output), so a crash never reads as a refutation.  Every
 verdict prints a JSON report on standard output.
+
+Each handler imports the layers it runs when it runs, so a process loads only
+the layers of its subcommand.
 """
 
 from __future__ import annotations
@@ -13,43 +17,15 @@ import argparse
 import sys
 import time
 
-from . import meataxe
-from .arith import (
-    bad_primes,
-    disc_resultant,
-    frobenius_charpoly_gf2,
-    frobenius_scan,
-    lpoly_from_counts,
-    malle_disc_formula,
-    malle_g,
-    malle_is_squarefree_specialization,
-)
-from .audit import (
-    audit_embedded_group,
-    audit_specht,
-    conjecture_table,
-    irreducible_orders,
-    subgroup_census,
-)
-from .fixed_vectors import build_fixed_vector
-from .gf2 import fixed_space_dim
-from .perms import ClosureOverflow, IndexedGroup, Partition, builtin_group, class_rep_for, closure
+from .errors import DEFAULT_SEED, ClosureOverflow, UsageError
 from .reports import CLAIMS, RunReport
-from .specht import (
-    FAMILY_HOOK,
-    FAMILY_TWO,
-    FAMILY_TWO_CONJ,
-    family_shape,
-    generator_matrices,
-    rep_mod2,
-)
-from .symplectic import embed_group, permutation_module_gf2
 
-DEFAULT_SEED = meataxe.DEFAULT_SEED
 GROUP_CHOICES = ["agl2_3", "asl2_3", "agl1_9", "agammal1_9", "pgl2", "l3_2_flags", "s_n", "a_n"]
 
 
 def _family_arg(s: str) -> str:
+    from .specht import FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ
+
     aliases = {
         "n-2,1,1": FAMILY_HOOK,
         FAMILY_HOOK: FAMILY_HOOK,
@@ -71,12 +47,14 @@ def _int_list(s: str) -> list[int]:
 
 
 def _build_group(args):
+    from .perms import builtin_group
+
     param = {"pgl2": "q", "s_n": "n", "a_n": "n"}.get(args.group)
     if param is None:
         return builtin_group(args.group)
     value = getattr(args, param)
     if value is None:
-        raise ValueError(f"--group {args.group} requires --{param}")
+        raise UsageError(f"--group {args.group} requires --{param}")
     return builtin_group(args.group, **{param: value})
 
 
@@ -97,6 +75,9 @@ def _emit(args, anchors: list[str], result: dict, t0: float, verdict: bool) -> i
 # ---------------------------------------------------------------------------
 
 def cmd_specht_audit(args) -> int:
+    from .audit import audit_specht
+    from .specht import FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ
+
     t0 = time.time()
     rep = audit_specht(args.n, args.family, args.group)
     anchor = {
@@ -108,6 +89,8 @@ def cmd_specht_audit(args) -> int:
 
 
 def cmd_specht_table(args) -> int:
+    from .audit import conjecture_table
+
     t0 = time.time()
     rows = conjecture_table(args.n)
     ok = all(r["matches"] for r in rows)
@@ -116,6 +99,9 @@ def cmd_specht_table(args) -> int:
 
 
 def cmd_specht_mod2(args) -> int:
+    from . import meataxe
+    from .specht import family_shape, generator_matrices, rep_mod2
+
     t0 = time.time()
     shape, twisted = family_shape(args.family, args.n)
     module = rep_mod2(generator_matrices(shape, twisted))
@@ -135,11 +121,14 @@ def cmd_specht_mod2(args) -> int:
 
 
 def cmd_specht_fixed_vector(args) -> int:
+    from .fixed_vectors import build_fixed_vector
+    from .perms import Partition, class_rep_for
+
     t0 = time.time()
-    ct = Partition(tuple(sorted(args.cycle_type, reverse=True)))
-    if ct.n != args.n:
-        print(f"cycle type {ct} does not partition n={args.n}", file=sys.stderr)
-        return 2
+    parts = tuple(sorted(args.cycle_type, reverse=True))
+    if not parts or parts[-1] <= 0 or sum(parts) != args.n:
+        raise UsageError(f"cycle type {args.cycle_type} does not partition n={args.n}")
+    ct = Partition(parts)
     fv = build_fixed_vector(class_rep_for(ct), args.family)
     return _emit(args, [CLAIMS["fixed-vector"]], fv.to_payload(), t0, True)
 
@@ -149,42 +138,17 @@ def cmd_specht_fixed_vector(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_embed_audit(args) -> int:
+    if args.module == "permutation":
+        return _embed_audit_permutation_module(args)
+    from .audit import audit_embedded_group
+    from .symplectic import build_space
+
     t0 = time.time()
     G = _build_group(args)
-    if args.module == "permutation":
-        module = permutation_module_gf2(G)
-        factors = meataxe.composition_factors(module, args.seed)
-        dims = [f.dim for f in factors]
-        top = max(factors, key=lambda f: f.dim)
-        els = closure(top.gens)
-        uni = all(fixed_space_dim(m) > 0 for m in els)
-        # a composition factor is certified irreducible, so it is absolutely
-        # irreducible iff its commuting algebra is GF(2)
-        absirr = meataxe.endomorphism_algebra_dim(top) == 1
-        result = {
-            "group": G.name,
-            "module": "permutation",
-            "dim": module.dim,
-            "factor_dims": dims,
-            "top_factor": {
-                "dim": top.dim,
-                "group_size": len(els),
-                "absolutely_irreducible": absirr,
-                "unisingular": uni,
-            },
-        }
-        verdict = uni and absirr
-        anchors = [CLAIMS["perm-module-factors"]]
-        if args.expect_dims is not None:
-            verdict = verdict and sorted(args.expect_dims) == dims
-            result["expected_dims"] = sorted(args.expect_dims)
-        return _emit(args, anchors, result, t0, verdict)
     rep = audit_embedded_group(G, args.seed)
     result = rep.to_payload()
     result["group"] = G.to_payload()
     result["group_order"] = G.order()
-    from .symplectic import build_space
-
     result["space"] = build_space(G.degree).to_payload()
     result["form_preserved"] = True  # embed_group raises if a generator breaks the form
     anchor = "embed-audit-agl2_3" if G.name == "agl2_3" else (
@@ -193,7 +157,47 @@ def cmd_embed_audit(args) -> int:
     return _emit(args, [CLAIMS[anchor]], result, t0, rep.unisingular)
 
 
+def _embed_audit_permutation_module(args) -> int:
+    from . import meataxe
+    from .gf2 import fixed_space_dim
+    from .perms import closure
+    from .symplectic import permutation_module_gf2
+
+    t0 = time.time()
+    G = _build_group(args)
+    module = permutation_module_gf2(G)
+    factors = meataxe.composition_factors(module, args.seed)
+    dims = [f.dim for f in factors]
+    top = max(factors, key=lambda f: f.dim)
+    els = closure(top.gens)
+    uni = all(fixed_space_dim(m) > 0 for m in els)
+    # a composition factor is certified irreducible, so it is absolutely
+    # irreducible iff its commuting algebra is GF(2)
+    absirr = meataxe.endomorphism_algebra_dim(top) == 1
+    result = {
+        "group": G.name,
+        "module": "permutation",
+        "dim": module.dim,
+        "factor_dims": dims,
+        "top_factor": {
+            "dim": top.dim,
+            "group_size": len(els),
+            "absolutely_irreducible": absirr,
+            "unisingular": uni,
+        },
+    }
+    verdict = uni and absirr
+    if args.expect_dims is not None:
+        verdict = verdict and sorted(args.expect_dims) == dims
+        result["expected_dims"] = sorted(args.expect_dims)
+    return _emit(args, [CLAIMS["perm-module-factors"]], result, t0, verdict)
+
+
 def cmd_embed_census(args) -> int:
+    from .audit import irreducible_orders, subgroup_census
+    from .perms import IndexedGroup
+    from .symplectic import embed_group
+
     t0 = time.time()
     G = _build_group(args)
     group = IndexedGroup(embed_group(G).gens)
@@ -217,9 +221,17 @@ def cmd_embed_census(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_nt_disc_verify(args) -> int:
-    t0 = time.time()
     import random
 
+    from .arith import (
+        bad_primes,
+        disc_resultant,
+        malle_disc_formula,
+        malle_g,
+        malle_is_squarefree_specialization,
+    )
+
+    t0 = time.time()
     rng = random.Random(args.seed)
     samples = []
     ok = True
@@ -256,9 +268,13 @@ def cmd_nt_disc_verify(args) -> int:
 
 
 def cmd_nt_frobenius_scan(args) -> int:
+    from .arith import frobenius_scan, malle_g
+
     t0 = time.time()
     G = _build_group(args)
     f = malle_g(args.a, args.t) if args.poly is None else args.poly
+    if len(f) < 4 or f[-1] == 0:
+        raise UsageError(f"--poly needs degree >= 3 and a nonzero last coefficient, got {f}")
     scan = frobenius_scan(f, args.pmax, G, jobs=args.jobs)
     result = scan.to_payload()
     verdict = scan.all_eig1 and scan.all_types_in_group
@@ -266,6 +282,8 @@ def cmd_nt_frobenius_scan(args) -> int:
 
 
 def cmd_nt_lpoly_check(args) -> int:
+    from .arith import frobenius_charpoly_gf2, lpoly_from_counts, malle_g
+
     t0 = time.time()
     f = malle_g(args.a, args.t)
     rows = []
@@ -387,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args.raw_args = argv
     try:
         return args.fn(args)
-    except (ValueError, ClosureOverflow) as e:
+    except (UsageError, ClosureOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import VerificationError
+from .errors import UsageError, VerificationError
 from .perms import Permutation
 from .specht import (
     FAMILY_HOOK,
@@ -118,7 +118,7 @@ def witness_tableau(sigma: Permutation, family: str) -> tuple[Tableau, bool]:
     """The tableau of the case analysis, plus whether e_t itself is fixed."""
     n = sigma.degree
     if n < 5:
-        raise ValueError("need n >= 5")
+        raise UsageError(f"fixed vectors need n >= 5, got n={n}")
     if family == FAMILY_HOOK:
         col, direct = _hook_column(sigma)
         rest = sorted(set(range(1, n + 1)) - set(col))
@@ -127,7 +127,7 @@ def witness_tableau(sigma: Permutation, family: str) -> tuple[Tableau, bool]:
         block, direct = _two_row_block(sigma)
         rest = sorted(set(range(1, n + 1)) - set(block))
         return Tableau.of([[block[0], block[1]] + rest, [block[2], block[3]]]), direct
-    raise ValueError(f"unknown family {family!r}")
+    raise UsageError(f"no fixed-vector construction for family {family}")
 
 
 @dataclass

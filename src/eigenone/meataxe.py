@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import VerificationError
+from .errors import DEFAULT_SEED, UsageError, VerificationError
 from .gf2 import (
     BitMatrix,
     GF2Module,
@@ -24,7 +24,6 @@ from .gf2 import (
     rank_nullspace,
 )
 
-DEFAULT_SEED = 0xC0FFEE
 MAX_ATTEMPTS = 64
 MAX_WORD_LEN = 8
 DIM_BOUND = 256
@@ -140,7 +139,7 @@ def _decide(module: GF2Module, rng: random.Random):
 
 def is_irreducible(module: GF2Module, seed: int = DEFAULT_SEED) -> bool:
     if module.dim > DIM_BOUND:
-        raise ValueError(f"module dimension {module.dim} exceeds bound {DIM_BOUND}")
+        raise UsageError(f"module dimension {module.dim} exceeds bound {DIM_BOUND}")
     verdict, _ = _decide(module, random.Random(seed))
     return verdict == "irreducible"
 
@@ -149,7 +148,7 @@ def composition_factors(module: GF2Module, seed: int = DEFAULT_SEED) -> list[GF2
     """Composition factors (with their generator matrices), sorted by
     dimension then by matrix content; dimensions sum to the module dimension."""
     if module.dim > DIM_BOUND:
-        raise ValueError(f"module dimension {module.dim} exceeds bound {DIM_BOUND}")
+        raise UsageError(f"module dimension {module.dim} exceeds bound {DIM_BOUND}")
     rng = random.Random(seed)
     out: list[GF2Module] = []
 

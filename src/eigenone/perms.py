@@ -12,13 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, lcm
 
-from .errors import VerificationError
+from .errors import ClosureOverflow, UsageError, VerificationError
 
 CLOSURE_BOUND = 10**6
-
-
-class ClosureOverflow(RuntimeError):
-    """Group closure exceeded the configured element bound."""
 
 
 @dataclass(frozen=True)
@@ -460,7 +456,8 @@ def builtin_group(name: str, **params) -> PermGroup:
     """Constructors for the explicitly named groups.
 
     Supported names: agl2_3, asl2_3, agl1_9, agammal1_9, pgl2 (param q, odd
-    prime), l3_2_flags, s_n (param n), a_n (param n).
+    prime), l3_2_flags, s_n (param n >= 3), a_n (param n >= 3).  Invalid
+    names and parameters raise UsageError: they come from the command line.
     """
     if name in ("agl2_3", "asl2_3"):
         linear = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]  # generate SL(2,3)
@@ -480,24 +477,21 @@ def builtin_group(name: str, **params) -> PermGroup:
 
         q = params["q"]
         if not is_prime(q) or q == 2:
-            raise ValueError(f"pgl2 requires an odd prime q, got {q}")
+            raise UsageError(f"pgl2 requires an odd prime q, got {q}")
         return PermGroup(_pgl2_gens(q), name=f"pgl2_{q}")
     if name == "l3_2_flags":
         return PermGroup(_l3_2_flag_gens(), name="l3_2_flags")
+    if name in ("s_n", "a_n") and params["n"] < 3:
+        raise UsageError(f"{name} requires n >= 3, got {params['n']}")
     if name == "s_n":
         n = params["n"]
         _refuse_large_order(n, 2)
-        if n == 1:
-            return PermGroup([Permutation.identity(1)], name="s_1")
-        gens = [Permutation.from_cycles(n, [(1, 2)])]
-        if n > 2:
-            gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
+        gens = [Permutation.from_cycles(n, [(1, 2)]),
+                Permutation.from_cycles(n, [tuple(range(1, n + 1))])]
         return PermGroup(gens, name=f"s_{n}")
     if name == "a_n":
         n = params["n"]
         _refuse_large_order(n, 3)
-        if n <= 2:
-            return PermGroup([Permutation.identity(max(n, 1))], name=f"a_{n}")
         if n == 3:
             return PermGroup([Permutation.from_cycles(3, [(1, 2, 3)])], name="a_3")
         gens = [Permutation.from_cycles(n, [(1, 2, 3)])]
@@ -506,4 +500,4 @@ def builtin_group(name: str, **params) -> PermGroup:
         else:
             gens.append(Permutation.from_cycles(n, [tuple(range(2, n + 1))]))
         return PermGroup(gens, name=f"a_{n}")
-    raise ValueError(f"unsupported builtin group: {name}")
+    raise UsageError(f"unsupported builtin group: {name}")

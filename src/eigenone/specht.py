@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import VerificationError
+from .errors import UsageError, VerificationError
 from .gf2 import BitMatrix, GF2Module
 from .intlinalg import IntMatrix
 from .perms import Partition, Permutation
@@ -252,8 +252,10 @@ FAMILIES = {
 def family_shape(family: str, n: int) -> tuple[Partition, bool]:
     """The shape of a family's S_n module, and whether it is sign-twisted."""
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise UsageError(f"unknown family {family!r}")
     tail, twisted = FAMILIES[family]
+    if n - 2 < tail[0]:
+        raise UsageError(f"family {family} needs n >= {tail[0] + 2}, got n={n}")
     return Partition((n - 2, *tail)), twisted
 
 

@@ -1,9 +1,15 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from eigenone.cli import main
-from eigenone.reports import RunReport
+from eigenone.reports import CLAIMS, RunReport
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -134,15 +140,18 @@ def test_closure_overflow_is_usage_error(capsys, monkeypatch):
     assert captured.err == "error: closure exceeded bound 1000\n"
 
 
-def test_reproduce_all_rejects_crash_as_refutation():
+def load_reproduce_all():
     import importlib.util
-    import pathlib
-    import subprocess
 
-    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+    path = ROOT / "scripts" / "reproduce_all.py"
     spec = importlib.util.spec_from_file_location("reproduce_all", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_reproduce_all_rejects_crash_as_refutation():
+    script = load_reproduce_all()
 
     def run(code, out):
         return subprocess.CompletedProcess([], code, stdout=out, stderr="")
@@ -155,6 +164,19 @@ def test_reproduce_all_rejects_crash_as_refutation():
     assert script.check_run(run(0, json.dumps({"result": {"all_match": True}})), 0) == "ok"
 
 
+def test_committed_reports_match_the_battery():
+    # each out/<name>.json is what reproduce_all.py writes for <name> at its
+    # defaults: the same command, and anchors that are current claims
+    battery = {name: argv for name, argv, _ in load_reproduce_all().battery()}
+    claims = set(CLAIMS.values())
+    reports = sorted((ROOT / "out").glob("*.json"))
+    assert reports
+    for path in reports:
+        report = json.loads(path.read_text())
+        assert report["command"] == battery.get(path.stem), path.name
+        assert report["anchors"] and set(report["anchors"]) <= claims, path.name
+
+
 def test_unknown_flag_usage_error():
     for flag in (["--frobnicate"], ["--format", "csv"]):  # --format was removed
         with pytest.raises(SystemExit) as exc:
@@ -163,12 +185,12 @@ def test_unknown_flag_usage_error():
 
 
 def test_internal_error_is_not_a_refutation(capsys, monkeypatch):
-    import eigenone.cli
+    import eigenone.audit
 
     def crash(*args, **kwargs):
         raise RuntimeError("planted internal failure")
 
-    monkeypatch.setattr(eigenone.cli, "audit_specht", crash)
+    monkeypatch.setattr(eigenone.audit, "audit_specht", crash)
     code = main(["specht", "audit", "--n", "5", "--family", "hook"])
     captured = capsys.readouterr()
     assert code == 3
@@ -176,19 +198,88 @@ def test_internal_error_is_not_a_refutation(capsys, monkeypatch):
     assert "Traceback" in captured.err and "planted internal failure" in captured.err
 
 
-def run_optimized(program: str):
-    """Run a Python program under python -O, which strips assert statements,
-    with src/ on the import path."""
-    import os
-    import pathlib
-    import subprocess
-    import sys
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # only UsageError and ClosureOverflow read as bad input (exit 2); a
+    # ValueError raised inside a layer is an internal error
+    import eigenone.audit
 
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    def mismatch(*args, **kwargs):
+        raise ValueError("planted degree mismatch")
+
+    monkeypatch.setattr(eigenone.audit, "action_matrix", mismatch)
+    code = main(["specht", "audit", "--n", "5", "--family", "hook"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "ValueError: planted degree mismatch" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("embed audit --group pgl2 --q 9", "pgl2 requires an odd prime q, got 9"),
+    ("embed audit --group s_n --n 2", "s_n requires n >= 3, got 2"),
+    ("specht conjecture-table --n 5,6", "table rows need odd n >= 5"),
+    ("specht mod2-factors --n 3 --family n-2,2", "family (n-2,2) needs n >= 4, got n=3"),
+    ("specht fixed-vector --n 7 --cycle-type 7,0", "cycle type [7, 0] does not partition n=7"),
+    ("specht fixed-vector --n 4 --cycle-type 4", "fixed vectors need n >= 5, got n=4"),
+    ("specht fixed-vector --n 7 --cycle-type 7 --family twisted",
+     "no fixed-vector construction for family (n-2,2)'"),
+    ("nt lpoly-check --a 1 --t -32 --primes 3", "bad prime 3"),
+    ("nt lpoly-check --a 1 --t -32 --primes 9", "p must be an odd prime, got 9"),
+    ("nt frobenius-scan --a 1 --t 1 --group agl2_3 --poly=1,1",
+     "--poly needs degree >= 3 and a nonzero last coefficient, got [1, 1]"),
+])
+def test_bad_input_is_usage_error(capsys, argv, message):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_oversized_input_is_usage_error(capsys, monkeypatch):
+    # the MeatAxe dimension bound and the census size cap read the size of
+    # the module or group that the command line chose
+    import eigenone.meataxe
+
+    monkeypatch.setattr(eigenone.meataxe, "DIM_BOUND", 10)
+    assert main(["specht", "mod2-factors", "--n", "7", "--family", "n-2,2"]) == 2
+    assert capsys.readouterr().err == "error: module dimension 14 exceeds bound 10\n"
+    assert main(["embed", "census", "--group", "s_n", "--n", "7"]) == 2
+    assert capsys.readouterr().err == "error: census input capped at 2000 elements\n"
+
+
+def run_python(program: str, *flags: str):
+    """Run a Python program in a fresh interpreter with src/ on the import path."""
+    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, "-O", "-c", program], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *flags, "-c", program], capture_output=True, text=True,
                           env=env, timeout=120)
+
+
+def loaded_layers(program: str) -> list[str]:
+    """The eigenone modules that a fresh interpreter has loaded after program."""
+    proc = run_python(program + "\nimport json, sys\n"
+                      "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'eigenone')))")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_layer():
+    assert loaded_layers("import eigenone.cli") == [
+        "eigenone", "eigenone.cli", "eigenone.errors", "eigenone.reports"]
+
+
+def test_nt_command_loads_only_its_layers():
+    loaded = loaded_layers("from eigenone.cli import main\n"
+                           "assert main(['nt', 'disc-verify', '--samples', '1']) == 0")
+    assert "eigenone.arith" in loaded
+    for layer in ("audit", "specht", "meataxe", "fixed_vectors"):
+        assert f"eigenone.{layer}" not in loaded
+
+
+def run_optimized(program: str):
+    """Run a Python program under python -O, which strips assert statements."""
+    return run_python(program, "-O")
 
 
 def test_embed_audit_form_check_survives_optimize():
@@ -250,13 +341,13 @@ def test_failed_fixed_vector_check_is_internal_error(capsys, monkeypatch):
 
 def test_straightening_failure_is_internal_error(capsys, monkeypatch):
     # a vector outside the Specht module is a failed check, not a usage error
-    import eigenone.cli
+    import eigenone.audit
     from eigenone.specht import NotInSpechtModule
 
     def fail(*args, **kwargs):
         raise NotInSpechtModule("planted straightening failure")
 
-    monkeypatch.setattr(eigenone.cli, "audit_specht", fail)
+    monkeypatch.setattr(eigenone.audit, "audit_specht", fail)
     code = main(["specht", "audit", "--n", "9", "--family", "hook"])
     captured = capsys.readouterr()
     assert code == 3

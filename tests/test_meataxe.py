@@ -147,3 +147,56 @@ def test_dimension_bound():
     big.gens = [BitMatrix.identity(257)]
     with pytest.raises(ValueError):
         factor_dimensions(big)
+
+
+def _irreducible_module():
+    return specht_mod2_module(7, Partition((5, 2)))  # irreducible, dimension 14
+
+
+def _run_mod2_factors(capsys):
+    from eigenone.cli import main
+
+    code = main(["specht", "mod2-factors", "--n", "7", "--family", "n-2,2"])
+    return code, capsys.readouterr()
+
+
+def test_split_check_fires_on_a_non_invariant_subspace(monkeypatch, capsys):
+    # a spin that stops at its seed vector hands back a subspace that the
+    # generators move; restricting to it must raise, in the library and as
+    # exit 3 from the command line
+    import eigenone.meataxe as mx
+    from eigenone.errors import VerificationError
+
+    spin = mx.spin
+    monkeypatch.setattr(mx, "spin", lambda vectors, gens: spin(vectors, []))
+    with pytest.raises(VerificationError, match="^vector not in the invariant subspace$"):
+        composition_factors(_irreducible_module())
+    code, captured = _run_mod2_factors(capsys)
+    assert code == 3
+    assert captured.out == ""
+    assert "VerificationError: vector not in the invariant subspace" in captured.err
+
+
+def test_dual_split_check_fires_on_a_full_complement(monkeypatch, capsys):
+    # a dual spin that stops at its seed vector claims a proper dual
+    # submodule of an irreducible module; the complement then spins to the
+    # whole space, which must raise, in the library and as exit 3
+    import eigenone.meataxe as mx
+    from eigenone.errors import VerificationError
+
+    spin = mx.spin
+    seen = []
+
+    def short_dual_spin(vectors, gens):
+        if not seen:
+            seen.append(gens)  # the first spin runs on the module's own generators
+        return spin(vectors, gens if gens is seen[0] else [])
+
+    monkeypatch.setattr(mx, "spin", short_dual_spin)
+    with pytest.raises(VerificationError, match="^the dual split must give a proper submodule$"):
+        composition_factors(_irreducible_module())
+    seen.clear()
+    code, captured = _run_mod2_factors(capsys)
+    assert code == 3
+    assert captured.out == ""
+    assert "VerificationError: the dual split must give a proper submodule" in captured.err
