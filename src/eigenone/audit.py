@@ -283,7 +283,11 @@ def subgroup_census(group: IndexedGroup, seed: int = DEFAULT_SEED) -> list[Censu
         raise UsageError("census input capped at 2000 elements")
     dim = elements[0].nrows
     table = group.cayley_table  # table[b][a] = index of x_a * x_b
-    eig1 = [fixed_space_dim(m) > 0 for m in elements]
+    eig1 = [False] * len(elements)  # dim ker(M + I) is a class function
+    for cls in group.class_orbits():
+        has = fixed_space_dim(elements[cls[0]]) > 0
+        for x in cls:
+            eig1[x] = has
 
     def invariants(K: frozenset[int], gens: tuple[int, int]) -> tuple:
         irr = meataxe.is_irreducible(GF2Module(dim, [elements[g] for g in gens]), seed)

@@ -4,8 +4,10 @@ Exit codes: 0 = checked claim verified, 1 = claim refuted (payload lists the
 offenders), 2 = usage error (`UsageError`, or argparse) or a group too large to
 close (`ClosureOverflow`), 3 = internal error or a failed check (any other
 exception, `VerificationError` included; a traceback on standard error and
-nothing on standard output), so a crash never reads as a refutation.  Every
-verdict prints a JSON report on standard output.
+nothing on standard output), so a crash never reads as a refutation; 4 =
+undecided: the run had nothing to check (a Frobenius scan with no good prime up
+to --pmax), so it neither verifies nor refutes.  Every verdict, undecided
+included, prints a JSON report on standard output.
 
 Each handler imports the layers it runs when it runs, so a process loads only
 the layers of its subcommand.
@@ -58,7 +60,9 @@ def _build_group(args):
     return builtin_group(args.group, **{param: value})
 
 
-def _emit(args, anchors: list[str], result: dict, t0: float, verdict: bool) -> int:
+def _emit(args, anchors: list[str], result: dict, t0: float, verdict: bool | None) -> int:
+    """Print the report; exit 0 if `verdict` is true, 1 if false, 4 if None
+    (undecided)."""
     report = RunReport(
         command=list(args.raw_args),
         seed=args.seed,
@@ -67,6 +71,8 @@ def _emit(args, anchors: list[str], result: dict, t0: float, verdict: bool) -> i
         wall_time_s=time.time() - t0,
     )
     sys.stdout.write(report.to_json() + "\n")
+    if verdict is None:
+        return 4
     return 0 if verdict else 1
 
 
@@ -160,7 +166,7 @@ def cmd_embed_audit(args) -> int:
 def _embed_audit_permutation_module(args) -> int:
     from . import meataxe
     from .gf2 import fixed_space_dim
-    from .perms import closure
+    from .perms import IndexedGroup
     from .symplectic import permutation_module_gf2
 
     t0 = time.time()
@@ -169,8 +175,9 @@ def _embed_audit_permutation_module(args) -> int:
     factors = meataxe.composition_factors(module, args.seed)
     dims = [f.dim for f in factors]
     top = max(factors, key=lambda f: f.dim)
-    els = closure(top.gens)
-    uni = all(fixed_space_dim(m) > 0 for m in els)
+    top_group = IndexedGroup(top.gens)
+    # dim ker(M + I) is a class function, so one element per class decides
+    uni = all(fixed_space_dim(top_group.elements[c[0]]) > 0 for c in top_group.class_orbits())
     # a composition factor is certified irreducible, so it is absolutely
     # irreducible iff its commuting algebra is GF(2)
     absirr = meataxe.endomorphism_algebra_dim(top) == 1
@@ -181,7 +188,7 @@ def _embed_audit_permutation_module(args) -> int:
         "factor_dims": dims,
         "top_factor": {
             "dim": top.dim,
-            "group_size": len(els),
+            "group_size": len(top_group.elements),
             "absolutely_irreducible": absirr,
             "unisingular": uni,
         },
@@ -277,7 +284,8 @@ def cmd_nt_frobenius_scan(args) -> int:
         raise UsageError(f"--poly needs degree >= 3 and a nonzero last coefficient, got {f}")
     scan = frobenius_scan(f, args.pmax, G, jobs=args.jobs)
     result = scan.to_payload()
-    verdict = scan.all_eig1 and scan.all_types_in_group
+    # with no good prime up to --pmax there is nothing to check: undecided
+    verdict = (scan.all_eig1 and scan.all_types_in_group) if scan.records else None
     return _emit(args, [CLAIMS["frobenius-scan"]], result, t0, verdict)
 
 

@@ -189,10 +189,9 @@ def class_reps_symmetric(n: int) -> list[tuple[Partition, Permutation]]:
     return [(ct, class_rep_for(ct)) for ct in partitions_of(n)]
 
 
-def orbit(start, maps, bound: int = CLOSURE_BOUND) -> list:
+def orbit(start, maps) -> list:
     """Breadth-first orbit of `start` under the callables `maps`, in the
-    order found.  Raises ClosureOverflow if more than `bound` points are found.
-    """
+    order found.  The orbit must be finite: only `closure` enforces a bound."""
     seen = {start}
     out = [start]
     for x in out:
@@ -201,8 +200,6 @@ def orbit(start, maps, bound: int = CLOSURE_BOUND) -> list:
             if y not in seen:
                 seen.add(y)
                 out.append(y)
-                if len(out) > bound:
-                    raise ClosureOverflow(f"closure exceeded bound {bound}")
     return out
 
 
@@ -224,20 +221,63 @@ def _canonical_key(x) -> tuple[int, ...]:
     return x.images if isinstance(x, Permutation) else x.rows
 
 
-def closure(generators, bound: int | None = None) -> list:
+class Closure(list):
+    """The elements of a finite group, sorted by canonical key, with the
+    Schreier graph that found them.
+
+    For the k-th generator g, `right[k][i]` is the index of x_i * g.  The
+    tree edges say how each element was first reached: x_i is
+    x_parent[i] * g_via[i], except the root, the first generator, whose
+    parent is -1.  `bfs` lists the indices in the order found, so a parent
+    comes before its children.
+    """
+
+    right: list[list[int]]
+    parent: list[int]
+    via: list[int]
+    bfs: list[int]
+
+
+def closure(generators, bound: int | None = None) -> Closure:
     """Exact closure of a list of Permutations or of square BitMatrices,
     sorted by canonical key (`images` or `rows`).
 
     The finite group is the orbit of its first generator under right
-    multiplication by the generators.  Raises ClosureOverflow if more than
+    multiplication by the generators; each product x * g is computed once
+    and recorded in the Schreier graph.  Raises ClosureOverflow if more than
     `bound` (default CLOSURE_BOUND) elements are found.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
     bound = CLOSURE_BOUND if bound is None else bound
-    els = orbit(gens[0], [lambda x, g=g: x * g for g in gens], bound)
-    return sorted(els, key=_canonical_key)
+    found = [gens[0]]
+    index = {gens[0]: 0}
+    rows = [[] for _ in gens]  # rows[k][i]: index in `found` of found[i] * g_k
+    parent, via = [-1], [-1]
+    for i, x in enumerate(found):
+        for k, g in enumerate(gens):
+            y = x * g
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(found)
+                found.append(y)
+                parent.append(i)
+                via.append(k)
+                if j >= bound:
+                    raise ClosureOverflow(f"closure exceeded bound {bound}")
+            rows[k].append(j)
+    # renumber from the order found to the canonical order
+    order = sorted(range(len(found)), key=lambda j: _canonical_key(found[j]))
+    pos = [0] * len(found)
+    for s, j in enumerate(order):
+        pos[j] = s
+    out = Closure(found[j] for j in order)
+    out.right = [[pos[row[j]] for j in order] for row in rows]
+    out.parent = [-1 if parent[j] < 0 else pos[parent[j]] for j in order]
+    out.via = [via[j] for j in order]
+    out.bfs = pos
+    return out
 
 
 class IndexedGroup:
@@ -248,31 +288,61 @@ class IndexedGroup:
     g, `left[k][i]` and `right[k][i]` are the indices of g * x_i and x_i * g.
     Powers, orders, conjugation maps, classes, cyclic subgroups and the full
     Cayley table are computed on demand.
+
+    Every table comes from the closure's Schreier graph: x_i is its tree
+    parent times one generator, so right multiplication by any element is
+    the composite of `right` rows along its tree word.  No method multiplies
+    two elements.
     """
 
     def __init__(self, generators):
         self.generators = list(generators)
-        self.elements = closure(self.generators)
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        self.left = [[self.index[g * x] for x in self.elements] for g in self.generators]
-        self.right = [[self.index[x * g] for x in self.elements] for g in self.generators]
+        els = closure(self.generators)
+        self.elements = els
+        self.index = {x: i for i, x in enumerate(els)}
+        self.right = els.right
+        self._parent, self._via, self._bfs = els.parent, els.via, els.bfs
+        root = self._bfs[0]  # the first generator
+        # x_e * g_0 = g_0 picks out the identity e; then g_k = x_e * g_k, and
+        # g_k * x_i = (g_k * x_parent) * g_via along the tree
+        self.identity = self.right[0].index(root)
+        self.left = []
+        for r in self.right:
+            row = [0] * len(els)
+            row[root] = self.right[0][r[self.identity]]
+            for i in self._bfs[1:]:
+                row[i] = self.right[self._via[i]][row[self._parent[i]]]
+            self.left.append(row)
+
+    def _word(self, b: int) -> list[list[int]]:
+        """The `right` rows whose composite, first to last, is right
+        multiplication by x_b: x_b = g_0 * g_v1 * ... * g_vm along the tree."""
+        rows = []
+        while b != self._bfs[0]:
+            rows.append(self.right[self._via[b]])
+            b = self._parent[b]
+        rows.append(self.right[0])
+        rows.reverse()
+        return rows
 
     def powers(self, i: int) -> list[int]:
         """Indices of x, x^2, ..., x^ord(x) (the identity) for x = elements[i]."""
-        g = self.elements[i]
+        word = self._word(i)
+
+        def times_x(a):
+            for r in word:
+                a = r[a]
+            return a
+
         out = [i]
-        x = g * g
-        while x != g:
-            out.append(self.index[x])
-            x = x * g
+        x = times_x(i)
+        while x != i:
+            out.append(x)
+            x = times_x(x)
         return out
 
     def order(self, i: int) -> int:
         return len(self.powers(i))
-
-    @cached_property
-    def identity(self) -> int:
-        return self.powers(0)[-1]
 
     def conjugators(self) -> list[list[int]]:
         """For the k-th generator g, `conjugators()[k][i]` is the index of
@@ -286,15 +356,18 @@ class IndexedGroup:
             out.append(c)
         return out
 
-    def conjugacy_classes(self) -> list[tuple[int, int, int]]:
-        """Exact classes as (class size, representative index, element order).
-
-        Each class is the conjugation orbit of its least index under the
-        generators.  Sorted by (element order, class size, representative).
-        """
-        n = len(self.elements)
+    def class_orbits(self) -> list[list[int]]:
+        """The conjugacy classes as lists of indices: each is the conjugation
+        orbit of its least index under the generators, listed first."""
         conj = [c.__getitem__ for c in self.conjugators()]
-        classes = [(len(orb), orb[0], self.order(orb[0])) for orb in orbits(range(n), conj)]
+        return orbits(range(len(self.elements)), conj)
+
+    def conjugacy_classes(self) -> list[tuple[int, int, int]]:
+        """Exact classes as (class size, representative index, element order),
+        the representative being the least index in its class.  Sorted by
+        (element order, class size, representative).
+        """
+        classes = [(len(orb), orb[0], self.order(orb[0])) for orb in self.class_orbits()]
         return sorted(classes, key=lambda c: (c[2], c[0], c[1]))
 
     def cyclic_generators(self) -> list[int]:
@@ -313,13 +386,15 @@ class IndexedGroup:
     def cayley_table(self) -> list[tuple[int, ...]]:
         """table[b][a] is the index of x_a * x_b.
 
-        Row b is right multiplication by x_b.  The rows form the right regular
-        representation: the closure of the generators' `right` permutations,
-        ordered by the image of the identity.
+        Row b is right multiplication by x_b: the row of its tree parent
+        followed by the `right` row of its tree generator.
         """
-        e = self.identity
-        regular = closure([Permutation(r) for r in self.right])
-        return [p.images for p in sorted(regular, key=lambda p: p.images[e])]
+        table = [()] * len(self.elements)
+        root = self._bfs[0]
+        table[root] = tuple(self.right[0])
+        for b in self._bfs[1:]:
+            table[b] = tuple(map(self.right[self._via[b]].__getitem__, table[self._parent[b]]))
+        return table
 
 
 @dataclass

@@ -364,6 +364,19 @@ def test_frobenius_scan_poly_with_negative_first_coefficient(capsys):
     assert result["eig1_offender_primes"] == [7, 13, 19, 37]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--a", "1", "--t", "1", "--pmax", "50", "--poly=0,0,0,0,0,0,0,0,0,1"),  # discriminant 0
+    ("--a", "1", "--t", "-32", "--pmax", "3"),  # 2 and 3 are the bad primes
+])
+def test_frobenius_scan_with_no_good_prime_is_undecided(capsys, argv):
+    code, out = run_cli(capsys, "nt", "frobenius-scan", *argv, "--group", "agl2_3")
+    assert code == 4
+    result = json.loads(out)["result"]
+    assert result["records"] == []
+    assert result["bad_primes"] == [p for p in range(2, int(argv[5]) + 1)
+                                    if all(p % d for d in range(2, p))]
+
+
 def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

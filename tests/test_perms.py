@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from eigenone.perms import (
     ClosureOverflow,
+    IndexedGroup,
     Partition,
     Permutation,
     builtin_group,
@@ -239,20 +240,83 @@ def test_class_cycle_type_constant_sampled():
             assert conjugate_by(rep, g).cycle_type() == ct
 
 
+def _embedded_agl2_3():
+    from eigenone.symplectic import embed_group
+
+    return embed_group(builtin_group("agl2_3")).gens
+
+
+def _identity_first_repeated():
+    a, b = builtin_group("asl2_3").generators[2:]  # generate SL(2,3)
+    return [Permutation.identity(9), a, b, a]
+
+
 def test_indexed_group_tables_and_powers():
-    G = builtin_group("asl2_3").indexed
-    els = G.elements
-    assert [x.images for x in els] == sorted(x.images for x in els)
-    assert is_identity(els[G.identity])
-    for k, g in enumerate(G.generators):
-        assert G.left[k] == [G.index[g * x] for x in els]
-        assert G.right[k] == [G.index[x * g] for x in els]
-    table = G.cayley_table
-    assert all(table[b][a] == G.index[x * y] for a, x in enumerate(els) for b, y in enumerate(els))
-    for i, x in enumerate(els):
-        powers = G.powers(i)
-        assert G.order(i) == len(powers) == x.order()
-        assert powers[-1] == G.identity
+    for gens in [builtin_group("asl2_3").generators, _embedded_agl2_3(),
+                 _identity_first_repeated()]:
+        G = IndexedGroup(gens)
+        els = G.elements
+        keys = [getattr(x, "images", None) or x.rows for x in els]
+        assert keys == sorted(keys)
+        assert G.index == {x: i for i, x in enumerate(els)}
+        e = els[G.identity]
+        assert all(e * x == x for x in els)
+        for k, g in enumerate(G.generators):
+            assert G.left[k] == [G.index[g * x] for x in els]
+            assert G.right[k] == [G.index[x * g] for x in els]
+        table = G.cayley_table
+        assert all(table[b][a] == G.index[x * y]
+                   for a, x in enumerate(els) for b, y in enumerate(els))
+        for i, x in enumerate(els):
+            powers = G.powers(i)
+            assert G.order(i) == len(powers)
+            y = x
+            for p in powers:
+                assert p == G.index[y]
+                y = y * x
+            assert powers[-1] == G.identity
+
+
+@pytest.mark.parametrize("gens", [
+    lambda: builtin_group("agl2_3").generators,
+    _embedded_agl2_3,
+    _identity_first_repeated,
+], ids=["agl2_3", "agl2_3-embedded", "identity-first-repeated"])
+def test_only_the_closure_multiplies(gens, monkeypatch):
+    # every table is read off the closure's Schreier graph: the closure forms
+    # x * g once per element and generator, and nothing after it multiplies
+    gens = gens()
+    cls = type(gens[0])
+    products = [0]
+    mul = cls.__mul__
+
+    def counted(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    G = IndexedGroup(gens)
+    assert products[0] == len(G.elements) * len(gens)
+    products[0] = 0
+    G.cayley_table
+    for i in range(len(G.elements)):
+        G.powers(i)
+        G.order(i)
+    G.cyclic_generators()
+    G.conjugators()
+    G.class_orbits()
+    G.conjugacy_classes()
+    assert products[0] == 0
+
+
+@pytest.mark.parametrize("gens", [
+    lambda: builtin_group("agl2_3").generators,
+    _embedded_agl2_3,
+], ids=["agl2_3", "agl2_3-embedded"])
+def test_closure_bound_is_the_largest_allowed_order(gens):
+    assert len(closure(gens(), bound=432)) == 432  # |AGL(2,3)|
+    with pytest.raises(ClosureOverflow, match="^closure exceeded bound 431$"):
+        closure(gens(), bound=431)
 
 
 def test_cyclic_generators_agl2_3():
