@@ -7,6 +7,7 @@ Usage: python scripts/reproduce_all.py [--pmax N] [--jobs N]
 
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -34,6 +35,20 @@ RUNS = [
     ("disc_verify", ["nt", "disc-verify", "--samples", "20"], 0),
     ("lpoly_check", ["nt", "lpoly-check", "--a", "1", "--t", "-32", "--primes", "5,7,11,13"], 0),
 ]
+
+
+def child_env() -> dict:
+    """The caller's environment with this checkout's src/ first on the import
+    path, so every run uses the checkout's code, installed or not."""
+    path = [str(HERE / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def run(argv: list[str]) -> subprocess.CompletedProcess:
+    """One battery command in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "eigenone"] + argv, capture_output=True, text=True, env=child_env()
+    )
 
 
 def check_run(proc: subprocess.CompletedProcess, expect: int) -> str:
@@ -78,9 +93,7 @@ def main() -> int:
     failures = 0
     for name, argv, expect in runs:
         t0 = time.time()
-        proc = subprocess.run(
-            [sys.executable, "-m", "eigenone"] + argv, capture_output=True, text=True
-        )
+        proc = run(argv)
         dest = OUT / f"{name}.json"
         if proc.stdout.strip():
             dest.write_text(proc.stdout)

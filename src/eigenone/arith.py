@@ -130,15 +130,10 @@ def primes_up_to(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if sieve[p]]
 
 
-def bad_primes(f: ZPoly, limit: int | None = None) -> list[int]:
-    """Primes dividing disc(f) or the leading coefficient.
-
-    With a limit, only primes up to the limit are tested (divisibility only);
-    without one the product is factored completely by trial division.
-    """
+def bad_primes(f: ZPoly) -> list[int]:
+    """Primes dividing disc(f) or the leading coefficient, by complete trial
+    division of their product."""
     d = abs(disc_resultant(f) * f[-1])
-    if limit is not None:
-        return [p for p in primes_up_to(limit) if d % p == 0]
     out = set()
     for p in [2, 3]:
         while d % p == 0:
@@ -208,15 +203,79 @@ def fp_gcd(f, g, p):
     return f
 
 
+class _PackedResidues:
+    """F_p[x] / (f) for f of degree n >= 1, each residue packed into one int
+    (Kronecker substitution: von zur Gathen & Gerhard, Modern Computer
+    Algebra, 8.4).  Coefficient i of a residue sits in slot i, bits
+    [i*slot, (i+1)*slot).  A slot holds (2n - 1)(p - 1)^2, the largest
+    coefficient a product sums before its high slots are folded back, so
+    one int product needs no carry handling."""
+
+    def __init__(self, mod, p: int):
+        f = fp_monic(fp_trim(list(mod), p), p)
+        n = len(f) - 1
+        self.p, self.n = p, n
+        self.slot = ((2 * n - 1) * (p - 1) ** 2).bit_length() + 1
+        self.mask = (1 << self.slot) - 1
+        # x^(n+k) mod f for k < n - 1: the rows that fold slot n + k back
+        self.rows = []
+        row = [-c % p for c in f[:-1]]
+        for _ in range(n - 1):
+            self.rows.append(self.pack(row))
+            top = row[-1]
+            row = [(a - top * b) % p for a, b in zip([0] + row, f[:-1])]
+
+    def pack(self, a) -> int:
+        t = 0
+        for c in reversed(a):
+            t = (t << self.slot) | c % self.p
+        return t
+
+    def reduce(self, t: int) -> int:
+        """The residue whose slots are those of t (n slots, any sizes below
+        2^slot) taken mod p."""
+        s, mask, p = self.slot, self.mask, self.p
+        out = 0
+        for i in range((self.n - 1) * s, -1, -s):
+            out = (out << s) | ((t >> i) & mask) % p
+        return out
+
+    def unpack(self, t: int) -> list:
+        """The coefficients of t's n slots, each taken mod p."""
+        s, mask, p = self.slot, self.mask, self.p
+        out = [((t >> (i * s)) & mask) % p for i in range(self.n)]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def mulmod(self, a: int, b: int) -> int:
+        t = a * b
+        s, mask, p = self.slot, self.mask, self.p
+        high = t >> (self.n * s)
+        t &= (1 << (self.n * s)) - 1
+        for row in self.rows:
+            if not high:
+                break
+            t += (high & mask) % p * row
+            high >>= s
+        return self.reduce(t)
+
+    def powmod(self, a: int, e: int) -> int:
+        if not e:
+            return self.pack([1])
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mulmod(r, r)
+            if bit == "1":
+                r = self.mulmod(r, a)
+        return r
+
+
 def fp_powmod(base, e: int, mod, p):
-    result = [1]
-    base = fp_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = fp_mod(fp_mul(result, base, p), mod, p)
-        base = fp_mod(fp_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
+    """base^e mod (mod) in F_p[x], deg mod >= 1, by square-and-multiply on
+    packed residues."""
+    R = _PackedResidues(mod, p)
+    return R.unpack(R.powmod(R.pack(fp_mod(base, mod, p)), e))
 
 
 def fp_monic(f, p):
@@ -256,9 +315,16 @@ def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
     n = len(fp) - 1
     if fp_gcd(fp, fp_trim([i * c % p for i, c in enumerate(fp)][1:], p), p) != [1]:
         return FactorizationType(p, (), squarefree=False)
+    # Frobenius g -> g^p is F_p-linear on F_p[x]/(f): with h = x^p mod f
+    # computed once, the rows x^(ip) mod f carry x^(p^d) to x^(p^(d+1))
+    # (von zur Gathen & Shoup, Comput. Complexity 2, 1992)
+    R = _PackedResidues(fp, p)
+    h = fp_powmod([0, 1], p, fp, p)
+    frobenius = [R.pack([1]), R.pack(h)]
+    while len(frobenius) < n:
+        frobenius.append(R.mulmod(frobenius[-1], frobenius[1]))
     degrees = []
     prod = [1]
-    h = [0, 1]  # x
     v = list(fp)
     d = 0
     while len(v) - 1 > 0:
@@ -267,13 +333,13 @@ def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
             degrees.append(len(v) - 1)
             prod = fp_mul(prod, v, p)
             break
-        h = fp_powmod(h, p, v, p)
-        g = fp_gcd(v, _sub_x(h, p), p)
+        if d > 1:  # h = x^(p^d) mod f
+            h = R.unpack(sum(c * row for c, row in zip(h, frobenius)))
+        g = fp_gcd(v, _sub_x(fp_mod(h, v, p), p), p)
         if len(g) - 1 > 0:
             degrees += [d] * ((len(g) - 1) // d)
             prod = fp_mul(prod, g, p)
             v = fp_monic(fp_divmod(v, g, p)[0], p)
-            h = fp_mod(h, v, p)
     if prod != fp or sum(degrees) != n:
         raise VerificationError("distinct-degree factorization must reproduce f mod p")
     return FactorizationType(p, tuple(sorted(degrees)), squarefree=True)
@@ -343,10 +409,19 @@ class FrobeniusScan:
 
 
 def _scan_prime_worker(work: tuple) -> tuple[int, tuple[int, ...]]:
-    f, p = work
+    f, disc, p = work
     ft = factor_mod_p(list(f), p)
     if not ft.squarefree:
         raise VerificationError(f"p={p} should be a good prime")
+    # Stickelberger: f squarefree mod an odd p with r irreducible factors has
+    # (disc f / p) = (-1)^(n - r).  The reconstruction check inside
+    # factor_mod_p cannot see a wrong x^p mod f; this parity can.
+    parity = 1 if (len(f) - 1 - len(ft.degrees)) % 2 == 0 else p - 1
+    if pow(disc, (p - 1) // 2, p) != parity:
+        raise VerificationError(
+            f"p={p}: {len(ft.degrees)} irreducible factors contradict the Legendre symbol "
+            "of disc(f) (Stickelberger)"
+        )
     return p, ft.degrees
 
 
@@ -361,17 +436,17 @@ def frobenius_scan(
     Galois image, never a proof.  Per-prime work runs on `jobs` processes;
     output order is ascending p regardless."""
     d = zp_degree(f)
-    bad = set(bad_primes(f, pmax))
+    disc = disc_resultant(f)
     space = build_space(d)
     group_types = group.cycle_types()
     listed_bad = []
     good = []
     for p in primes_up_to(pmax):
-        if p == 2 or p in bad:
+        if p == 2 or disc * f[-1] % p == 0:
             listed_bad.append(p)
         else:
             good.append(p)
-    work = [(tuple(f), p) for p in good]
+    work = [(tuple(f), disc, p) for p in good]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

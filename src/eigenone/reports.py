@@ -25,7 +25,7 @@ CLAIMS = {
     "fixed-vector": "an explicit nonzero fixed vector exists for the class representative (mechanized unisingularity witness)",
     "embed-audit": "the symplectic mod-2 embedding of the group is audited for eigenvalue 1 on every class, with irreducibility flags",
     "embed-audit-agl2_3": "the embedded 432-element group at degree 9 is absolutely irreducible and unisingular",
-    "embed-audit-pgl2": "the embedded group at degree q+1 fails eigenvalue 1 exactly on the order-q classes",
+    "embed-audit-pgl2": "the embedded group at degree q+1 fails eigenvalue 1 exactly on the order-q classes when q = 3 mod 4, and on those and the classes of orders (q+1)/2 and q+1 when q = 1 mod 4",
     "perm-module-factors": "the degree-21 flag permutation module has one 8-dimensional factor, absolutely irreducible and unisingular",
     "embed-census": "2-generated subgroups acting irreducibly have order set {72, 144, 216, 432} for the degree-9 affine group image",
     "disc-identity": "disc(g_{a,t}) = -2^8 3^9 t^4 a^6 r(a,t)^3 exactly",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
+from eigenone.arith import _sub_x, fp_divmod, fp_gcd, fp_mod, fp_monic, fp_mul, fp_trim
 from eigenone.gf2 import BitMatrix, GF2Module, gf2_rank, pdeg, pmod
 from eigenone.intlinalg import IntMatrix, _bareiss
 from eigenone.perms import Partition, PermGroup, Permutation, orbit
@@ -178,6 +179,49 @@ def zp_eval(f: list[int], x: int) -> int:
     for c in reversed(f):
         v = v * x + c
     return v
+
+
+# ---------------------------------------------------------------------------
+# F_p[x]: list products, distinct-degree factorization by repeated powering
+# ---------------------------------------------------------------------------
+
+
+def fp_powmod_lists(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """base^e mod (mod) in F_p[x] by square-and-multiply, one list product
+    and one division per step."""
+    result = [1]
+    base = fp_mod(base, mod, p)
+    while e:
+        if e & 1:
+            result = fp_mod(fp_mul(result, base, p), mod, p)
+        base = fp_mod(fp_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def ddf_degrees_per_degree_powmod(f: list[int], p: int) -> tuple[int, ...] | None:
+    """Irreducible-factor degrees of f mod p (lc(f) a unit) by distinct-degree
+    factorization that raises h to the p-th power mod the remaining part
+    afresh for every degree d; None when f mod p is not squarefree."""
+    fp = fp_monic(fp_trim([c % p for c in f], p), p)
+    if fp_gcd(fp, fp_trim([i * c % p for i, c in enumerate(fp)][1:], p), p) != [1]:
+        return None
+    degrees = []
+    h = [0, 1]  # x
+    v = fp
+    d = 0
+    while len(v) - 1 > 0:
+        d += 1
+        if 2 * d > len(v) - 1:
+            degrees.append(len(v) - 1)
+            break
+        h = fp_powmod_lists(h, p, v, p)
+        g = fp_gcd(v, _sub_x(h, p), p)
+        if len(g) - 1 > 0:
+            degrees += [d] * ((len(g) - 1) // d)
+            v = fp_monic(fp_divmod(v, g, p)[0], p)
+            h = fp_mod(h, v, p)
+    return tuple(sorted(degrees))
 
 
 # ---------------------------------------------------------------------------

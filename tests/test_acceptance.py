@@ -3,6 +3,8 @@ success (run with `pytest -s tests/test_acceptance.py` to see them inline).
 All tolerances are exact integer equalities.
 """
 
+import json
+import pathlib
 import time
 
 import pytest
@@ -38,6 +40,8 @@ from eigenone.meataxe import (
 from eigenone.perms import IndexedGroup, Partition, builtin_group, class_reps_symmetric, closure
 from eigenone.symplectic import build_space, embed_group, permutation_module_gf2
 from oracles import specht_mod2_module
+
+OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 
 
 def _report(k, msg):
@@ -201,6 +205,9 @@ def test_criterion_9_frobenius_parity():
     g = malle_g(1, -32)
     scan = frobenius_scan(g, 10**4, builtin_group("agl2_3"))
     assert scan.all_eig1 and scan.all_types_in_group
+    # every record of the committed battery reports, not only the verdicts
+    committed = json.loads((OUT / "frobenius_scan_g1_m32.json").read_text())["result"]
+    assert scan.to_payload() == committed
     for p in [5, 7, 11, 13]:
         L = lpoly_from_counts(g, p)
         assert L.jacobian_order() % 2 == 0
@@ -208,9 +215,12 @@ def test_criterion_9_frobenius_parity():
     g11 = malle_g(1, 1)
     scan11 = frobenius_scan(g11, 10**4, builtin_group("agammal1_9"))
     assert scan11.all_types_in_group
+    committed = json.loads((OUT / "frobenius_scan_g1_1.json").read_text())["result"]
+    assert scan11.to_payload() == committed
     elapsed = time.time() - t0
     assert elapsed < 600
-    _report(9, f"all good p <= 10^4 have eigenvalue 1 with types in the target group; "
+    _report(9, f"all good p <= 10^4 have eigenvalue 1 with types in the target group, "
+               f"{len(scan.records) + len(scan11.records)} records equal to out/; "
                f"#J(F_p) even and L-poly matches Frobenius mod 2 at p in {{5,7,11,13}} ({elapsed:.1f}s)")
 
 

@@ -11,6 +11,9 @@ from eigenone.arith import (
     factor_mod_p,
     field_modulus,
     fp_divmod,
+    fp_mul,
+    fp_powmod,
+    fp_trim,
     frobenius_charpoly_gf2,
     frobenius_scan,
     lpoly_from_counts,
@@ -21,7 +24,7 @@ from eigenone.arith import (
     resultant,
 )
 from eigenone.perms import builtin_group
-from oracles import zp_eval
+from oracles import ddf_degrees_per_degree_powmod, fp_powmod_lists, zp_eval
 
 
 def test_malle_g_special_coefficients():
@@ -152,7 +155,7 @@ def _trial_division_degrees(f, p):
 def test_factor_mod_p_degrees_match_trial_division():
     rng = random.Random(11)
     squarefree = 0
-    for p in (3, 5):
+    for p in (3, 5, 7):
         for _ in range(40):
             f = [rng.randint(-10, 10) for _ in range(rng.randint(1, 9))] + [1]
             expected = _trial_division_degrees(f, p)
@@ -164,6 +167,32 @@ def test_factor_mod_p_degrees_match_trial_division():
     assert squarefree >= 40
 
 
+# 10^9 + 7 and 2^31 - 1 need slots wider than 64 bits
+ORACLE_PRIMES = (3, 5, 7, 101, 10007, 10**9 + 7, 2**31 - 1)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_factor_mod_p_matches_per_degree_powering(p):
+    rng = random.Random(p)
+    squarefree = 0
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        if n >= 3 and rng.random() < 0.25:  # a repeated factor, which large p rarely draws
+            linear = [rng.randrange(p), 1]
+            f = fp_mul(f[2:], fp_mul(linear, linear, p), p)
+        expected = ddf_degrees_per_degree_powmod(f, p)
+        ft = factor_mod_p(f, p)
+        assert ft.squarefree == (expected is not None), (f, p)
+        if expected is not None:
+            assert ft.degrees == expected, (f, p)
+            squarefree += 1
+        base = [rng.randrange(p) for _ in range(rng.randint(0, 2 * n))]
+        e = rng.choice([0, 1, p, p**2, rng.randrange(2**40)])
+        assert fp_powmod(base, e, f, p) == fp_trim(fp_powmod_lists(base, e, f, p), p), (base, e, f)
+    assert squarefree >= 30
+
+
 def test_frobenius_scan_x9_minus_2_has_eig1_offenders():
     f = [-2] + [0] * 8 + [1]
     scan = frobenius_scan(f, 10**3, builtin_group("s_n", n=9))
@@ -172,6 +201,27 @@ def test_frobenius_scan_x9_minus_2_has_eig1_offenders():
     # irreducible reductions give 9-cycles, which lack eigenvalue 1
     offenders = [r for r in scan.records if not r.has_eigenvalue_one]
     assert offenders and all(r.degrees == (9,) for r in offenders)
+
+
+def test_stickelberger_parity_check_fires(monkeypatch, capsys):
+    # with x in place of x^p mod f every gcd is the whole remainder, so each
+    # reduction reads as nine linear factors and still multiplies back to
+    # f; at p = 5, disc = -2^58 3^9 is a non-square and demands an even
+    # number of factors
+    import eigenone.arith
+    from eigenone.cli import main
+    from eigenone.errors import VerificationError
+
+    monkeypatch.setattr(eigenone.arith, "fp_powmod", lambda base, e, mod, p: [0, 1])
+    assert factor_mod_p(malle_g(1, -32), 5).degrees == (1,) * 9
+    with pytest.raises(VerificationError, match="Stickelberger"):
+        frobenius_scan(malle_g(1, -32), 50, builtin_group("agl2_3"))
+    code = main(["nt", "frobenius-scan", "--a", "1", "--t", "-32", "--pmax", "50",
+                 "--group", "agl2_3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "VerificationError" in captured.err and "Stickelberger" in captured.err
 
 
 def test_frobenius_scan_jobs_parallel_matches_serial():

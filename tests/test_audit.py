@@ -152,6 +152,16 @@ def test_pgl2_19_offenders_exactly_order_19():
     assert 19 not in non_offender_orders
 
 
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19])
+def test_pgl2_offenders_split_by_q_mod_4(q):
+    # a (q+1)/2-class has two cycles of odd length when q = 1 mod 4, and a
+    # (q+1)-cycle has q+1 = 2 mod 4: neither has eigenvalue 1 on W/<1>
+    expected = {f"{q},1"}
+    if q % 4 == 1:
+        expected |= {f"{(q + 1) // 2},{(q + 1) // 2}", f"{q + 1}"}
+    assert set(audit_embedded_group(builtin_group("pgl2", q=q)).offenders) == expected
+
+
 def test_gf2_det_verdict_matches_nullity_verdict():
     G = builtin_group("pgl2", q=19)
     sp = build_space(20)

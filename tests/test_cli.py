@@ -164,6 +164,18 @@ def test_reproduce_all_rejects_crash_as_refutation():
     assert script.check_run(run(0, json.dumps({"result": {"all_match": True}})), 0) == "ok"
 
 
+def test_reproduce_all_runs_the_checkout(monkeypatch, tmp_path):
+    # with no install and no PYTHONPATH, from any directory, the battery's
+    # children import eigenone from this checkout's src/
+    script = load_reproduce_all()
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert script.child_env()["PYTHONPATH"].split(os.pathsep)[0] == str(ROOT / "src")
+    proc = script.run(["nt", "disc-verify", "--samples", "1"])
+    assert proc.returncode == 0, proc.stderr
+    assert script.check_run(proc, 0) == "ok"
+
+
 def test_committed_reports_match_the_battery():
     # each out/<name>.json is what reproduce_all.py writes for <name> at its
     # defaults: the same command, and anchors that are current claims
