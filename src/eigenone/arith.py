@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UsageError, VerificationError
-from .gf2 import fixed_space_dim, gf2_charpoly
 from .intlinalg import IntMatrix, det_exact
-from .perms import Partition, PermGroup, class_rep_for
-from .symplectic import build_space, embed_permutation
+from .perms import Partition, PermGroup
 
 # ZPoly: list of ints, ascending degree, no trailing zeros.
 ZPoly = list
@@ -152,7 +150,7 @@ def bad_primes(f: ZPoly) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] (p an odd word-size prime)
+# F_p[x] (p an odd prime)
 # ---------------------------------------------------------------------------
 
 def fp_trim(f, p):
@@ -175,8 +173,10 @@ def fp_mul(f, g, p):
 def fp_divmod(f, g, p):
     f = list(f)
     dg = len(g) - 1
+    if len(f) - 1 < dg:
+        return [], fp_trim(f, p)
     inv = pow(g[-1], -1, p)
-    q = [0] * max(0, len(f) - dg)
+    q = [0] * (len(f) - dg)
     while len(f) - 1 >= dg and f:
         c = f[-1] * inv % p
         s = len(f) - 1 - dg
@@ -193,76 +193,70 @@ def fp_mod(f, g, p):
     return fp_divmod(f, g, p)[1]
 
 
-def fp_gcd(f, g, p):
-    f, g = fp_trim(list(f), p), fp_trim(list(g), p)
-    while g:
-        f, g = g, fp_mod(f, g, p)
-    if f:
-        inv = pow(f[-1], -1, p)
-        f = [c * inv % p for c in f]
-    return f
+class PackedFp:
+    """F_p[x] with each polynomial packed into one int (Kronecker substitution:
+    von zur Gathen & Gerhard, Modern Computer Algebra, 8.4), for residues mod
+    a fixed f of degree n >= 1 made monic.  Coefficient i sits in slot i, bits
+    [i*S, (i+1)*S).  A reduced polynomial has every slot below p.
 
+    Every sum the methods form before they reduce has slots below
+    B = (2n + 2) p^2, so no slot carries into the next.  `reduce` takes all
+    slots mod p at once: with s = B.bit_length(), k = s + p.bit_length() and
+    mu = floor(2^k / p) + 1, a slot value v < B has v * mu < 2^S and
+    floor(v * mu / 2^k) = floor(v / p), since the error v(mu - 2^k/p)/2^k
+    stays below 2^(s - k) < 1/p (division by an invariant integer through
+    one multiplication: Granlund & Montgomery, PLDI 1994).  `mulmod` reduces
+    mod f by polynomial Barrett with m = floor(x^(2n-2) / f)."""
 
-class _PackedResidues:
-    """F_p[x] / (f) for f of degree n >= 1, each residue packed into one int
-    (Kronecker substitution: von zur Gathen & Gerhard, Modern Computer
-    Algebra, 8.4).  Coefficient i of a residue sits in slot i, bits
-    [i*slot, (i+1)*slot).  A slot holds (2n - 1)(p - 1)^2, the largest
-    coefficient a product sums before its high slots are folded back, so
-    one int product needs no carry handling."""
-
-    def __init__(self, mod, p: int):
-        f = fp_monic(fp_trim(list(mod), p), p)
+    def __init__(self, f, p: int):
         n = len(f) - 1
+        inv = pow(f[-1], -1, p)
+        s = ((2 * n + 2) * p * p).bit_length()
+        self.k = s + p.bit_length()
+        self.mu = (1 << self.k) // p + 1
+        self.S = S = s + self.mu.bit_length()
         self.p, self.n = p, n
-        self.slot = ((2 * n - 1) * (p - 1) ** 2).bit_length() + 1
-        self.mask = (1 << self.slot) - 1
-        # x^(n+k) mod f for k < n - 1: the rows that fold slot n + k back
-        self.rows = []
-        row = [-c % p for c in f[:-1]]
-        for _ in range(n - 1):
-            self.rows.append(self.pack(row))
-            top = row[-1]
-            row = [(a - top * b) % p for a, b in zip([0] + row, f[:-1])]
+        # quotient bits of every slot, for polynomials of up to 2n slots
+        self.qmask = ((1 << (S - self.k)) - 1) * ((1 << (2 * n * S)) - 1) // ((1 << S) - 1)
+        self.low = [(1 << (i * S)) - 1 for i in range(2 * n)]
+        self.f = self.pack([c * inv for c in f])
+        self.neg_f = self.pack([-c * inv for c in f[:-1]])  # -f + x^n
+        self.neg_x = (p - 1) << S
+        self.x = self.divmod(1 << S, self.f)[1]  # x mod f: -f_0 when n = 1
+        self.m = self.divmod(1 << ((2 * n - 2) * S), self.f)[0]
+        self.m_shift = max(n - 2, 0) * S  # at n = 1, m = 0
 
-    def pack(self, a) -> int:
+    def pack(self, coeffs) -> int:
         t = 0
-        for c in reversed(a):
-            t = (t << self.slot) | c % self.p
+        for c in reversed(coeffs):
+            t = (t << self.S) | c % self.p
         return t
 
-    def reduce(self, t: int) -> int:
-        """The residue whose slots are those of t (n slots, any sizes below
-        2^slot) taken mod p."""
-        s, mask, p = self.slot, self.mask, self.p
-        out = 0
-        for i in range((self.n - 1) * s, -1, -s):
-            out = (out << s) | ((t >> i) & mask) % p
-        return out
-
     def unpack(self, t: int) -> list:
-        """The coefficients of t's n slots, each taken mod p."""
-        s, mask, p = self.slot, self.mask, self.p
-        out = [((t >> (i * s)) & mask) % p for i in range(self.n)]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
+        S = self.S
+        mask = (1 << S) - 1
+        return [(t >> (i * S)) & mask for i in range(self.degree(t) + 1)]
+
+    def reduce(self, t: int) -> int:
+        """t with every slot (each below B, at most 2n of them) taken mod p."""
+        return t - (((t * self.mu) >> self.k) & self.qmask) * self.p
+
+    def degree(self, a: int) -> int:
+        """Degree of a reduced polynomial; -1 for 0."""
+        return (a.bit_length() - 1) // self.S
 
     def mulmod(self, a: int, b: int) -> int:
+        """a * b mod f for reduced residues a, b.  With t = a * b = L + x^n H,
+        the quotient by f is floor(H m / x^(n-2)), so t mod f is
+        L - (quotient * (f - x^n)), kept to its low n slots."""
         t = a * b
-        s, mask, p = self.slot, self.mask, self.p
-        high = t >> (self.n * s)
-        t &= (1 << (self.n * s)) - 1
-        for row in self.rows:
-            if not high:
-                break
-            t += (high & mask) % p * row
-            high >>= s
-        return self.reduce(t)
+        q = self.reduce(self.reduce(t >> (self.n * self.S)) * self.m) >> self.m_shift
+        return self.reduce((t & self.low[self.n]) + (q * self.neg_f & self.low[self.n]))
 
     def powmod(self, a: int, e: int) -> int:
+        """a^e mod f by square-and-multiply, for a reduced residue a."""
         if not e:
-            return self.pack([1])
+            return 1
         r = a
         for bit in bin(e)[3:]:
             r = self.mulmod(r, r)
@@ -270,19 +264,29 @@ class _PackedResidues:
                 r = self.mulmod(r, a)
         return r
 
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """Quotient and remainder of a by b (reduced, b nonzero, deg a < 2n)."""
+        S, p, low = self.S, self.p, self.low
+        db = self.degree(b)
+        inv = pow(b >> (db * S), -1, p)
+        q = 0
+        for j in range(self.degree(a), db - 1, -1):
+            # slot j is a's top slot: eliminate it, then clear it
+            c = (a >> (j * S)) * inv % p
+            if c:
+                q |= c << ((j - db) * S)
+                a += (p - c) * b << ((j - db) * S)
+            a &= low[j]
+        return q, self.reduce(a)
 
-def fp_powmod(base, e: int, mod, p):
-    """base^e mod (mod) in F_p[x], deg mod >= 1, by square-and-multiply on
-    packed residues."""
-    R = _PackedResidues(mod, p)
-    return R.unpack(R.powmod(R.pack(fp_mod(base, mod, p)), e))
-
-
-def fp_monic(f, p):
-    if not f:
-        return f
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
+    def gcd(self, a: int, b: int) -> int:
+        """The monic gcd of reduced a and b (degrees below 2n; 0 when both
+        are 0), by Euclid."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        if not a:
+            return 0
+        return self.reduce(a * pow(a >> (self.degree(a) * self.S), -1, self.p))
 
 
 @dataclass(frozen=True)
@@ -301,7 +305,8 @@ class FactorizationType:
 
 
 def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
-    """Squarefree test, then distinct-degree factorization.
+    """Squarefree test, then distinct-degree factorization, on packed
+    polynomials (`PackedFp`).
 
     The part g_d of f collecting its irreducible factors of degree d has
     degree d times their number, so the degrees need no equal-degree split
@@ -311,46 +316,43 @@ def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
         raise ValueError("p must be an odd prime")
     if f[-1] % p == 0:
         raise ValueError("p divides the leading coefficient")
-    fp = fp_monic(fp_trim([c % p for c in f], p), p)
-    n = len(fp) - 1
-    if fp_gcd(fp, fp_trim([i * c % p for i, c in enumerate(fp)][1:], p), p) != [1]:
+    if len(f) < 2:
+        raise ValueError("f must have degree >= 1")
+    F = PackedFp(f, p)
+    n = F.n
+    if F.gcd(F.f, F.pack([i * c for i, c in enumerate(f)][1:])) != 1:
         return FactorizationType(p, (), squarefree=False)
     # Frobenius g -> g^p is F_p-linear on F_p[x]/(f): with h = x^p mod f
     # computed once, the rows x^(ip) mod f carry x^(p^d) to x^(p^(d+1))
     # (von zur Gathen & Shoup, Comput. Complexity 2, 1992)
-    R = _PackedResidues(fp, p)
-    h = fp_powmod([0, 1], p, fp, p)
-    frobenius = [R.pack([1]), R.pack(h)]
+    h = F.powmod(F.x, p)
+    frobenius = [1, h]
     while len(frobenius) < n:
-        frobenius.append(R.mulmod(frobenius[-1], frobenius[1]))
+        frobenius.append(F.mulmod(frobenius[-1], h))
     degrees = []
-    prod = [1]
-    v = list(fp)
+    prod = 1
+    v, dv = F.f, n
     d = 0
-    while len(v) - 1 > 0:
+    while dv > 0:
         d += 1
-        if 2 * d > len(v) - 1:
-            degrees.append(len(v) - 1)
-            prod = fp_mul(prod, v, p)
+        if 2 * d > dv:
+            degrees.append(dv)
+            prod = F.reduce(prod * v)
             break
         if d > 1:  # h = x^(p^d) mod f
-            h = R.unpack(sum(c * row for c, row in zip(h, frobenius)))
-        g = fp_gcd(v, _sub_x(fp_mod(h, v, p), p), p)
-        if len(g) - 1 > 0:
-            degrees += [d] * ((len(g) - 1) // d)
-            prod = fp_mul(prod, g, p)
-            v = fp_monic(fp_divmod(v, g, p)[0], p)
-    if prod != fp or sum(degrees) != n:
+            h = F.reduce(sum(c * row for c, row in zip(F.unpack(h), frobenius)))
+        g = F.gcd(v, F.reduce(h + F.neg_x))
+        dg = F.degree(g)
+        if dg > 0:
+            degrees += [d] * (dg // d)
+            prod = F.reduce(prod * g)
+            v, r = F.divmod(v, g)
+            if r:
+                raise VerificationError("a distinct-degree factor must divide f mod p")
+            dv -= dg
+    if prod != F.f or sum(degrees) != n:
         raise VerificationError("distinct-degree factorization must reproduce f mod p")
     return FactorizationType(p, tuple(sorted(degrees)), squarefree=True)
-
-
-def _sub_x(h, p):
-    h = list(h)
-    while len(h) < 2:
-        h.append(0)
-    h[1] = (h[1] - 1) % p
-    return fp_trim(h, p)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +427,24 @@ def _scan_prime_worker(work: tuple) -> tuple[int, tuple[int, ...]]:
     return p, ft.degrees
 
 
+def eig1_nullity(cycle_type: tuple[int, ...]) -> int:
+    """dim of the eigenvalue-1 space of a permutation with these cycle
+    lengths on the symplectic module of its degree d >= 3 (`symplectic`).
+
+    The fixed vectors of F_2^d are the sums of cycle indicators.  For d odd
+    the module is the even-weight space W, and an odd cycle makes parity a
+    nonzero functional on them: c - 1.  For d even it is W/<1>: the fixed
+    vectors of W modulo 1 (c - 2 with an odd cycle, c - 1 without), plus one
+    when gv = v + 1 has a solution in W, which needs every cycle even and
+    then has weight d/2, so exactly when 4 | d."""
+    c, d = len(cycle_type), sum(cycle_type)
+    if d % 2:
+        return c - 1
+    if any(k % 2 for k in cycle_type):
+        return c - 2
+    return c - 1 + (d % 4 == 0)
+
+
 def frobenius_scan(
     f: ZPoly, pmax: int, group: PermGroup, jobs: int = 1
 ) -> FrobeniusScan:
@@ -435,9 +455,9 @@ def frobenius_scan(
     A clean scan is statistical consistency with the target group being the
     Galois image, never a proof.  Per-prime work runs on `jobs` processes;
     output order is ascending p regardless."""
-    d = zp_degree(f)
+    if zp_degree(f) < 3:
+        raise ValueError("need degree >= 3")
     disc = disc_resultant(f)
-    space = build_space(d)
     group_types = group.cycle_types()
     listed_bad = []
     good = []
@@ -455,14 +475,10 @@ def frobenius_scan(
     else:
         raw = [_scan_prime_worker(w) for w in work]
     raw.sort()
-    nullity_cache: dict[tuple[int, ...], int] = {}
     records = []
     for p, degrees in raw:
         ct = tuple(sorted(degrees, reverse=True))
-        if ct not in nullity_cache:
-            M = embed_permutation(class_rep_for(Partition(ct)), space)
-            nullity_cache[ct] = fixed_space_dim(M)
-        records.append(FrobeniusRecord(p, degrees, nullity_cache[ct], ct in group_types))
+        records.append(FrobeniusRecord(p, degrees, eig1_nullity(ct), ct in group_types))
     return FrobeniusScan(f, pmax, group.name, listed_bad, records)
 
 
@@ -480,15 +496,14 @@ def field_modulus(p: int, k: int) -> tuple[int, ...]:
         return (0, 1)
 
     def irreducible(coeffs) -> bool:
-        f = list(coeffs) + [1]
-        x = [0, 1]
-        h = x
+        # Rabin: no factor of degree <= k/2, and x^(p^k) = x mod f
+        F = PackedFp(list(coeffs) + [1], p)
+        h = F.x
         for _ in range(k // 2):
-            h = fp_powmod(h, p, f, p)
-            if len(fp_gcd(f, _sub_x(h, p), p)) - 1 != 0:
+            h = F.powmod(h, p)
+            if F.degree(F.gcd(F.f, F.reduce(h + F.neg_x))) != 0:
                 return False
-        h = fp_powmod(x, p**k, f, p)
-        return _sub_x(h, p) == []
+        return F.powmod(F.x, p**k) == F.x
 
     import itertools as it
 
@@ -640,6 +655,10 @@ def lpoly_from_counts(f: ZPoly, p: int) -> LPolynomial:
 def frobenius_charpoly_gf2(f: ZPoly, p: int) -> int:
     """GF(2) characteristic polynomial of the embedded Frobenius permutation
     for f at a good prime p (well-defined up to conjugacy)."""
+    from .gf2 import gf2_charpoly
+    from .perms import class_rep_for
+    from .symplectic import build_space, embed_permutation
+
     ft = factor_mod_p(f, p)
     if not ft.squarefree:
         raise UsageError(f"bad prime {p}")

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from eigenone.arith import _sub_x, fp_divmod, fp_gcd, fp_mod, fp_monic, fp_mul, fp_trim
-from eigenone.gf2 import BitMatrix, GF2Module, gf2_rank, pdeg, pmod
+from eigenone.arith import PackedFp, fp_divmod, fp_mod, fp_mul, fp_trim
+from eigenone.gf2 import BitMatrix, GF2Module, fixed_space_dim, gf2_rank, pdeg, pmod
 from eigenone.intlinalg import IntMatrix, _bareiss
-from eigenone.perms import Partition, PermGroup, Permutation, orbit
+from eigenone.perms import Partition, PermGroup, Permutation, class_rep_for, orbit
 from eigenone.specht import (
     Tableau,
     Tabloid,
@@ -28,6 +28,7 @@ from eigenone.specht import (
     rep_mod2,
     tv_add_scaled,
 )
+from eigenone.symplectic import build_space, embed_permutation
 
 # ---------------------------------------------------------------------------
 # Permutations
@@ -186,6 +187,36 @@ def zp_eval(f: list[int], x: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def fp_monic(f: list[int], p: int) -> list[int]:
+    if not f:
+        return f
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def fp_gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """The monic gcd in F_p[x] by Euclid on lists, one `fp_mod` per step."""
+    f, g = fp_trim(list(f), p), fp_trim(list(g), p)
+    while g:
+        f, g = g, fp_mod(f, g, p)
+    return fp_monic(f, p)
+
+
+def _sub_x(h: list[int], p: int) -> list[int]:
+    h = list(h)
+    while len(h) < 2:
+        h.append(0)
+    h[1] = (h[1] - 1) % p
+    return fp_trim(h, p)
+
+
+def fp_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """base^e mod (mod) through the packed kernel `PackedFp`, as lists: the
+    production route, for comparison with `fp_powmod_lists`."""
+    F = PackedFp(mod, p)
+    return F.unpack(F.powmod(F.divmod(F.pack(base), F.f)[1], e))
+
+
 def fp_powmod_lists(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     """base^e mod (mod) in F_p[x] by square-and-multiply, one list product
     and one division per step."""
@@ -222,6 +253,13 @@ def ddf_degrees_per_degree_powmod(f: list[int], p: int) -> tuple[int, ...] | Non
             v = fp_monic(fp_divmod(v, g, p)[0], p)
             h = fp_mod(h, v, p)
     return tuple(sorted(degrees))
+
+
+def eig1_nullity_by_embedding(cycle_type: tuple[int, ...]) -> int:
+    """dim ker(M + I) of the symplectic embedding M of a permutation with
+    this cycle type, from the matrix."""
+    space = build_space(sum(cycle_type))
+    return fixed_space_dim(embed_permutation(class_rep_for(Partition(cycle_type)), space))
 
 
 # ---------------------------------------------------------------------------

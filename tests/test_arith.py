@@ -5,15 +5,16 @@ import pytest
 
 from eigenone.arith import (
     Fq,
+    PackedFp,
     bad_primes,
     curve_count,
     disc_resultant,
+    eig1_nullity,
     factor_mod_p,
     field_modulus,
     fp_divmod,
+    fp_mod,
     fp_mul,
-    fp_powmod,
-    fp_trim,
     frobenius_charpoly_gf2,
     frobenius_scan,
     lpoly_from_counts,
@@ -23,8 +24,15 @@ from eigenone.arith import (
     primes_up_to,
     resultant,
 )
-from eigenone.perms import builtin_group
-from oracles import ddf_degrees_per_degree_powmod, fp_powmod_lists, zp_eval
+from eigenone.perms import builtin_group, partitions_of
+from oracles import (
+    ddf_degrees_per_degree_powmod,
+    eig1_nullity_by_embedding,
+    fp_gcd,
+    fp_powmod,
+    fp_powmod_lists,
+    zp_eval,
+)
 
 
 def test_malle_g_special_coefficients():
@@ -128,6 +136,8 @@ def test_factor_mod_p_rejects_bad_input():
         factor_mod_p([1, 0, 1], 2)
     with pytest.raises(ValueError):
         factor_mod_p([1, 0, 5], 5)
+    with pytest.raises(ValueError, match="degree >= 1"):
+        factor_mod_p([4], 5)
 
 
 def _trial_division_degrees(f, p):
@@ -189,8 +199,80 @@ def test_factor_mod_p_matches_per_degree_powering(p):
             squarefree += 1
         base = [rng.randrange(p) for _ in range(rng.randint(0, 2 * n))]
         e = rng.choice([0, 1, p, p**2, rng.randrange(2**40)])
-        assert fp_powmod(base, e, f, p) == fp_trim(fp_powmod_lists(base, e, f, p), p), (base, e, f)
+        assert fp_powmod(base, e, f, p) == fp_powmod_lists(base, e, f, p), (base, e, f)
     assert squarefree >= 30
+
+
+def test_fp_divmod_reduces_and_trims_a_short_dividend():
+    # a dividend of lower degree than the divisor is the remainder, taken
+    # mod p and trimmed like every other remainder
+    assert fp_mod([5, 0], [1, 2, 1], 3) == [2]
+    assert fp_divmod([-1, 4, 0], [1, 0, 0, 1], 3) == ([], [2, 1])
+
+
+def _random_monic(rng, n, p):
+    return [rng.randrange(p) for _ in range(n)] + [1]
+
+
+def _slot_values(n, p):
+    """Slot values for the reduction at the edges of its range [0, B): B - 1,
+    p - 1, every multiple of p below B and the value before it (at 2^31 - 1,
+    the first and last thousand multiples and a thousand random ones)."""
+    B = (2 * n + 2) * p * p
+    quotients = range(1, B // p + 1)
+    if p > 10**6:
+        rng = random.Random(n)
+        quotients = [*quotients[:1000], *quotients[-1000:],
+                     *(rng.randrange(1, B // p + 1) for _ in range(1000))]
+    values = [0, p - 1, B - 1]
+    for a in quotients:
+        values += [a * p - 1] + [a * p] * (a * p < B)
+    return values
+
+
+@pytest.mark.parametrize("p", (3, 10007, 2**31 - 1))
+def test_packed_reduce_takes_every_slot_mod_p(p):
+    for n in range(1, 13):
+        F = PackedFp([1] * n + [1], p)
+        values = _slot_values(n, p)
+        width = 2 * n  # the most slots any polynomial in the kernel has
+        shifts = [j * F.S for j in range(width)]
+        for i in range(0, len(values), width):
+            chunk = values[i:i + width]
+            t = sum(v << s for v, s in zip(chunk, shifts))
+            assert F.reduce(t) == sum(v % p << s for v, s in zip(chunk, shifts)), (n, chunk)
+
+
+@pytest.mark.parametrize("p", (3, 5, 101, 10007, 2**31 - 1))
+def test_packed_kernel_matches_list_oracles(p):
+    rng = random.Random(p)
+    for n in [1, 1, 2, 2, *range(3, 13)] * 3:
+        f = _random_monic(rng, n, p)
+        F = PackedFp([c * 3 for c in f] if p != 3 else f, p)  # non-monic unless p = 3
+        assert F.unpack(F.f) == f
+        a = [rng.randrange(p) for _ in range(n)]
+        b = [rng.randrange(p) for _ in range(n)]
+        A, Bp = F.pack(a), F.pack(b)
+        assert F.unpack(F.mulmod(A, Bp)) == fp_mod(fp_mul(a, b, p), f, p)
+        e = rng.choice([0, 1, 2, p, p**2 + 1, rng.randrange(2**20)])
+        assert F.unpack(F.powmod(A, e)) == fp_powmod_lists(a, e, f, p), (f, a, e)
+        # gcd of two products sharing a factor, and exact division by it
+        g = _random_monic(rng, rng.randint(0, n), p)
+        u = fp_mul(g, _random_monic(rng, rng.randint(0, n - len(g) + 1), p), p)
+        w = fp_mul(g, [rng.randrange(p) for _ in range(rng.randint(0, n - len(g) + 2))], p)
+        assert F.unpack(F.gcd(F.pack(u), F.pack(w))) == fp_gcd(u, w, p), (u, w)
+        q, r = F.divmod(F.pack(u), F.pack(g))
+        assert (F.unpack(q), F.unpack(r)) == fp_divmod(u, g, p)
+        assert r == 0
+        z = fp_mul(u, [rng.randrange(p) for _ in range(n)], p)[: 2 * n]
+        q, r = F.divmod(F.pack(z), F.f)
+        assert (F.unpack(q), F.unpack(r)) == fp_divmod(z, f, p), z
+
+
+def test_eig1_nullity_matches_the_embedded_matrix():
+    types = [tuple(ct) for d in range(3, 15) for ct in partitions_of(d)]
+    assert len(types) == 504
+    assert [eig1_nullity(ct) for ct in types] == [eig1_nullity_by_embedding(ct) for ct in types]
 
 
 def test_frobenius_scan_x9_minus_2_has_eig1_offenders():
@@ -212,7 +294,7 @@ def test_stickelberger_parity_check_fires(monkeypatch, capsys):
     from eigenone.cli import main
     from eigenone.errors import VerificationError
 
-    monkeypatch.setattr(eigenone.arith, "fp_powmod", lambda base, e, mod, p: [0, 1])
+    monkeypatch.setattr(eigenone.arith.PackedFp, "powmod", lambda self, a, e: self.x)
     assert factor_mod_p(malle_g(1, -32), 5).degrees == (1,) * 9
     with pytest.raises(VerificationError, match="Stickelberger"):
         frobenius_scan(malle_g(1, -32), 50, builtin_group("agl2_3"))
