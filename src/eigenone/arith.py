@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import UsageError, VerificationError
 from .intlinalg import IntMatrix, det_exact
-from .perms import Partition, PermGroup
+from .perms import PermGroup
 
 # ZPoly: list of ints, ascending degree, no trailing zeros.
 ZPoly = list
@@ -297,12 +297,6 @@ class FactorizationType:
     degrees: tuple[int, ...]
     squarefree: bool
 
-    @property
-    def cycle_type(self) -> Partition:
-        if not self.squarefree:
-            raise ValueError("cycle type only meaningful for squarefree reduction")
-        return Partition(tuple(sorted(self.degrees, reverse=True)))
-
 
 def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
     """Squarefree test, then distinct-degree factorization, on packed
@@ -427,24 +421,6 @@ def _scan_prime_worker(work: tuple) -> tuple[int, tuple[int, ...]]:
     return p, ft.degrees
 
 
-def eig1_nullity(cycle_type: tuple[int, ...]) -> int:
-    """dim of the eigenvalue-1 space of a permutation with these cycle
-    lengths on the symplectic module of its degree d >= 3 (`symplectic`).
-
-    The fixed vectors of F_2^d are the sums of cycle indicators.  For d odd
-    the module is the even-weight space W, and an odd cycle makes parity a
-    nonzero functional on them: c - 1.  For d even it is W/<1>: the fixed
-    vectors of W modulo 1 (c - 2 with an odd cycle, c - 1 without), plus one
-    when gv = v + 1 has a solution in W, which needs every cycle even and
-    then has weight d/2, so exactly when 4 | d."""
-    c, d = len(cycle_type), sum(cycle_type)
-    if d % 2:
-        return c - 1
-    if any(k % 2 for k in cycle_type):
-        return c - 2
-    return c - 1 + (d % 4 == 0)
-
-
 def frobenius_scan(
     f: ZPoly, pmax: int, group: PermGroup, jobs: int = 1
 ) -> FrobeniusScan:
@@ -455,6 +431,8 @@ def frobenius_scan(
     A clean scan is statistical consistency with the target group being the
     Galois image, never a proof.  Per-prime work runs on `jobs` processes;
     output order is ascending p regardless."""
+    from .symplectic import eig1_nullity
+
     if zp_degree(f) < 3:
         raise ValueError("need degree >= 3")
     disc = disc_resultant(f)
@@ -653,15 +631,11 @@ def lpoly_from_counts(f: ZPoly, p: int) -> LPolynomial:
 
 
 def frobenius_charpoly_gf2(f: ZPoly, p: int) -> int:
-    """GF(2) characteristic polynomial of the embedded Frobenius permutation
-    for f at a good prime p (well-defined up to conjugacy)."""
-    from .gf2 import gf2_charpoly
-    from .perms import class_rep_for
-    from .symplectic import build_space, embed_permutation
+    """GF(2) characteristic polynomial of Frobenius at a good prime p on the
+    symplectic module, read off the factorization type of f mod p."""
+    from .symplectic import cycle_type_charpoly
 
     ft = factor_mod_p(f, p)
     if not ft.squarefree:
         raise UsageError(f"bad prime {p}")
-    space = build_space(zp_degree(f))
-    M = embed_permutation(class_rep_for(ft.cycle_type), space)
-    return gf2_charpoly(M)
+    return cycle_type_charpoly(ft.degrees)

@@ -1,6 +1,7 @@
 """Eigenvalue-1 audits: check det(I - M) = 0 on every conjugacy class of a
-representation, over the integers or over GF(2), and scan 2-generated
-subgroups of a GF(2) matrix group for irreducibility and the same property.
+representation, over the integers or, from the cycle types, on the
+symplectic GF(2) module, and scan 2-generated subgroups of a GF(2) matrix
+group for irreducibility and the same property.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DEFAULT_SEED, UsageError
-from .gf2 import BitMatrix, GF2Module, fixed_space_dim, pdiv, peval1
+from .gf2 import GF2Module, fixed_space_dim
 from .intlinalg import IntMatrix, _bareiss, det_exact
 from .perms import (
     IndexedGroup,
@@ -28,10 +29,9 @@ from .specht import (  # the FAMILY_* names are audit_specht's family argument
     twisted_action_matrix,
 )
 
-# The GF(2) audits import meataxe, symplectic and gf2_charpoly where they run:
-# an integral Specht audit then loads neither meataxe nor symplectic, and
-# perfbench's tracer, which loads this module before it wraps the GF(2)
-# layers, still reaches every call.
+# The GF(2) audits import meataxe and symplectic where they run: an integral
+# Specht audit then loads neither, and perfbench's tracer, which loads this
+# module before it wraps the GF(2) layers, still reaches every call.
 
 @dataclass
 class ClassRecord:
@@ -99,19 +99,6 @@ def _int_class_record(label: str, size: int, order: int, M: IntMatrix) -> ClassR
     return ClassRecord(label, size, order, det, geo, geo)
 
 
-def _gf2_class_record(label: str, size: int, order: int, M: BitMatrix) -> ClassRecord:
-    geo = fixed_space_dim(M)
-    det = 0 if geo else 1
-    from .gf2 import gf2_charpoly
-
-    cp = gf2_charpoly(M)
-    alg = 0
-    while peval1(cp) == 0:
-        cp = pdiv(cp, 0b11)  # exact division by (x + 1)
-        alg += 1
-    return ClassRecord(label, size, order, det, alg, geo)
-
-
 def audit_int_classes(rep_id: str, classes: list[tuple[str, int, int, IntMatrix]]) -> AuditReport:
     """classes: (label, class size, element order, matrix), one per class."""
     if not classes:
@@ -119,26 +106,6 @@ def audit_int_classes(rep_id: str, classes: list[tuple[str, int, int, IntMatrix]
     dim = classes[0][3].nrows
     records = [_int_class_record(*c) for c in classes]
     return AuditReport(rep_id, dim, "ZZ", records)
-
-
-def audit_gf2_classes(
-    rep_id: str,
-    classes: list[tuple[str, int, int, BitMatrix]],
-    module: GF2Module,
-    seed: int = DEFAULT_SEED,
-) -> AuditReport:
-    """Audit the classes, and certify the module irreducible or not with the
-    MeatAxe; an irreducible module is absolutely irreducible iff its
-    commuting algebra is GF(2)."""
-    from . import meataxe
-
-    if not classes:
-        raise ValueError("no classes to audit")
-    dim = classes[0][3].nrows
-    records = [_gf2_class_record(*c) for c in classes]
-    irreducible = meataxe.is_irreducible(module, seed)
-    absolutely = irreducible and meataxe.endomorphism_algebra_dim(module) == 1
-    return AuditReport(rep_id, dim, "GF2", records, irreducible, absolutely)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +168,27 @@ def conjecture_table(ns: list[int]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> AuditReport:
-    """Embed a permutation group symplectically and audit its classes over GF(2)."""
-    from .symplectic import build_space, embed_group, embed_permutation
+    """Audit a permutation group on its symplectic module over GF(2).
 
-    space = build_space(G.degree)
-    module = embed_group(G, space)
-    classes = []
+    Each class record is read off the cycle type of its representative
+    (`symplectic`); the MeatAxe certifies the embedded generators irreducible
+    or not, and an irreducible module is absolutely irreducible iff its
+    commuting algebra is GF(2)."""
+    from . import meataxe
+    from .symplectic import eig1_algebraic, eig1_nullity, embed_group
+
+    module = embed_group(G)
+    records = []
     for size, rep, order in G.conjugacy_classes():
-        label = str(rep.cycle_type())
-        classes.append((label, size, order, embed_permutation(rep, space)))
-    return audit_gf2_classes(f"embed:{G.name}:d={G.degree}", classes, module, seed)
+        ct = rep.cycle_type()
+        geo = eig1_nullity(ct.parts)
+        # over GF(2), det(I - M) is 0 exactly when M has eigenvalue 1
+        det = 0 if geo else 1
+        records.append(ClassRecord(str(ct), size, order, det, eig1_algebraic(ct.parts), geo))
+    irreducible = meataxe.is_irreducible(module, seed)
+    absolutely = irreducible and meataxe.endomorphism_algebra_dim(module) == 1
+    rep_id = f"embed:{G.name}:d={G.degree}"
+    return AuditReport(rep_id, module.dim, "GF2", records, irreducible, absolutely)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,8 @@ def cmd_specht_audit(args) -> int:
 def cmd_specht_table(args) -> int:
     from .audit import conjecture_table
 
+    if not args.n:
+        raise UsageError("--n lists no value of n")
     t0 = time.time()
     rows = conjecture_table(args.n)
     ok = all(r["matches"] for r in rows)
@@ -238,6 +240,8 @@ def cmd_nt_disc_verify(args) -> int:
         malle_is_squarefree_specialization,
     )
 
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     t0 = time.time()
     rng = random.Random(args.seed)
     samples = []
@@ -277,6 +281,8 @@ def cmd_nt_disc_verify(args) -> int:
 def cmd_nt_frobenius_scan(args) -> int:
     from .arith import frobenius_scan, malle_g
 
+    if args.pmax < 0:
+        raise UsageError(f"--pmax must not be negative, got {args.pmax}")
     t0 = time.time()
     G = _build_group(args)
     f = malle_g(args.a, args.t) if args.poly is None else args.poly
@@ -292,6 +298,8 @@ def cmd_nt_frobenius_scan(args) -> int:
 def cmd_nt_lpoly_check(args) -> int:
     from .arith import frobenius_charpoly_gf2, lpoly_from_counts, malle_g
 
+    if not args.primes:
+        raise UsageError("--primes lists no prime")
     t0 = time.time()
     f = malle_g(args.a, args.t)
     rows = []

@@ -328,11 +328,6 @@ def psqrt(f: int) -> int:
     return out
 
 
-def peval1(f: int) -> int:
-    """f(1) over GF(2) = parity of the number of terms."""
-    return f.bit_count() & 1
-
-
 def _berlekamp_squarefree(f: int) -> list[int]:
     """Distinct irreducible factors of a squarefree f over GF(2)."""
     d = pdeg(f)

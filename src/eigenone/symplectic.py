@@ -1,10 +1,23 @@
 """The degree-d permutation action on GF(2)^d, restricted to the even-weight
-subspace (d odd) or its quotient by the all-ones vector (d even), carrying an
-alternating nondegenerate form.  Dimension is 2*floor((d-1)/2) either way.
+subspace W (d odd) or to W/<1>, its quotient by the all-ones vector (d even),
+carrying an alternating nondegenerate form.  Dimension is 2*floor((d-1)/2).
 
 Basis: b_i = e_1 + e_{i+1} for 1 <= i <= d-1 when d is odd; for d even the
 images of b_1..b_{d-2}, with b_{d-1} = b_1 + ... + b_{d-2} modulo the all-ones
 vector.  The induced form has Gram matrix (all-ones + identity).
+
+A permutation g with cycle lengths l_1..l_c acts on the module as its cycle
+type dictates.  Over <g>, F_2^d is the sum of the F_2[x]/(x^l_i + 1); W has
+trivial quotient, and for d even <1> is a trivial submodule of W.  Hence:
+- charpoly = prod (x^l_i + 1) / (x + 1) for d odd, / (x + 1)^2 for d even;
+- alg = sum 2^v_2(l_i) - 1 for d odd, - 2 for d even: x + 1 divides x^l + 1
+  = (x^m + 1)^(2^v) exactly 2^v times, where l = 2^v m with m odd;
+- geo = c - 1 for d odd; for d even, c - 2 with an odd cycle, else
+  c - 1 + [4 | d].  The fixed vectors of F_2^d are the sums of cycle
+  indicators, and for d odd parity is nonzero on them.  For d even, W/<1>
+  has the fixed vectors of W modulo 1, plus one when gv = v + 1 has a
+  solution in W: every cycle is then even, and v alternates on each cycle
+  and has weight d/2.
 """
 
 from __future__ import annotations
@@ -12,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import VerificationError
-from .gf2 import BitMatrix, GF2Module, gf2_rank, preserves_form
+from .gf2 import BitMatrix, GF2Module, gf2_rank, pdiv, pmul, preserves_form
 from .perms import PermGroup, Permutation
 
 
@@ -75,17 +88,41 @@ def embed_permutation(p: Permutation, space: SymplecticSpace) -> BitMatrix:
     return BitMatrix(rows, dim)
 
 
-def embed_group(G: PermGroup, space: SymplecticSpace | None = None) -> GF2Module:
+def embed_group(G: PermGroup) -> GF2Module:
     """Images of the group generators; checks the form is preserved."""
-    if space is None:
-        space = build_space(G.degree)
-    if G.degree != space.d:
-        raise ValueError("degree mismatch")
+    space = build_space(G.degree)
     gens = [embed_permutation(g, space) for g in G.generators]
     for m in gens:
         if not preserves_form(m, space.gram):
             raise VerificationError("embedded generator does not preserve the form")
     return GF2Module(space.dim, gens)
+
+
+def eig1_nullity(cycle_type: tuple[int, ...]) -> int:
+    """dim of the eigenvalue-1 space of a permutation with these cycle
+    lengths on the module of its degree d >= 3."""
+    c, d = len(cycle_type), sum(cycle_type)
+    if d % 2:
+        return c - 1
+    if any(k % 2 for k in cycle_type):
+        return c - 2
+    return c - 1 + (d % 4 == 0)
+
+
+def eig1_algebraic(cycle_type: tuple[int, ...]) -> int:
+    """Multiplicity of x + 1 in `cycle_type_charpoly`: 2^v_2(l) per cycle
+    of length l, less one trivial factor for d odd and two for d even."""
+    return sum(k & -k for k in cycle_type) - (1 if sum(cycle_type) % 2 else 2)
+
+
+def cycle_type_charpoly(cycle_type: tuple[int, ...]) -> int:
+    """GF(2) characteristic polynomial (bit-poly) of a permutation with these
+    cycle lengths on the module: prod (x^l + 1) over (x + 1) for d odd, over
+    (x + 1)^2 = x^2 + 1 for d even."""
+    full = 1
+    for k in cycle_type:
+        full = pmul(full, (1 << k) | 1)
+    return pdiv(full, 0b11 if sum(cycle_type) % 2 else 0b101)
 
 
 def permutation_module_gf2(G: PermGroup) -> GF2Module:

@@ -2,7 +2,8 @@
 
 Nothing here runs on a command-line path.  Each routine reaches a quantity
 the package computes another way: the Berkowitz characteristic polynomial
-against the one-Bareiss eigenvalue-1 verdict, Garnir rewriting against
+against the one-Bareiss eigenvalue-1 verdict, embedded matrices against the
+cycle-type forms of the symplectic module, Garnir rewriting against
 leading-tabloid straightening, tabloid permutation modules against the
 character oracle, and so on.
 """
@@ -15,8 +16,20 @@ from functools import lru_cache
 from math import factorial
 
 from eigenone.arith import PackedFp, fp_divmod, fp_mod, fp_mul, fp_trim
-from eigenone.gf2 import BitMatrix, GF2Module, fixed_space_dim, gf2_rank, pdeg, pmod
+from eigenone.audit import AuditReport, ClassRecord
+from eigenone.errors import DEFAULT_SEED
+from eigenone.gf2 import (
+    BitMatrix,
+    GF2Module,
+    fixed_space_dim,
+    gf2_charpoly,
+    gf2_rank,
+    pdeg,
+    pdiv,
+    pmod,
+)
 from eigenone.intlinalg import IntMatrix, _bareiss
+from eigenone.meataxe import endomorphism_algebra_dim, is_irreducible
 from eigenone.perms import Partition, PermGroup, Permutation, class_rep_for, orbit
 from eigenone.specht import (
     Tableau,
@@ -28,7 +41,7 @@ from eigenone.specht import (
     rep_mod2,
     tv_add_scaled,
 )
-from eigenone.symplectic import build_space, embed_permutation
+from eigenone.symplectic import build_space, embed_group, embed_permutation
 
 # ---------------------------------------------------------------------------
 # Permutations
@@ -255,13 +268,6 @@ def ddf_degrees_per_degree_powmod(f: list[int], p: int) -> tuple[int, ...] | Non
     return tuple(sorted(degrees))
 
 
-def eig1_nullity_by_embedding(cycle_type: tuple[int, ...]) -> int:
-    """dim ker(M + I) of the symplectic embedding M of a permutation with
-    this cycle type, from the matrix."""
-    space = build_space(sum(cycle_type))
-    return fixed_space_dim(embed_permutation(class_rep_for(Partition(cycle_type)), space))
-
-
 # ---------------------------------------------------------------------------
 # GF(2)
 # ---------------------------------------------------------------------------
@@ -300,6 +306,61 @@ def is_irreducible_by_trial_division(f: int) -> bool:
     if d <= 0:
         return False
     return all(pmod(f, g) for g in range(2, 1 << (d // 2 + 1)))
+
+
+# ---------------------------------------------------------------------------
+# The symplectic module by matrices: one embedded matrix and one
+# characteristic polynomial per class, against the cycle-type forms
+# ---------------------------------------------------------------------------
+
+
+def peval1(f: int) -> int:
+    """f(1) over GF(2) = parity of the number of terms."""
+    return f.bit_count() & 1
+
+
+def gf2_class_record(label: str, size: int, order: int, M: BitMatrix) -> ClassRecord:
+    """det(I - M), and the eigenvalue-1 multiplicities as dim ker(M + I) and
+    the multiplicity of x + 1 in the characteristic polynomial."""
+    geo = fixed_space_dim(M)
+    cp = gf2_charpoly(M)
+    alg = 0
+    while peval1(cp) == 0:
+        cp = pdiv(cp, 0b11)  # exact division by (x + 1)
+        alg += 1
+    return ClassRecord(label, size, order, 0 if geo else 1, alg, geo)
+
+
+def audit_gf2_classes(
+    rep_id: str,
+    classes: list[tuple[str, int, int, BitMatrix]],
+    module: GF2Module,
+    seed: int = DEFAULT_SEED,
+) -> AuditReport:
+    """Audit (label, class size, element order, matrix) per class, and certify
+    the module irreducible or not with the MeatAxe; an irreducible module is
+    absolutely irreducible iff its commuting algebra is GF(2)."""
+    records = [gf2_class_record(*c) for c in classes]
+    irreducible = is_irreducible(module, seed)
+    absolutely = irreducible and endomorphism_algebra_dim(module) == 1
+    return AuditReport(rep_id, module.dim, "GF2", records, irreducible, absolutely)
+
+
+def audit_embedded_group_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> AuditReport:
+    """`audit.audit_embedded_group` with every class representative embedded."""
+    space = build_space(G.degree)
+    classes = [(str(rep.cycle_type()), size, order, embed_permutation(rep, space))
+               for size, rep, order in G.conjugacy_classes()]
+    return audit_gf2_classes(f"embed:{G.name}:d={G.degree}", classes, embed_group(G), seed)
+
+
+def eig1_data_by_embedding(cycle_type: tuple[int, ...]) -> tuple[int, int, int]:
+    """(dim ker(M + I), multiplicity of x + 1, characteristic polynomial) of
+    the symplectic embedding M of a permutation with this cycle type."""
+    space = build_space(sum(cycle_type))
+    M = embed_permutation(class_rep_for(Partition(cycle_type)), space)
+    record = gf2_class_record("", 1, 1, M)
+    return record.geo_mult, record.alg_mult, gf2_charpoly(M)
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,7 @@ def test_criterion_3_conjecture_complement():
 def test_criterion_4_agl2_3_unirealization_group_theory():
     t0 = time.time()
     G = builtin_group("agl2_3")
-    space = build_space(9)
-    module = embed_group(G, space)  # asserts the form is preserved
+    module = embed_group(G)  # checks the form is preserved
     group = IndexedGroup(module.gens)
     assert len(group.elements) == 432
     assert is_irreducible(module)

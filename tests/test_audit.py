@@ -7,7 +7,6 @@ from eigenone.audit import (
     FAMILY_TWO,
     FAMILY_TWO_CONJ,
     audit_embedded_group,
-    audit_gf2_classes,
     audit_int_classes,
     audit_specht,
     conjecture_table,
@@ -27,7 +26,7 @@ from eigenone.perms import (
 )
 from eigenone.specht import action_matrix, twisted_action_matrix
 from eigenone.symplectic import build_space, embed_group, embed_permutation
-from oracles import conjugate_by
+from oracles import audit_embedded_group_by_matrices, audit_gf2_classes, conjugate_by, peval1
 
 
 def test_trivial_representation_unisingular():
@@ -162,6 +161,17 @@ def test_pgl2_offenders_split_by_q_mod_4(q):
     assert set(audit_embedded_group(builtin_group("pgl2", q=q)).offenders) == expected
 
 
+@pytest.mark.parametrize("name,params", [
+    *[(name, {}) for name in ("agl2_3", "asl2_3", "agl1_9", "agammal1_9", "l3_2_flags")],
+    *[("pgl2", {"q": q}) for q in (3, 5, 7, 11, 13, 17, 19)],
+    *[(name, {"n": n}) for name in ("s_n", "a_n") for n in range(3, 8)],
+])
+def test_embedded_audit_matches_the_matrix_route(name, params):
+    # degrees 9, 7 and 4..20 cover d odd, d = 2 mod 4 and d = 0 mod 4
+    G = builtin_group(name, **params)
+    assert audit_embedded_group(G).to_payload() == audit_embedded_group_by_matrices(G).to_payload()
+
+
 def test_gf2_det_verdict_matches_nullity_verdict():
     G = builtin_group("pgl2", q=19)
     sp = build_space(20)
@@ -169,7 +179,7 @@ def test_gf2_det_verdict_matches_nullity_verdict():
     for size, rep, order in G.conjugacy_classes():
         M = embed_permutation(rep, sp)
         rank, _ = rank_nullspace(M + ident)
-        from eigenone.gf2 import gf2_charpoly, peval1
+        from eigenone.gf2 import gf2_charpoly
 
         assert (rank < 18) == (peval1(gf2_charpoly(M)) == 0)
 
@@ -275,7 +285,7 @@ def test_census_matches_all_pairs_brute_force(source):
     if source == "cyclic9":
         gens = [embed_permutation(Permutation.from_cycles(9, [tuple(range(1, 10))]), sp)]
     else:
-        gens = embed_group(builtin_group(source), sp).gens
+        gens = embed_group(builtin_group(source)).gens
     group = IndexedGroup(gens)
     subgroups, payload = _all_pairs_census(group)
     assert set(two_generated_subgroups(group)) == subgroups

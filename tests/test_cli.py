@@ -239,6 +239,13 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ("nt lpoly-check --a 1 --t -32 --primes 9", "p must be an odd prime, got 9"),
     ("nt frobenius-scan --a 1 --t 1 --group agl2_3 --poly=1,1",
      "--poly needs degree >= 3 and a nonzero last coefficient, got [1, 1]"),
+    ("nt frobenius-scan --a 1 --t -32 --pmax -5 --group agl2_3",
+     "--pmax must not be negative, got -5"),
+    # inputs that check nothing would print a vacuous "verified"
+    ("nt disc-verify --samples 0", "--samples must be at least 1, got 0"),
+    ("nt disc-verify --samples -3", "--samples must be at least 1, got -3"),
+    ("specht conjecture-table --n ,", "--n lists no value of n"),
+    ("nt lpoly-check --a 1 --t -32 --primes ,", "--primes lists no prime"),
 ])
 def test_bad_input_is_usage_error(capsys, argv, message):
     code = main(argv.split())
@@ -379,6 +386,7 @@ def test_frobenius_scan_poly_with_negative_first_coefficient(capsys):
 @pytest.mark.parametrize("argv", [
     ("--a", "1", "--t", "1", "--pmax", "50", "--poly=0,0,0,0,0,0,0,0,0,1"),  # discriminant 0
     ("--a", "1", "--t", "-32", "--pmax", "3"),  # 2 and 3 are the bad primes
+    *[("--a", "1", "--t", "-32", "--pmax", pmax) for pmax in ("0", "1", "2")],  # no odd prime
 ])
 def test_frobenius_scan_with_no_good_prime_is_undecided(capsys, argv):
     code, out = run_cli(capsys, "nt", "frobenius-scan", *argv, "--group", "agl2_3")

@@ -11,7 +11,6 @@ from eigenone.gf2 import (
     gf2_charpoly,
     pdeg,
     pdiv,
-    peval1,
     pgcd,
     pmod,
     pmul,
@@ -20,7 +19,7 @@ from eigenone.gf2 import (
     rank_nullspace,
 )
 from eigenone.perms import ClosureOverflow, closure
-from oracles import from_hex_rows, gf2_det, is_irreducible_by_trial_division
+from oracles import from_hex_rows, gf2_det, is_irreducible_by_trial_division, peval1
 
 
 def rand_bitmatrix(n, rng):
@@ -142,10 +141,10 @@ def test_closure_identity():
 
 def test_closure_s5_faithful_dim4():
     from eigenone.perms import builtin_group
-    from eigenone.symplectic import build_space, embed_group
+    from eigenone.symplectic import embed_group
 
     G = builtin_group("s_n", n=5)
-    mod = embed_group(G, build_space(5))
+    mod = embed_group(G)
     assert mod.dim == 4
     assert len(closure(mod.gens)) == 120
 

@@ -2,9 +2,17 @@ import random
 
 import pytest
 
-from eigenone.gf2 import BitMatrix, gf2_charpoly, gf2_rank, peval1, preserves_form, rank_nullspace
-from eigenone.perms import Permutation, builtin_group, class_reps_symmetric
-from eigenone.symplectic import build_space, embed_group, embed_permutation
+from eigenone.gf2 import BitMatrix, gf2_charpoly, gf2_rank, preserves_form, rank_nullspace
+from eigenone.perms import Permutation, builtin_group, class_reps_symmetric, partitions_of
+from eigenone.symplectic import (
+    build_space,
+    cycle_type_charpoly,
+    eig1_algebraic,
+    eig1_nullity,
+    embed_group,
+    embed_permutation,
+)
+from oracles import eig1_data_by_embedding, peval1
 
 
 def test_dimensions():
@@ -84,6 +92,13 @@ def test_nullity_equals_cycle_count_minus_one_odd_degree():
             assert len(ns) == len(ct.parts) - 1
 
 
+def test_cycle_type_forms_match_the_embedded_matrix():
+    types = [tuple(ct) for d in range(3, 15) for ct in partitions_of(d)]
+    assert len(types) == 504
+    forms = [(eig1_nullity(ct), eig1_algebraic(ct), cycle_type_charpoly(ct)) for ct in types]
+    assert forms == [eig1_data_by_embedding(ct) for ct in types]
+
+
 def test_embed_group_agl2_3():
     from eigenone.meataxe import is_irreducible
 
@@ -96,7 +111,7 @@ def test_s9_image_contains_agl2_3_image():
     # AGL2(3) sits inside S9, so its image is the restriction of the S9
     # embedding; the embedded copy is the full 432-element matrix group
     sp = build_space(9)
-    assert embed_group(builtin_group("s_n", n=9), sp).dim == 8
+    assert embed_group(builtin_group("s_n", n=9)).dim == 8
     images = {embed_permutation(g, sp).rows for g in builtin_group("agl2_3").elements()}
     assert len(images) == 432  # faithful
 
