@@ -435,6 +435,9 @@ def frobenius_scan(
 
     if zp_degree(f) < 3:
         raise ValueError("need degree >= 3")
+    if zp_degree(f) != group.degree:  # else every type would lie outside the group
+        raise UsageError(f"polynomial degree {zp_degree(f)} differs from the degree "
+                         f"{group.degree} of {group.name}")
     disc = disc_resultant(f)
     group_types = group.cycle_types()
     listed_bad = []

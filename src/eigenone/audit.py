@@ -1,7 +1,7 @@
 """Eigenvalue-1 audits: check det(I - M) = 0 on every conjugacy class of a
 representation, over the integers or, from the cycle types, on the
-symplectic GF(2) module, and scan 2-generated subgroups of a GF(2) matrix
-group for irreducibility and the same property.
+symplectic GF(2) module, and scan the 2-generated subgroups of a permutation
+group for irreducibility and the same property on that module.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DEFAULT_SEED, UsageError
-from .gf2 import GF2Module, fixed_space_dim
 from .intlinalg import IntMatrix, _bareiss, det_exact
 from .perms import (
     IndexedGroup,
@@ -244,31 +243,31 @@ def two_generated_subgroups(
     return subgroups
 
 
-def subgroup_census(group: IndexedGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]:
-    """Find every 2-generated subgroup of a GF(2) matrix group and record
-    (order, irreducible?, unisingular?) per distinct subgroup.  Class-size
-    fingerprints are attached to irreducible subgroups.
+def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]:
+    """Find every 2-generated subgroup of a permutation group and record
+    (order, irreducible?, unisingular?) on its symplectic module per distinct
+    subgroup.  Class-size fingerprints are attached to irreducible subgroups.
 
     All three are invariant under conjugation, so they are computed once per
     conjugacy class of subgroups, on its representative; the MeatAxe certifies
     either verdict, so it does not depend on the generator pair.  Makes no
-    claim of finding subgroups that need three or more generators.
+    claim of finding subgroups that need three or more generators.  A group of
+    degree 4 with a (2,2) element is refused: (2,2) acts trivially there.
     """
     from . import meataxe
+    from .symplectic import eig1_nullity, embed_group
 
+    if G.degree == 4 and (2, 2) in G.cycle_types():
+        raise UsageError(f"the degree-4 module of {G.name} is not faithful: (2,2) acts trivially")
+    group = G.indexed
     elements = group.elements
     if len(elements) > 2000:
         raise UsageError("census input capped at 2000 elements")
-    dim = elements[0].nrows
     table = group.cayley_table  # table[b][a] = index of x_a * x_b
-    eig1 = [False] * len(elements)  # dim ker(M + I) is a class function
-    for cls in group.class_orbits():
-        has = fixed_space_dim(elements[cls[0]]) > 0
-        for x in cls:
-            eig1[x] = has
+    eig1 = [eig1_nullity(x.cycle_type().parts) > 0 for x in elements]
 
     def invariants(K: frozenset[int], gens: tuple[int, int]) -> tuple:
-        irr = meataxe.is_irreducible(GF2Module(dim, [elements[g] for g in gens]), seed)
+        irr = meataxe.is_irreducible(embed_group(PermGroup([elements[g] for g in gens])), seed)
         uni = all(eig1[x] for x in K)
         if not irr:
             return irr, uni, None

@@ -204,17 +204,14 @@ def _embed_audit_permutation_module(args) -> int:
 
 def cmd_embed_census(args) -> int:
     from .audit import irreducible_orders, subgroup_census
-    from .perms import IndexedGroup
-    from .symplectic import embed_group
 
     t0 = time.time()
     G = _build_group(args)
-    group = IndexedGroup(embed_group(G).gens)
-    census = subgroup_census(group, args.seed)
+    census = subgroup_census(G, args.seed)
     orders = sorted(irreducible_orders(census))
     result = {
         "group": G.name,
-        "group_order": len(group.elements),
+        "group_order": G.order(),
         "census": [e.to_payload() for e in census],
         "irreducible_orders": orders,
     }

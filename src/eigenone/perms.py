@@ -8,7 +8,7 @@ Points are 1-based in all external interfaces (cycle strings, apply) and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial, lcm
 
@@ -403,6 +403,8 @@ class PermGroup:
 
     generators: list[Permutation]
     name: str = "group"
+    # set by builtin_group where the cycle types are known without a closure
+    _cycle_types: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -425,9 +427,10 @@ class PermGroup:
         G = self.indexed
         return [(size, G.elements[i], order) for size, i, order in G.conjugacy_classes()]
 
-    def cycle_types(self) -> set[tuple[int, ...]]:
-        """Cycle types present in the group (from its conjugacy classes)."""
-        return {rep.cycle_type().parts for _, rep, _ in self.conjugacy_classes()}
+    def cycle_types(self) -> frozenset[tuple[int, ...]]:
+        """Cycle types in the group: recorded for s_n and a_n, else from its classes."""
+        return self._cycle_types or frozenset(
+            rep.cycle_type().parts for _, rep, _ in self.conjugacy_classes())
 
     def to_payload(self) -> dict:
         return {
@@ -556,23 +559,19 @@ def builtin_group(name: str, **params) -> PermGroup:
         return PermGroup(_pgl2_gens(q), name=f"pgl2_{q}")
     if name == "l3_2_flags":
         return PermGroup(_l3_2_flag_gens(), name="l3_2_flags")
-    if name in ("s_n", "a_n") and params["n"] < 3:
-        raise UsageError(f"{name} requires n >= 3, got {params['n']}")
-    if name == "s_n":
+    if name in ("s_n", "a_n"):
         n = params["n"]
-        _refuse_large_order(n, 2)
-        gens = [Permutation.from_cycles(n, [(1, 2)]),
-                Permutation.from_cycles(n, [tuple(range(1, n + 1))])]
-        return PermGroup(gens, name=f"s_{n}")
-    if name == "a_n":
-        n = params["n"]
-        _refuse_large_order(n, 3)
-        if n == 3:
-            return PermGroup([Permutation.from_cycles(3, [(1, 2, 3)])], name="a_3")
-        gens = [Permutation.from_cycles(n, [(1, 2, 3)])]
-        if n % 2 == 1:
-            gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
-        else:
-            gens.append(Permutation.from_cycles(n, [tuple(range(2, n + 1))]))
-        return PermGroup(gens, name=f"a_{n}")
+        if n < 3:
+            raise UsageError(f"{name} requires n >= 3, got {n}")
+        alternating = name == "a_n"
+        _refuse_large_order(n, 3 if alternating else 2)
+        # (1,2) or (1,2,3), then the n-cycle, or for A_n, n even, the cycle (2,..,n)
+        first = (1, 2, 3) if alternating else (1, 2)
+        last = tuple(range(2 if alternating and n % 2 == 0 else 1, n + 1))
+        cycles = [first] if alternating and n == 3 else [first, last]
+        G = PermGroup([Permutation.from_cycles(n, [c]) for c in cycles], name=f"{name[0]}_{n}")
+        # S_n has every cycle type and A_n every even one
+        G._cycle_types = frozenset(
+            ct.parts for ct in partitions_of(n) if not alternating or ct.is_even_class())
+        return G
     raise UsageError(f"unsupported builtin group: {name}")

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import factorial
 
 from eigenone.arith import PackedFp, fp_divmod, fp_mod, fp_mul, fp_trim
-from eigenone.audit import AuditReport, ClassRecord
+from eigenone.audit import AuditReport, CensusEntry, ClassRecord, two_generated_subgroups
 from eigenone.errors import DEFAULT_SEED
 from eigenone.gf2 import (
     BitMatrix,
@@ -30,7 +30,15 @@ from eigenone.gf2 import (
 )
 from eigenone.intlinalg import IntMatrix, _bareiss
 from eigenone.meataxe import endomorphism_algebra_dim, is_irreducible
-from eigenone.perms import Partition, PermGroup, Permutation, class_rep_for, orbit
+from eigenone.perms import (
+    IndexedGroup,
+    Partition,
+    PermGroup,
+    Permutation,
+    class_rep_for,
+    orbit,
+    orbits,
+)
 from eigenone.specht import (
     Tableau,
     Tabloid,
@@ -352,6 +360,41 @@ def audit_embedded_group_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> 
     classes = [(str(rep.cycle_type()), size, order, embed_permutation(rep, space))
                for size, rep, order in G.conjugacy_classes()]
     return audit_gf2_classes(f"embed:{G.name}:d={G.degree}", classes, embed_group(G), seed)
+
+
+def subgroup_census_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]:
+    """`audit.subgroup_census` on the closure of the embedded generator
+    matrices, with dim ker(M + I) per class and the MeatAxe run on the
+    matrices of each generator pair."""
+    group = IndexedGroup(embed_group(G).gens)
+    elements = group.elements
+    dim = elements[0].nrows
+    table = group.cayley_table  # table[b][a] = index of x_a * x_b
+    eig1 = [False] * len(elements)
+    for cls in group.class_orbits():
+        has = fixed_space_dim(elements[cls[0]]) > 0
+        for x in cls:
+            eig1[x] = has
+
+    per_class: dict[frozenset[int], tuple] = {}
+    agg: dict[tuple[int, bool, bool], list] = {}
+    for H, (K, gens) in sorted(
+        two_generated_subgroups(group).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
+    ):
+        if K not in per_class:
+            irr = is_irreducible(GF2Module(dim, [elements[g] for g in gens]), seed)
+            fp = None
+            if irr:
+                conj = [{table[g][y]: table[y][g] for y in K}.__getitem__ for g in gens]
+                fp = tuple(sorted(len(c) for c in orbits(sorted(K), conj)))
+            per_class[K] = irr, all(eig1[x] for x in K), fp
+        irr, uni, fp = per_class[K]
+        rec = agg.setdefault((len(H), irr, uni), [0, []])
+        rec[0] += 1
+        if irr and fp not in rec[1]:
+            rec[1].append(fp)
+    return [CensusEntry(order, irr, uni, count, fps)
+            for (order, irr, uni), (count, fps) in sorted(agg.items())]
 
 
 def eig1_data_by_embedding(cycle_type: tuple[int, ...]) -> tuple[int, int, int]:

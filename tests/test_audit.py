@@ -13,12 +13,14 @@ from eigenone.audit import (
     subgroup_census,
     two_generated_subgroups,
 )
+from eigenone.errors import UsageError
 from eigenone.gf2 import BitMatrix, GF2Module, rank_nullspace
 from eigenone.intlinalg import IntMatrix
 from eigenone.meataxe import is_irreducible
 from eigenone.perms import (
     IndexedGroup,
     Partition,
+    PermGroup,
     Permutation,
     builtin_group,
     class_reps_symmetric,
@@ -26,7 +28,13 @@ from eigenone.perms import (
 )
 from eigenone.specht import action_matrix, twisted_action_matrix
 from eigenone.symplectic import build_space, embed_group, embed_permutation
-from oracles import audit_embedded_group_by_matrices, audit_gf2_classes, conjugate_by, peval1
+from oracles import (
+    audit_embedded_group_by_matrices,
+    audit_gf2_classes,
+    conjugate_by,
+    peval1,
+    subgroup_census_by_matrices,
+)
 
 
 def test_trivial_representation_unisingular():
@@ -194,20 +202,18 @@ def test_agl2_3_every_element_has_eigenvalue_one():
 
 
 def test_census_trivial_input():
-    entries = subgroup_census(IndexedGroup([BitMatrix.identity(8)]))
+    entries = subgroup_census(PermGroup([Permutation.identity(9)]))
     assert len(entries) == 1
     e = entries[0]
     assert e.order == 1 and not e.irreducible and e.unisingular
 
 
 def test_census_cyclic_nine_contains_non_unisingular():
-    # the cyclic group generated by an embedded 9-cycle: its generator has no
+    # the cyclic group generated by a 9-cycle: its generator has no
     # eigenvalue 1, so some census subgroup is not unisingular
-    sp = build_space(9)
-    M = embed_permutation(Permutation.from_cycles(9, [tuple(range(1, 10))]), sp)
-    group = IndexedGroup([M])
-    assert len(group.elements) == 9
-    entries = subgroup_census(group)
+    G = PermGroup([Permutation.from_cycles(9, [tuple(range(1, 10))])])
+    assert G.order() == 9
+    entries = subgroup_census(G)
     assert any(not e.unisingular for e in entries)
     orders = {e.order for e in entries}
     assert orders == {1, 3, 9}
@@ -215,28 +221,54 @@ def test_census_cyclic_nine_contains_non_unisingular():
 
 def test_census_restriction_consistency():
     # subgroups of a unisingular group are unisingular on the audited classes
-    mod = embed_group(builtin_group("asl2_3"))
-    entries = subgroup_census(IndexedGroup(mod.gens))
+    entries = subgroup_census(builtin_group("asl2_3"))
     assert all(e.unisingular for e in entries)
 
 
 def test_census_input_caps():
-    # S_7 embedded in dimension 6: 5040 elements, over the 2000-element cap
-    group = IndexedGroup(embed_group(builtin_group("s_n", n=7)).gens)
-    assert len(group.elements) == 5040
+    # S_7: 5040 elements, over the 2000-element cap
+    G = builtin_group("s_n", n=7)
+    assert G.order() == 5040
     with pytest.raises(ValueError):
-        subgroup_census(group)
+        subgroup_census(G)
 
 
 def test_census_group_is_closed():
-    # the census takes an IndexedGroup, whose elements are a closure
-    sp = build_space(9)
-    M = embed_permutation(Permutation.from_cycles(9, [(1, 2)]), sp)
-    N = embed_permutation(Permutation.from_cycles(9, [(1, 2, 3)]), sp)
-    group = IndexedGroup([M, N])
+    # the census runs on the group's indexed closure
+    G = PermGroup([Permutation.from_cycles(9, [(1, 2)]), Permutation.from_cycles(9, [(1, 2, 3)])])
+    group = G.indexed
     assert len(group.elements) == 6
     assert all(a * b in group.index for a in group.elements for b in group.elements)
-    assert {e.order for e in subgroup_census(group)} == {1, 2, 3, 6}
+    assert {e.order for e in subgroup_census(G)} == {1, 2, 3, 6}
+
+
+CENSUS_INPUTS = [
+    ("agl2_3", {}), ("asl2_3", {}), ("agl1_9", {}), ("agammal1_9", {}), ("l3_2_flags", {}),
+    ("pgl2", {"q": 5}), ("pgl2", {"q": 7}), ("pgl2", {"q": 11}),
+    ("s_n", {"n": 3}), ("s_n", {"n": 5}), ("s_n", {"n": 6}),
+    ("a_n", {"n": 3}), ("a_n", {"n": 5}), ("a_n", {"n": 6}),
+]
+
+
+@pytest.mark.parametrize("name,params", CENSUS_INPUTS,
+                         ids=[f"{n}{p}" for n, p in CENSUS_INPUTS])
+def test_census_matches_matrix_route(name, params):
+    # the permutation-closure census against the closure of the embedded
+    # matrices, fingerprint order included
+    G = builtin_group(name, **params)
+    expected = [e.to_payload() for e in subgroup_census_by_matrices(G)]
+    assert [e.to_payload() for e in subgroup_census(G)] == expected
+
+
+def test_census_refuses_unfaithful_degree_four():
+    # (1,2)(3,4) acts trivially on the degree-4 module; without such an
+    # element the module is faithful and the census runs
+    with pytest.raises(UsageError):
+        subgroup_census(PermGroup([Permutation.from_cycles(4, [(1, 2), (3, 4)])]))
+    G = PermGroup([Permutation.from_cycles(4, [(1, 2, 3)]), Permutation.from_cycles(4, [(1, 2)])])
+    assert G.order() == 6
+    expected = [e.to_payload() for e in subgroup_census_by_matrices(G)]
+    assert [e.to_payload() for e in subgroup_census(G)] == expected
 
 
 def _all_pairs_census(group: IndexedGroup) -> tuple[set[frozenset[int]], list[dict]]:
@@ -281,15 +313,14 @@ def _all_pairs_census(group: IndexedGroup) -> tuple[set[frozenset[int]], list[di
 
 @pytest.mark.parametrize("source", ["asl2_3", "agl1_9", "agammal1_9", "cyclic9"])
 def test_census_matches_all_pairs_brute_force(source):
-    sp = build_space(9)
     if source == "cyclic9":
-        gens = [embed_permutation(Permutation.from_cycles(9, [tuple(range(1, 10))]), sp)]
+        G = PermGroup([Permutation.from_cycles(9, [tuple(range(1, 10))])])
     else:
-        gens = embed_group(builtin_group(source)).gens
-    group = IndexedGroup(gens)
+        G = builtin_group(source)
+    group = IndexedGroup(embed_group(G).gens)
     subgroups, payload = _all_pairs_census(group)
     assert set(two_generated_subgroups(group)) == subgroups
-    assert [e.to_payload() for e in subgroup_census(group)] == payload
+    assert [e.to_payload() for e in subgroup_census(G)] == payload
 
 
 def test_agl2_3_two_generated_subgroups_up_to_conjugacy():

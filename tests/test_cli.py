@@ -241,6 +241,19 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
      "--poly needs degree >= 3 and a nonzero last coefficient, got [1, 1]"),
     ("nt frobenius-scan --a 1 --t -32 --pmax -5 --group agl2_3",
      "--pmax must not be negative, got -5"),
+    # a degree mismatch would read every prime as a type outside the group
+    ("nt frobenius-scan --a 1 --t -32 --pmax 100 --group pgl2 --q 7",
+     "polynomial degree 9 differs from the degree 8 of pgl2_7"),
+    ("nt frobenius-scan --a 1 --t -32 --group agl2_3 --poly=1,1,0,0,1",
+     "polynomial degree 4 differs from the degree 9 of agl2_3"),
+    # (2,2) acts trivially on the degree-4 module, so the census would
+    # describe a quotient of the group
+    ("embed census --group s_n --n 4",
+     "the degree-4 module of s_4 is not faithful: (2,2) acts trivially"),
+    ("embed census --group a_n --n 4",
+     "the degree-4 module of a_4 is not faithful: (2,2) acts trivially"),
+    ("embed census --group pgl2 --q 3",
+     "the degree-4 module of pgl2_3 is not faithful: (2,2) acts trivially"),
     # inputs that check nothing would print a vacuous "verified"
     ("nt disc-verify --samples 0", "--samples must be at least 1, got 0"),
     ("nt disc-verify --samples -3", "--samples must be at least 1, got -3"),

@@ -126,6 +126,17 @@ def test_s_n_a_n_refused_from_order_before_closing(monkeypatch):
             builtin_group(name, n=n)
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_s_n_a_n_cycle_types_recorded(n):
+    # s_n and a_n list their cycle types without a closure, and the list is
+    # the one the closure's conjugacy classes give
+    for name in ("s_n", "a_n"):
+        G = builtin_group(name, n=n)
+        types = G.cycle_types()
+        assert "indexed" not in vars(G)
+        assert types == {rep.cycle_type().parts for _, rep, _ in G.conjugacy_classes()}
+
+
 def test_closure_is_closed_spot_check():
     G = builtin_group("agl2_3")
     els = G.elements()
