@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Run the full verification battery through the CLI and write one JSON
-report per claim into out/ (created next to the repo root).
+"""Run the full verification battery through the CLI and compare each JSON
+report with the committed one in out/ (next to the repo root).
 
-Usage: python scripts/reproduce_all.py [--pmax N] [--jobs N]
+Usage: python scripts/reproduce_all.py
+
+Reports are compared without their wall_time_s.  Only a report that differs
+from out/<name>.json (or has none there) is written, so a clean run leaves
+the tree clean and a changed result shows in `git diff out/`.  Exit 1 when a
+run misses its expected verdict or a report differs; both are named.
 """
 
-import argparse
 import json
 import os
 import pathlib
@@ -34,6 +38,10 @@ RUNS = [
                        "--expect-irreducible-orders", "72,144,216,432"], 0),
     ("disc_verify", ["nt", "disc-verify", "--samples", "20"], 0),
     ("lpoly_check", ["nt", "lpoly-check", "--a", "1", "--t", "-32", "--primes", "5,7,11,13"], 0),
+    ("frobenius_scan_g1_m32", ["nt", "frobenius-scan", "--a", "1", "--t", "-32", "--pmax", "10000",
+                               "--group", "agl2_3", "--jobs", "1"], 0),
+    ("frobenius_scan_g1_1", ["nt", "frobenius-scan", "--a", "1", "--t", "1", "--pmax", "10000",
+                             "--group", "agammal1_9", "--jobs", "1"], 0),
 ]
 
 
@@ -67,43 +75,40 @@ def check_run(proc: subprocess.CompletedProcess, expect: int) -> str:
     return "ok"
 
 
-def battery(pmax: int = 10**4, jobs: int = 1) -> list[tuple[str, list[str], int]]:
-    """(report name, CLI argv, expected exit code) of every run; the committed
-    reports in out/ are those of the defaults."""
-    runs = list(RUNS)
-    runs.append((
-        "frobenius_scan_g1_m32",
-        ["nt", "frobenius-scan", "--a", "1", "--t", "-32", "--pmax", str(pmax),
-         "--group", "agl2_3", "--jobs", str(jobs)], 0))
-    runs.append((
-        "frobenius_scan_g1_1",
-        ["nt", "frobenius-scan", "--a", "1", "--t", "1", "--pmax", str(pmax),
-         "--group", "agammal1_9", "--jobs", str(jobs)], 0))
-    return runs
+def canonical(text: str) -> str | None:
+    """A JSON report without its wall_time_s, in the form of
+    RunReport.canonical_bytes; None when text is no JSON report."""
+    try:
+        report = json.loads(text)
+    except ValueError:
+        return None
+    report.pop("wall_time_s", None)
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--pmax", type=int, default=10**4)
-    ap.add_argument("--jobs", type=int, default=1)
-    args = ap.parse_args()
-
-    runs = battery(args.pmax, args.jobs)
     OUT.mkdir(exist_ok=True)
     failures = 0
-    for name, argv, expect in runs:
+    differ = []
+    for name, argv, expect in RUNS:
         t0 = time.time()
         proc = run(argv)
         dest = OUT / f"{name}.json"
-        if proc.stdout.strip():
+        report = canonical(proc.stdout)
+        if report is not None and (not dest.exists() or canonical(dest.read_text()) != report):
             dest.write_text(proc.stdout)
+            differ.append(name)
         status = check_run(proc, expect)
         if status != "ok":
             failures += 1
             sys.stderr.write(proc.stderr)
         print(f"{name:32s} exit={proc.returncode} [{time.time()-t0:6.1f}s] {status}")
-    print(f"\n{len(runs) - failures}/{len(runs)} runs matched their expected verdict; reports in {OUT}/")
-    return 1 if failures else 0
+    print(f"\n{len(RUNS) - failures}/{len(RUNS)} runs matched their expected verdict")
+    if differ:
+        print(f"{len(differ)} reports differ from {OUT}/ and were written there: {', '.join(differ)}")
+    else:
+        print(f"every report equals its committed copy in {OUT}/")
+    return 1 if failures or differ else 0
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ come from distinct-degree factorization alone.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .errors import UsageError, VerificationError
@@ -429,8 +430,8 @@ def frobenius_scan(
     whether the type occurs among the group's class cycle types.
 
     A clean scan is statistical consistency with the target group being the
-    Galois image, never a proof.  Per-prime work runs on `jobs` processes;
-    output order is ascending p regardless."""
+    Galois image, never a proof.  Per-prime work runs in chunks of 64 primes
+    on at most `jobs` processes; output order is ascending p regardless."""
     from .symplectic import eig1_nullity
 
     if zp_degree(f) < 3:
@@ -448,10 +449,12 @@ def frobenius_scan(
         else:
             good.append(p)
     work = [(tuple(f), disc, p) for p in good]
-    if jobs > 1:
+    # a pool starts all its workers at once: no more than there are CPUs and chunks
+    workers = min(jobs, os.cpu_count() or 1, -(-len(work) // 64))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_scan_prime_worker, work, chunksize=64))
     else:
         raw = [_scan_prime_worker(w) for w in work]

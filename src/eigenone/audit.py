@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DEFAULT_SEED, UsageError
+from .errors import DEFAULT_SEED, ClosureOverflow, UsageError
 from .intlinalg import IntMatrix, _bareiss, det_exact
 from .perms import (
     IndexedGroup,
@@ -259,10 +259,11 @@ def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]
 
     if G.degree == 4 and (2, 2) in G.cycle_types():
         raise UsageError(f"the degree-4 module of {G.name} is not faithful: (2,2) acts trivially")
-    group = G.indexed
+    try:  # the closure stops at the cap; G.order() reads it afterwards
+        G.indexed = group = IndexedGroup(G.generators, bound=2000)
+    except ClosureOverflow:
+        raise UsageError("census input capped at 2000 elements") from None
     elements = group.elements
-    if len(elements) > 2000:
-        raise UsageError("census input capped at 2000 elements")
     table = group.cayley_table  # table[b][a] = index of x_a * x_b
     eig1 = [eig1_nullity(x.cycle_type().parts) > 0 for x in elements]
 

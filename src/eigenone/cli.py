@@ -417,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     args.raw_args = argv
     try:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         return args.fn(args)
     except (UsageError, ClosureOverflow) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -185,60 +185,6 @@ def is_invertible(M: BitMatrix) -> bool:
     return M.is_square and gf2_rank(M) == M.nrows
 
 
-def gf2_charpoly(M: BitMatrix) -> int:
-    """Characteristic polynomial det(xI - M) over GF(2), as a bit-poly int.
-
-    Hessenberg reduction by similarity transforms, then the standard
-    Hessenberg determinant recurrence.
-    """
-    if not M.is_square:
-        raise ValueError("characteristic polynomial of non-square matrix")
-    n = M.nrows
-    if n == 0:
-        return 1
-    H = list(M.rows)
-
-    def swap(i, k):
-        H[i], H[k] = H[k], H[i]
-        bi, bk = 1 << i, 1 << k
-        for r in range(n):
-            hi = (H[r] >> i) & 1
-            hk = (H[r] >> k) & 1
-            if hi != hk:
-                H[r] ^= bi | bk
-
-    for j in range(n - 2):
-        piv = None
-        for i in range(j + 1, n):
-            if (H[i] >> j) & 1:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != j + 1:
-            swap(piv, j + 1)
-        for i in range(j + 2, n):
-            if (H[i] >> j) & 1:
-                H[i] ^= H[j + 1]  # row op; compensate with column op below
-                bit = 1 << (j + 1)
-                for r in range(n):
-                    if (H[r] >> i) & 1:
-                        H[r] ^= bit
-    # p[k] = charpoly of leading k x k block, as bit-poly
-    p = [1] * (n + 1)
-    for k in range(1, n + 1):
-        val = (p[k - 1] << 1) ^ (p[k - 1] if (H[k - 1] >> (k - 1)) & 1 else 0)
-        prod = 1
-        for j in range(k - 1, 0, -1):
-            prod &= (H[j] >> (j - 1)) & 1  # subdiagonal h_{j+1,j}
-            if not prod:
-                break
-            if (H[j - 1] >> (k - 1)) & 1:  # h_{j,k}
-                val ^= p[j - 1]
-        p[k] = val
-    return p[n]
-
-
 def preserves_form(M: BitMatrix, J: BitMatrix) -> bool:
     """True iff M^T J M = J."""
     if not (M.is_square and J.is_square and M.nrows == J.nrows):
@@ -308,77 +254,45 @@ def pgcd(a: int, b: int) -> int:
     return a
 
 
-def pderiv(f: int) -> int:
-    # derivative in characteristic 2: keep odd-exponent terms, shift down one
-    out = 0
-    for i in range(1, f.bit_length(), 2):
-        if (f >> i) & 1:
-            out |= 1 << (i - 1)
-    return out
+def vector_minpoly(M: BitMatrix, v: int) -> int:
+    """The monic m of least degree with v m(M) = 0, for a row vector v.
+
+    v, vM, vM^2, ... go into an echelon basis until a power falls into the
+    span of the earlier ones; with the powers as columns, the one kernel
+    vector is the coefficient list of m."""
+    pivots: dict[int, int] = {}
+    powers = [v]
+    while echelon_insert(pivots, powers[-1]):
+        powers.append(M.row_apply(powers[-1]))
+    _, (m,) = rank_nullspace(BitMatrix(powers, M.ncols).transpose())
+    return m
 
 
-def psqrt(f: int) -> int:
-    """Square root of f when f = g(x)^2 (all exponents even)."""
-    out = 0
-    i = 0
-    while (f >> (2 * i)) != 0:
-        if (f >> (2 * i)) & 1:
-            out |= 1 << i
-        i += 1
-    return out
+def distinct_degree_parts(f: int) -> dict[int, int]:
+    """{d: product of the distinct irreducible factors of degree d of f != 0}.
 
-
-def _berlekamp_squarefree(f: int) -> list[int]:
-    """Distinct irreducible factors of a squarefree f over GF(2)."""
-    d = pdeg(f)
-    if d <= 1:
-        return [f]
-    # rows of the Frobenius matrix: x^{2i} mod f
-    rows = []
-    cur = 1  # x^0
-    xsq = pmod(0b100, f)
-    for _ in range(d):
-        rows.append(cur)
-        cur = pmod(pmul(cur, xsq), f)
-    R = BitMatrix(rows, d)
-    # fixed space of Frobenius: a with a.R = a, i.e. (R^T + I) a = 0
-    RtI = R.transpose() + BitMatrix.identity(d)
-    _, basis = rank_nullspace(RtI)
-    if len(basis) == 1:
-        return [f]
-    h = next(b for b in basis if pdeg(b) >= 1)  # non-constant subalgebra element
-    g1 = pgcd(f, h)
-    g2 = pgcd(f, h ^ 1)
-    if not (0 < pdeg(g1) < d and 0 < pdeg(g2) < d):
-        raise VerificationError("Berlekamp split must give two proper factors")
-    return _berlekamp_squarefree(g1) + _berlekamp_squarefree(g2)
-
-
-def poly_factor(f: int) -> set[int]:
-    """The distinct irreducible factors of f over GF(2).
-
-    When f' != 0, q = f / gcd(f, f') is the product of the factors of odd
-    multiplicity, and q / gcd(q, gcd(f, f')) that of the factors of
-    multiplicity one, which Berlekamp splits; every other factor stays in
-    gcd(f, f') with even multiplicity.  When f' = 0, f is the square of
-    psqrt(f).  So each factor is split off once, at the step where its
-    multiplicity is one.
-    """
-    if f == 0:
-        raise ValueError("cannot factor the zero polynomial")
-    out: set[int] = set()
-    while pdeg(f) > 0:
-        d = pderiv(f)
-        if d == 0:
-            f = psqrt(f)
-            continue
-        c = pgcd(f, d)
-        q = pdiv(f, c)
-        simple = pdiv(q, pgcd(q, c))
-        if pdeg(simple) > 0:
-            out.update(_berlekamp_squarefree(simple))
-        f = c
-    return out
+    x^(2^d) + x is the squarefree product of the irreducibles of degree
+    dividing d, so once the factors of lower degree are divided out of f,
+    the gcd of the rest with x^(2^d) + x is the degree-d part.  A rest whose
+    factors all have degree > d and whose degree is below 2(d + 1) is 1 or
+    irreducible."""
+    parts: dict[int, int] = {}
+    rest = f
+    h = 0b10  # x^(2^d), reduced mod a multiple of rest
+    d = 0
+    while pdeg(rest) >= 2 * (d + 1):
+        d += 1
+        h = pmod(pmul(h, h), rest)
+        part = pgcd(rest, h ^ 0b10)
+        if pdeg(part) > 0:
+            parts[d] = part
+            g = part  # divide out every power of the part's factors
+            while pdeg(g) > 0:
+                rest = pdiv(rest, g)
+                g = pgcd(rest, g)
+    if pdeg(rest) > 0:
+        parts[pdeg(rest)] = rest
+    return parts
 
 
 def eval_poly_at_matrix(f: int, M: BitMatrix) -> BitMatrix:

@@ -3,9 +3,13 @@
 Randomized algebra elements are sums of short words in the generators, drawn
 from a seeded PRNG (default seed 0xC0FFEE), so every run is reproducible.
 Irreducibility is certified with Norton's criterion: for an algebra element a
-and an irreducible charpoly factor p with nullity(p(a)) = deg p, the module is
-irreducible iff one nullspace vector spins to the full space and one nullspace
-vector of the transposed module does too.
+and an irreducible p with nullity(p(a)) = deg p, the module is irreducible iff
+one nullspace vector spins to the full space and one nullspace vector of the
+transposed module does too.  The candidates p are the irreducible factors of
+the minimal polynomial of one random vector under a, grouped by degree: such a
+p divides the characteristic polynomial of a, and ker p(a) of dimension deg p
+is then a simple F_2[a]-module, which is all the criterion uses.  Every
+nullspace vector that spins to a proper subspace splits the module, whatever p.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ from .errors import DEFAULT_SEED, UsageError, VerificationError
 from .gf2 import (
     BitMatrix,
     GF2Module,
+    distinct_degree_parts,
     echelon_insert,
     eval_poly_at_matrix,
-    gf2_charpoly,
     pdeg,
-    poly_factor,
     rank_nullspace,
+    vector_minpoly,
 )
 
 MAX_ATTEMPTS = 64
@@ -110,18 +114,15 @@ def _decide(module: GF2Module, rng: random.Random):
     gens_t = [g.transpose() for g in gens]
     for _ in range(MAX_ATTEMPTS):
         a = _random_algebra_element(gens, rng, n)
-        cp = gf2_charpoly(a)
-        factors = sorted(poly_factor(cp), key=lambda p: (pdeg(p), p))
-        for p in factors:
+        # p divides the minimal polynomial of a vector, so p(a) is singular
+        for d, p in distinct_degree_parts(vector_minpoly(a, rng.getrandbits(n) or 1)).items():
             pa = eval_poly_at_matrix(p, a)
             rank, left_null = rank_nullspace(pa.transpose())
-            if not left_null:
-                continue
-            v = left_null[0]
-            sub = spin([v], gens)
+            sub = spin([left_null[0]], gens)
             if len(sub) < n:
                 return "split", sub
-            if n - rank == pdeg(p):
+            # a part of degree d is one irreducible factor
+            if n - rank == pdeg(p) == d:
                 _, right_null = rank_nullspace(pa)
                 w = right_null[0]
                 dual = spin([w], gens_t)

@@ -292,12 +292,12 @@ class IndexedGroup:
     Every table comes from the closure's Schreier graph: x_i is its tree
     parent times one generator, so right multiplication by any element is
     the composite of `right` rows along its tree word.  No method multiplies
-    two elements.
+    two elements.  The closure raises ClosureOverflow past `bound` elements.
     """
 
-    def __init__(self, generators):
+    def __init__(self, generators, bound: int | None = None):
         self.generators = list(generators)
-        els = closure(self.generators)
+        els = closure(self.generators, bound)
         self.elements = els
         self.index = {x: i for i, x in enumerate(els)}
         self.right = els.right

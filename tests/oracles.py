@@ -22,7 +22,6 @@ from eigenone.gf2 import (
     BitMatrix,
     GF2Module,
     fixed_space_dim,
-    gf2_charpoly,
     gf2_rank,
     pdeg,
     pdiv,
@@ -292,6 +291,13 @@ def to_int_entries(M: BitMatrix) -> list[list[int]]:
     return [[(r >> j) & 1 for j in range(M.ncols)] for r in M.rows]
 
 
+def charpoly_mod2(M: BitMatrix) -> int:
+    """det(xI - M) over GF(2) as a bit-poly: the Berkowitz characteristic
+    polynomial over the integers, reduced mod 2."""
+    coeffs = charpoly_exact(IntMatrix(to_int_entries(M))).coeffs
+    return sum(1 << i for i, c in enumerate(coeffs) if c % 2)
+
+
 def from_hex_rows(hex_rows: list[str], ncols: int) -> BitMatrix:
     """Inverse of BitMatrix.to_hex_rows: 64-bit words, the word holding the
     lowest columns printed first."""
@@ -316,6 +322,24 @@ def is_irreducible_by_trial_division(f: int) -> bool:
     return all(pmod(f, g) for g in range(2, 1 << (d // 2 + 1)))
 
 
+def distinct_factors_by_trial_division(f: int) -> set[int]:
+    """The distinct irreducible factors of f != 0 in GF(2)[x].  Candidates
+    run in increasing order, so the first to divide what is left of f is
+    irreducible; what is left after degree deg/2 is 1 or irreducible."""
+    out = set()
+    g = 2
+    while 2 * pdeg(g) <= pdeg(f):
+        if pmod(f, g):
+            g += 1
+            continue
+        out.add(g)
+        while pmod(f, g) == 0:
+            f = pdiv(f, g)
+    if pdeg(f) > 0:
+        out.add(f)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The symplectic module by matrices: one embedded matrix and one
 # characteristic polynomial per class, against the cycle-type forms
@@ -331,7 +355,7 @@ def gf2_class_record(label: str, size: int, order: int, M: BitMatrix) -> ClassRe
     """det(I - M), and the eigenvalue-1 multiplicities as dim ker(M + I) and
     the multiplicity of x + 1 in the characteristic polynomial."""
     geo = fixed_space_dim(M)
-    cp = gf2_charpoly(M)
+    cp = charpoly_mod2(M)
     alg = 0
     while peval1(cp) == 0:
         cp = pdiv(cp, 0b11)  # exact division by (x + 1)
@@ -403,7 +427,7 @@ def eig1_data_by_embedding(cycle_type: tuple[int, ...]) -> tuple[int, int, int]:
     space = build_space(sum(cycle_type))
     M = embed_permutation(class_rep_for(Partition(cycle_type)), space)
     record = gf2_class_record("", 1, 1, M)
-    return record.geo_mult, record.alg_mult, gf2_charpoly(M)
+    return record.geo_mult, record.alg_mult, charpoly_mod2(M)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from eigenone.meataxe import (
 )
 from eigenone.perms import Partition, builtin_group, class_reps_symmetric, closure
 from eigenone.symplectic import build_space, embed_group, permutation_module_gf2
-from oracles import specht_mod2_module
+from oracles import charpoly_mod2, specht_mod2_module
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 
@@ -131,9 +131,7 @@ def test_criterion_5_pgl2_19():
     expect = (1 << 19) - 1
     for size, g, order in G.conjugacy_classes():
         if order == 19:
-            from eigenone.gf2 import gf2_charpoly
-
-            assert gf2_charpoly(embed_permutation(g, space)) == expect
+            assert charpoly_mod2(embed_permutation(g, space)) == expect
     elapsed = time.time() - t0
     assert elapsed < 120
     _report(5, f"18-dim module not unisingular; offenders exactly the order-19 classes "

@@ -298,11 +298,51 @@ def test_stickelberger_parity_check_fires(monkeypatch, capsys):
 
 
 def test_frobenius_scan_jobs_parallel_matches_serial():
+    # 166 good primes to 1000 make three chunks of 64, so two jobs start a pool
     f = malle_g(1, -32)
     G = builtin_group("agl2_3")
-    a = frobenius_scan(f, 300, G, jobs=1)
-    b = frobenius_scan(f, 300, G, jobs=2)
+    a = frobenius_scan(f, 1000, G, jobs=1)
+    b = frobenius_scan(f, 1000, G, jobs=2)
     assert [r.to_payload() for r in a.records] == [r.to_payload() for r in b.records]
+
+
+def test_frobenius_scan_starts_no_more_workers_than_cpus_or_chunks(monkeypatch):
+    # the pool is recorded, never started: it runs its map in this process
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    f = malle_g(1, -32)
+    G = builtin_group("agl2_3")
+    serial = [r.to_payload() for r in frobenius_scan(f, 1000, G, jobs=1).records]
+    for cpus, jobs, pmax, workers in [
+        (4, 10**6, 1000, 3),  # 166 good primes: three chunks
+        (4, 2, 1000, 2),
+        (2, 10**6, 1000, 2),
+        (1, 10**6, 1000, None),  # one CPU: serial
+        (4, 10**6, 300, None),  # 60 good primes: one chunk, serial
+    ]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        started.clear()
+        scan = frobenius_scan(f, pmax, G, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        if pmax == 1000:
+            assert [r.to_payload() for r in scan.records] == serial
 
 
 def test_field_modulus_lexicographically_least():

@@ -31,6 +31,7 @@ from eigenone.symplectic import build_space, embed_group, embed_permutation
 from oracles import (
     audit_embedded_group_by_matrices,
     audit_gf2_classes,
+    charpoly_mod2,
     conjugate_by,
     peval1,
     subgroup_census_by_matrices,
@@ -187,9 +188,7 @@ def test_gf2_det_verdict_matches_nullity_verdict():
     for size, rep, order in G.conjugacy_classes():
         M = embed_permutation(rep, sp)
         rank, _ = rank_nullspace(M + ident)
-        from eigenone.gf2 import gf2_charpoly
-
-        assert (rank < 18) == (peval1(gf2_charpoly(M)) == 0)
+        assert (rank < 18) == (peval1(charpoly_mod2(M)) == 0)
 
 
 def test_agl2_3_every_element_has_eigenvalue_one():

@@ -176,10 +176,28 @@ def test_reproduce_all_runs_the_checkout(monkeypatch, tmp_path):
     assert script.check_run(proc, 0) == "ok"
 
 
+def test_reproduce_all_writes_only_reports_that_differ(monkeypatch, tmp_path, capsys):
+    script = load_reproduce_all()
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    monkeypatch.setattr(script, "RUNS", [("disc", ["nt", "disc-verify", "--samples", "1"], 0)])
+    dest = tmp_path / "disc.json"
+    assert script.main() == 1  # no committed copy yet: written and named
+    assert "disc" in capsys.readouterr().out.splitlines()[-1]
+    committed = json.loads(dest.read_text())
+    committed["wall_time_s"] = -1.0  # the wall time is not compared
+    dest.write_text(json.dumps(committed))
+    assert script.main() == 0
+    assert json.loads(dest.read_text())["wall_time_s"] == -1.0  # left as it was
+    committed["result"]["identity_holds"] = False
+    dest.write_text(json.dumps(committed))
+    assert script.main() == 1
+    assert json.loads(dest.read_text())["result"]["identity_holds"] is True
+
+
 def test_committed_reports_match_the_battery():
     # each out/<name>.json is what reproduce_all.py writes for <name> at its
     # defaults: the same command, and anchors that are current claims
-    battery = {name: argv for name, argv, _ in load_reproduce_all().battery()}
+    battery = {name: argv for name, argv, _ in load_reproduce_all().RUNS}
     claims = set(CLAIMS.values())
     reports = sorted((ROOT / "out").glob("*.json"))
     assert reports
@@ -259,6 +277,9 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ("nt disc-verify --samples -3", "--samples must be at least 1, got -3"),
     ("specht conjecture-table --n ,", "--n lists no value of n"),
     ("nt lpoly-check --a 1 --t -32 --primes ,", "--primes lists no prime"),
+    # no worker would run
+    ("nt frobenius-scan --a 1 --t 1 --group agl2_3 --jobs 0", "--jobs must be at least 1, got 0"),
+    ("specht audit --n 5 --family hook --jobs -2", "--jobs must be at least 1, got -2"),
 ])
 def test_bad_input_is_usage_error(capsys, argv, message):
     code = main(argv.split())
@@ -278,6 +299,26 @@ def test_oversized_input_is_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: module dimension 14 exceeds bound 10\n"
     assert main(["embed", "census", "--group", "s_n", "--n", "7"]) == 2
     assert capsys.readouterr().err == "error: census input capped at 2000 elements\n"
+
+
+@pytest.mark.parametrize("group", [["pgl2", "--q", "61"], ["s_n", "--n", "9"]])
+def test_census_cap_stops_the_closure(capsys, monkeypatch, group):
+    # PGL(2,61) has 226920 elements and S_9 362880: the census refuses them
+    # after closing at most 2001, each multiplied once by each of at most
+    # three generators
+    from eigenone.perms import Permutation
+
+    products = [0]
+    mul = Permutation.__mul__
+
+    def counting_mul(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+    assert main(["embed", "census", "--group", *group]) == 2
+    assert capsys.readouterr().err == "error: census input capped at 2000 elements\n"
+    assert 0 < products[0] <= 2001 * 3
 
 
 def run_python(program: str, *flags: str):

@@ -6,20 +6,27 @@ from hypothesis import strategies as st
 
 from eigenone.gf2 import (
     BitMatrix,
+    distinct_degree_parts,
     eval_poly_at_matrix,
     fixed_space_dim,
-    gf2_charpoly,
     pdeg,
     pdiv,
     pgcd,
     pmod,
     pmul,
-    poly_factor,
     preserves_form,
     rank_nullspace,
+    vector_minpoly,
 )
 from eigenone.perms import ClosureOverflow, closure
-from oracles import from_hex_rows, gf2_det, is_irreducible_by_trial_division, peval1
+from oracles import (
+    charpoly_mod2,
+    distinct_factors_by_trial_division,
+    from_hex_rows,
+    gf2_det,
+    is_irreducible_by_trial_division,
+    peval1,
+)
 
 
 def rand_bitmatrix(n, rng):
@@ -62,13 +69,13 @@ def test_matmul_against_entry_formula():
 
 
 def test_charpoly_identity_2x2():
-    assert gf2_charpoly(BitMatrix.identity(2)) == 0b101  # x^2 + 1
+    assert charpoly_mod2(BitMatrix.identity(2)) == 0b101  # x^2 + 1
 
 
 def test_charpoly_companion():
     # companion matrix of x^3 + x + 1, column convention
     C = BitMatrix.from_entries([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
-    assert gf2_charpoly(C) == 0b1011
+    assert charpoly_mod2(C) == 0b1011
 
 
 def test_charpoly_degree_and_det_term():
@@ -76,26 +83,27 @@ def test_charpoly_degree_and_det_term():
     for _ in range(100):
         n = rng.randint(1, 10)
         M = rand_bitmatrix(n, rng)
-        cp = gf2_charpoly(M)
+        cp = charpoly_mod2(M)
         assert pdeg(cp) == n
         assert (cp & 1) == gf2_det(M)  # constant term = det over GF(2)
 
 
 def test_charpoly_matches_integer_route_mod_2():
-    # independent route: Berkowitz over ZZ, reduced mod 2
-    from eigenone.intlinalg import IntMatrix
-    from oracles import charpoly_exact, to_int_entries
-
+    # the Krylov route: every vector's minimal polynomial divides the
+    # Berkowitz charpoly mod 2, and equals it for a cyclic vector
     rng = random.Random(7)
+    cyclic = 0
     for _ in range(60):
         n = rng.randint(1, 8)
         M = rand_bitmatrix(n, rng)
-        ip = charpoly_exact(IntMatrix(to_int_entries(M)))
-        bits = 0
-        for i, c in enumerate(ip.coeffs):
-            if c % 2:
-                bits |= 1 << i
-        assert gf2_charpoly(M) == bits
+        cp = charpoly_mod2(M)
+        for v in range(1, 1 << n):
+            m = vector_minpoly(M, v)
+            assert pmod(cp, m) == 0
+            if pdeg(m) == n:
+                assert m == cp
+                cyclic += 1
+    assert cyclic > 1000
 
 
 def test_fixed_space_dim_counts_fixed_vectors():
@@ -112,7 +120,7 @@ def test_charpoly_value_at_1_iff_nullity():
     for _ in range(1000):
         n = rng.randint(1, 10)
         M = rand_bitmatrix(n, rng)
-        cp = gf2_charpoly(M)
+        cp = charpoly_mod2(M)
         _, ns = rank_nullspace(M + BitMatrix.identity(n))
         assert (peval1(cp) == 0) == (len(ns) >= 1)
 
@@ -207,41 +215,53 @@ def test_poly_gcd():
     assert pgcd(f, g) == 0b111
 
 
-def test_poly_factor_known():
+@st.composite
+def square_bitmatrix_and_vector(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return BitMatrix(rows, n), draw(st.integers(1, (1 << n) - 1))
+
+
+@given(square_bitmatrix_and_vector())
+def test_vector_minpoly_is_the_least_killing_polynomial(Mv):
+    # m kills v, no proper divisor does, and m divides the charpoly
+    M, v = Mv
+    m = vector_minpoly(M, v)
+    assert eval_poly_at_matrix(m, M).row_apply(v) == 0
+    for q in distinct_factors_by_trial_division(m):
+        assert eval_poly_at_matrix(pdiv(m, q), M).row_apply(v) != 0
+    assert pmod(charpoly_mod2(M), m) == 0
+
+
+def test_vector_minpoly_known():
+    # companion matrix of x^3 + x + 1 (row convention: e_i -> e_{i+1})
+    C = BitMatrix([0b010, 0b100, 0b011], 3)
+    assert vector_minpoly(C, 0b001) == 0b1011
+    assert vector_minpoly(BitMatrix.identity(4), 0b0110) == 0b11  # x + 1
+    assert vector_minpoly(BitMatrix.zeros(3), 0b101) == 0b10  # x
+
+
+def test_distinct_degree_parts_known():
     # x^9 + 1 = (x+1)(x^2+x+1)(x^6+x^3+1)
-    f = (1 << 9) | 1
-    fac = poly_factor(f)
-    assert fac == {0b11, 0b111, 0b1001001}
-    assert all(is_irreducible_by_trial_division(p) for p in fac)
-
-
-def test_poly_factor_multiplicities():
-    f = pmul(pmul(0b11, 0b11), 0b111)  # (x+1)^2 (x^2+x+1)
-    assert poly_factor(f) == {0b11, 0b111}
-    # inseparable square: (x^3+x+1)^2 has zero derivative
-    sq = pmul(0b1011, 0b1011)
-    assert poly_factor(sq) == {0b1011}
-    # odd multiplicity above one: (x+1)^3 (x^3+x+1)^2 (x^2+x+1)^5
+    assert distinct_degree_parts((1 << 9) | 1) == {1: 0b11, 2: 0b111, 6: 0b1001001}
+    # (x+1)^3 x^2 (x^3+x+1)^2 (x^3+x^2+1) (x^2+x+1)^5: repeated factors, two cubics
     f = 1
-    for p, m in ((0b11, 3), (0b1011, 2), (0b111, 5)):
+    for p, m in ((0b11, 3), (0b10, 2), (0b1011, 2), (0b1101, 1), (0b111, 5)):
         for _ in range(m):
             f = pmul(f, p)
-    assert poly_factor(f) == {0b11, 0b1011, 0b111}
-    assert poly_factor(1) == set()
+    assert distinct_degree_parts(f) == {1: 0b110, 2: 0b111, 3: pmul(0b1011, 0b1101)}
+    assert distinct_degree_parts(1) == {}
 
 
-@given(st.integers(2, 400))
-def test_poly_factor_product_reconstructs(f):
-    # each factor is irreducible by trial division and divides f, and
-    # dividing f by the factors as often as they go leaves 1
-    fac = poly_factor(f)
-    rest = f
-    for p in fac:
-        assert is_irreducible_by_trial_division(p)
-        assert pmod(rest, p) == 0
-        while pmod(rest, p) == 0:
-            rest = pdiv(rest, p)
-    assert rest == 1
+@given(st.integers(1, 1 << 24))
+def test_distinct_degree_parts_multiply_to_the_radical(f):
+    # the degree-d part is the product of f's distinct irreducible factors
+    # of degree d, found by trial division
+    want = {}
+    for q in distinct_factors_by_trial_division(f):
+        assert is_irreducible_by_trial_division(q)
+        want[pdeg(q)] = pmul(want.get(pdeg(q), 1), q)
+    assert distinct_degree_parts(f) == want
 
 
 def test_eval_poly_at_matrix():

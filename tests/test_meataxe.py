@@ -200,3 +200,23 @@ def test_dual_split_check_fires_on_a_full_complement(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert "VerificationError: the dual split must give a proper submodule" in captured.err
+
+
+SWEEP_MODULES = {
+    "S^(3,1,1)": (lambda: specht_mod2_module(5, Partition((3, 1, 1))), [1, 1, 4]),
+    "S^(5,2)": (lambda: specht_mod2_module(7, Partition((5, 2))), [14]),
+    "S^(5,1,1)": (lambda: specht_mod2_module(7, Partition((5, 1, 1))), [1, 14]),
+    "agl2_3": (lambda: embed_group(builtin_group("agl2_3")), [8]),
+    "flags": (lambda: permutation_module_gf2(builtin_group("l3_2_flags")), [1, 3, 3, 3, 3, 8]),
+    "S^(4,3,2)": (lambda: specht_mod2_module(9, Partition((4, 3, 2))), [8, 160]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_MODULES))
+def test_factor_dims_over_a_seed_sweep(name):
+    # every seed reaches the same certified factors within the attempt
+    # budget: a MeatAxeError would fail the test
+    build, dims = SWEEP_MODULES[name]
+    mod = build()
+    for seed in range(50):
+        assert factor_dimensions(mod, seed=seed) == dims, seed
