@@ -7,9 +7,10 @@ group for irreducibility and the same property on that module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
+from typing import TYPE_CHECKING
 
-from .errors import DEFAULT_SEED, ClosureOverflow, UsageError
-from .intlinalg import IntMatrix, _bareiss, det_exact
+from .errors import DEFAULT_SEED, ClosureOverflow, UsageError, VerificationError
 from .perms import (
     IndexedGroup,
     Partition,
@@ -19,18 +20,15 @@ from .perms import (
     orbit,
     orbits,
 )
-from .specht import (  # the FAMILY_* names are audit_specht's family argument
-    FAMILY_HOOK,
-    FAMILY_TWO,
-    FAMILY_TWO_CONJ,
-    action_matrix,
-    family_shape,
-    twisted_action_matrix,
-)
 
-# The GF(2) audits import meataxe and symplectic where they run: an integral
-# Specht audit then loads neither, and perfbench's tracer, which loads this
-# module before it wraps the GF(2) layers, still reaches every call.
+if TYPE_CHECKING:
+    from .intlinalg import IntMatrix
+
+# Each audit imports the layers it runs where it runs: the integral ones
+# (specht, intlinalg) and the GF(2) ones (meataxe, symplectic).  So `embed`
+# loads no integral layer and `specht audit` no GF(2) one, and perfbench's
+# tracer, which wraps each layer where it is defined, still reaches every
+# call.
 
 @dataclass
 class ClassRecord:
@@ -91,6 +89,8 @@ class AuditReport:
 
 
 def _int_class_record(label: str, size: int, order: int, M: IntMatrix) -> ClassRecord:
+    from .intlinalg import IntMatrix, _bareiss
+
     rank, det = _bareiss([list(r) for r in (IntMatrix.identity(M.nrows) - M).rows])
     geo = M.nrows - rank
     # M has finite order, so it is semisimple over QQ: the algebraic
@@ -115,13 +115,15 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> AuditReport:
     """Audit a Specht-family representation over the integers, one matrix per
     conjugacy class (det(I - M) is a class function).
 
-    family: FAMILY_HOOK, FAMILY_TWO or FAMILY_TWO_CONJ; group: "s_n" or "a_n".
+    family: specht.FAMILY_HOOK, FAMILY_TWO or FAMILY_TWO_CONJ; group: "s_n" or "a_n".
     Supported range is 5 <= n <= 17 (the class count grows as p(n); n = 17
     takes tens of seconds per family).  For a_n only even
     classes are audited (every element of A_n lies in an even S_n class and
     det(I - M) is constant on S_n classes); reported sizes are S_n class
     sizes.
     """
+    from .specht import action_matrix, family_shape, twisted_action_matrix
+
     if group not in ("s_n", "a_n"):
         raise UsageError(f"unknown group {group!r}")
     if not 5 <= n <= 17:
@@ -140,6 +142,9 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> AuditReport:
 def conjecture_table(ns: list[int]) -> list[dict]:
     """det(I - M) for the sign-twisted two-row module on the class of an
     (n-2)-cycle times a transposition, with the closed form 2^(k-1)(2k-1)."""
+    from .intlinalg import IntMatrix, det_exact
+    from .specht import twisted_action_matrix
+
     rows = []
     for n in ns:
         if n < 5 or n % 2 == 0:
@@ -223,24 +228,64 @@ def two_generated_subgroups(
     are paired.  If <a> = g<x>g^-1, then <a, b> = g<x, b'>g^-1 where b'
     generates <g^-1 b g>: so x runs over one cyclic subgroup per conjugacy
     class, y over the cyclic subgroups whose class has not had its turn as
-    x yet, and every subgroup found brings in its conjugates.
+    x yet, and every subgroup found brings in its conjugates.  For g in the
+    normalizer N(<x>), <x, g y g^-1> = g<x, y>g^-1, so y is taken once per
+    N(<x>)-orbit, as the least generator in it: the one the ascending scan
+    meets first, so the representatives and pairs are those a scan over
+    every y finds.  Each <x, y> is closed by right cosets of <x> (Dimino).
     """
-    times = [row.__getitem__ for row in group.cayley_table]
-    maps = [lambda S, c=c.__getitem__: frozenset(map(c, S)) for c in group.conjugators()]
-    cyclic = {i: frozenset(group.powers(i)) for i in group.cyclic_generators()}
-    done: set[frozenset[int]] = set()  # cyclic subgroups already taken as <x>
+    n = len(group.elements)
+    table = group.cayley_table  # table[b][a] = index of x_a * x_b
+    inv = group.inverses
+    conj = [c.__getitem__ for c in group.conjugators()]
+    maps = [lambda S, c=c: frozenset(map(c, S)) for c in conj]
+    cyclic = {i: group.powers(i) for i in group.cyclic_generators()}
+    least = [0] * n  # least[z]: the least generator of <z>
+    for i, X in cyclic.items():
+        for k, z in enumerate(X, 1):
+            if gcd(k, len(X)) == 1:
+                least[z] = i
+    done = bytearray(n)  # at least generators: cyclic subgroups already taken as <x>
     subgroups: dict[frozenset[int], tuple[frozenset[int], tuple[int, int]]] = {}
     for x, X in cyclic.items():
-        if X in done:
+        if done[x]:
             continue
-        partners = [y for y, Y in cyclic.items() if Y not in done]
-        done.update(orbit(X, maps))
+        partners = [y for y in cyclic if not done[y]]
+        conjugates = {least[z] for z in orbit(x, conj)}
+        for c in conjugates:
+            done[c] = 1
+        normalizer = [(g, inv[g]) for g in group.normalizer(x)]
+        if len(conjugates) * len(normalizer) != n:
+            raise VerificationError(
+                f"orbit-stabilizer fails at <x_{x}>: {len(conjugates)} conjugates, "
+                f"normalizer of order {len(normalizer)}, group of order {n}")
+        seen = bytearray(n)  # at least generators: N(<x>)-orbits of partners met
         for y in partners:
-            K = frozenset(orbit(x, (times[x], times[y])))
+            if seen[y]:
+                continue
+            gy = table[y]  # gy[g] is the index of g * y
+            for g, g_inv in normalizer:
+                seen[least[table[g_inv][gy[g]]]] = 1
+            K = _coset_closure(table, X, (x, y))
             if K not in subgroups:
                 for H in orbit(K, maps):
                     subgroups[H] = (K, (x, y))
     return subgroups
+
+
+def _coset_closure(table, X: list[int], gens: tuple[int, ...]) -> frozenset[int]:
+    """<X, gens> for a subgroup X that ends with the identity, as the union
+    of the right cosets X t reached from X by right multiplication: once
+    the coset of every t is in, the union is closed under the generators."""
+    members = set(X)
+    reps = [X[-1]]
+    for r in reps:
+        for s in gens:
+            t = table[s][r]  # r * s
+            if t not in members:
+                reps.append(t)
+                members.update(map(table[t].__getitem__, X))
+    return frozenset(members)
 
 
 def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]:

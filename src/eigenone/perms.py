@@ -286,8 +286,9 @@ class IndexedGroup:
     `elements` is the closure of `generators` sorted by canonical key, and
     `index` maps each element to its number 0..N-1.  For the k-th generator
     g, `left[k][i]` and `right[k][i]` are the indices of g * x_i and x_i * g.
-    Powers, orders, conjugation maps, classes, cyclic subgroups and the full
-    Cayley table are computed on demand.
+    Powers, orders, conjugation maps, classes, cyclic subgroups, the full
+    Cayley table, inverses and normalizers of cyclic subgroups are computed
+    on demand.
 
     Every table comes from the closure's Schreier graph: x_i is its tree
     parent times one generator, so right multiplication by any element is
@@ -395,6 +396,22 @@ class IndexedGroup:
         for b in self._bfs[1:]:
             table[b] = tuple(map(self.right[self._via[b]].__getitem__, table[self._parent[b]]))
         return table
+
+    @cached_property
+    def inverses(self) -> list[int]:
+        """inverses[b] is the index of x_b^-1: the a with x_a * x_b = e."""
+        e = self.identity
+        return [row.index(e) for row in self.cayley_table]
+
+    def normalizer(self, i: int) -> list[int]:
+        """Indices of the normalizer of <x_i>, ascending: the g with
+        g * x_i * g^-1 in <x_i>, read off the Cayley table."""
+        inside = bytearray(len(self.elements))
+        for h in self.powers(i):
+            inside[h] = 1
+        table, inv = self.cayley_table, self.inverses
+        gx = table[i]  # gx[g] is the index of g * x_i
+        return [g for g in range(len(inside)) if inside[table[inv[g]][gx[g]]]]
 
 
 @dataclass

@@ -386,6 +386,30 @@ def audit_embedded_group_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> 
     return audit_gf2_classes(f"embed:{G.name}:d={G.degree}", classes, embed_group(G), seed)
 
 
+def two_generated_subgroups_by_pairs(
+    group: IndexedGroup,
+) -> dict[frozenset[int], tuple[frozenset[int], tuple[int, int]]]:
+    """`audit.two_generated_subgroups` with every partner y paired with x and
+    every <x, y> closed from scratch as the orbit of x under right
+    multiplication by x and y."""
+    times = [row.__getitem__ for row in group.cayley_table]
+    maps = [lambda S, c=c.__getitem__: frozenset(map(c, S)) for c in group.conjugators()]
+    cyclic = {i: frozenset(group.powers(i)) for i in group.cyclic_generators()}
+    done: set[frozenset[int]] = set()  # cyclic subgroups already taken as <x>
+    subgroups: dict[frozenset[int], tuple[frozenset[int], tuple[int, int]]] = {}
+    for x, X in cyclic.items():
+        if X in done:
+            continue
+        partners = [y for y, Y in cyclic.items() if Y not in done]
+        done.update(orbit(X, maps))
+        for y in partners:
+            K = frozenset(orbit(x, (times[x], times[y])))
+            if K not in subgroups:
+                for H in orbit(K, maps):
+                    subgroups[H] = (K, (x, y))
+    return subgroups
+
+
 def subgroup_census_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]:
     """`audit.subgroup_census` on the closure of the embedded generator
     matrices, with dim ker(M + I) per class and the MeatAxe run on the

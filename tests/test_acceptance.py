@@ -20,9 +20,6 @@ from eigenone.arith import (
     malle_r,
 )
 from eigenone.audit import (
-    FAMILY_HOOK,
-    FAMILY_TWO,
-    FAMILY_TWO_CONJ,
     audit_embedded_group,
     audit_specht,
     conjecture_table,
@@ -38,6 +35,7 @@ from eigenone.meataxe import (
     is_irreducible,
 )
 from eigenone.perms import Partition, builtin_group, class_reps_symmetric, closure
+from eigenone.specht import FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ
 from eigenone.symplectic import build_space, embed_group, permutation_module_gf2
 from oracles import charpoly_mod2, specht_mod2_module
 

@@ -3,9 +3,6 @@ import random
 import pytest
 
 from eigenone.audit import (
-    FAMILY_HOOK,
-    FAMILY_TWO,
-    FAMILY_TWO_CONJ,
     audit_embedded_group,
     audit_int_classes,
     audit_specht,
@@ -13,7 +10,7 @@ from eigenone.audit import (
     subgroup_census,
     two_generated_subgroups,
 )
-from eigenone.errors import UsageError
+from eigenone.errors import UsageError, VerificationError
 from eigenone.gf2 import BitMatrix, GF2Module, rank_nullspace
 from eigenone.intlinalg import IntMatrix
 from eigenone.meataxe import is_irreducible
@@ -26,7 +23,13 @@ from eigenone.perms import (
     class_reps_symmetric,
     closure,
 )
-from eigenone.specht import action_matrix, twisted_action_matrix
+from eigenone.specht import (
+    FAMILY_HOOK,
+    FAMILY_TWO,
+    FAMILY_TWO_CONJ,
+    action_matrix,
+    twisted_action_matrix,
+)
 from eigenone.symplectic import build_space, embed_group, embed_permutation
 from oracles import (
     audit_embedded_group_by_matrices,
@@ -35,6 +38,7 @@ from oracles import (
     conjugate_by,
     peval1,
     subgroup_census_by_matrices,
+    two_generated_subgroups_by_pairs,
 )
 
 
@@ -259,6 +263,25 @@ def test_census_matches_matrix_route(name, params):
     assert [e.to_payload() for e in subgroup_census(G)] == expected
 
 
+@pytest.mark.parametrize("name,params", CENSUS_INPUTS,
+                         ids=[f"{n}{p}" for n, p in CENSUS_INPUTS])
+def test_two_generated_subgroups_match_the_pairwise_oracle(name, params):
+    # pairing y only up to N(<x>) and closing by cosets of <x> finds the same
+    # subgroups, the same class representatives and the same generator pairs
+    # as pairing every y and closing each <x, y> from scratch
+    group = builtin_group(name, **params).indexed
+    assert two_generated_subgroups(group) == two_generated_subgroups_by_pairs(group)
+
+
+def test_two_generated_subgroups_check_orbit_stabilizer(monkeypatch):
+    # a normalizer that misses an element breaks |orbit| * |N(<x>)| = |G|
+    group = builtin_group("asl2_3").indexed
+    normalizer = IndexedGroup.normalizer
+    monkeypatch.setattr(IndexedGroup, "normalizer", lambda self, i: normalizer(self, i)[:-1])
+    with pytest.raises(VerificationError, match="orbit-stabilizer"):
+        two_generated_subgroups(group)
+
+
 def test_census_refuses_unfaithful_degree_four():
     # (1,2)(3,4) acts trivially on the degree-4 module; without such an
     # element the module is faithful and the census runs
@@ -310,12 +333,20 @@ def _all_pairs_census(group: IndexedGroup) -> tuple[set[frozenset[int]], list[di
     return set(subgroups), payload
 
 
-@pytest.mark.parametrize("source", ["asl2_3", "agl1_9", "agammal1_9", "cyclic9"])
+BRUTE_FORCE_SOURCES = {
+    "asl2_3": lambda: builtin_group("asl2_3"),
+    "agl1_9": lambda: builtin_group("agl1_9"),
+    "agammal1_9": lambda: builtin_group("agammal1_9"),
+    "cyclic9": lambda: PermGroup([Permutation.from_cycles(9, [tuple(range(1, 10))])]),
+    # N(<x>) is larger than <x> for most x here
+    "pgl2_5": lambda: builtin_group("pgl2", q=5),
+    "s_5": lambda: builtin_group("s_n", n=5),
+}
+
+
+@pytest.mark.parametrize("source", list(BRUTE_FORCE_SOURCES))
 def test_census_matches_all_pairs_brute_force(source):
-    if source == "cyclic9":
-        G = PermGroup([Permutation.from_cycles(9, [tuple(range(1, 10))])])
-    else:
-        G = builtin_group(source)
+    G = BRUTE_FORCE_SOURCES[source]()
     group = IndexedGroup(embed_group(G).gens)
     subgroups, payload = _all_pairs_census(group)
     assert set(two_generated_subgroups(group)) == subgroups

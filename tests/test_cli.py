@@ -231,12 +231,13 @@ def test_internal_error_is_not_a_refutation(capsys, monkeypatch):
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     # only UsageError and ClosureOverflow read as bad input (exit 2); a
     # ValueError raised inside a layer is an internal error
-    import eigenone.audit
+    import eigenone.specht
 
     def mismatch(*args, **kwargs):
         raise ValueError("planted degree mismatch")
 
-    monkeypatch.setattr(eigenone.audit, "action_matrix", mismatch)
+    # audit_specht imports action_matrix from specht when it runs
+    monkeypatch.setattr(eigenone.specht, "action_matrix", mismatch)
     code = main(["specht", "audit", "--n", "5", "--family", "hook"])
     captured = capsys.readouterr()
     assert code == 3
@@ -347,6 +348,15 @@ def test_nt_command_loads_only_its_layers():
                            "assert main(['nt', 'disc-verify', '--samples', '1']) == 0")
     assert "eigenone.arith" in loaded
     for layer in ("audit", "specht", "meataxe", "fixed_vectors"):
+        assert f"eigenone.{layer}" not in loaded
+
+
+@pytest.mark.parametrize("subcommand", ["census", "audit"])
+def test_embed_command_loads_no_integral_layer(subcommand):
+    loaded = loaded_layers("from eigenone.cli import main\n"
+                           f"assert main(['embed', '{subcommand}', '--group', 'agl2_3']) == 0")
+    assert "eigenone.audit" in loaded and "eigenone.meataxe" in loaded
+    for layer in ("specht", "intlinalg"):
         assert f"eigenone.{layer}" not in loaded
 
 

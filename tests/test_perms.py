@@ -313,6 +313,8 @@ def test_only_the_closure_multiplies(gens, monkeypatch):
     for i in range(len(G.elements)):
         G.powers(i)
         G.order(i)
+        G.normalizer(i)
+    G.inverses
     G.cyclic_generators()
     G.conjugators()
     G.class_orbits()
@@ -338,6 +340,23 @@ def test_cyclic_generators_agl2_3():
     for i in range(len(G.elements)):
         least.setdefault(frozenset(G.powers(i)), i)
     assert gens == sorted(least.values())
+
+
+@pytest.mark.parametrize("name,params", [("agl2_3", {}), ("pgl2", {"q": 7}), ("s_n", {"n": 5})],
+                         ids=["agl2_3", "pgl2_7", "s_5"])
+def test_normalizer_of_every_cyclic_subgroup(name, params):
+    # the table route against {g : g X g^-1 = X} from explicit products, and
+    # orbit-stabilizer: [G : N(X)] is the number of conjugates of X
+    G = builtin_group(name, **params).indexed
+    els = G.elements
+    inverses = [g.inverse() for g in els]
+    assert [els[i] for i in G.inverses] == inverses
+    for i in G.cyclic_generators():
+        X = frozenset(els[h] for h in G.powers(i))
+        conjugates = [frozenset(g * h * g_inv for h in X) for g, g_inv in zip(els, inverses)]
+        normalizer = G.normalizer(i)
+        assert normalizer == [g for g, C in enumerate(conjugates) if C == X]
+        assert len(normalizer) * len(set(conjugates)) == len(els)
 
 
 def test_partitions_of_count():
