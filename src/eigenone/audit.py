@@ -239,12 +239,7 @@ def two_generated_subgroups(
     inv = group.inverses
     conj = [c.__getitem__ for c in group.conjugators()]
     maps = [lambda S, c=c: frozenset(map(c, S)) for c in conj]
-    cyclic = {i: group.powers(i) for i in group.cyclic_generators()}
-    least = [0] * n  # least[z]: the least generator of <z>
-    for i, X in cyclic.items():
-        for k, z in enumerate(X, 1):
-            if gcd(k, len(X)) == 1:
-                least[z] = i
+    cyclic, least = _cyclic_subgroups(group)
     done = bytearray(n)  # at least generators: cyclic subgroups already taken as <x>
     subgroups: dict[frozenset[int], tuple[frozenset[int], tuple[int, int]]] = {}
     for x, X in cyclic.items():
@@ -254,7 +249,7 @@ def two_generated_subgroups(
         conjugates = {least[z] for z in orbit(x, conj)}
         for c in conjugates:
             done[c] = 1
-        normalizer = [(g, inv[g]) for g in group.normalizer(x)]
+        normalizer = [(g, inv[g]) for g in group.normalizer(X)]
         if len(conjugates) * len(normalizer) != n:
             raise VerificationError(
                 f"orbit-stabilizer fails at <x_{x}>: {len(conjugates)} conjugates, "
@@ -271,6 +266,24 @@ def two_generated_subgroups(
                 for H in orbit(K, maps):
                     subgroups[H] = (K, (x, y))
     return subgroups
+
+
+def _cyclic_subgroups(group: IndexedGroup) -> tuple[dict[int, list[int]], list[int]]:
+    """Each cyclic subgroup as its least generator x mapped to `powers(x)`,
+    ascending, and least[z], the least generator of <z>, for every z.
+
+    One ascending pass: an element no earlier generator has marked is the
+    least generator of its cyclic subgroup, and x^k generates <x> iff k is
+    prime to the order of x."""
+    least = [-1] * len(group.elements)
+    cyclic = {}
+    for i in range(len(least)):
+        if least[i] < 0:
+            X = cyclic[i] = group.powers(i)
+            for k, z in enumerate(X, 1):
+                if gcd(k, len(X)) == 1:
+                    least[z] = i
+    return cyclic, least
 
 
 def _coset_closure(table, X: list[int], gens: tuple[int, ...]) -> frozenset[int]:

@@ -167,8 +167,8 @@ def cmd_embed_audit(args) -> int:
 
 def _embed_audit_permutation_module(args) -> int:
     from . import meataxe
-    from .gf2 import fixed_space_dim
-    from .perms import IndexedGroup
+    from .errors import VerificationError
+    from .gf2 import BitMatrix, fixed_space_dim
     from .symplectic import permutation_module_gf2
 
     t0 = time.time()
@@ -177,9 +177,21 @@ def _embed_audit_permutation_module(args) -> int:
     factors = meataxe.composition_factors(module, args.seed)
     dims = [f.dim for f in factors]
     top = max(factors, key=lambda f: f.dim)
-    top_group = IndexedGroup(top.gens)
-    # dim ker(M + I) is a class function, so one element per class decides
-    uni = all(fixed_space_dim(top_group.elements[c[0]]) > 0 for c in top_group.class_orbits())
+    # x_i acts as the product of top.gens along its tree word; dim ker(M + I)
+    # is a class function, and the kernel is normal: the classes acting as I
+    group, ident = G.indexed, BitMatrix.identity(top.dim)
+    uni, kernel = True, 0
+    for size, rep, _ in group.conjugacy_classes():
+        M = ident
+        for k in group.word(rep):
+            M = M * top.gens[k]
+        uni = uni and fixed_space_dim(M) > 0
+        if M == ident:
+            kernel += size
+        elif rep == group.identity:
+            raise VerificationError("the identity must act as I on the top factor")
+    if len(group.elements) % kernel:
+        raise VerificationError(f"a kernel of order {kernel} must divide |G|")
     # a composition factor is certified irreducible, so it is absolutely
     # irreducible iff its commuting algebra is GF(2)
     absirr = meataxe.endomorphism_algebra_dim(top) == 1
@@ -190,7 +202,7 @@ def _embed_audit_permutation_module(args) -> int:
         "factor_dims": dims,
         "top_factor": {
             "dim": top.dim,
-            "group_size": len(top_group.elements),
+            "group_size": len(group.elements) // kernel,
             "absolutely_irreducible": absirr,
             "unisingular": uni,
         },

@@ -72,7 +72,7 @@ class BitMatrix:
     def __add__(self, other: "BitMatrix") -> "BitMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return BitMatrix([a ^ b for a, b in zip(self.rows, other.rows)], self.ncols)
+        return _unchecked(tuple(a ^ b for a, b in zip(self.rows, other.rows)), self.ncols)
 
     def __mul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.ncols != other.nrows:
@@ -87,7 +87,7 @@ class BitMatrix:
                 acc ^= brows[low.bit_length() - 1]
                 rr ^= low
             out.append(acc)
-        return BitMatrix(out, other.ncols)
+        return _unchecked(tuple(out), other.ncols)
 
     def transpose(self) -> "BitMatrix":
         out = [0] * self.ncols
@@ -98,7 +98,7 @@ class BitMatrix:
                 low = rr & -rr
                 out[low.bit_length() - 1] |= bit
                 rr ^= low
-        return BitMatrix(out, self.nrows)
+        return _unchecked(tuple(out), self.nrows)
 
     def apply(self, v: int) -> int:
         """Matrix times column vector (v an int over column indices)."""
@@ -131,6 +131,14 @@ class BitMatrix:
 
     def __repr__(self):
         return f"BitMatrix({self.nrows}x{self.ncols})"
+
+
+def _unchecked(rows: tuple[int, ...], ncols: int) -> BitMatrix:
+    """A BitMatrix from rows that cannot exceed `ncols` bits, such as a
+    product's, a sum's or a transpose's: no check."""
+    m = object.__new__(BitMatrix)
+    m.rows, m.nrows, m.ncols = rows, len(rows), ncols
+    return m
 
 
 def echelon_insert(pivots: dict[int, int], v: int) -> int:

@@ -42,12 +42,6 @@ class Partition:
     def __getitem__(self, i):
         return self.parts[i]
 
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        cols = self.parts[0]
-        return Partition(tuple(sum(1 for p in self.parts if p > j) for j in range(cols)))
-
     def is_even_class(self) -> bool:
         """Parity of the S_n class with this cycle type: even iff n - #parts is even."""
         return (self.n - len(self.parts)) % 2 == 0
@@ -122,12 +116,6 @@ class Permutation:
         product.images = tuple(map(self.images.__getitem__, other.images))
         return product
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
-
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles as 1-based tuples, each starting at its minimum."""
         seen = [False] * self.degree
@@ -191,7 +179,7 @@ def class_reps_symmetric(n: int) -> list[tuple[Partition, Permutation]]:
 
 def orbit(start, maps) -> list:
     """Breadth-first orbit of `start` under the callables `maps`, in the
-    order found.  The orbit must be finite: only `closure` enforces a bound."""
+    order found.  The orbit must be finite: only `IndexedGroup` enforces a bound."""
     seen = {start}
     out = [start]
     for x in out:
@@ -217,133 +205,87 @@ def orbits(points, maps) -> list[list[int]]:
     return out
 
 
-def _canonical_key(x) -> tuple[int, ...]:
-    return x.images if isinstance(x, Permutation) else x.rows
-
-
-class Closure(list):
-    """The elements of a finite group, sorted by canonical key, with the
-    Schreier graph that found them.
-
-    For the k-th generator g, `right[k][i]` is the index of x_i * g.  The
-    tree edges say how each element was first reached: x_i is
-    x_parent[i] * g_via[i], except the root, the first generator, whose
-    parent is -1.  `bfs` lists the indices in the order found, so a parent
-    comes before its children.
-    """
-
-    right: list[list[int]]
-    parent: list[int]
-    via: list[int]
-    bfs: list[int]
-
-
-def closure(generators, bound: int | None = None) -> Closure:
-    """Exact closure of a list of Permutations or of square BitMatrices,
-    sorted by canonical key (`images` or `rows`).
-
-    The finite group is the orbit of its first generator under right
-    multiplication by the generators; each product x * g is computed once
-    and recorded in the Schreier graph.  Raises ClosureOverflow if more than
-    `bound` (default CLOSURE_BOUND) elements are found.
-    """
-    gens = list(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    bound = CLOSURE_BOUND if bound is None else bound
-    found = [gens[0]]
-    index = {gens[0]: 0}
-    rows = [[] for _ in gens]  # rows[k][i]: index in `found` of found[i] * g_k
-    parent, via = [-1], [-1]
-    for i, x in enumerate(found):
-        for k, g in enumerate(gens):
-            y = x * g
-            j = index.get(y)
-            if j is None:
-                j = index[y] = len(found)
-                found.append(y)
-                parent.append(i)
-                via.append(k)
-                if j >= bound:
-                    raise ClosureOverflow(f"closure exceeded bound {bound}")
-            rows[k].append(j)
-    # renumber from the order found to the canonical order
-    order = sorted(range(len(found)), key=lambda j: _canonical_key(found[j]))
-    pos = [0] * len(found)
-    for s, j in enumerate(order):
-        pos[j] = s
-    out = Closure(found[j] for j in order)
-    out.right = [[pos[row[j]] for j in order] for row in rows]
-    out.parent = [-1 if parent[j] < 0 else pos[parent[j]] for j in order]
-    out.via = [via[j] for j in order]
-    out.bfs = pos
-    return out
-
-
 class IndexedGroup:
-    """A finite group of Permutations or BitMatrices with numbered elements.
+    """A finite permutation group with numbered elements.
 
-    `elements` is the closure of `generators` sorted by canonical key, and
+    `elements` is the closure of `generators` sorted by image tuple, and
     `index` maps each element to its number 0..N-1.  For the k-th generator
     g, `left[k][i]` and `right[k][i]` are the indices of g * x_i and x_i * g.
-    Powers, orders, conjugation maps, classes, cyclic subgroups, the full
-    Cayley table, inverses and normalizers of cyclic subgroups are computed
-    on demand.
+    Tree words, powers, conjugation maps, classes, the full Cayley table,
+    inverses and normalizers of cyclic subgroups are computed on demand.
 
-    Every table comes from the closure's Schreier graph: x_i is its tree
-    parent times one generator, so right multiplication by any element is
-    the composite of `right` rows along its tree word.  No method multiplies
-    two elements.  The closure raises ClosureOverflow past `bound` elements.
+    The closure is the orbit of the first generator under right
+    multiplication by the generators; each product x * g is formed once and
+    recorded.  Its tree edges say how each element was first reached: x_i
+    is x_parent[i] * g_via[i], except the root, the first generator.  So
+    right multiplication by any element is the composite of `right` rows
+    along its tree word, and no method multiplies two elements.  Raises
+    ClosureOverflow if more than `bound` (default CLOSURE_BOUND) elements
+    are found.
     """
 
     def __init__(self, generators, bound: int | None = None):
-        self.generators = list(generators)
-        els = closure(self.generators, bound)
-        self.elements = els
-        self.index = {x: i for i, x in enumerate(els)}
-        self.right = els.right
-        self._parent, self._via, self._bfs = els.parent, els.via, els.bfs
-        root = self._bfs[0]  # the first generator
+        gens = self.generators = list(generators)
+        if not gens:
+            raise ValueError("need at least one generator")
+        bound = CLOSURE_BOUND if bound is None else bound
+        found = [gens[0]]
+        index = {gens[0]: 0}
+        right = [[] for _ in gens]  # right[k][i]: index in `found` of found[i] * g_k
+        parent, via = [-1], [0]  # the root is g_0, reached from nothing
+        for i, x in enumerate(found):
+            for k, g in enumerate(gens):
+                y = x * g
+                j = index.get(y)
+                if j is None:
+                    j = index[y] = len(found)
+                    found.append(y)
+                    parent.append(i)
+                    via.append(k)
+                    if j >= bound:
+                        raise ClosureOverflow(f"closure exceeded bound {bound}")
+                right[k].append(j)
+        # renumber from the order found to the order of the image tuples
+        order = sorted(range(len(found)), key=lambda j: found[j].images)
+        pos = [0] * len(found)
+        for s, j in enumerate(order):
+            pos[j] = index[found[j]] = s
+        self.elements = [found[j] for j in order]
+        self.index = index
+        self.right = [[pos[row[j]] for j in order] for row in right]
+        self._parent = [-1 if parent[j] < 0 else pos[parent[j]] for j in order]
+        self._via = [via[j] for j in order]
+        self._bfs = pos  # the indices in the order found: a parent before its children
+        root = pos[0]
         # x_e * g_0 = g_0 picks out the identity e; then g_k = x_e * g_k, and
         # g_k * x_i = (g_k * x_parent) * g_via along the tree
         self.identity = self.right[0].index(root)
         self.left = []
         for r in self.right:
-            row = [0] * len(els)
+            row = [0] * len(found)
             row[root] = self.right[0][r[self.identity]]
-            for i in self._bfs[1:]:
+            for i in pos[1:]:
                 row[i] = self.right[self._via[i]][row[self._parent[i]]]
             self.left.append(row)
 
-    def _word(self, b: int) -> list[list[int]]:
-        """The `right` rows whose composite, first to last, is right
-        multiplication by x_b: x_b = g_0 * g_v1 * ... * g_vm along the tree."""
-        rows = []
-        while b != self._bfs[0]:
-            rows.append(self.right[self._via[b]])
-            b = self._parent[b]
-        rows.append(self.right[0])
-        rows.reverse()
-        return rows
+    def word(self, i: int) -> list[int]:
+        """Generator indices k_0 = 0, k_1, ..., k_m along the tree, so that
+        x_i = g_k0 * g_k1 * ... * g_km."""
+        out = []
+        while i >= 0:
+            out.append(self._via[i])
+            i = self._parent[i]
+        return out[::-1]
 
     def powers(self, i: int) -> list[int]:
         """Indices of x, x^2, ..., x^ord(x) (the identity) for x = elements[i]."""
-        word = self._word(i)
-
-        def times_x(a):
-            for r in word:
-                a = r[a]
-            return a
-
+        row = self.cayley_table[i]  # row[a] is the index of x_a * x_i
         out = [i]
-        x = times_x(i)
+        x = row[i]
         while x != i:
             out.append(x)
-            x = times_x(x)
+            x = row[x]
         return out
-
-    def order(self, i: int) -> int:
-        return len(self.powers(i))
 
     def conjugators(self) -> list[list[int]]:
         """For the k-th generator g, `conjugators()[k][i]` is the index of
@@ -357,31 +299,15 @@ class IndexedGroup:
             out.append(c)
         return out
 
-    def class_orbits(self) -> list[list[int]]:
-        """The conjugacy classes as lists of indices: each is the conjugation
-        orbit of its least index under the generators, listed first."""
-        conj = [c.__getitem__ for c in self.conjugators()]
-        return orbits(range(len(self.elements)), conj)
-
     def conjugacy_classes(self) -> list[tuple[int, int, int]]:
         """Exact classes as (class size, representative index, element order),
-        the representative being the least index in its class.  Sorted by
-        (element order, class size, representative).
-        """
-        classes = [(len(orb), orb[0], self.order(orb[0])) for orb in self.class_orbits()]
+        each class being the conjugation orbit of its representative, its
+        least index, under the generators.  Sorted by (element order, class
+        size, representative)."""
+        conj = [c.__getitem__ for c in self.conjugators()]
+        classes = [(len(orb), orb[0], self.elements[orb[0]].order())
+                   for orb in orbits(range(len(self.elements)), conj)]
         return sorted(classes, key=lambda c: (c[2], c[0], c[1]))
-
-    def cyclic_generators(self) -> list[int]:
-        """One generator per cyclic subgroup, the least index generating it;
-        ascending."""
-        seen = set()
-        out = []
-        for i in range(len(self.elements)):
-            cyclic = frozenset(self.powers(i))
-            if cyclic not in seen:
-                seen.add(cyclic)
-                out.append(i)
-        return out
 
     @cached_property
     def cayley_table(self) -> list[tuple[int, ...]]:
@@ -391,10 +317,10 @@ class IndexedGroup:
         followed by the `right` row of its tree generator.
         """
         table = [()] * len(self.elements)
-        root = self._bfs[0]
-        table[root] = tuple(self.right[0])
-        for b in self._bfs[1:]:
-            table[b] = tuple(map(self.right[self._via[b]].__getitem__, table[self._parent[b]]))
+        for b in self._bfs:
+            p = self._parent[b]
+            r = self.right[self._via[b]]
+            table[b] = tuple(r) if p < 0 else tuple(map(r.__getitem__, table[p]))
         return table
 
     @cached_property
@@ -403,14 +329,14 @@ class IndexedGroup:
         e = self.identity
         return [row.index(e) for row in self.cayley_table]
 
-    def normalizer(self, i: int) -> list[int]:
-        """Indices of the normalizer of <x_i>, ascending: the g with
-        g * x_i * g^-1 in <x_i>, read off the Cayley table."""
+    def normalizer(self, X: list[int]) -> list[int]:
+        """Indices of the normalizer of the cyclic subgroup X = `powers(i)`,
+        ascending: the g with g * x_i * g^-1 in X, read off the Cayley table."""
         inside = bytearray(len(self.elements))
-        for h in self.powers(i):
+        for h in X:
             inside[h] = 1
         table, inv = self.cayley_table, self.inverses
-        gx = table[i]  # gx[g] is the index of g * x_i
+        gx = table[X[0]]  # gx[g] is the index of g * x_i
         return [g for g in range(len(inside)) if inside[table[inv[g]][gx[g]]]]
 
 

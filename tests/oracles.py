@@ -28,7 +28,7 @@ from eigenone.gf2 import (
     pmod,
 )
 from eigenone.intlinalg import IntMatrix, _bareiss
-from eigenone.meataxe import endomorphism_algebra_dim, is_irreducible
+from eigenone.meataxe import composition_factors, endomorphism_algebra_dim, is_irreducible
 from eigenone.perms import (
     IndexedGroup,
     Partition,
@@ -48,16 +48,35 @@ from eigenone.specht import (
     rep_mod2,
     tv_add_scaled,
 )
-from eigenone.symplectic import build_space, embed_group, embed_permutation
+from eigenone.symplectic import (
+    build_space,
+    embed_group,
+    embed_permutation,
+    permutation_module_gf2,
+)
 
 # ---------------------------------------------------------------------------
 # Permutations
 # ---------------------------------------------------------------------------
 
 
+def inverse(p: Permutation) -> Permutation:
+    inv = [0] * p.degree
+    for i, j in enumerate(p.images):
+        inv[j] = i
+    return Permutation(inv)
+
+
 def conjugate_by(p: Permutation, g: Permutation) -> Permutation:
     """g * p * g^-1."""
-    return g * p * g.inverse()
+    return g * p * inverse(g)
+
+
+def conjugate_partition(lam: Partition) -> Partition:
+    """The partition of the transposed Young diagram."""
+    if not lam.parts:
+        return Partition(())
+    return Partition(tuple(sum(1 for p in lam.parts if p > j) for j in range(lam.parts[0])))
 
 
 def is_identity(p: Permutation) -> bool:
@@ -386,6 +405,56 @@ def audit_embedded_group_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> 
     return audit_gf2_classes(f"embed:{G.name}:d={G.degree}", classes, embed_group(G), seed)
 
 
+def cyclic_subgroups_by_definition(group: IndexedGroup) -> dict[frozenset[int], int]:
+    """Each cyclic subgroup, as the set of powers of an element, mapped to
+    the least index generating it."""
+    least: dict[frozenset[int], int] = {}
+    for i in range(len(group.elements)):
+        least.setdefault(frozenset(group.powers(i)), i)
+    return least
+
+
+def matrix_closure(gens: list[BitMatrix]) -> list[BitMatrix]:
+    """The group the square matrices generate: the orbit of the identity
+    under right multiplication by them."""
+    return orbit(BitMatrix.identity(gens[0].nrows), [lambda m, g=g: m * g for g in gens])
+
+
+def embedded_elements(G: PermGroup) -> list[BitMatrix]:
+    """The matrix of each element of `G.indexed`, by `embed_permutation`,
+    after checking that these are the closure of the embedded generators,
+    one matrix per element."""
+    space = build_space(G.degree)
+    mats = [embed_permutation(x, space) for x in G.elements()]
+    closed = matrix_closure(embed_group(G).gens)
+    assert len(closed) == len(set(mats)) == len(mats) and set(closed) == set(mats)
+    return mats
+
+
+def matrix_classes(gens: list[BitMatrix]) -> list[tuple[int, int, BitMatrix]]:
+    """(class size, element order, representative) per conjugacy class of
+    the closed matrix group, from explicit conjugates."""
+    els = matrix_closure(gens)
+    index = {m: i for i, m in enumerate(els)}
+    gens_inv = [matrix_closure([g])[-1] for g in gens]  # I, g, ..., g^(ord - 1)
+    conj = [lambda i, g=g, h=h: index[h * els[i] * g] for g, h in zip(gens, gens_inv)]
+    return [(len(orb), len(matrix_closure([els[orb[0]]])), els[orb[0]])
+            for orb in orbits(range(len(els)), conj)]
+
+
+def top_factor_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
+    """The `top_factor` of `embed audit --module permutation`, from the
+    closure of the largest composition factor's generator matrices."""
+    top = max(composition_factors(permutation_module_gf2(G), seed), key=lambda f: f.dim)
+    els = matrix_closure(top.gens)
+    return {
+        "dim": top.dim,
+        "group_size": len(els),
+        "absolutely_irreducible": endomorphism_algebra_dim(top) == 1,
+        "unisingular": all(fixed_space_dim(m) > 0 for m in els),
+    }
+
+
 def two_generated_subgroups_by_pairs(
     group: IndexedGroup,
 ) -> dict[frozenset[int], tuple[frozenset[int], tuple[int, int]]]:
@@ -394,7 +463,7 @@ def two_generated_subgroups_by_pairs(
     multiplication by x and y."""
     times = [row.__getitem__ for row in group.cayley_table]
     maps = [lambda S, c=c.__getitem__: frozenset(map(c, S)) for c in group.conjugators()]
-    cyclic = {i: frozenset(group.powers(i)) for i in group.cyclic_generators()}
+    cyclic = {i: X for X, i in cyclic_subgroups_by_definition(group).items()}
     done: set[frozenset[int]] = set()  # cyclic subgroups already taken as <x>
     subgroups: dict[frozenset[int], tuple[frozenset[int], tuple[int, int]]] = {}
     for x, X in cyclic.items():
@@ -411,18 +480,14 @@ def two_generated_subgroups_by_pairs(
 
 
 def subgroup_census_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]:
-    """`audit.subgroup_census` on the closure of the embedded generator
-    matrices, with dim ker(M + I) per class and the MeatAxe run on the
-    matrices of each generator pair."""
-    group = IndexedGroup(embed_group(G).gens)
-    elements = group.elements
+    """`audit.subgroup_census` with dim ker(M + I) read off every matrix of
+    the closed embedded group and the MeatAxe run on the matrices of each
+    generator pair."""
+    group = G.indexed
+    elements = embedded_elements(G)
     dim = elements[0].nrows
     table = group.cayley_table  # table[b][a] = index of x_a * x_b
-    eig1 = [False] * len(elements)
-    for cls in group.class_orbits():
-        has = fixed_space_dim(elements[cls[0]]) > 0
-        for x in cls:
-            eig1[x] = has
+    eig1 = [fixed_space_dim(m) > 0 for m in elements]
 
     per_class: dict[frozenset[int], tuple] = {}
     agg: dict[tuple[int, bool, bool], list] = {}
@@ -460,7 +525,7 @@ def eig1_data_by_embedding(cycle_type: tuple[int, ...]) -> tuple[int, int, int]:
 
 
 def hook_length_count(shape: Partition) -> int:
-    conj = shape.conjugate()
+    conj = conjugate_partition(shape)
     d = factorial(shape.n)
     for i, ln in enumerate(shape.parts):
         for j in range(ln):

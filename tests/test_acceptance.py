@@ -34,10 +34,10 @@ from eigenone.meataxe import (
     factor_dimensions,
     is_irreducible,
 )
-from eigenone.perms import Partition, builtin_group, class_reps_symmetric, closure
+from eigenone.perms import Partition, builtin_group, class_reps_symmetric
 from eigenone.specht import FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ
 from eigenone.symplectic import build_space, embed_group, permutation_module_gf2
-from oracles import charpoly_mod2, specht_mod2_module
+from oracles import charpoly_mod2, matrix_closure, specht_mod2_module
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 
@@ -150,7 +150,7 @@ def test_criterion_6_steinberg_flag_module():
     assert len(eights) == 1
     st = eights[0]
     assert endomorphism_algebra_dim(st) == 1  # a factor is certified irreducible
-    st_els = closure(st.gens)
+    st_els = matrix_closure(st.gens)
     ident = BitMatrix.identity(8)
     assert all(rank_nullspace(m + ident)[0] < 8 for m in st_els)
     elapsed = time.time() - t0

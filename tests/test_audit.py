@@ -3,6 +3,7 @@ import random
 import pytest
 
 from eigenone.audit import (
+    _cyclic_subgroups,
     audit_embedded_group,
     audit_int_classes,
     audit_specht,
@@ -21,7 +22,6 @@ from eigenone.perms import (
     Permutation,
     builtin_group,
     class_reps_symmetric,
-    closure,
 )
 from eigenone.specht import (
     FAMILY_HOOK,
@@ -36,6 +36,10 @@ from oracles import (
     audit_gf2_classes,
     charpoly_mod2,
     conjugate_by,
+    cyclic_subgroups_by_definition,
+    embedded_elements,
+    matrix_classes,
+    matrix_closure,
     peval1,
     subgroup_census_by_matrices,
     two_generated_subgroups_by_pairs,
@@ -199,7 +203,7 @@ def test_agl2_3_every_element_has_eigenvalue_one():
     # per-element confirmation of what the class audit asserts classwise
     mod = embed_group(builtin_group("agl2_3"))
     ident = BitMatrix.identity(8)
-    for m in closure(mod.gens):
+    for m in matrix_closure(mod.gens):
         rank, _ = rank_nullspace(m + ident)
         assert rank < 8
 
@@ -273,11 +277,25 @@ def test_two_generated_subgroups_match_the_pairwise_oracle(name, params):
     assert two_generated_subgroups(group) == two_generated_subgroups_by_pairs(group)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("agl2_3", {}), ("pgl2", {"q": 7}), ("s_n", {"n": 5}), ("l3_2_flags", {}),
+], ids=["agl2_3", "pgl2_7", "s_5", "l3_2_flags"])
+def test_cyclic_subgroups_match_the_definition(name, params):
+    # the one ascending pass against the sets of powers: the same least
+    # generators in ascending order, their powers, and least[z] for every z
+    group = builtin_group(name, **params).indexed
+    cyclic, least = _cyclic_subgroups(group)
+    by_definition = cyclic_subgroups_by_definition(group)
+    assert list(cyclic) == sorted(by_definition.values())
+    assert all(X == group.powers(x) for x, X in cyclic.items())
+    assert least == [by_definition[frozenset(group.powers(z))] for z in range(len(least))]
+
+
 def test_two_generated_subgroups_check_orbit_stabilizer(monkeypatch):
     # a normalizer that misses an element breaks |orbit| * |N(<x>)| = |G|
     group = builtin_group("asl2_3").indexed
     normalizer = IndexedGroup.normalizer
-    monkeypatch.setattr(IndexedGroup, "normalizer", lambda self, i: normalizer(self, i)[:-1])
+    monkeypatch.setattr(IndexedGroup, "normalizer", lambda self, X: normalizer(self, X)[:-1])
     with pytest.raises(VerificationError, match="orbit-stabilizer"):
         two_generated_subgroups(group)
 
@@ -293,14 +311,16 @@ def test_census_refuses_unfaithful_degree_four():
     assert [e.to_payload() for e in subgroup_census(G)] == expected
 
 
-def _all_pairs_census(group: IndexedGroup) -> tuple[set[frozenset[int]], list[dict]]:
+def _all_pairs_census(G: PermGroup) -> tuple[set[frozenset[int]], list[dict]]:
     """Reference census: close <x, y> for every element pair x <= y on a table
-    of explicit matrix products, with classes from explicit conjugates."""
-    els = group.elements
+    of explicit products of the embedded matrices, with classes from explicit
+    conjugates; indices are those of G.indexed."""
+    els = embedded_elements(G)
     dim = els[0].nrows
     ident = BitMatrix.identity(dim)
-    prod = [[group.index[a * b] for b in els] for a in els]
-    e = group.index[ident]
+    index = {m: i for i, m in enumerate(els)}
+    prod = [[index[a * b] for b in els] for a in els]
+    e = index[ident]
     inv = [row.index(e) for row in prod]
 
     def close(i, j):
@@ -347,26 +367,26 @@ BRUTE_FORCE_SOURCES = {
 @pytest.mark.parametrize("source", list(BRUTE_FORCE_SOURCES))
 def test_census_matches_all_pairs_brute_force(source):
     G = BRUTE_FORCE_SOURCES[source]()
-    group = IndexedGroup(embed_group(G).gens)
-    subgroups, payload = _all_pairs_census(group)
-    assert set(two_generated_subgroups(group)) == subgroups
+    subgroups, payload = _all_pairs_census(G)
+    assert set(two_generated_subgroups(G.indexed)) == subgroups
     assert [e.to_payload() for e in subgroup_census(G)] == payload
 
 
 def test_agl2_3_two_generated_subgroups_up_to_conjugacy():
-    group = IndexedGroup(embed_group(builtin_group("agl2_3")).gens)
-    subgroups = two_generated_subgroups(group)
+    G = builtin_group("agl2_3")
+    subgroups = two_generated_subgroups(G.indexed)
     assert len(subgroups) == 637
     assert len({K for K, _ in subgroups.values()}) == 43
     # every subgroup is g K g^-1 for some element g, with products taken
     # from explicit matrices; each representative is closed by its pair
-    els = group.elements
-    prod = [[group.index[a * b] for b in els] for a in els]
-    e = group.index[BitMatrix.identity(8)]
+    els = embedded_elements(G)
+    index = {m: i for i, m in enumerate(els)}
+    prod = [[index[a * b] for b in els] for a in els]
+    e = index[BitMatrix.identity(8)]
     inv = [row.index(e) for row in prod]
     for H, (K, (x, y)) in subgroups.items():
         assert subgroups[K] == (K, (x, y))
-        assert K == frozenset(group.index[a] for a in closure([els[x], els[y]]))
+        assert K == frozenset(index[a] for a in matrix_closure([els[x], els[y]]))
         assert any(H == frozenset(prod[prod[g][k]][inv[g]] for k in K) for g in range(len(els)))
 
 
@@ -377,11 +397,8 @@ def test_flag_factor_classes_unisingular():
 
     pm = permutation_module_gf2(builtin_group("l3_2_flags"))
     top = max(composition_factors(pm), key=lambda f: f.dim)
-    group = IndexedGroup(top.gens)
-    classes = [
-        (f"c{n}", size, order, group.elements[i])
-        for n, (size, i, order) in enumerate(group.conjugacy_classes())
-    ]
+    classes = [(f"c{n}", size, order, M)
+               for n, (size, order, M) in enumerate(matrix_classes(top.gens))]
     rep = audit_gf2_classes("flag-8dim", classes, top)
     assert rep.dim == 8
     assert rep.unisingular

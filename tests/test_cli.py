@@ -132,12 +132,34 @@ def test_closure_overflow_is_usage_error(capsys, monkeypatch):
         raise AssertionError("S_10 must be refused from its order, before closing")
 
     monkeypatch.setattr(eigenone.perms, "CLOSURE_BOUND", 1000)
-    monkeypatch.setattr(eigenone.perms, "closure", no_closure)
+    monkeypatch.setattr(eigenone.perms.IndexedGroup, "__init__", no_closure)
     code = main(["embed", "audit", "--group", "s_n", "--n", "10"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: closure exceeded bound 1000\n"
+
+
+TOP_FACTOR_GROUPS = [
+    ("l3_2_flags", {}), ("agl2_3", {}), ("pgl2", {"q": 5}), ("pgl2", {"q": 7}),
+    ("s_n", {"n": 4}), ("s_n", {"n": 5}), ("a_n", {"n": 4}),
+]
+
+
+@pytest.mark.parametrize("group,params", TOP_FACTOR_GROUPS,
+                         ids=[f"{g}{p}" for g, p in TOP_FACTOR_GROUPS])
+def test_top_factor_matches_the_closed_factor_matrices(capsys, group, params):
+    # the flag route reads the factor on G's classes; the oracle closes the
+    # factor's own matrices.  S_4 and A_4 act with the Klein four-group as kernel
+    from eigenone.perms import builtin_group
+    from oracles import top_factor_by_matrices
+
+    flags = [s for k, v in params.items() for s in (f"--{k}", str(v))]
+    main(["embed", "audit", "--group", group, *flags, "--module", "permutation"])
+    top = json.loads(capsys.readouterr().out)["result"]["top_factor"]
+    G = builtin_group(group, **params)
+    assert top == top_factor_by_matrices(G)
+    assert top["group_size"] == {"s_4": 6, "a_4": 3}.get(G.name, G.order())
 
 
 def load_reproduce_all():

@@ -18,19 +18,26 @@ from eigenone.gf2 import (
     rank_nullspace,
     vector_minpoly,
 )
-from eigenone.perms import ClosureOverflow, closure
 from oracles import (
     charpoly_mod2,
     distinct_factors_by_trial_division,
     from_hex_rows,
     gf2_det,
     is_irreducible_by_trial_division,
+    matrix_closure,
     peval1,
 )
 
 
 def rand_bitmatrix(n, rng):
     return BitMatrix([rng.getrandbits(n) for _ in range(n)], n)
+
+
+def test_constructor_rejects_bits_beyond_ncols():
+    assert BitMatrix([0b111, 0], 3).rows == (0b111, 0)
+    for rows in ([0b1000], [0b1, 1 << 70], [-1]):
+        with pytest.raises(ValueError, match="beyond ncols"):
+            BitMatrix(rows, 3)
 
 
 def test_rank_nullspace_identity():
@@ -144,7 +151,7 @@ def test_preserves_form():
 
 
 def test_closure_identity():
-    assert len(closure([BitMatrix.identity(4)])) == 1
+    assert len(matrix_closure([BitMatrix.identity(4)])) == 1
 
 
 def test_closure_s5_faithful_dim4():
@@ -154,16 +161,18 @@ def test_closure_s5_faithful_dim4():
     G = builtin_group("s_n", n=5)
     mod = embed_group(G)
     assert mod.dim == 4
-    assert len(closure(mod.gens)) == 120
+    assert len(matrix_closure(mod.gens)) == 120
 
 
-def test_closure_bound():
-    from eigenone.perms import builtin_group
-    from eigenone.symplectic import embed_group
+def test_closure_bound(capsys, monkeypatch):
+    # no command closes a matrix group: the flag-module factor is read on the
+    # classes of the permutation group, whose closure stops at the bound
+    import eigenone.perms
+    from eigenone.cli import main
 
-    mod = embed_group(builtin_group("s_n", n=5))
-    with pytest.raises(ClosureOverflow):
-        closure(mod.gens, bound=10)
+    monkeypatch.setattr(eigenone.perms, "CLOSURE_BOUND", 10)
+    assert main(["embed", "audit", "--group", "l3_2_flags", "--module", "permutation"]) == 2
+    assert capsys.readouterr().err == "error: closure exceeded bound 10\n"
 
 
 def test_hex_round_trip_narrow_and_wide():

@@ -3,8 +3,10 @@ scripts reach, and no check that python -O would strip.
 
 A module-level function or class in src/eigenone that is referenced nowhere
 in src/eigenone or scripts/, apart from inside its own definition, runs on no
-command-line path.  It belongs in tests/oracles.py when tests check
-production output against it, and is deleted otherwise.
+command-line path; so does a method whose name no attribute there reads
+outside its own body (dunders, which Python calls, are exempt).  Such code
+belongs in tests/oracles.py when tests check production output against it,
+and is deleted otherwise.
 """
 
 import ast
@@ -18,6 +20,11 @@ SCRIPTS = ROOT / "scripts"
 UNREACHED_ALLOWED = {
     "fixed_space_dim_via_characters": "ROADMAP item 2 makes the character route "
     "the production fixed-space dimension",
+}
+# Class.method -> why it stays in the package without a caller
+UNREAD_METHODS_ALLOWED = {
+    "RunReport.canonical_bytes": "defines the canonical payload that byte-identity "
+    "claims compare; scripts/reproduce_all.py compares the same form as text",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -44,10 +51,35 @@ def unreferenced_definitions() -> list[str]:
     return [f"{module}:{name}" for module, name in defined if name not in referenced]
 
 
+def unreferenced_methods() -> list[str]:
+    methods = []  # (module file, "Class.method", method)
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {}  # each node within a method -> the innermost method's name
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for f in cls.body:
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if path.parent == PACKAGE and not f.name.startswith("__"):
+                        methods.append((path.name, f"{cls.name}.{f.name}", f.name))
+                    inside.update((node, f.name) for node in ast.walk(f))
+        # recursion is not a caller
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and inside.get(node) != node.attr)
+    return [f"{module}:{qualified}" for module, qualified, name in methods if name not in read]
+
+
 def test_every_package_definition_is_referenced():
     # an allowed exception that gains a caller must leave the list as well
     unreached = unreferenced_definitions()
     assert sorted(entry.split(":")[1] for entry in unreached) == sorted(UNREACHED_ALLOWED), unreached
+
+
+def test_every_package_method_is_referenced():
+    unread = unreferenced_methods()
+    assert sorted(entry.split(":")[1] for entry in unread) == sorted(UNREAD_METHODS_ALLOWED), unread
 
 
 def test_no_assert_statements():

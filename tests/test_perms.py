@@ -12,10 +12,16 @@ from eigenone.perms import (
     builtin_group,
     class_rep_for,
     class_reps_symmetric,
-    closure,
     partitions_of,
 )
-from oracles import conjugate_by, is_identity, is_transitive
+from oracles import (
+    conjugate_by,
+    conjugate_partition,
+    cyclic_subgroups_by_definition,
+    inverse,
+    is_identity,
+    is_transitive,
+)
 
 BUILTIN_ORDERS = {
     "agl2_3": 432,
@@ -36,7 +42,7 @@ def test_compose_involution():
 
 
 def test_inverse_three_cycle():
-    assert perm(3, (1, 2, 3)).inverse() == perm(3, (1, 3, 2))
+    assert inverse(perm(3, (1, 2, 3))) == perm(3, (1, 3, 2))
 
 
 def test_apply_point():
@@ -78,7 +84,7 @@ def test_cycle_type_conjugation_invariant(d, rnd):
 def test_partition_conjugate_involution():
     for parts in [(3, 2), (4, 1, 1), (2, 2, 1), (5,), (1, 1, 1)]:
         lam = Partition(parts)
-        assert lam.conjugate().conjugate() == lam
+        assert conjugate_partition(conjugate_partition(lam)) == lam
 
 
 def test_class_reps_counts():
@@ -98,17 +104,17 @@ def test_cycle_string_round_trip():
 
 
 def test_closure_identity_only():
-    assert len(closure([Permutation.identity(5)])) == 1
+    assert len(IndexedGroup([Permutation.identity(5)]).elements) == 1
 
 
 def test_closure_s9():
-    els = closure([perm(9, (1, 2)), perm(9, tuple(range(1, 10)))])
+    els = IndexedGroup([perm(9, (1, 2)), perm(9, tuple(range(1, 10)))]).elements
     assert len(els) == 362880
 
 
 def test_closure_bound_enforced():
     with pytest.raises(ClosureOverflow):
-        closure([perm(9, (1, 2)), perm(9, tuple(range(1, 10)))], bound=1000)
+        IndexedGroup([perm(9, (1, 2)), perm(9, tuple(range(1, 10)))], bound=1000)
 
 
 def test_s_n_a_n_refused_from_order_before_closing(monkeypatch):
@@ -118,7 +124,7 @@ def test_s_n_a_n_refused_from_order_before_closing(monkeypatch):
         raise AssertionError("closure must not run")
 
     monkeypatch.setattr(eigenone.perms, "CLOSURE_BOUND", 360)
-    monkeypatch.setattr(eigenone.perms, "closure", no_closure)
+    monkeypatch.setattr(IndexedGroup, "__init__", no_closure)
     assert builtin_group("s_n", n=5).degree == 5  # 5! = 120
     assert builtin_group("a_n", n=6).degree == 6  # 6!/2 = 360, at the bound
     for name, n in [("s_n", 6), ("a_n", 7), ("s_n", 10**9)]:
@@ -251,23 +257,17 @@ def test_class_cycle_type_constant_sampled():
             assert conjugate_by(rep, g).cycle_type() == ct
 
 
-def _embedded_agl2_3():
-    from eigenone.symplectic import embed_group
-
-    return embed_group(builtin_group("agl2_3")).gens
-
-
 def _identity_first_repeated():
     a, b = builtin_group("asl2_3").generators[2:]  # generate SL(2,3)
     return [Permutation.identity(9), a, b, a]
 
 
 def test_indexed_group_tables_and_powers():
-    for gens in [builtin_group("asl2_3").generators, _embedded_agl2_3(),
+    for gens in [builtin_group("asl2_3").generators, builtin_group("agl2_3").generators,
                  _identity_first_repeated()]:
         G = IndexedGroup(gens)
         els = G.elements
-        keys = [getattr(x, "images", None) or x.rows for x in els]
+        keys = [x.images for x in els]
         assert keys == sorted(keys)
         assert G.index == {x: i for i, x in enumerate(els)}
         e = els[G.identity]
@@ -279,8 +279,14 @@ def test_indexed_group_tables_and_powers():
         assert all(table[b][a] == G.index[x * y]
                    for a, x in enumerate(els) for b, y in enumerate(els))
         for i, x in enumerate(els):
+            word = G.word(i)
+            assert word[0] == 0
+            y = G.generators[0]
+            for k in word[1:]:
+                y = y * G.generators[k]
+            assert y == x
             powers = G.powers(i)
-            assert G.order(i) == len(powers)
+            assert x.order() == len(powers)
             y = x
             for p in powers:
                 assert p == G.index[y]
@@ -290,56 +296,50 @@ def test_indexed_group_tables_and_powers():
 
 @pytest.mark.parametrize("gens", [
     lambda: builtin_group("agl2_3").generators,
-    _embedded_agl2_3,
     _identity_first_repeated,
-], ids=["agl2_3", "agl2_3-embedded", "identity-first-repeated"])
+], ids=["agl2_3", "identity-first-repeated"])
 def test_only_the_closure_multiplies(gens, monkeypatch):
     # every table is read off the closure's Schreier graph: the closure forms
     # x * g once per element and generator, and nothing after it multiplies
+    from eigenone.audit import _cyclic_subgroups
+
     gens = gens()
-    cls = type(gens[0])
     products = [0]
-    mul = cls.__mul__
+    mul = Permutation.__mul__
 
     def counted(self, other):
         products[0] += 1
         return mul(self, other)
 
-    monkeypatch.setattr(cls, "__mul__", counted)
+    monkeypatch.setattr(Permutation, "__mul__", counted)
     G = IndexedGroup(gens)
     assert products[0] == len(G.elements) * len(gens)
     products[0] = 0
     G.cayley_table
     for i in range(len(G.elements)):
-        G.powers(i)
-        G.order(i)
-        G.normalizer(i)
+        G.word(i)
+        G.normalizer(G.powers(i))
     G.inverses
-    G.cyclic_generators()
+    _cyclic_subgroups(G)
     G.conjugators()
-    G.class_orbits()
     G.conjugacy_classes()
     assert products[0] == 0
 
 
-@pytest.mark.parametrize("gens", [
-    lambda: builtin_group("agl2_3").generators,
-    _embedded_agl2_3,
-], ids=["agl2_3", "agl2_3-embedded"])
+@pytest.mark.parametrize("gens", [lambda: builtin_group("agl2_3").generators], ids=["agl2_3"])
 def test_closure_bound_is_the_largest_allowed_order(gens):
-    assert len(closure(gens(), bound=432)) == 432  # |AGL(2,3)|
+    assert len(IndexedGroup(gens(), bound=432).elements) == 432  # |AGL(2,3)|
     with pytest.raises(ClosureOverflow, match="^closure exceeded bound 431$"):
-        closure(gens(), bound=431)
+        IndexedGroup(gens(), bound=431)
 
 
 def test_cyclic_generators_agl2_3():
+    from eigenone.audit import _cyclic_subgroups
+
     G = builtin_group("agl2_3").indexed
-    gens = G.cyclic_generators()
-    assert len(gens) == 212
-    least = {}
-    for i in range(len(G.elements)):
-        least.setdefault(frozenset(G.powers(i)), i)
-    assert gens == sorted(least.values())
+    cyclic, _ = _cyclic_subgroups(G)
+    assert len(cyclic) == 212
+    assert list(cyclic) == sorted(cyclic_subgroups_by_definition(G).values())
 
 
 @pytest.mark.parametrize("name,params", [("agl2_3", {}), ("pgl2", {"q": 7}), ("s_n", {"n": 5})],
@@ -349,12 +349,12 @@ def test_normalizer_of_every_cyclic_subgroup(name, params):
     # orbit-stabilizer: [G : N(X)] is the number of conjugates of X
     G = builtin_group(name, **params).indexed
     els = G.elements
-    inverses = [g.inverse() for g in els]
+    inverses = [inverse(g) for g in els]
     assert [els[i] for i in G.inverses] == inverses
-    for i in G.cyclic_generators():
+    for i in cyclic_subgroups_by_definition(G).values():
         X = frozenset(els[h] for h in G.powers(i))
         conjugates = [frozenset(g * h * g_inv for h in X) for g, g_inv in zip(els, inverses)]
-        normalizer = G.normalizer(i)
+        normalizer = G.normalizer(G.powers(i))
         assert normalizer == [g for g, C in enumerate(conjugates) if C == X]
         assert len(normalizer) * len(set(conjugates)) == len(els)
 
