@@ -10,7 +10,6 @@ come from distinct-degree factorization alone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import UsageError, VerificationError
 from .intlinalg import IntMatrix, det_exact
@@ -290,13 +289,24 @@ class PackedFp:
         return self.reduce(a * pow(a >> (self.degree(a) * self.S), -1, self.p))
 
 
-@dataclass(frozen=True)
 class FactorizationType:
     """Multiset of irreducible-factor degrees of f mod p."""
 
-    p: int
-    degrees: tuple[int, ...]
-    squarefree: bool
+    __slots__ = ("p", "degrees", "squarefree")
+
+    def __init__(self, p: int, degrees: tuple[int, ...], squarefree: bool):
+        self.p = p
+        self.degrees = degrees
+        self.squarefree = squarefree
+
+    def _key(self):
+        return (self.p, self.degrees, self.squarefree)
+
+    def __eq__(self, other):
+        return isinstance(other, FactorizationType) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
@@ -354,12 +364,14 @@ def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
 # Frobenius scan
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FrobeniusRecord:
-    p: int
-    degrees: tuple[int, ...]
-    eig1_nullity: int
-    type_in_group: bool
+    __slots__ = ("p", "degrees", "eig1_nullity", "type_in_group")
+
+    def __init__(self, p: int, degrees: tuple[int, ...], eig1_nullity: int, type_in_group: bool):
+        self.p = p
+        self.degrees = degrees
+        self.eig1_nullity = eig1_nullity
+        self.type_in_group = type_in_group
 
     @property
     def has_eigenvalue_one(self) -> bool:
@@ -375,13 +387,16 @@ class FrobeniusRecord:
         }
 
 
-@dataclass
 class FrobeniusScan:
-    f: ZPoly
-    pmax: int
-    group_name: str
-    bad_primes: list[int]
-    records: list[FrobeniusRecord]
+    __slots__ = ("f", "pmax", "group_name", "bad_primes", "records")
+
+    def __init__(self, f: ZPoly, pmax: int, group_name: str, bad_primes: list[int],
+                 records: list[FrobeniusRecord]):
+        self.f = f
+        self.pmax = pmax
+        self.group_name = group_name
+        self.bad_primes = bad_primes
+        self.records = records
 
     @property
     def all_eig1(self) -> bool:
@@ -580,13 +595,15 @@ def curve_count(f: ZPoly, p: int, k: int) -> int:
     return count
 
 
-@dataclass
 class LPolynomial:
     """Numerator of the zeta function of a genus-g curve over F_p, degree 2g,
     c_0 = 1, with the functional equation c_{2g-i} = p^{g-i} c_i."""
 
-    p: int
-    coeffs: list[int]
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p: int, coeffs: list[int]):
+        self.p = p
+        self.coeffs = coeffs
 
     def jacobian_order(self) -> int:
         return sum(self.coeffs)

@@ -6,7 +6,6 @@ group for irreducibility and the same property on that module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -30,14 +29,17 @@ if TYPE_CHECKING:
 # tracer, which wraps each layer where it is defined, still reaches every
 # call.
 
-@dataclass
 class ClassRecord:
-    label: str
-    size: int
-    element_order: int
-    det_one_minus: int  # det(I - M); over GF(2) this is 0 or 1
-    alg_mult: int
-    geo_mult: int
+    __slots__ = ("label", "size", "element_order", "det_one_minus", "alg_mult", "geo_mult")
+
+    def __init__(self, label: str, size: int, element_order: int, det_one_minus: int,
+                 alg_mult: int, geo_mult: int):
+        self.label = label
+        self.size = size
+        self.element_order = element_order
+        self.det_one_minus = det_one_minus  # det(I - M); over GF(2) this is 0 or 1
+        self.alg_mult = alg_mult
+        self.geo_mult = geo_mult
 
     @property
     def has_eigenvalue_one(self) -> bool:
@@ -55,14 +57,17 @@ class ClassRecord:
         }
 
 
-@dataclass
 class AuditReport:
-    rep_id: str
-    dim: int
-    ring: str  # "ZZ" | "GF2"
-    records: list[ClassRecord]
-    irreducible: bool | None = None
-    absolutely_irreducible: bool | None = None
+    __slots__ = ("rep_id", "dim", "ring", "records", "irreducible", "absolutely_irreducible")
+
+    def __init__(self, rep_id: str, dim: int, ring: str, records: list[ClassRecord],
+                 irreducible: bool | None = None, absolutely_irreducible: bool | None = None):
+        self.rep_id = rep_id
+        self.dim = dim
+        self.ring = ring  # "ZZ" | "GF2"
+        self.records = records
+        self.irreducible = irreducible
+        self.absolutely_irreducible = absolutely_irreducible
 
     @property
     def unisingular(self) -> bool:
@@ -139,16 +144,24 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> AuditReport:
     return audit_int_classes(rep_id, classes)
 
 
+# The table's matrix has dimension n(n - 3)/2, and its determinant is exact:
+# n = 31 (434 dimensions) takes about 2.5 s.
+TABLE_N_MAX = 31
+
+
 def conjecture_table(ns: list[int]) -> list[dict]:
     """det(I - M) for the sign-twisted two-row module on the class of an
     (n-2)-cycle times a transposition, with the closed form 2^(k-1)(2k-1)."""
     from .intlinalg import IntMatrix, det_exact
     from .specht import twisted_action_matrix
 
-    rows = []
     for n in ns:
         if n < 5 or n % 2 == 0:
             raise UsageError("table rows need odd n >= 5")
+        if n > TABLE_N_MAX:
+            raise UsageError(f"table rows need n <= {TABLE_N_MAX}, got {n}")
+    rows = []
+    for n in ns:
         shape = Partition((n - 2, 2))
         ct = Partition((n - 2, 2))
         M = twisted_action_matrix(class_rep_for(ct), shape)
@@ -199,13 +212,17 @@ def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> AuditReport:
 # 2-generated subgroup census
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CensusEntry:
-    order: int
-    irreducible: bool
-    unisingular: bool
-    count: int
-    class_size_fingerprints: list[tuple[int, ...]] = field(default_factory=list)
+    __slots__ = ("order", "irreducible", "unisingular", "count", "class_size_fingerprints")
+
+    def __init__(self, order: int, irreducible: bool, unisingular: bool, count: int,
+                 class_size_fingerprints: list[tuple[int, ...]] | None = None):
+        self.order = order
+        self.irreducible = irreducible
+        self.unisingular = unisingular
+        self.count = count
+        self.class_size_fingerprints = (
+            [] if class_size_fingerprints is None else class_size_fingerprints)
 
     def to_payload(self) -> dict:
         return {

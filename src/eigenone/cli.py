@@ -22,6 +22,9 @@ import time
 from .errors import DEFAULT_SEED, ClosureOverflow, UsageError
 from .reports import CLAIMS, RunReport
 
+# disc-verify keeps every sample in its payload; 10^4 samples take about 4 s
+DISC_SAMPLES_MAX = 10**4
+
 GROUP_CHOICES = ["agl2_3", "asl2_3", "agl1_9", "agammal1_9", "pgl2", "l3_2_flags", "s_n", "a_n"]
 
 
@@ -251,6 +254,8 @@ def cmd_nt_disc_verify(args) -> int:
 
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > DISC_SAMPLES_MAX:
+        raise UsageError(f"--samples must be at most {DISC_SAMPLES_MAX}, got {args.samples}")
     t0 = time.time()
     rng = random.Random(args.seed)
     samples = []
@@ -292,6 +297,8 @@ def cmd_nt_frobenius_scan(args) -> int:
 
     if args.pmax < 0:
         raise UsageError(f"--pmax must not be negative, got {args.pmax}")
+    if args.poly is None and (args.a is None or args.t is None):
+        raise UsageError("frobenius-scan needs --a and --t, or --poly")
     t0 = time.time()
     G = _build_group(args)
     f = malle_g(args.a, args.t) if args.poly is None else args.poly
@@ -401,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_nt_disc_verify)
 
     p = nt.add_parser("frobenius-scan")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--a", type=int, default=None)
+    p.add_argument("--t", type=int, default=None)
     p.add_argument("--pmax", type=int, default=10**4)
     p.add_argument("--group", required=True, choices=GROUP_CHOICES)
     p.add_argument("--q", type=int, default=None)

@@ -11,8 +11,6 @@ is verified nonzero (a nonzero straightened coordinate) and verified fixed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UsageError, VerificationError
 from .perms import Permutation
 from .specht import (
@@ -130,13 +128,16 @@ def witness_tableau(sigma: Permutation, family: str) -> tuple[Tableau, bool]:
     raise UsageError(f"no fixed-vector construction for family {family}")
 
 
-@dataclass
 class FixedVector:
-    sigma: Permutation
-    family: str
-    tableau: Tableau
-    vector: dict[Tabloid, int]
-    coords: list[int]
+    __slots__ = ("sigma", "family", "tableau", "vector", "coords")
+
+    def __init__(self, sigma: Permutation, family: str, tableau: Tableau,
+                 vector: dict[Tabloid, int], coords: list[int]):
+        self.sigma = sigma
+        self.family = family
+        self.tableau = tableau
+        self.vector = vector
+        self.coords = coords
 
     def to_payload(self) -> dict:
         return {

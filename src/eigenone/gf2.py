@@ -10,8 +10,6 @@ GF(2) polynomials are plain ints with bit i = coefficient of x^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import VerificationError
 
 WORD = 64
@@ -200,19 +198,19 @@ def preserves_form(M: BitMatrix, J: BitMatrix) -> bool:
     return M.transpose() * J * M == J
 
 
-@dataclass
 class GF2Module:
     """A module over GF(2) given by the generator action matrices."""
 
-    dim: int
-    gens: list[BitMatrix]
+    __slots__ = ("dim", "gens")
 
-    def __post_init__(self):
-        for g in self.gens:
-            if not (g.is_square and g.nrows == self.dim):
+    def __init__(self, dim: int, gens: list[BitMatrix]):
+        for g in gens:
+            if not (g.is_square and g.nrows == dim):
                 raise ValueError("generator dimension mismatch")
             if not is_invertible(g):
                 raise ValueError("generators must be invertible over GF(2)")
+        self.dim = dim
+        self.gens = gens
 
 
 # ---------------------------------------------------------------------------

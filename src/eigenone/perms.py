@@ -8,7 +8,6 @@ Points are 1-based in all external interfaces (cycle strings, apply) and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial, lcm
 
@@ -17,17 +16,26 @@ from .errors import ClosureOverflow, UsageError, VerificationError
 CLOSURE_BOUND = 10**6
 
 
-@dataclass(frozen=True)
 class Partition:
     """A weakly decreasing tuple of positive integers."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError(f"partition parts must be positive: {self.parts}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing: {self.parts}")
+    def __init__(self, parts: tuple[int, ...]):
+        if any(p <= 0 for p in parts):
+            raise ValueError(f"partition parts must be positive: {parts}")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+        self.parts = parts
+
+    def __eq__(self, other):
+        return isinstance(other, Partition) and self.parts == other.parts
+
+    def __hash__(self):  # the hash of a frozen dataclass, so set orders stay as they were
+        return hash((self.parts,))
+
+    def __repr__(self):
+        return f"Partition({self.parts})"
 
     @property
     def n(self) -> int:
@@ -340,14 +348,14 @@ class IndexedGroup:
         return [g for g in range(len(inside)) if inside[table[inv[g]][gx[g]]]]
 
 
-@dataclass
 class PermGroup:
     """A permutation group given by generators, with its indexed closure."""
 
-    generators: list[Permutation]
-    name: str = "group"
-    # set by builtin_group where the cycle types are known without a closure
-    _cycle_types: frozenset | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, generators: list[Permutation], name: str = "group"):
+        self.generators = generators
+        self.name = name
+        # set by builtin_group where the cycle types are known without a closure
+        self._cycle_types: frozenset | None = None
 
     @property
     def degree(self) -> int:

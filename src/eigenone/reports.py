@@ -8,7 +8,6 @@ from the canonical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
 
@@ -35,14 +34,17 @@ CLAIMS = {
 }
 
 
-@dataclass
 class RunReport:
-    command: list[str]
-    seed: int
-    anchors: list[str]
-    result: dict
-    wall_time_s: float = 0.0
-    version: str = field(default=__version__)
+    __slots__ = ("command", "seed", "anchors", "result", "wall_time_s", "version")
+
+    def __init__(self, command: list[str], seed: int, anchors: list[str], result: dict,
+                 wall_time_s: float = 0.0, version: str = __version__):
+        self.command = command
+        self.seed = seed
+        self.anchors = anchors
+        self.result = result
+        self.wall_time_s = wall_time_s
+        self.version = version
 
     def to_dict(self, include_wall_time: bool = True) -> dict:
         out = {

@@ -12,29 +12,37 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
 from .errors import UsageError, VerificationError
-from .gf2 import BitMatrix, GF2Module
 from .intlinalg import IntMatrix
 from .perms import Partition, Permutation
 
+if TYPE_CHECKING:
+    from .gf2 import GF2Module
 
-@dataclass(frozen=True)
+
 class Tableau:
     """A bijective filling of a Young diagram by 1..n."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        entries = sorted(x for row in self.rows for x in row)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        entries = sorted(x for row in rows for x in row)
         if entries != list(range(1, len(entries) + 1)):
             raise ValueError("tableau entries must be a bijection onto 1..n")
-        lens = [len(r) for r in self.rows]
+        lens = [len(r) for r in rows]
         if any(lens[i] < lens[i + 1] for i in range(len(lens) - 1)):
             raise ValueError("row lengths must be weakly decreasing")
+        self.rows = rows
+
+    def __eq__(self, other):
+        return isinstance(other, Tableau) and self.rows == other.rows
+
+    def __hash__(self):  # the hash of a frozen dataclass, so set orders stay as they were
+        return hash((self.rows,))
 
     @classmethod
     def of(cls, rows) -> "Tableau":
@@ -295,6 +303,8 @@ def generator_matrices(shape: Partition, twisted: bool = False) -> list[IntMatri
 
 def rep_mod2(mats: list[IntMatrix]) -> GF2Module:
     """Reduce integer representation matrices mod 2."""
+    from .gf2 import BitMatrix, GF2Module
+
     if not mats:
         raise ValueError("need at least one matrix")
     dim = mats[0].nrows

@@ -22,18 +22,27 @@ trivial quotient, and for d even <1> is a trivial submodule of W.  Hence:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import VerificationError
 from .gf2 import BitMatrix, GF2Module, gf2_rank, pdiv, pmul, preserves_form
 from .perms import PermGroup, Permutation
 
 
-@dataclass(frozen=True)
 class SymplecticSpace:
-    d: int
-    dim: int
-    gram: BitMatrix
+    __slots__ = ("d", "dim", "gram")
+
+    def __init__(self, d: int, dim: int, gram: BitMatrix):
+        self.d = d
+        self.dim = dim
+        self.gram = gram
+
+    def _key(self):
+        return (self.d, self.dim, self.gram)
+
+    def __eq__(self, other):
+        return isinstance(other, SymplecticSpace) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_payload(self) -> dict:
         return {"d": self.d, "dim": self.dim, "gram_hex_rows": self.gram.to_hex_rows()}

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -300,6 +301,12 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ("nt disc-verify --samples -3", "--samples must be at least 1, got -3"),
     ("specht conjecture-table --n ,", "--n lists no value of n"),
     ("nt lpoly-check --a 1 --t -32 --primes ,", "--primes lists no prime"),
+    # sizes whose run time has no bound
+    ("specht conjecture-table --n 5,103", "table rows need n <= 31, got 103"),
+    ("nt disc-verify --samples 100000000", "--samples must be at most 10000, got 100000000"),
+    # a scan needs a polynomial
+    ("nt frobenius-scan --group agl2_3", "frobenius-scan needs --a and --t, or --poly"),
+    ("nt frobenius-scan --a 1 --group agl2_3", "frobenius-scan needs --a and --t, or --poly"),
     # no worker would run
     ("nt frobenius-scan --a 1 --t 1 --group agl2_3 --jobs 0", "--jobs must be at least 1, got 0"),
     ("specht audit --n 5 --family hook --jobs -2", "--jobs must be at least 1, got -2"),
@@ -352,12 +359,16 @@ def run_python(program: str, *flags: str):
                           env=env, timeout=120)
 
 
-def loaded_layers(program: str) -> list[str]:
-    """The eigenone modules that a fresh interpreter has loaded after program."""
-    proc = run_python(program + "\nimport json, sys\n"
-                      "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'eigenone')))")
+def loaded_modules(program: str) -> list[str]:
+    """The modules that a fresh interpreter has loaded after program."""
+    proc = run_python(program + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_layers(program: str) -> list[str]:
+    """The eigenone modules that a fresh interpreter has loaded after program."""
+    return [m for m in loaded_modules(program) if m.split(".")[0] == "eigenone"]
 
 
 def test_cli_import_loads_no_layer():
@@ -380,6 +391,60 @@ def test_embed_command_loads_no_integral_layer(subcommand):
     assert "eigenone.audit" in loaded and "eigenone.meataxe" in loaded
     for layer in ("specht", "intlinalg"):
         assert f"eigenone.{layer}" not in loaded
+
+
+@pytest.mark.parametrize("argv", ["audit --n 5 --family n-2,2", "conjecture-table --n 5"])
+def test_integral_specht_command_loads_no_gf2_layer(argv):
+    loaded = loaded_layers("from eigenone.cli import main\n"
+                           f"assert main(['specht', *{argv.split()}]) == 0")
+    assert "eigenone.specht" in loaded and "eigenone.intlinalg" in loaded
+    for layer in ("gf2", "meataxe", "symplectic"):
+        assert f"eigenone.{layer}" not in loaded
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((ROOT / "src" / "eigenone").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+
+
+SLOW_IMPORTS = ["dataclasses", "inspect"]
+# one fast run of each battery subcommand; each verifies its claim
+BATTERY_SUBCOMMANDS = [
+    "specht audit --n 5 --family n-2,2",
+    "specht conjecture-table --n 5",
+    "specht mod2-factors --n 5 --family n-2,1,1",
+    "specht fixed-vector --n 7 --cycle-type 5,2 --family n-2,1,1",
+    "embed audit --group agl2_3",
+    "embed audit --group l3_2_flags --module permutation",
+    "embed census --group agl2_3",
+    "nt disc-verify --samples 1",
+    "nt frobenius-scan --a 1 --t -32 --pmax 100 --group agl2_3",
+    "nt lpoly-check --a 1 --t -32 --primes 5",
+]
+
+
+@pytest.mark.parametrize("argv", BATTERY_SUBCOMMANDS)
+def test_battery_subcommand_loads_no_dataclasses(argv):
+    # the interpreter itself may load them through the standard library that
+    # the CLI needs; the package must add neither
+    bare = set(loaded_modules("import argparse, json, random"))
+    loaded = set(loaded_modules("from eigenone.cli import main\n"
+                                f"assert main({argv.split()!r}) == 0"))
+    assert [m for m in SLOW_IMPORTS if m in loaded - bare] == []
+
+
+def test_frobenius_scan_poly_needs_no_family_parameters(capsys):
+    # x^9 - x - 1: by Dedekind, a type outside AGL(2,3) shows Gal is not in it
+    code, out = run_cli(capsys, "nt", "frobenius-scan", "--poly=-1,-1,0,0,0,0,0,0,0,1",
+                        "--group", "agl2_3", "--pmax", "200")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["poly"] == ["-1", "-1", "0", "0", "0", "0", "0", "0", "0", "1"]
+    assert result["type_offender_primes"][:5] == [5, 17, 29, 31, 41]
 
 
 def run_optimized(program: str):

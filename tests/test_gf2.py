@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from eigenone.gf2 import (
     BitMatrix,
+    GF2Module,
     distinct_degree_parts,
     eval_poly_at_matrix,
     fixed_space_dim,
@@ -148,6 +149,17 @@ def test_preserves_form():
     assert preserves_form(BitMatrix.identity(4), J4)
     with pytest.raises(ValueError):
         preserves_form(BitMatrix.identity(3), J2)
+
+
+@pytest.mark.parametrize("gen,message", [
+    (BitMatrix([0b01, 0b10], 3), "dimension mismatch"),  # 2 x 3
+    (BitMatrix.identity(3), "dimension mismatch"),  # square, but not 2 x 2
+    (BitMatrix([0b11, 0b11], 2), "invertible"),
+    (BitMatrix([0, 0], 2), "invertible"),
+])
+def test_module_rejects_bad_generators(gen, message):
+    with pytest.raises(ValueError, match=message):
+        GF2Module(2, [BitMatrix.identity(2), gen])
 
 
 def test_closure_identity():

@@ -207,6 +207,23 @@ def test_pgl2_rejects_non_prime():
         builtin_group("pgl2", q=2)
 
 
+@pytest.mark.parametrize("parts,message", [
+    ((3, 0), "must be positive"),
+    ((2, -1), "must be positive"),
+    ((1, 2), "weakly decreasing"),
+    ((3, 1, 2), "weakly decreasing"),
+])
+def test_partition_rejects_bad_parts(parts, message):
+    with pytest.raises(ValueError, match=message):
+        Partition(parts)
+
+
+def test_partition_is_a_hashable_value():
+    assert Partition((3, 1)) == Partition((3, 1)) != Partition((2, 2))
+    assert Partition((3, 1)) != (3, 1)
+    assert len({Partition((3, 1)), Partition((3, 1)), Partition((2, 2))}) == 2
+
+
 def test_unknown_builtin():
     with pytest.raises(ValueError):
         builtin_group("m_11")

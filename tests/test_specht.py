@@ -49,6 +49,23 @@ def test_hook_length_formula_agreement():
         assert len(standard_tableaux(shape)) == hook_length_count(Partition(shape))
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([[1, 2], [2]], "bijection onto 1..n"),
+    ([[1, 2], [4]], "bijection onto 1..n"),
+    ([[0, 1], [2]], "bijection onto 1..n"),
+    ([[1], [2, 3]], "weakly decreasing"),
+])
+def test_tableau_rejects_bad_fillings(rows, message):
+    with pytest.raises(ValueError, match=message):
+        Tableau.of(rows)
+
+
+def test_tableau_is_a_hashable_value():
+    t = Tableau.of([[1, 3], [2]])
+    assert t == Tableau.of([[1, 3], [2]]) != Tableau.of([[1, 2], [3]])
+    assert len({t, Tableau.of([[1, 3], [2]])}) == 1
+
+
 def test_polytabloid_trivial_shape():
     t = Tableau.of([[2, 1, 3]])
     v = polytabloid_expand(t)
