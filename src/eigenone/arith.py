@@ -289,29 +289,10 @@ class PackedFp:
         return self.reduce(a * pow(a >> (self.degree(a) * self.S), -1, self.p))
 
 
-class FactorizationType:
-    """Multiset of irreducible-factor degrees of f mod p."""
-
-    __slots__ = ("p", "degrees", "squarefree")
-
-    def __init__(self, p: int, degrees: tuple[int, ...], squarefree: bool):
-        self.p = p
-        self.degrees = degrees
-        self.squarefree = squarefree
-
-    def _key(self):
-        return (self.p, self.degrees, self.squarefree)
-
-    def __eq__(self, other):
-        return isinstance(other, FactorizationType) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
-    """Squarefree test, then distinct-degree factorization, on packed
-    polynomials (`PackedFp`).
+def factor_mod_p(f: ZPoly, p: int) -> tuple[int, ...] | None:
+    """The irreducible-factor degrees of f mod p, ascending, or None when
+    f mod p is not squarefree: a squarefree test, then distinct-degree
+    factorization, on packed polynomials (`PackedFp`).
 
     The part g_d of f collecting its irreducible factors of degree d has
     degree d times their number, so the degrees need no equal-degree split
@@ -326,7 +307,7 @@ def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
     F = PackedFp(f, p)
     n = F.n
     if F.gcd(F.f, F.pack([i * c for i, c in enumerate(f)][1:])) != 1:
-        return FactorizationType(p, (), squarefree=False)
+        return None
     # Frobenius g -> g^p is F_p-linear on F_p[x]/(f): with h = x^p mod f
     # computed once, the rows x^(ip) mod f carry x^(p^d) to x^(p^(d+1))
     # (von zur Gathen & Shoup, Comput. Complexity 2, 1992)
@@ -357,92 +338,35 @@ def factor_mod_p(f: ZPoly, p: int) -> FactorizationType:
             dv -= dg
     if prod != F.f or sum(degrees) != n:
         raise VerificationError("distinct-degree factorization must reproduce f mod p")
-    return FactorizationType(p, tuple(sorted(degrees)), squarefree=True)
+    return tuple(sorted(degrees))
 
 
 # ---------------------------------------------------------------------------
 # Frobenius scan
 # ---------------------------------------------------------------------------
 
-class FrobeniusRecord:
-    __slots__ = ("p", "degrees", "eig1_nullity", "type_in_group")
-
-    def __init__(self, p: int, degrees: tuple[int, ...], eig1_nullity: int, type_in_group: bool):
-        self.p = p
-        self.degrees = degrees
-        self.eig1_nullity = eig1_nullity
-        self.type_in_group = type_in_group
-
-    @property
-    def has_eigenvalue_one(self) -> bool:
-        return self.eig1_nullity >= 1
-
-    def to_payload(self) -> dict:
-        return {
-            "p": self.p,
-            "cycle_type": list(self.degrees),
-            "eig1_nullity": self.eig1_nullity,
-            "has_eigenvalue_one": self.has_eigenvalue_one,
-            "type_in_group": self.type_in_group,
-        }
-
-
-class FrobeniusScan:
-    __slots__ = ("f", "pmax", "group_name", "bad_primes", "records")
-
-    def __init__(self, f: ZPoly, pmax: int, group_name: str, bad_primes: list[int],
-                 records: list[FrobeniusRecord]):
-        self.f = f
-        self.pmax = pmax
-        self.group_name = group_name
-        self.bad_primes = bad_primes
-        self.records = records
-
-    @property
-    def all_eig1(self) -> bool:
-        return all(r.has_eigenvalue_one for r in self.records)
-
-    @property
-    def all_types_in_group(self) -> bool:
-        return all(r.type_in_group for r in self.records)
-
-    def to_payload(self) -> dict:
-        return {
-            "poly": [str(c) for c in self.f],
-            "pmax": self.pmax,
-            "group": self.group_name,
-            "bad_primes": self.bad_primes,
-            "all_have_eigenvalue_one": self.all_eig1,
-            "all_types_in_group": self.all_types_in_group,
-            "eig1_offender_primes": [r.p for r in self.records if not r.has_eigenvalue_one],
-            "type_offender_primes": [r.p for r in self.records if not r.type_in_group],
-            "records": [r.to_payload() for r in self.records],
-        }
-
-
 def _scan_prime_worker(work: tuple) -> tuple[int, tuple[int, ...]]:
     f, disc, p = work
-    ft = factor_mod_p(list(f), p)
-    if not ft.squarefree:
+    degrees = factor_mod_p(list(f), p)
+    if degrees is None:
         raise VerificationError(f"p={p} should be a good prime")
     # Stickelberger: f squarefree mod an odd p with r irreducible factors has
     # (disc f / p) = (-1)^(n - r).  The reconstruction check inside
     # factor_mod_p cannot see a wrong x^p mod f; this parity can.
-    parity = 1 if (len(f) - 1 - len(ft.degrees)) % 2 == 0 else p - 1
+    parity = 1 if (len(f) - 1 - len(degrees)) % 2 == 0 else p - 1
     if pow(disc, (p - 1) // 2, p) != parity:
         raise VerificationError(
-            f"p={p}: {len(ft.degrees)} irreducible factors contradict the Legendre symbol "
+            f"p={p}: {len(degrees)} irreducible factors contradict the Legendre symbol "
             "of disc(f) (Stickelberger)"
         )
-    return p, ft.degrees
+    return p, degrees
 
 
-def frobenius_scan(
-    f: ZPoly, pmax: int, group: PermGroup, jobs: int = 1
-) -> FrobeniusScan:
-    """For each good odd prime p <= pmax: factorization type of f mod p, the
-    eigenvalue-1 nullity of an embedded permutation of that cycle type, and
-    whether the type occurs among the group's class cycle types.
+def frobenius_scan(f: ZPoly, pmax: int, group: PermGroup, jobs: int = 1) -> dict:
+    """For each good odd prime p <= pmax, a record of the factorization type
+    of f mod p, the eigenvalue-1 nullity of an embedded permutation of that
+    cycle type, and whether the type occurs among the group's class cycle
+    types; with the primes at which either check fails.
 
     A clean scan is statistical consistency with the target group being the
     Galois image, never a proof.  Per-prime work runs in chunks of 64 primes
@@ -477,8 +401,20 @@ def frobenius_scan(
     records = []
     for p, degrees in raw:
         ct = tuple(sorted(degrees, reverse=True))
-        records.append(FrobeniusRecord(p, degrees, eig1_nullity(ct), ct in group_types))
-    return FrobeniusScan(f, pmax, group.name, listed_bad, records)
+        nullity = eig1_nullity(ct)
+        records.append({"p": p, "cycle_type": list(degrees), "eig1_nullity": nullity,
+                        "has_eigenvalue_one": nullity >= 1, "type_in_group": ct in group_types})
+    return {
+        "poly": [str(c) for c in f],
+        "pmax": pmax,
+        "group": group.name,
+        "bad_primes": listed_bad,
+        "all_have_eigenvalue_one": all(r["has_eigenvalue_one"] for r in records),
+        "all_types_in_group": all(r["type_in_group"] for r in records),
+        "eig1_offender_primes": [r["p"] for r in records if not r["has_eigenvalue_one"]],
+        "type_offender_primes": [r["p"] for r in records if not r["type_in_group"]],
+        "records": records,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -561,20 +497,25 @@ class Fq:
         return {self.mul(x, x) for x in self.elements()}
 
 
+def check_count_prime(f: ZPoly, p: int, k: int) -> None:
+    """Refuse a p at which y^2 = f(x) cannot be counted over F_{p^k}: p must
+    be an odd prime of good reduction, with p^k within POINT_BUDGET."""
+    # p comes from the command line (lpoly-check --primes)
+    if p == 2 or not is_prime(p):
+        raise UsageError(f"p must be an odd prime, got {p}")
+    if p**k > POINT_BUDGET:
+        raise UsageError(f"{p}^{k} = {p**k} exceeds the enumeration budget {POINT_BUDGET}")
+    if disc_resultant(f) % p == 0 or f[-1] % p == 0:
+        raise UsageError(f"bad prime {p}")
+
+
 def curve_count(f: ZPoly, p: int, k: int) -> int:
     """Number of points of y^2 = f(x) over F_{p^k}, deg f odd (one point at
     infinity); naive enumeration with a precomputed square table."""
     d = zp_degree(f)
     if d % 2 == 0:
         raise ValueError("only odd-degree models here")
-    # p comes from the command line (lpoly-check --primes)
-    if p == 2 or not is_prime(p):
-        raise UsageError(f"p must be an odd prime, got {p}")
-    if p**k > POINT_BUDGET:
-        raise UsageError(f"p^k = {p**k} exceeds the enumeration budget {POINT_BUDGET}")
-    disc = disc_resultant(f)
-    if disc % p == 0 or f[-1] % p == 0:
-        raise UsageError(f"bad prime {p}")
+    check_count_prime(f, p, k)
     F = Fq(p, k)
     sq = F.squares()
     fp = [c % p for c in f]
@@ -595,34 +536,11 @@ def curve_count(f: ZPoly, p: int, k: int) -> int:
     return count
 
 
-class LPolynomial:
-    """Numerator of the zeta function of a genus-g curve over F_p, degree 2g,
-    c_0 = 1, with the functional equation c_{2g-i} = p^{g-i} c_i."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs: list[int]):
-        self.p = p
-        self.coeffs = coeffs
-
-    def jacobian_order(self) -> int:
-        return sum(self.coeffs)
-
-    def reversed_mod2(self) -> int:
-        """x^{2g} P(1/x) reduced mod 2, as a GF(2) bit-poly: the charpoly of
-        Frobenius on the 2-torsion."""
-        out = 0
-        deg = len(self.coeffs) - 1
-        for i, c in enumerate(self.coeffs):
-            if c % 2:
-                out |= 1 << (deg - i)
-        return out
-
-
-def lpoly_from_counts(f: ZPoly, p: int) -> LPolynomial:
-    """L-polynomial of y^2 = f(x) (deg f = 9, genus 4) over F_p from point
-    counts over F_{p^k}, k = 1..4, via Newton's identities plus the
-    functional equation."""
+def lpoly_from_counts(f: ZPoly, p: int) -> list[int]:
+    """Coefficients c_0 = 1, ..., c_8, ascending, of the L-polynomial of
+    y^2 = f(x) (deg f = 9, genus 4) over F_p: the numerator of its zeta
+    function, from point counts over F_{p^k}, k = 1..4, via Newton's
+    identities plus the functional equation c_{8-i} = p^{4-i} c_i."""
     d = zp_degree(f)
     if d != 9:
         raise ValueError("genus-4 odd model expected (degree 9)")
@@ -650,7 +568,7 @@ def lpoly_from_counts(f: ZPoly, p: int) -> LPolynomial:
     for i, ci in enumerate(full):
         if ci * ci > comb(2 * g, i) ** 2 * p**i:
             raise VerificationError(f"Weil coefficient bound violated: c_{i} = {ci}")
-    return LPolynomial(p, full)
+    return full
 
 
 def frobenius_charpoly_gf2(f: ZPoly, p: int) -> int:
@@ -658,7 +576,7 @@ def frobenius_charpoly_gf2(f: ZPoly, p: int) -> int:
     symplectic module, read off the factorization type of f mod p."""
     from .symplectic import cycle_type_charpoly
 
-    ft = factor_mod_p(f, p)
-    if not ft.squarefree:
+    degrees = factor_mod_p(f, p)
+    if degrees is None:
         raise UsageError(f"bad prime {p}")
-    return cycle_type_charpoly(ft.degrees)
+    return cycle_type_charpoly(degrees)

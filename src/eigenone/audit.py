@@ -25,98 +25,61 @@ if TYPE_CHECKING:
 
 # Each audit imports the layers it runs where it runs: the integral ones
 # (specht, intlinalg) and the GF(2) ones (meataxe, symplectic).  So `embed`
-# loads no integral layer and `specht audit` no GF(2) one, and perfbench's
-# tracer, which wraps each layer where it is defined, still reaches every
-# call.
-
-class ClassRecord:
-    __slots__ = ("label", "size", "element_order", "det_one_minus", "alg_mult", "geo_mult")
-
-    def __init__(self, label: str, size: int, element_order: int, det_one_minus: int,
-                 alg_mult: int, geo_mult: int):
-        self.label = label
-        self.size = size
-        self.element_order = element_order
-        self.det_one_minus = det_one_minus  # det(I - M); over GF(2) this is 0 or 1
-        self.alg_mult = alg_mult
-        self.geo_mult = geo_mult
-
-    @property
-    def has_eigenvalue_one(self) -> bool:
-        return self.det_one_minus == 0
-
-    def to_payload(self) -> dict:
-        return {
-            "class": self.label,
-            "size": self.size,
-            "element_order": self.element_order,
-            "det_one_minus": str(self.det_one_minus),
-            "eig1_algebraic": self.alg_mult,
-            "eig1_geometric": self.geo_mult,
-            "has_eigenvalue_one": self.has_eigenvalue_one,
-        }
+# loads no integral layer and `specht audit` no GF(2) one.  perfbench's
+# tracer wraps each layer where it is defined, so it counts these calls, but
+# not the census's own loops: `perms.orbit` and `_coset_closure` are not
+# among its targets, and their time lands in `audit.subgroup_census`.
 
 
-class AuditReport:
-    __slots__ = ("rep_id", "dim", "ring", "records", "irreducible", "absolutely_irreducible")
-
-    def __init__(self, rep_id: str, dim: int, ring: str, records: list[ClassRecord],
-                 irreducible: bool | None = None, absolutely_irreducible: bool | None = None):
-        self.rep_id = rep_id
-        self.dim = dim
-        self.ring = ring  # "ZZ" | "GF2"
-        self.records = records
-        self.irreducible = irreducible
-        self.absolutely_irreducible = absolutely_irreducible
-
-    @property
-    def unisingular(self) -> bool:
-        return all(r.has_eigenvalue_one for r in self.records)
-
-    @property
-    def offenders(self) -> list[str]:
-        return [r.label for r in self.records if not r.has_eigenvalue_one]
-
-    def to_payload(self) -> dict:
-        out = {
-            "representation": self.rep_id,
-            "dim": self.dim,
-            "ring": self.ring,
-            "unisingular": self.unisingular,
-            "offenders": self.offenders,
-            "classes": [r.to_payload() for r in self.records],
-        }
-        if self.irreducible is not None:
-            out["irreducible"] = self.irreducible
-        if self.absolutely_irreducible is not None:
-            out["absolutely_irreducible"] = self.absolutely_irreducible
-        return out
+def class_payload(label: str, size: int, order: int, det: int, alg: int, geo: int) -> dict:
+    """One conjugacy class of an audit; det is det(I - M), over GF(2) 0 or 1."""
+    return {
+        "class": label,
+        "size": size,
+        "element_order": order,
+        "det_one_minus": str(det),
+        "eig1_algebraic": alg,
+        "eig1_geometric": geo,
+        "has_eigenvalue_one": det == 0,
+    }
 
 
-def _int_class_record(label: str, size: int, order: int, M: IntMatrix) -> ClassRecord:
+def audit_payload(rep_id: str, dim: int, ring: str, classes: list[dict]) -> dict:
+    """An audit report over ring "ZZ" or "GF2": unisingular when every class
+    has eigenvalue 1, with the labels of the classes that have not."""
+    return {
+        "representation": rep_id,
+        "dim": dim,
+        "ring": ring,
+        "unisingular": all(c["has_eigenvalue_one"] for c in classes),
+        "offenders": [c["class"] for c in classes if not c["has_eigenvalue_one"]],
+        "classes": classes,
+    }
+
+
+def _int_class_payload(label: str, size: int, order: int, M: IntMatrix) -> dict:
     from .intlinalg import IntMatrix, _bareiss
 
     rank, det = _bareiss([list(r) for r in (IntMatrix.identity(M.nrows) - M).rows])
     geo = M.nrows - rank
     # M has finite order, so it is semisimple over QQ: the algebraic
     # multiplicity of eigenvalue 1 equals the geometric one
-    return ClassRecord(label, size, order, det, geo, geo)
+    return class_payload(label, size, order, det, geo, geo)
 
 
-def audit_int_classes(rep_id: str, classes: list[tuple[str, int, int, IntMatrix]]) -> AuditReport:
+def audit_int_classes(rep_id: str, classes: list[tuple[str, int, int, IntMatrix]]) -> dict:
     """classes: (label, class size, element order, matrix), one per class."""
     if not classes:
         raise ValueError("no classes to audit")
-    dim = classes[0][3].nrows
-    records = [_int_class_record(*c) for c in classes]
-    return AuditReport(rep_id, dim, "ZZ", records)
+    return audit_payload(rep_id, classes[0][3].nrows, "ZZ",
+                         [_int_class_payload(*c) for c in classes])
 
 
 # ---------------------------------------------------------------------------
 # Specht audits
 # ---------------------------------------------------------------------------
 
-def audit_specht(n: int, family: str, group: str = "s_n") -> AuditReport:
+def audit_specht(n: int, family: str, group: str = "s_n") -> dict:
     """Audit a Specht-family representation over the integers, one matrix per
     conjugacy class (det(I - M) is a class function).
 
@@ -184,7 +147,7 @@ def conjecture_table(ns: list[int]) -> list[dict]:
 # Embedded permutation-group audits
 # ---------------------------------------------------------------------------
 
-def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> AuditReport:
+def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
     """Audit a permutation group on its symplectic module over GF(2).
 
     Each class record is read off the cycle type of its representative
@@ -195,44 +158,24 @@ def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> AuditReport:
     from .symplectic import eig1_algebraic, eig1_nullity, embed_group
 
     module = embed_group(G)
-    records = []
+    classes = []
     for size, rep, order in G.conjugacy_classes():
         ct = rep.cycle_type()
         geo = eig1_nullity(ct.parts)
         # over GF(2), det(I - M) is 0 exactly when M has eigenvalue 1
         det = 0 if geo else 1
-        records.append(ClassRecord(str(ct), size, order, det, eig1_algebraic(ct.parts), geo))
+        classes.append(class_payload(str(ct), size, order, det, eig1_algebraic(ct.parts), geo))
     irreducible = meataxe.is_irreducible(module, seed)
-    absolutely = irreducible and meataxe.endomorphism_algebra_dim(module) == 1
-    rep_id = f"embed:{G.name}:d={G.degree}"
-    return AuditReport(rep_id, module.dim, "GF2", records, irreducible, absolutely)
+    return {
+        **audit_payload(f"embed:{G.name}:d={G.degree}", module.dim, "GF2", classes),
+        "irreducible": irreducible,
+        "absolutely_irreducible": irreducible and meataxe.endomorphism_algebra_dim(module) == 1,
+    }
 
 
 # ---------------------------------------------------------------------------
 # 2-generated subgroup census
 # ---------------------------------------------------------------------------
-
-class CensusEntry:
-    __slots__ = ("order", "irreducible", "unisingular", "count", "class_size_fingerprints")
-
-    def __init__(self, order: int, irreducible: bool, unisingular: bool, count: int,
-                 class_size_fingerprints: list[tuple[int, ...]] | None = None):
-        self.order = order
-        self.irreducible = irreducible
-        self.unisingular = unisingular
-        self.count = count
-        self.class_size_fingerprints = (
-            [] if class_size_fingerprints is None else class_size_fingerprints)
-
-    def to_payload(self) -> dict:
-        return {
-            "order": self.order,
-            "irreducible": self.irreducible,
-            "unisingular": self.unisingular,
-            "count": self.count,
-            "class_size_fingerprints": [list(f) for f in self.class_size_fingerprints],
-        }
-
 
 def two_generated_subgroups(
     group: IndexedGroup,
@@ -318,10 +261,11 @@ def _coset_closure(table, X: list[int], gens: tuple[int, ...]) -> frozenset[int]
     return frozenset(members)
 
 
-def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]:
-    """Find every 2-generated subgroup of a permutation group and record
-    (order, irreducible?, unisingular?) on its symplectic module per distinct
-    subgroup.  Class-size fingerprints are attached to irreducible subgroups.
+def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> list[dict]:
+    """Find every 2-generated subgroup of a permutation group, and count the
+    distinct subgroups per (order, irreducible?, unisingular?) on the
+    symplectic module, in that order.  Each entry lists the distinct
+    class-size fingerprints of its irreducible subgroups.
 
     All three are invariant under conjugation, so they are computed once per
     conjugacy class of subgroups, on its representative; the MeatAxe certifies
@@ -349,7 +293,7 @@ def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]
             return irr, uni, None
         # y * g -> g * y is conjugation by g
         conj = [{table[g][y]: table[y][g] for y in K}.__getitem__ for g in gens]
-        return irr, uni, tuple(sorted(len(c) for c in orbits(sorted(K), conj)))
+        return irr, uni, sorted(len(c) for c in orbits(sorted(K), conj))
 
     per_class: dict[frozenset[int], tuple] = {}
     agg: dict[tuple[int, bool, bool], list] = {}
@@ -363,12 +307,8 @@ def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]
         rec[0] += 1
         if irr and fp not in rec[1]:
             rec[1].append(fp)
-    out = [
-        CensusEntry(order, irr, uni, count, fps)
+    return [
+        {"order": order, "irreducible": irr, "unisingular": uni, "count": count,
+         "class_size_fingerprints": fps}
         for (order, irr, uni), (count, fps) in sorted(agg.items())
     ]
-    return out
-
-
-def irreducible_orders(census: list[CensusEntry]) -> set[int]:
-    return {e.order for e in census if e.irreducible}

@@ -24,6 +24,9 @@ from .reports import CLAIMS, RunReport
 
 # disc-verify keeps every sample in its payload; 10^4 samples take about 4 s
 DISC_SAMPLES_MAX = 10**4
+# a scan sieves to --pmax and keeps a record per prime: 10^6 takes 18-25 s and
+# prints 7.7 MB
+PMAX_MAX = 10**6
 
 GROUP_CHOICES = ["agl2_3", "asl2_3", "agl1_9", "agammal1_9", "pgl2", "l3_2_flags", "s_n", "a_n"]
 
@@ -88,13 +91,13 @@ def cmd_specht_audit(args) -> int:
     from .specht import FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ
 
     t0 = time.time()
-    rep = audit_specht(args.n, args.family, args.group)
+    result = audit_specht(args.n, args.family, args.group)
     anchor = {
         FAMILY_HOOK: "specht-audit-hook",
         FAMILY_TWO: "specht-audit-two",
         FAMILY_TWO_CONJ: "specht-audit-twisted" if args.group == "s_n" else "specht-audit-alternating",
     }[args.family]
-    return _emit(args, [CLAIMS[anchor]], rep.to_payload(), t0, rep.unisingular)
+    return _emit(args, [CLAIMS[anchor]], result, t0, result["unisingular"])
 
 
 def cmd_specht_table(args) -> int:
@@ -139,9 +142,8 @@ def cmd_specht_fixed_vector(args) -> int:
     parts = tuple(sorted(args.cycle_type, reverse=True))
     if not parts or parts[-1] <= 0 or sum(parts) != args.n:
         raise UsageError(f"cycle type {args.cycle_type} does not partition n={args.n}")
-    ct = Partition(parts)
-    fv = build_fixed_vector(class_rep_for(ct), args.family)
-    return _emit(args, [CLAIMS["fixed-vector"]], fv.to_payload(), t0, True)
+    result = build_fixed_vector(class_rep_for(Partition(parts)), args.family)
+    return _emit(args, [CLAIMS["fixed-vector"]], result, t0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +158,16 @@ def cmd_embed_audit(args) -> int:
 
     t0 = time.time()
     G = _build_group(args)
-    rep = audit_embedded_group(G, args.seed)
-    result = rep.to_payload()
+    result = audit_embedded_group(G, args.seed)
+    gram = build_space(G.degree)
     result["group"] = G.to_payload()
     result["group_order"] = G.order()
-    result["space"] = build_space(G.degree).to_payload()
+    result["space"] = {"d": G.degree, "dim": gram.nrows, "gram_hex_rows": gram.to_hex_rows()}
     result["form_preserved"] = True  # embed_group raises if a generator breaks the form
     anchor = "embed-audit-agl2_3" if G.name == "agl2_3" else (
         "embed-audit-pgl2" if G.name.startswith("pgl2") else "embed-audit"
     )
-    return _emit(args, [CLAIMS[anchor]], result, t0, rep.unisingular)
+    return _emit(args, [CLAIMS[anchor]], result, t0, result["unisingular"])
 
 
 def _embed_audit_permutation_module(args) -> int:
@@ -218,16 +220,16 @@ def _embed_audit_permutation_module(args) -> int:
 
 
 def cmd_embed_census(args) -> int:
-    from .audit import irreducible_orders, subgroup_census
+    from .audit import subgroup_census
 
     t0 = time.time()
     G = _build_group(args)
     census = subgroup_census(G, args.seed)
-    orders = sorted(irreducible_orders(census))
+    orders = sorted({e["order"] for e in census if e["irreducible"]})
     result = {
         "group": G.name,
         "group_order": G.order(),
-        "census": [e.to_payload() for e in census],
+        "census": census,
         "irreducible_orders": orders,
     }
     verdict = True
@@ -297,6 +299,8 @@ def cmd_nt_frobenius_scan(args) -> int:
 
     if args.pmax < 0:
         raise UsageError(f"--pmax must not be negative, got {args.pmax}")
+    if args.pmax > PMAX_MAX:
+        raise UsageError(f"--pmax must be at most {PMAX_MAX}, got {args.pmax}")
     if args.poly is None and (args.a is None or args.t is None):
         raise UsageError("frobenius-scan needs --a and --t, or --poly")
     t0 = time.time()
@@ -304,33 +308,38 @@ def cmd_nt_frobenius_scan(args) -> int:
     f = malle_g(args.a, args.t) if args.poly is None else args.poly
     if len(f) < 4 or f[-1] == 0:
         raise UsageError(f"--poly needs degree >= 3 and a nonzero last coefficient, got {f}")
-    scan = frobenius_scan(f, args.pmax, G, jobs=args.jobs)
-    result = scan.to_payload()
+    result = frobenius_scan(f, args.pmax, G, jobs=args.jobs)
     # with no good prime up to --pmax there is nothing to check: undecided
-    verdict = (scan.all_eig1 and scan.all_types_in_group) if scan.records else None
+    verdict = None
+    if result["records"]:
+        verdict = result["all_have_eigenvalue_one"] and result["all_types_in_group"]
     return _emit(args, [CLAIMS["frobenius-scan"]], result, t0, verdict)
 
 
 def cmd_nt_lpoly_check(args) -> int:
-    from .arith import frobenius_charpoly_gf2, lpoly_from_counts, malle_g
+    from .arith import check_count_prime, frobenius_charpoly_gf2, lpoly_from_counts, malle_g
 
     if not args.primes:
         raise UsageError("--primes lists no prime")
     t0 = time.time()
     f = malle_g(args.a, args.t)
+    for p in args.primes:  # refuse a bad list before counting over any prime of it
+        check_count_prime(f, p, 4)
     rows = []
     ok = True
     for p in args.primes:
         L = lpoly_from_counts(f, p)
-        cp = frobenius_charpoly_gf2(f, p)
-        even = L.jacobian_order() % 2 == 0
-        match = L.reversed_mod2() == cp
+        order = sum(L)  # #J(F_p) = P(1)
+        even = order % 2 == 0
+        # x^8 P(1/x) mod 2, the charpoly of Frobenius on the 2-torsion, as a
+        # bit-poly: c_i is the coefficient of x^(8-i)
+        match = int("".join(str(c % 2) for c in L), 2) == frobenius_charpoly_gf2(f, p)
         ok = ok and even and match
         rows.append(
             {
                 "p": p,
-                "lpoly": [str(c) for c in L.coeffs],
-                "jacobian_order": str(L.jacobian_order()),
+                "lpoly": [str(c) for c in L],
+                "jacobian_order": str(order),
                 "even": even,
                 "reversed_matches_frobenius": match,
             }

@@ -27,6 +27,11 @@ from .specht import (
 )
 
 
+# Bounds the action matrix of the check, of dimension about n^2/2 (n = 60
+# takes 1.3-2.1 s), but not the orbit sum, which has order(sigma) terms.
+FIXED_VECTOR_N_MAX = 60
+
+
 class FixedVectorError(VerificationError):
     """The case analysis produced a zero or unfixed vector: an implementation
     bug or a genuine gap in the case table, never a refuted claim."""
@@ -117,6 +122,8 @@ def witness_tableau(sigma: Permutation, family: str) -> tuple[Tableau, bool]:
     n = sigma.degree
     if n < 5:
         raise UsageError(f"fixed vectors need n >= 5, got n={n}")
+    if n > FIXED_VECTOR_N_MAX:
+        raise UsageError(f"fixed vectors need n <= {FIXED_VECTOR_N_MAX}, got n={n}")
     if family == FAMILY_HOOK:
         col, direct = _hook_column(sigma)
         rest = sorted(set(range(1, n + 1)) - set(col))
@@ -128,31 +135,11 @@ def witness_tableau(sigma: Permutation, family: str) -> tuple[Tableau, bool]:
     raise UsageError(f"no fixed-vector construction for family {family}")
 
 
-class FixedVector:
-    __slots__ = ("sigma", "family", "tableau", "vector", "coords")
-
-    def __init__(self, sigma: Permutation, family: str, tableau: Tableau,
-                 vector: dict[Tabloid, int], coords: list[int]):
-        self.sigma = sigma
-        self.family = family
-        self.tableau = tableau
-        self.vector = vector
-        self.coords = coords
-
-    def to_payload(self) -> dict:
-        return {
-            "sigma": self.sigma.cycle_string(),
-            "family": self.family,
-            "tableau": self.tableau.to_lists(),
-            "coords": [str(c) for c in self.coords],
-            "nonzero": any(self.coords),
-        }
-
-
-def build_fixed_vector(sigma: Permutation, family: str) -> FixedVector:
+def build_fixed_vector(sigma: Permutation, family: str) -> dict:
     """Select the witness tableau for sigma, form E, and verify it: nonzero
     (a nonzero coordinate after straightening) and fixed (action matrix times
-    coordinates reproduces them).  Raises FixedVectorError when either fails."""
+    coordinates reproduces them).  Returns the tableau and E's coordinates on
+    the standard basis; raises FixedVectorError when either check fails."""
     shape, _ = family_shape(family, sigma.degree)
     t, direct = witness_tableau(sigma, family)
     vec = polytabloid_expand(t) if direct else fixed_vector_sum(sigma, t)
@@ -170,4 +157,10 @@ def build_fixed_vector(sigma: Permutation, family: str) -> FixedVector:
         raise FixedVectorError(
             f"vector for {sigma.cycle_string()} on {family} is not fixed (matrix level)"
         )
-    return FixedVector(sigma, family, t, vec, coords)
+    return {
+        "sigma": sigma.cycle_string(),
+        "family": family,
+        "tableau": t.to_lists(),
+        "coords": [str(c) for c in coords],
+        "nonzero": True,
+    }

@@ -98,14 +98,6 @@ class BitMatrix:
                 rr ^= low
         return _unchecked(tuple(out), self.nrows)
 
-    def apply(self, v: int) -> int:
-        """Matrix times column vector (v an int over column indices)."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
-        return out
-
     def row_apply(self, v: int) -> int:
         """Row vector times matrix."""
         acc = 0

@@ -23,29 +23,15 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n: int, m: int | None = None) -> "IntMatrix":
-        m = n if m is None else m
-        return cls([[0] * m for _ in range(n)])
-
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
     def __hash__(self):
         return hash(tuple(tuple(r) for r in self.rows))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return IntMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -54,17 +40,6 @@ class IntMatrix:
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-a for a in r] for r in self.rows])
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([list(c) for c in zip(*self.rows)])
 
     def apply(self, vec: list[int]) -> list[int]:
         if len(vec) != self.ncols:

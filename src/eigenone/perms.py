@@ -97,10 +97,6 @@ class Permutation:
         return len(self.images)
 
     @classmethod
-    def identity(cls, d: int) -> "Permutation":
-        return cls(range(d))
-
-    @classmethod
     def from_cycles(cls, d: int, cycles) -> "Permutation":
         """Build from 1-based cycles, e.g. from_cycles(9, [(1,2),(3,4,5,6,7,8,9)])."""
         images = list(range(d))
@@ -364,9 +360,6 @@ class PermGroup:
     @cached_property
     def indexed(self) -> IndexedGroup:
         return IndexedGroup(self.generators)
-
-    def elements(self) -> list[Permutation]:
-        return self.indexed.elements
 
     def order(self) -> int:
         return len(self.indexed.elements)

@@ -27,28 +27,9 @@ from .gf2 import BitMatrix, GF2Module, gf2_rank, pdiv, pmul, preserves_form
 from .perms import PermGroup, Permutation
 
 
-class SymplecticSpace:
-    __slots__ = ("d", "dim", "gram")
-
-    def __init__(self, d: int, dim: int, gram: BitMatrix):
-        self.d = d
-        self.dim = dim
-        self.gram = gram
-
-    def _key(self):
-        return (self.d, self.dim, self.gram)
-
-    def __eq__(self, other):
-        return isinstance(other, SymplecticSpace) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def to_payload(self) -> dict:
-        return {"d": self.d, "dim": self.dim, "gram_hex_rows": self.gram.to_hex_rows()}
-
-
-def build_space(d: int) -> SymplecticSpace:
+def build_space(d: int) -> BitMatrix:
+    """The Gram matrix of the form on the degree-d module, checked
+    alternating and nondegenerate."""
     if d < 3:
         raise ValueError("need degree >= 3")
     dim = 2 * ((d - 1) // 2)
@@ -61,15 +42,13 @@ def build_space(d: int) -> SymplecticSpace:
         raise VerificationError("Gram matrix must be symmetric")
     if gf2_rank(gram) != dim:
         raise VerificationError("Gram matrix must be nondegenerate")
-    return SymplecticSpace(d, dim, gram)
+    return gram
 
 
-def embed_permutation(p: Permutation, space: SymplecticSpace) -> BitMatrix:
-    """Matrix of p on the space (column-vector convention)."""
-    d = space.d
-    if p.degree != d:
-        raise ValueError("degree mismatch")
-    dim = space.dim
+def embed_permutation(p: Permutation) -> BitMatrix:
+    """Matrix of p on the module of its degree (column-vector convention)."""
+    d = p.degree
+    dim = 2 * ((d - 1) // 2)
     odd = d % 2 == 1
     nbasis = d - 1  # b_1..b_{d-1}; for d even, b_{d-1} folds into the rest
     all_low = (1 << (d - 2)) - 1 if not odd else None
@@ -99,12 +78,12 @@ def embed_permutation(p: Permutation, space: SymplecticSpace) -> BitMatrix:
 
 def embed_group(G: PermGroup) -> GF2Module:
     """Images of the group generators; checks the form is preserved."""
-    space = build_space(G.degree)
-    gens = [embed_permutation(g, space) for g in G.generators]
+    gram = build_space(G.degree)
+    gens = [embed_permutation(g) for g in G.generators]
     for m in gens:
-        if not preserves_form(m, space.gram):
+        if not preserves_form(m, gram):
             raise VerificationError("embedded generator does not preserve the form")
-    return GF2Module(space.dim, gens)
+    return GF2Module(gram.nrows, gens)
 
 
 def eig1_nullity(cycle_type: tuple[int, ...]) -> int:

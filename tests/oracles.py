@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import factorial
 
 from eigenone.arith import PackedFp, fp_divmod, fp_mod, fp_mul, fp_trim
-from eigenone.audit import AuditReport, CensusEntry, ClassRecord, two_generated_subgroups
+from eigenone.audit import audit_payload, class_payload, two_generated_subgroups
 from eigenone.errors import DEFAULT_SEED
 from eigenone.gf2 import (
     BitMatrix,
@@ -48,16 +48,15 @@ from eigenone.specht import (
     rep_mod2,
     tv_add_scaled,
 )
-from eigenone.symplectic import (
-    build_space,
-    embed_group,
-    embed_permutation,
-    permutation_module_gf2,
-)
+from eigenone.symplectic import embed_group, embed_permutation, permutation_module_gf2
 
 # ---------------------------------------------------------------------------
 # Permutations
 # ---------------------------------------------------------------------------
+
+
+def identity_perm(d: int) -> Permutation:
+    return Permutation(range(d))
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -90,6 +89,21 @@ def is_transitive(G: PermGroup) -> bool:
 # ---------------------------------------------------------------------------
 # Integer linear algebra: rank, trace, the Berkowitz characteristic polynomial
 # ---------------------------------------------------------------------------
+
+
+def int_zeros(n: int) -> IntMatrix:
+    return IntMatrix([[0] * n for _ in range(n)])
+
+
+def transpose(M: IntMatrix) -> IntMatrix:
+    return IntMatrix([list(c) for c in zip(*M.rows)])
+
+
+def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    if A.ncols != B.nrows:
+        raise ValueError("shape mismatch")
+    cols = list(zip(*B.rows))
+    return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A.rows])
 
 
 def trace(M: IntMatrix) -> int:
@@ -306,6 +320,15 @@ def gf2_det(M: BitMatrix) -> int:
     return 1 if gf2_rank(M) == M.nrows else 0
 
 
+def bit_apply(M: BitMatrix, v: int) -> int:
+    """M times the column vector v (an int over column indices)."""
+    out = 0
+    for i, r in enumerate(M.rows):
+        if (r & v).bit_count() & 1:
+            out |= 1 << i
+    return out
+
+
 def to_int_entries(M: BitMatrix) -> list[list[int]]:
     return [[(r >> j) & 1 for j in range(M.ncols)] for r in M.rows]
 
@@ -370,7 +393,7 @@ def peval1(f: int) -> int:
     return f.bit_count() & 1
 
 
-def gf2_class_record(label: str, size: int, order: int, M: BitMatrix) -> ClassRecord:
+def gf2_class_payload(label: str, size: int, order: int, M: BitMatrix) -> dict:
     """det(I - M), and the eigenvalue-1 multiplicities as dim ker(M + I) and
     the multiplicity of x + 1 in the characteristic polynomial."""
     geo = fixed_space_dim(M)
@@ -379,7 +402,7 @@ def gf2_class_record(label: str, size: int, order: int, M: BitMatrix) -> ClassRe
     while peval1(cp) == 0:
         cp = pdiv(cp, 0b11)  # exact division by (x + 1)
         alg += 1
-    return ClassRecord(label, size, order, 0 if geo else 1, alg, geo)
+    return class_payload(label, size, order, 0 if geo else 1, alg, geo)
 
 
 def audit_gf2_classes(
@@ -387,20 +410,21 @@ def audit_gf2_classes(
     classes: list[tuple[str, int, int, BitMatrix]],
     module: GF2Module,
     seed: int = DEFAULT_SEED,
-) -> AuditReport:
+) -> dict:
     """Audit (label, class size, element order, matrix) per class, and certify
     the module irreducible or not with the MeatAxe; an irreducible module is
     absolutely irreducible iff its commuting algebra is GF(2)."""
-    records = [gf2_class_record(*c) for c in classes]
     irreducible = is_irreducible(module, seed)
-    absolutely = irreducible and endomorphism_algebra_dim(module) == 1
-    return AuditReport(rep_id, module.dim, "GF2", records, irreducible, absolutely)
+    return {
+        **audit_payload(rep_id, module.dim, "GF2", [gf2_class_payload(*c) for c in classes]),
+        "irreducible": irreducible,
+        "absolutely_irreducible": irreducible and endomorphism_algebra_dim(module) == 1,
+    }
 
 
-def audit_embedded_group_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> AuditReport:
+def audit_embedded_group_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
     """`audit.audit_embedded_group` with every class representative embedded."""
-    space = build_space(G.degree)
-    classes = [(str(rep.cycle_type()), size, order, embed_permutation(rep, space))
+    classes = [(str(rep.cycle_type()), size, order, embed_permutation(rep))
                for size, rep, order in G.conjugacy_classes()]
     return audit_gf2_classes(f"embed:{G.name}:d={G.degree}", classes, embed_group(G), seed)
 
@@ -424,8 +448,7 @@ def embedded_elements(G: PermGroup) -> list[BitMatrix]:
     """The matrix of each element of `G.indexed`, by `embed_permutation`,
     after checking that these are the closure of the embedded generators,
     one matrix per element."""
-    space = build_space(G.degree)
-    mats = [embed_permutation(x, space) for x in G.elements()]
+    mats = [embed_permutation(x) for x in G.indexed.elements]
     closed = matrix_closure(embed_group(G).gens)
     assert len(closed) == len(set(mats)) == len(mats) and set(closed) == set(mats)
     return mats
@@ -479,7 +502,7 @@ def two_generated_subgroups_by_pairs(
     return subgroups
 
 
-def subgroup_census_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> list[CensusEntry]:
+def subgroup_census_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> list[dict]:
     """`audit.subgroup_census` with dim ker(M + I) read off every matrix of
     the closed embedded group and the MeatAxe run on the matrices of each
     generator pair."""
@@ -499,24 +522,24 @@ def subgroup_census_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> list[
             fp = None
             if irr:
                 conj = [{table[g][y]: table[y][g] for y in K}.__getitem__ for g in gens]
-                fp = tuple(sorted(len(c) for c in orbits(sorted(K), conj)))
+                fp = sorted(len(c) for c in orbits(sorted(K), conj))
             per_class[K] = irr, all(eig1[x] for x in K), fp
         irr, uni, fp = per_class[K]
         rec = agg.setdefault((len(H), irr, uni), [0, []])
         rec[0] += 1
         if irr and fp not in rec[1]:
             rec[1].append(fp)
-    return [CensusEntry(order, irr, uni, count, fps)
+    return [{"order": order, "irreducible": irr, "unisingular": uni, "count": count,
+             "class_size_fingerprints": fps}
             for (order, irr, uni), (count, fps) in sorted(agg.items())]
 
 
 def eig1_data_by_embedding(cycle_type: tuple[int, ...]) -> tuple[int, int, int]:
     """(dim ker(M + I), multiplicity of x + 1, characteristic polynomial) of
     the symplectic embedding M of a permutation with this cycle type."""
-    space = build_space(sum(cycle_type))
-    M = embed_permutation(class_rep_for(Partition(cycle_type)), space)
-    record = gf2_class_record("", 1, 1, M)
-    return record.geo_mult, record.alg_mult, charpoly_mod2(M)
+    M = embed_permutation(class_rep_for(Partition(cycle_type)))
+    record = gf2_class_payload("", 1, 1, M)
+    return record["eig1_geometric"], record["eig1_algebraic"], charpoly_mod2(M)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from eigenone.audit import (
     audit_embedded_group,
     audit_specht,
     conjecture_table,
-    irreducible_orders,
     subgroup_census,
 )
 from eigenone.fixed_vectors import build_fixed_vector
@@ -36,8 +35,8 @@ from eigenone.meataxe import (
 )
 from eigenone.perms import Partition, builtin_group, class_reps_symmetric
 from eigenone.specht import FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ
-from eigenone.symplectic import build_space, embed_group, permutation_module_gf2
-from oracles import charpoly_mod2, matrix_closure, specht_mod2_module
+from eigenone.symplectic import embed_group, permutation_module_gf2
+from oracles import charpoly_mod2, matmul, matrix_closure, specht_mod2_module
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 
@@ -73,12 +72,12 @@ def test_criterion_2_theorem_mechanization():
     for n in range(5, 13):
         for family in (FAMILY_HOOK, FAMILY_TWO):
             rep = audit_specht(n, family)
-            assert rep.unisingular, (n, family, rep.offenders)
-            assert all(r.det_one_minus == 0 for r in rep.records)
+            assert rep["unisingular"], (n, family, rep["offenders"])
+            assert all(c["det_one_minus"] == "0" for c in rep["classes"])
         for ct, sigma in class_reps_symmetric(n):
             for family in (FAMILY_HOOK, FAMILY_TWO):
                 fv = build_fixed_vector(sigma, family)
-                assert any(fv.coords)
+                assert any(int(c) for c in fv["coords"])
     elapsed = time.time() - t0
     assert elapsed < 600
     _report(2, f"det(I-M) = 0 and a verified nonzero fixed vector for every class, "
@@ -88,9 +87,9 @@ def test_criterion_2_theorem_mechanization():
 def test_criterion_3_conjecture_complement():
     for n in [5, 7, 9, 11, 13]:
         rep = audit_specht(n, FAMILY_TWO_CONJ)
-        assert rep.offenders == [f"{n-2},2"], (n, rep.offenders)
+        assert rep["offenders"] == [f"{n-2},2"], (n, rep["offenders"])
         repA = audit_specht(n, FAMILY_TWO_CONJ, group="a_n")
-        assert repA.unisingular
+        assert repA["unisingular"]
     _report(3, "only offending class of the twisted module is the (n-2,2) class; "
                "restriction to even permutations is unisingular, n in {5,7,9,11,13}")
 
@@ -103,9 +102,9 @@ def test_criterion_4_agl2_3_unirealization_group_theory():
     assert is_irreducible(module)
     assert endomorphism_algebra_dim(module) == 1
     rep = audit_embedded_group(G)
-    assert rep.unisingular
+    assert rep["unisingular"]
     census = subgroup_census(G)
-    assert irreducible_orders(census) == {72, 144, 216, 432}
+    assert {e["order"] for e in census if e["irreducible"]} == {72, 144, 216, 432}
     elapsed = time.time() - t0
     assert elapsed < 1200
     _report(4, f"432 elements, form preserved, absolutely irreducible, unisingular; "
@@ -116,20 +115,19 @@ def test_criterion_5_pgl2_19():
     t0 = time.time()
     G = builtin_group("pgl2", q=19)
     rep = audit_embedded_group(G)
-    assert rep.dim == 18
-    assert not rep.unisingular
-    offenders = [r for r in rep.records if not r.has_eigenvalue_one]
-    assert offenders and all(r.element_order == 19 for r in offenders)
-    keepers = [r for r in rep.records if r.has_eigenvalue_one]
-    assert all(r.element_order != 19 for r in keepers)
+    assert rep["dim"] == 18
+    assert not rep["unisingular"]
+    offenders = [c for c in rep["classes"] if not c["has_eigenvalue_one"]]
+    assert offenders and all(c["element_order"] == 19 for c in offenders)
+    keepers = [c for c in rep["classes"] if c["has_eigenvalue_one"]]
+    assert all(c["element_order"] != 19 for c in keepers)
     # charpoly of the offender class is (x^19+1)/(x+1)
-    space = build_space(20)
     from eigenone.symplectic import embed_permutation
 
     expect = (1 << 19) - 1
     for size, g, order in G.conjugacy_classes():
         if order == 19:
-            assert charpoly_mod2(embed_permutation(g, space)) == expect
+            assert charpoly_mod2(embed_permutation(g)) == expect
     elapsed = time.time() - t0
     assert elapsed < 120
     _report(5, f"18-dim module not unisingular; offenders exactly the order-19 classes "
@@ -198,23 +196,24 @@ def test_criterion_9_frobenius_parity():
     t0 = time.time()
     g = malle_g(1, -32)
     scan = frobenius_scan(g, 10**4, builtin_group("agl2_3"))
-    assert scan.all_eig1 and scan.all_types_in_group
+    assert scan["all_have_eigenvalue_one"] and scan["all_types_in_group"]
     # every record of the committed battery reports, not only the verdicts
     committed = json.loads((OUT / "frobenius_scan_g1_m32.json").read_text())["result"]
-    assert scan.to_payload() == committed
+    assert scan == committed
     for p in [5, 7, 11, 13]:
         L = lpoly_from_counts(g, p)
-        assert L.jacobian_order() % 2 == 0
-        assert L.reversed_mod2() == frobenius_charpoly_gf2(g, p)
+        assert sum(L) % 2 == 0  # #J(F_p) = P(1)
+        # x^8 P(1/x) mod 2 against the charpoly of Frobenius on the 2-torsion
+        assert sum((c % 2) << (8 - i) for i, c in enumerate(L)) == frobenius_charpoly_gf2(g, p)
     g11 = malle_g(1, 1)
     scan11 = frobenius_scan(g11, 10**4, builtin_group("agammal1_9"))
-    assert scan11.all_types_in_group
+    assert scan11["all_types_in_group"]
     committed = json.loads((OUT / "frobenius_scan_g1_1.json").read_text())["result"]
-    assert scan11.to_payload() == committed
+    assert scan11 == committed
     elapsed = time.time() - t0
     assert elapsed < 600
     _report(9, f"all good p <= 10^4 have eigenvalue 1 with types in the target group, "
-               f"{len(scan.records) + len(scan11.records)} records equal to out/; "
+               f"{len(scan['records']) + len(scan11['records'])} records equal to out/; "
                f"#J(F_p) even and L-poly matches Frobenius mod 2 at p in {{5,7,11,13}} ({elapsed:.1f}s)")
 
 
@@ -256,7 +255,7 @@ def test_criterion_10_property_suites():
         for _ in range(200):
             p = Permutation(tuple(rng.sample(range(n), n)))
             q = Permutation(tuple(rng.sample(range(n), n)))
-            assert action_matrix(p, sh) * action_matrix(q, sh) == action_matrix(p * q, sh)
+            assert matmul(action_matrix(p, sh), action_matrix(q, sh)) == action_matrix(p * q, sh)
     # character oracle agreement for all classes, n <= 9
     for n in range(5, 10):
         for shape in [(n - 2, 2), (n - 2, 1, 1), (n - 1, 1), (n,), tuple([1] * n)]:

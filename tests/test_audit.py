@@ -30,7 +30,7 @@ from eigenone.specht import (
     action_matrix,
     twisted_action_matrix,
 )
-from eigenone.symplectic import build_space, embed_group, embed_permutation
+from eigenone.symplectic import embed_group, embed_permutation
 from oracles import (
     audit_embedded_group_by_matrices,
     audit_gf2_classes,
@@ -38,6 +38,7 @@ from oracles import (
     conjugate_by,
     cyclic_subgroups_by_definition,
     embedded_elements,
+    identity_perm,
     matrix_classes,
     matrix_closure,
     peval1,
@@ -49,18 +50,18 @@ from oracles import (
 def test_trivial_representation_unisingular():
     classes = [("1", 1, 1, IntMatrix.identity(1)), ("2", 3, 2, IntMatrix.identity(1))]
     rep = audit_int_classes("trivial", classes)
-    assert rep.unisingular and rep.offenders == []
+    assert rep["unisingular"] and rep["offenders"] == []
 
 
 def test_audit_specht_examples():
     rep = audit_specht(7, FAMILY_TWO)
-    assert rep.unisingular
+    assert rep["unisingular"]
     rep = audit_specht(5, FAMILY_TWO_CONJ)
-    assert rep.offenders == ["3,2"]
-    rec = {r.label: r for r in rep.records}["3,2"]
-    assert rec.det_one_minus == 6
+    assert rep["offenders"] == ["3,2"]
+    rec = {c["class"]: c for c in rep["classes"]}["3,2"]
+    assert rec["det_one_minus"] == "6"
     repA = audit_specht(7, FAMILY_TWO_CONJ, group="a_n")
-    assert repA.unisingular
+    assert repA["unisingular"]
 
 
 def test_audit_specht_rejects_bad_args():
@@ -92,7 +93,7 @@ def test_geometric_multiplicity_matches_character_average():
             shape = Partition((n - 2, 1, 1) if family == FAMILY_HOOK else (n - 2, 2))
             twisted = family == FAMILY_TWO_CONJ
             rep = audit_specht(n, family)
-            by_label = {r.label: r for r in rep.records}
+            by_label = {c["class"]: c for c in rep["classes"]}
             for ct, sigma in class_reps_symmetric(n):
                 rec = by_label[str(ct)]
                 if twisted:
@@ -101,8 +102,8 @@ def test_geometric_multiplicity_matches_character_average():
                 else:
                     expected = fixed_space_dim_via_characters(shape, ct)
                     M = action_matrix(sigma, shape)
-                assert rec.geo_mult == expected, (n, family, ct)
-                assert rec.alg_mult == eig1_multiplicity(M)[0], (n, family, ct)
+                assert rec["eig1_geometric"] == expected, (n, family, ct)
+                assert rec["eig1_algebraic"] == eig1_multiplicity(M)[0], (n, family, ct)
 
 
 def test_det_constant_on_class_sampled():
@@ -111,7 +112,7 @@ def test_det_constant_on_class_sampled():
     rng = random.Random(0)
     n = 6
     sh = Partition((4, 2))
-    els = builtin_group("s_n", n=n).elements()
+    els = builtin_group("s_n", n=n).indexed.elements
     for ct, rep in class_reps_symmetric(n):
         M = action_matrix(rep, sh)
         base = det_exact(IntMatrix.identity(M.nrows) - M)
@@ -149,21 +150,21 @@ def test_conjecture_table_rejects_even_n():
 
 def test_agl2_3_embedded_audit():
     rep = audit_embedded_group(builtin_group("agl2_3"))
-    assert rep.unisingular
-    assert rep.irreducible and rep.absolutely_irreducible
-    assert rep.dim == 8
+    assert rep["unisingular"]
+    assert rep["irreducible"] and rep["absolutely_irreducible"]
+    assert rep["dim"] == 8
 
 
 def test_pgl2_19_offenders_exactly_order_19():
     G = builtin_group("pgl2", q=19)
     rep = audit_embedded_group(G)
-    assert not rep.unisingular
+    assert not rep["unisingular"]
     offender_orders = {
-        r.element_order for r in rep.records if not r.has_eigenvalue_one
+        c["element_order"] for c in rep["classes"] if not c["has_eigenvalue_one"]
     }
     assert offender_orders == {19}
     non_offender_orders = {
-        r.element_order for r in rep.records if r.has_eigenvalue_one
+        c["element_order"] for c in rep["classes"] if c["has_eigenvalue_one"]
     }
     assert 19 not in non_offender_orders
 
@@ -175,7 +176,7 @@ def test_pgl2_offenders_split_by_q_mod_4(q):
     expected = {f"{q},1"}
     if q % 4 == 1:
         expected |= {f"{(q + 1) // 2},{(q + 1) // 2}", f"{q + 1}"}
-    assert set(audit_embedded_group(builtin_group("pgl2", q=q)).offenders) == expected
+    assert set(audit_embedded_group(builtin_group("pgl2", q=q))["offenders"]) == expected
 
 
 @pytest.mark.parametrize("name,params", [
@@ -186,15 +187,14 @@ def test_pgl2_offenders_split_by_q_mod_4(q):
 def test_embedded_audit_matches_the_matrix_route(name, params):
     # degrees 9, 7 and 4..20 cover d odd, d = 2 mod 4 and d = 0 mod 4
     G = builtin_group(name, **params)
-    assert audit_embedded_group(G).to_payload() == audit_embedded_group_by_matrices(G).to_payload()
+    assert audit_embedded_group(G) == audit_embedded_group_by_matrices(G)
 
 
 def test_gf2_det_verdict_matches_nullity_verdict():
     G = builtin_group("pgl2", q=19)
-    sp = build_space(20)
     ident = BitMatrix.identity(18)
     for size, rep, order in G.conjugacy_classes():
-        M = embed_permutation(rep, sp)
+        M = embed_permutation(rep)
         rank, _ = rank_nullspace(M + ident)
         assert (rank < 18) == (peval1(charpoly_mod2(M)) == 0)
 
@@ -209,10 +209,10 @@ def test_agl2_3_every_element_has_eigenvalue_one():
 
 
 def test_census_trivial_input():
-    entries = subgroup_census(PermGroup([Permutation.identity(9)]))
+    entries = subgroup_census(PermGroup([identity_perm(9)]))
     assert len(entries) == 1
     e = entries[0]
-    assert e.order == 1 and not e.irreducible and e.unisingular
+    assert e["order"] == 1 and not e["irreducible"] and e["unisingular"]
 
 
 def test_census_cyclic_nine_contains_non_unisingular():
@@ -221,15 +221,15 @@ def test_census_cyclic_nine_contains_non_unisingular():
     G = PermGroup([Permutation.from_cycles(9, [tuple(range(1, 10))])])
     assert G.order() == 9
     entries = subgroup_census(G)
-    assert any(not e.unisingular for e in entries)
-    orders = {e.order for e in entries}
+    assert any(not e["unisingular"] for e in entries)
+    orders = {e["order"] for e in entries}
     assert orders == {1, 3, 9}
 
 
 def test_census_restriction_consistency():
     # subgroups of a unisingular group are unisingular on the audited classes
     entries = subgroup_census(builtin_group("asl2_3"))
-    assert all(e.unisingular for e in entries)
+    assert all(e["unisingular"] for e in entries)
 
 
 def test_census_input_caps():
@@ -246,7 +246,7 @@ def test_census_group_is_closed():
     group = G.indexed
     assert len(group.elements) == 6
     assert all(a * b in group.index for a in group.elements for b in group.elements)
-    assert {e.order for e in subgroup_census(G)} == {1, 2, 3, 6}
+    assert {e["order"] for e in subgroup_census(G)} == {1, 2, 3, 6}
 
 
 CENSUS_INPUTS = [
@@ -263,8 +263,7 @@ def test_census_matches_matrix_route(name, params):
     # the permutation-closure census against the closure of the embedded
     # matrices, fingerprint order included
     G = builtin_group(name, **params)
-    expected = [e.to_payload() for e in subgroup_census_by_matrices(G)]
-    assert [e.to_payload() for e in subgroup_census(G)] == expected
+    assert subgroup_census(G) == subgroup_census_by_matrices(G)
 
 
 @pytest.mark.parametrize("name,params", CENSUS_INPUTS,
@@ -307,8 +306,7 @@ def test_census_refuses_unfaithful_degree_four():
         subgroup_census(PermGroup([Permutation.from_cycles(4, [(1, 2), (3, 4)])]))
     G = PermGroup([Permutation.from_cycles(4, [(1, 2, 3)]), Permutation.from_cycles(4, [(1, 2)])])
     assert G.order() == 6
-    expected = [e.to_payload() for e in subgroup_census_by_matrices(G)]
-    assert [e.to_payload() for e in subgroup_census(G)] == expected
+    assert subgroup_census(G) == subgroup_census_by_matrices(G)
 
 
 def _all_pairs_census(G: PermGroup) -> tuple[set[frozenset[int]], list[dict]]:
@@ -369,7 +367,7 @@ def test_census_matches_all_pairs_brute_force(source):
     G = BRUTE_FORCE_SOURCES[source]()
     subgroups, payload = _all_pairs_census(G)
     assert set(two_generated_subgroups(G.indexed)) == subgroups
-    assert [e.to_payload() for e in subgroup_census(G)] == payload
+    assert subgroup_census(G) == payload
 
 
 def test_agl2_3_two_generated_subgroups_up_to_conjugacy():
@@ -400,10 +398,10 @@ def test_flag_factor_classes_unisingular():
     classes = [(f"c{n}", size, order, M)
                for n, (size, order, M) in enumerate(matrix_classes(top.gens))]
     rep = audit_gf2_classes("flag-8dim", classes, top)
-    assert rep.dim == 8
-    assert rep.unisingular
-    assert rep.irreducible and rep.absolutely_irreducible
-    assert sorted((r.element_order, r.size) for r in rep.records) == [
+    assert rep["dim"] == 8
+    assert rep["unisingular"]
+    assert rep["irreducible"] and rep["absolutely_irreducible"]
+    assert sorted((c["element_order"], c["size"]) for c in rep["classes"]) == [
         (1, 1), (2, 21), (3, 56), (4, 42), (7, 24), (7, 24)
     ]
 
@@ -414,8 +412,8 @@ def test_audit_gf2_classes_reducible_module_flags():
     mod = specht_mod2_module(5, Partition((3, 1, 1)))
     classes = [("id", 1, 1, BitMatrix.identity(6))]
     rep = audit_gf2_classes("s311-mod2", classes, mod)
-    assert rep.irreducible is False
-    assert rep.absolutely_irreducible is False
+    assert rep["irreducible"] is False
+    assert rep["absolutely_irreducible"] is False
 
 
 def test_audit_gf2_classes_irreducible_not_absolutely():
@@ -423,6 +421,6 @@ def test_audit_gf2_classes_irreducible_not_absolutely():
     C = BitMatrix.from_entries([[0, 1], [1, 1]])  # companion of x^2+x+1
     classes = [("1", 1, 1, BitMatrix.identity(2)), ("3a", 1, 3, C), ("3b", 1, 3, C * C)]
     rep = audit_gf2_classes("c3-gf4", classes, GF2Module(2, [C]))
-    assert rep.irreducible is True
-    assert rep.absolutely_irreducible is False
-    assert rep.offenders == ["3a", "3b"]
+    assert rep["irreducible"] is True
+    assert rep["absolutely_irreducible"] is False
+    assert rep["offenders"] == ["3a", "3b"]

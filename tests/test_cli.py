@@ -113,7 +113,8 @@ def test_embed_audit_payload_has_group_and_space(capsys):
     res = json.loads(out)["result"]
     assert res["group"]["degree"] == 9
     assert all("(" in g for g in res["group"]["generators"])
-    assert res["space"]["dim"] == 8
+    assert res["space"]["d"] == 9 and res["space"]["dim"] == 8
+    assert len(res["space"]["gram_hex_rows"]) == 8
 
 
 @pytest.mark.parametrize("verb", ["audit", "census"])
@@ -217,6 +218,20 @@ def test_reproduce_all_writes_only_reports_that_differ(monkeypatch, tmp_path, ca
     assert json.loads(dest.read_text())["result"]["identity_holds"] is True
 
 
+REPRODUCE_ALL = load_reproduce_all()
+
+
+@pytest.mark.parametrize("name,argv,expect", REPRODUCE_ALL.RUNS,
+                         ids=[name for name, _, _ in REPRODUCE_ALL.RUNS])
+def test_battery_report_equals_the_committed_one(capsys, name, argv, expect):
+    # each battery command, run in this process, reaches its expected verdict
+    # and prints out/<name>.json but for the wall time
+    code, out = run_cli(capsys, *argv)
+    assert code == expect
+    committed = (ROOT / "out" / f"{name}.json").read_text()
+    assert REPRODUCE_ALL.canonical(out) == REPRODUCE_ALL.canonical(committed)
+
+
 def test_committed_reports_match_the_battery():
     # each out/<name>.json is what reproduce_all.py writes for <name> at its
     # defaults: the same command, and anchors that are current claims
@@ -279,6 +294,8 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
      "no fixed-vector construction for family (n-2,2)'"),
     ("nt lpoly-check --a 1 --t -32 --primes 3", "bad prime 3"),
     ("nt lpoly-check --a 1 --t -32 --primes 9", "p must be an odd prime, got 9"),
+    ("nt lpoly-check --a 1 --t -32 --primes 5,59",
+     "59^4 = 12117361 exceeds the enumeration budget 10000000"),
     ("nt frobenius-scan --a 1 --t 1 --group agl2_3 --poly=1,1",
      "--poly needs degree >= 3 and a nonzero last coefficient, got [1, 1]"),
     ("nt frobenius-scan --a 1 --t -32 --pmax -5 --group agl2_3",
@@ -304,6 +321,9 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     # sizes whose run time has no bound
     ("specht conjecture-table --n 5,103", "table rows need n <= 31, got 103"),
     ("nt disc-verify --samples 100000000", "--samples must be at most 10000, got 100000000"),
+    ("nt frobenius-scan --a 1 --t -32 --pmax 300000000 --group agl2_3",
+     "--pmax must be at most 1000000, got 300000000"),
+    ("specht fixed-vector --n 61 --cycle-type 61", "fixed vectors need n <= 60, got n=61"),
     # a scan needs a polynomial
     ("nt frobenius-scan --group agl2_3", "frobenius-scan needs --a and --t, or --poly"),
     ("nt frobenius-scan --a 1 --group agl2_3", "frobenius-scan needs --a and --t, or --poly"),
@@ -317,6 +337,21 @@ def test_bad_input_is_usage_error(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("primes", ["5,59", "5,3", "5,9", "7,5,2"])
+def test_lpoly_check_refuses_a_bad_prime_before_counting(capsys, monkeypatch, primes):
+    # a prime too large, of bad reduction or not an odd prime is refused
+    # before any point count, wherever it stands in the list
+    import eigenone.arith
+
+    def no_count(*args):
+        raise AssertionError("a point count ran before the primes were checked")
+
+    monkeypatch.setattr(eigenone.arith, "curve_count", no_count)
+    assert main(["nt", "lpoly-check", "--a", "1", "--t", "-32", "--primes", primes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_oversized_input_is_usage_error(capsys, monkeypatch):

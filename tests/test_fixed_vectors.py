@@ -9,23 +9,30 @@ from eigenone.fixed_vectors import (
     witness_tableau,
 )
 from eigenone.perms import Partition, Permutation, class_rep_for, class_reps_symmetric
-from eigenone.specht import Tableau, polytabloid_expand, tv_apply_perm
+from eigenone.specht import Tableau, family_shape, polytabloid_expand, tv_apply_perm
+from oracles import expand_coords, identity_perm
+
+
+def vector_of(fv: dict, n: int) -> dict:
+    """The tabloid expansion of a fixed vector from its coordinates."""
+    shape, _ = family_shape(fv["family"], n)
+    return expand_coords([int(c) for c in fv["coords"]], shape)
 
 
 def test_identity_gets_direct_polytabloid():
-    sigma = Permutation.identity(6)
+    sigma = identity_perm(6)
     t, direct = witness_tableau(sigma, FAMILY_HOOK)
     assert direct
     fv = build_fixed_vector(sigma, FAMILY_HOOK)
-    assert fv.vector == polytabloid_expand(fv.tableau)
+    assert vector_of(fv, 6) == polytabloid_expand(Tableau.of(fv["tableau"]))
 
 
 def test_three_fixed_points_hook_direct():
     sigma = Permutation.from_cycles(7, [(4, 5, 6, 7)])
     t, direct = witness_tableau(sigma, FAMILY_HOOK)
     assert direct is False or sorted(x for row in t.rows[1:] for x in row) == [2, 3]
-    fv = build_fixed_vector(sigma, FAMILY_HOOK)
-    assert tv_apply_perm(sigma, fv.vector) == fv.vector
+    vec = vector_of(build_fixed_vector(sigma, FAMILY_HOOK), 7)
+    assert vec and tv_apply_perm(sigma, vec) == vec
 
 
 def test_four_fixed_points_two_row_direct():
@@ -50,14 +57,14 @@ def test_ncycle_on_standard_shape_vanishes():
 
 def test_orbit_sum_of_identity_is_single_polytabloid():
     t = Tableau.of([[1, 3, 5], [2], [4]])
-    assert fixed_vector_sum(Permutation.identity(5), t) == polytabloid_expand(t)
+    assert fixed_vector_sum(identity_perm(5), t) == polytabloid_expand(t)
 
 
 def test_case1_transposition_pattern_n7():
     # smallest cycle a transposition, two fixed points: E = (m/2)(e_a + e_b)
     sigma = Permutation.from_cycles(7, [(3, 4), (5, 6, 7)])
-    fv = build_fixed_vector(sigma, FAMILY_HOOK)
-    assert sorted(c for c in fv.coords if c) == [3, 3]
+    coords = [int(c) for c in build_fixed_vector(sigma, FAMILY_HOOK)["coords"]]
+    assert sorted(c for c in coords if c) == [3, 3]
 
 
 def test_single_big_cycle_term_count():
@@ -65,19 +72,19 @@ def test_single_big_cycle_term_count():
     # (counted with multiplicity: one coefficient n-2, and 2(n-3) signs)
     for n in [7, 9, 11]:
         sigma = class_rep_for(Partition((n - 2, 1, 1)))
-        fv = build_fixed_vector(sigma, FAMILY_HOOK)
-        assert sum(abs(c) for c in fv.coords) == 3 * n - 8
-        assert sum(1 for c in fv.coords if c) == 2 * n - 5
-        assert max(abs(c) for c in fv.coords) == n - 2
+        coords = [int(c) for c in build_fixed_vector(sigma, FAMILY_HOOK)["coords"]]
+        assert sum(abs(c) for c in coords) == 3 * n - 8
+        assert sum(1 for c in coords if c) == 2 * n - 5
+        assert max(abs(c) for c in coords) == n - 2
 
 
 @pytest.mark.parametrize("n", range(5, 11))
 def test_every_class_both_families(n):
     for ct, rep in class_reps_symmetric(n):
         for fam in (FAMILY_HOOK, FAMILY_TWO):
-            fv = build_fixed_vector(rep, fam)
-            assert any(fv.coords)
-            assert tv_apply_perm(rep, fv.vector) == fv.vector
+            vec = vector_of(build_fixed_vector(rep, fam), n)
+            assert vec  # nonzero
+            assert tv_apply_perm(rep, vec) == vec
 
 
 def test_verification_rejects_bad_selection(monkeypatch):
@@ -94,17 +101,18 @@ def test_verification_rejects_bad_selection(monkeypatch):
 
 def test_degree_too_small_rejected():
     with pytest.raises(ValueError):
-        build_fixed_vector(Permutation.identity(4), FAMILY_HOOK)
+        build_fixed_vector(identity_perm(4), FAMILY_HOOK)
 
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
-        build_fixed_vector(Permutation.identity(6), "(n-3,3)")
+        build_fixed_vector(identity_perm(6), "(n-3,3)")
 
 
 def test_payload_shape():
     sigma = class_rep_for(Partition((3, 2)))
-    fv = build_fixed_vector(sigma, FAMILY_TWO)
-    payload = fv.to_payload()
+    payload = build_fixed_vector(sigma, FAMILY_TWO)
     assert payload["nonzero"] is True
     assert payload["sigma"] == "(1,2,3)(4,5)"
+    assert payload["family"] == FAMILY_TWO
+    assert Tableau.of(payload["tableau"]) == witness_tableau(sigma, FAMILY_TWO)[0]
