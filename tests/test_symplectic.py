@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from eigenone.cli import main
 from eigenone.gf2 import BitMatrix, gf2_rank, preserves_form, rank_nullspace
 from eigenone.perms import Permutation, builtin_group, class_reps_symmetric, partitions_of
 from eigenone.symplectic import (
@@ -71,6 +73,14 @@ def test_nine_cycle_charpoly():
     cp = charpoly_mod2(M)
     assert cp == (1 << 9) - 1  # (x^9+1)/(x+1) = x^8 + ... + 1
     assert peval1(cp) == 1
+
+
+def test_space_payload(capsys):
+    assert main(["embed", "audit", "--group", "asl2_3"]) == 0
+    payload = json.loads(capsys.readouterr().out)["result"]["space"]
+    assert payload["d"] == 9 and payload["dim"] == 8
+    assert len(payload["gram_hex_rows"]) == 8
+    assert payload["gram_hex_rows"] == build_space(9).to_hex_rows()
 
 
 def test_nullity_equals_cycle_count_minus_one_odd_degree():
