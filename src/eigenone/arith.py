@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 
 from .errors import UsageError, VerificationError
-from .intlinalg import IntMatrix, det_exact
+from .intlinalg import _bareiss
 from .perms import PermGroup
 
 # ZPoly: list of ints, ascending degree, no trailing zeros.
@@ -90,7 +90,7 @@ def resultant(f: ZPoly, g: ZPoly) -> int:
         rows.append([0] * i + fr + [0] * (size - m - 1 - i))
     for i in range(m):
         rows.append([0] * i + gr + [0] * (size - n - 1 - i))
-    return det_exact(IntMatrix(rows))
+    return _bareiss(rows)[1]
 
 
 def disc_resultant(f: ZPoly) -> int:

@@ -7,7 +7,6 @@ group for irreducibility and the same property on that module.
 from __future__ import annotations
 
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_SEED, ClosureOverflow, UsageError, VerificationError
 from .perms import (
@@ -19,9 +18,6 @@ from .perms import (
     orbit,
     orbits,
 )
-
-if TYPE_CHECKING:
-    from .intlinalg import IntMatrix
 
 # Each audit imports the layers it runs where it runs: the integral ones
 # (specht, intlinalg) and the GF(2) ones (meataxe, symplectic).  So `embed`
@@ -57,21 +53,26 @@ def audit_payload(rep_id: str, dim: int, ring: str, classes: list[dict]) -> dict
     }
 
 
-def _int_class_payload(label: str, size: int, order: int, M: IntMatrix) -> dict:
-    from .intlinalg import IntMatrix, _bareiss
+def _one_minus(M: list[list[int]]) -> list[list[int]]:
+    """The rows of I - M, new lists that `_bareiss` may eliminate in place."""
+    return [[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(M)]
 
-    rank, det = _bareiss([list(r) for r in (IntMatrix.identity(M.nrows) - M).rows])
-    geo = M.nrows - rank
+
+def _int_class_payload(label: str, size: int, order: int, M: list[list[int]]) -> dict:
+    from .intlinalg import _bareiss
+
+    rank, det = _bareiss(_one_minus(M))
+    geo = len(M) - rank
     # M has finite order, so it is semisimple over QQ: the algebraic
     # multiplicity of eigenvalue 1 equals the geometric one
     return class_payload(label, size, order, det, geo, geo)
 
 
-def audit_int_classes(rep_id: str, classes: list[tuple[str, int, int, IntMatrix]]) -> dict:
-    """classes: (label, class size, element order, matrix), one per class."""
+def audit_int_classes(rep_id: str, classes: list[tuple[str, int, int, list[list[int]]]]) -> dict:
+    """classes: (label, class size, element order, matrix rows), one per class."""
     if not classes:
         raise ValueError("no classes to audit")
-    return audit_payload(rep_id, classes[0][3].nrows, "ZZ",
+    return audit_payload(rep_id, len(classes[0][3]), "ZZ",
                          [_int_class_payload(*c) for c in classes])
 
 
@@ -115,7 +116,7 @@ TABLE_N_MAX = 31
 def conjecture_table(ns: list[int]) -> list[dict]:
     """det(I - M) for the sign-twisted two-row module on the class of an
     (n-2)-cycle times a transposition, with the closed form 2^(k-1)(2k-1)."""
-    from .intlinalg import IntMatrix, det_exact
+    from .intlinalg import _bareiss
     from .specht import twisted_action_matrix
 
     for n in ns:
@@ -128,12 +129,12 @@ def conjecture_table(ns: list[int]) -> list[dict]:
         shape = Partition((n - 2, 2))
         ct = Partition((n - 2, 2))
         M = twisted_action_matrix(class_rep_for(ct), shape)
-        det = det_exact(IntMatrix.identity(M.nrows) - M)
+        _, det = _bareiss(_one_minus(M))
         k = (n - 1) // 2
         rows.append(
             {
                 "n": n,
-                "dim": M.nrows,
+                "dim": len(M),
                 "class": str(ct),
                 "det_one_minus": str(det),
                 "closed_form": str(2 ** (k - 1) * (2 * k - 1)),

@@ -114,10 +114,15 @@ def cmd_specht_table(args) -> int:
 
 def cmd_specht_mod2(args) -> int:
     from . import meataxe
-    from .specht import family_shape, generator_matrices, rep_mod2
+    from .specht import FAMILY_HOOK, family_shape, generator_matrices, rep_mod2
 
     t0 = time.time()
     shape, twisted = family_shape(args.family, args.n)
+    # the dimension in closed form, so an oversized module builds no matrix
+    n = args.n
+    dim = (n - 1) * (n - 2) // 2 if args.family == FAMILY_HOOK else n * (n - 3) // 2
+    if dim > meataxe.DIM_BOUND:
+        raise UsageError(f"module dimension {dim} exceeds bound {meataxe.DIM_BOUND}")
     module = rep_mod2(generator_matrices(shape, twisted))
     factors = meataxe.factor_dimensions(module, args.seed)
     result = {

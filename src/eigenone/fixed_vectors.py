@@ -11,6 +11,8 @@ is verified nonzero (a nonzero straightened coordinate) and verified fixed
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import UsageError, VerificationError
 from .perms import Permutation
 from .specht import (
@@ -27,8 +29,8 @@ from .specht import (
 )
 
 
-# Bounds the action matrix of the check, of dimension about n^2/2 (n = 60
-# takes 1.3-2.1 s), but not the orbit sum, which has order(sigma) terms.
+# Bounds the matrix check, whose action matrix has dimension about n^2/2
+# (n = 60 takes 1.3-2.1 s); the orbit sum runs over one period only.
 FIXED_VECTOR_N_MAX = 60
 
 
@@ -39,15 +41,23 @@ class FixedVectorError(VerificationError):
 
 def fixed_vector_sum(sigma: Permutation, t: Tableau) -> dict[Tabloid, int]:
     """E = sum of e_{sigma^j t} over 0 <= j < order(sigma); always fixed by
-    sigma, not guaranteed nonzero (an n-cycle on the (n-1,1) shape gives 0)."""
+    sigma, not guaranteed nonzero (an n-cycle on the (n-1,1) shape gives 0).
+
+    e_t depends only on the entries of t in columns of length >= 2, since
+    every other entry sits in row 1.  So the terms repeat with period P, the
+    lcm of the lengths of the cycles of sigma through those entries, and E is
+    order / P times the sum over one period."""
     if sigma.degree != t.n:
         raise ValueError("degree mismatch")
+    length = {x: len(c) for c in sigma.cycles(include_fixed=True) for x in c}
+    period = lcm(*(length[x] for col in t.columns() if len(col) > 1 for x in col))
     acc: dict[Tabloid, int] = {}
     cur = t
-    for _ in range(sigma.order()):
+    for _ in range(period):
         tv_add_scaled(acc, polytabloid_expand(cur), 1)
         cur = cur.apply(sigma)
-    return acc
+    scale = sigma.order() // period
+    return {T: scale * c for T, c in acc.items()}
 
 
 def _cycles_sorted(sigma: Permutation):
@@ -152,8 +162,7 @@ def build_fixed_vector(sigma: Permutation, family: str) -> dict:
         raise FixedVectorError(
             f"vector for {sigma.cycle_string()} on {family} is not fixed (tabloid level)"
         )
-    M = action_matrix(sigma, shape)
-    if M.apply(coords) != coords:
+    if [sum(a * c for a, c in zip(row, coords)) for row in action_matrix(sigma, shape)] != coords:
         raise FixedVectorError(
             f"vector for {sigma.cycle_string()} on {family} is not fixed (matrix level)"
         )

@@ -464,11 +464,12 @@ def _l3_2_flag_gens() -> list[Permutation]:
     return gens
 
 
-def _refuse_large_order(n: int, first: int) -> None:
-    """Raise ClosureOverflow up front when first * (first + 1) * ... * n, the
-    order of S_n (first = 2) or A_n (first = 3), exceeds CLOSURE_BOUND."""
+def _refuse_large_order(first: int, last: int) -> None:
+    """Raise ClosureOverflow up front when first * (first + 1) * ... * last,
+    the order of S_n (2..n), A_n (3..n) or PGL(2,q) (q-1..q+1), exceeds
+    CLOSURE_BOUND."""
     order = 1
-    for k in range(first, n + 1):
+    for k in range(first, last + 1):
         order *= k
         if order > CLOSURE_BOUND:
             raise ClosureOverflow(f"closure exceeded bound {CLOSURE_BOUND}")
@@ -500,6 +501,7 @@ def builtin_group(name: str, **params) -> PermGroup:
         q = params["q"]
         if not is_prime(q) or q == 2:
             raise UsageError(f"pgl2 requires an odd prime q, got {q}")
+        _refuse_large_order(q - 1, q + 1)
         return PermGroup(_pgl2_gens(q), name=f"pgl2_{q}")
     if name == "l3_2_flags":
         return PermGroup(_l3_2_flag_gens(), name="l3_2_flags")
@@ -508,7 +510,7 @@ def builtin_group(name: str, **params) -> PermGroup:
         if n < 3:
             raise UsageError(f"{name} requires n >= 3, got {n}")
         alternating = name == "a_n"
-        _refuse_large_order(n, 3 if alternating else 2)
+        _refuse_large_order(3 if alternating else 2, n)
         # (1,2) or (1,2,3), then the n-cycle, or for A_n, n even, the cycle (2,..,n)
         first = (1, 2, 3) if alternating else (1, 2)
         last = tuple(range(2 if alternating and n % 2 == 0 else 1, n + 1))

@@ -17,7 +17,6 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .errors import UsageError, VerificationError
-from .intlinalg import IntMatrix
 from .perms import Partition, Permutation
 
 if TYPE_CHECKING:
@@ -267,30 +266,28 @@ def family_shape(family: str, n: int) -> tuple[Partition, bool]:
     return Partition((n - 2, *tail)), twisted
 
 
-def action_matrix(sigma: Permutation, shape: Partition) -> IntMatrix:
-    """Matrix of sigma on the Specht module, columns = images of basis vectors."""
+def action_matrix(sigma: Permutation, shape: Partition) -> list[list[int]]:
+    """Rows of the matrix of sigma on the Specht module, whose columns are the
+    images of the basis vectors."""
     if sigma.degree != shape.n:
         raise ValueError("degree mismatch")
     n = shape.n
     # 1-dimensional shapes: avoid the n!-term column-group expansion
     if shape.parts == (n,):
-        return IntMatrix([[1]])
+        return [[1]]
     if shape.parts == tuple([1] * n):
-        return IntMatrix([[1 if sigma.is_even() else -1]])
-    B = _basis(shape.parts)
-    cols = []
-    for exp in B.expansions:
-        cols.append(straighten(tv_apply_perm(sigma, exp), shape))
-    return IntMatrix([[cols[j][i] for j in range(B.dim)] for i in range(B.dim)])
+        return [[1 if sigma.is_even() else -1]]
+    cols = [straighten(tv_apply_perm(sigma, exp), shape) for exp in _basis(shape.parts).expansions]
+    return [list(row) for row in zip(*cols)]
 
 
-def twisted_action_matrix(sigma: Permutation, shape: Partition) -> IntMatrix:
-    """Matrix of sigma on the conjugate module: sign-twist of the action."""
+def twisted_action_matrix(sigma: Permutation, shape: Partition) -> list[list[int]]:
+    """Rows of the matrix of sigma on the conjugate module: sign-twist of the action."""
     M = action_matrix(sigma, shape)
-    return M if sigma.is_even() else -M
+    return M if sigma.is_even() else [[-a for a in row] for row in M]
 
 
-def generator_matrices(shape: Partition, twisted: bool = False) -> list[IntMatrix]:
+def generator_matrices(shape: Partition, twisted: bool = False) -> list[list[list[int]]]:
     """Matrices of the generators (1,2) and (1,2,...,n) of S_n on the
     standard basis of the shape, or on its sign twist."""
     n = shape.n
@@ -301,14 +298,13 @@ def generator_matrices(shape: Partition, twisted: bool = False) -> list[IntMatri
     return [matrix(g, shape) for g in gens]
 
 
-def rep_mod2(mats: list[IntMatrix]) -> GF2Module:
-    """Reduce integer representation matrices mod 2."""
+def rep_mod2(mats: list[list[list[int]]]) -> GF2Module:
+    """Reduce integer representation matrices, given as rows, mod 2."""
     from .gf2 import BitMatrix, GF2Module
 
     if not mats:
         raise ValueError("need at least one matrix")
-    dim = mats[0].nrows
-    return GF2Module(dim, [BitMatrix.from_entries(M.rows) for M in mats])
+    return GF2Module(len(mats[0]), [BitMatrix.from_entries(M) for M in mats])
 
 
 # ---------------------------------------------------------------------------

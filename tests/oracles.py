@@ -27,7 +27,7 @@ from eigenone.gf2 import (
     pdiv,
     pmod,
 )
-from eigenone.intlinalg import IntMatrix, _bareiss
+from eigenone.intlinalg import _bareiss
 from eigenone.meataxe import composition_factors, endomorphism_algebra_dim, is_irreducible
 from eigenone.perms import (
     IndexedGroup,
@@ -45,6 +45,7 @@ from eigenone.specht import (
     _perm_sign,
     generator_matrices,
     perm_tabloid,
+    polytabloid_expand,
     rep_mod2,
     tv_add_scaled,
 )
@@ -91,34 +92,55 @@ def is_transitive(G: PermGroup) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def int_zeros(n: int) -> IntMatrix:
-    return IntMatrix([[0] * n for _ in range(n)])
+def int_zeros(n: int) -> list[list[int]]:
+    return [[0] * n for _ in range(n)]
 
 
-def transpose(M: IntMatrix) -> IntMatrix:
-    return IntMatrix([list(c) for c in zip(*M.rows)])
+def int_identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    if A.ncols != B.nrows:
+def matsub(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    if [len(r) for r in A] != [len(r) for r in B]:
         raise ValueError("shape mismatch")
-    cols = list(zip(*B.rows))
-    return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A.rows])
+    return [[a - b for a, b in zip(r, s)] for r, s in zip(A, B)]
 
 
-def trace(M: IntMatrix) -> int:
-    if not M.is_square:
+def transpose(M: list[list[int]]) -> list[list[int]]:
+    return [list(c) for c in zip(*M)]
+
+
+def matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    if any(len(row) != len(B) for row in A):
+        raise ValueError("shape mismatch")
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+
+
+def _is_square(M: list[list[int]]) -> bool:
+    return all(len(row) == len(M) for row in M)
+
+
+def trace(M: list[list[int]]) -> int:
+    if not _is_square(M):
         raise ValueError("trace of non-square matrix")
-    return sum(M.rows[i][i] for i in range(M.nrows))
+    return sum(M[i][i] for i in range(len(M)))
 
 
-def rank_exact(M: IntMatrix) -> int:
+def rank_exact(M: list[list[int]]) -> int:
     """Rank over the rationals, fraction-free."""
-    if M.nrows == 0 or M.ncols == 0:
+    if not M or not M[0]:
         return 0
-    rows = [list(r) for r in M.rows]
-    rank, _ = _bareiss(rows)
+    rank, _ = _bareiss([list(r) for r in M])
     return rank
+
+
+def det(M: list[list[int]]) -> int:
+    """Determinant of a square matrix, fraction-free, on a copy of its rows."""
+    if not _is_square(M):
+        raise ValueError("determinant of non-square matrix")
+    _, d = _bareiss([list(r) for r in M])
+    return d
 
 
 @dataclass(frozen=True)
@@ -158,17 +180,17 @@ class IntPoly:
         return IntPoly.of(reversed(out[:-1]))
 
 
-def charpoly_exact(M: IntMatrix) -> IntPoly:
+def charpoly_exact(M: list[list[int]]) -> IntPoly:
     """Characteristic polynomial det(xI - M) via the Berkowitz algorithm.
 
     Division-free, so exact over the integers for any input.
     """
-    if not M.is_square:
+    if not _is_square(M):
         raise ValueError("characteristic polynomial of non-square matrix")
-    n = M.nrows
+    n = len(M)
     if n == 0:
         return IntPoly.of([1])
-    A = M.rows
+    A = M
     # coeffs of det(xI - A_i) for the leading i x i block, descending powers
     c = [1, -A[0][0]]
     for i in range(2, n + 1):
@@ -196,14 +218,14 @@ def charpoly_exact(M: IntMatrix) -> IntPoly:
     return IntPoly.of(reversed(c))
 
 
-def eig1_multiplicity(M: IntMatrix) -> tuple[int, int]:
+def eig1_multiplicity(M: list[list[int]]) -> tuple[int, int]:
     """(algebraic, geometric) multiplicity of eigenvalue 1.
 
     Algebraic: highest k with (x-1)^k dividing the characteristic polynomial,
     by repeated exact synthetic division.  Geometric: dim - rank(M - I) over
     the rationals.
     """
-    if not M.is_square:
+    if not _is_square(M):
         raise ValueError("eigenvalue multiplicity of non-square matrix")
     p = charpoly_exact(M)
     alg = 0
@@ -213,18 +235,18 @@ def eig1_multiplicity(M: IntMatrix) -> tuple[int, int]:
             break
         alg += 1
         p = q
-    geo = M.nrows - rank_exact(M - IntMatrix.identity(M.nrows))
+    geo = len(M) - rank_exact(matsub(M, int_identity(len(M))))
     assert geo <= alg
     return alg, geo
 
 
-def permutation_matrix(images0: tuple[int, ...]) -> IntMatrix:
+def permutation_matrix(images0: tuple[int, ...]) -> list[list[int]]:
     """Column-vector convention: column j has a 1 in row images0[j]."""
     n = len(images0)
-    M = [[0] * n for _ in range(n)]
+    M = int_zeros(n)
     for j, i in enumerate(images0):
         M[i][j] = 1
-    return IntMatrix(M)
+    return M
 
 
 def zp_eval(f: list[int], x: int) -> int:
@@ -336,7 +358,7 @@ def to_int_entries(M: BitMatrix) -> list[list[int]]:
 def charpoly_mod2(M: BitMatrix) -> int:
     """det(xI - M) over GF(2) as a bit-poly: the Berkowitz characteristic
     polynomial over the integers, reduced mod 2."""
-    coeffs = charpoly_exact(IntMatrix(to_int_entries(M))).coeffs
+    coeffs = charpoly_exact(to_int_entries(M)).coeffs
     return sum(1 << i for i, c in enumerate(coeffs) if c % 2)
 
 
@@ -568,6 +590,16 @@ def expand_coords(coords: list[int], shape: Partition) -> dict[Tabloid, int]:
     return out
 
 
+def fixed_vector_full_orbit(sigma: Permutation, t: Tableau) -> dict[Tabloid, int]:
+    """E = sum of e_{sigma^j t} over every 0 <= j < order(sigma), term by term."""
+    acc: dict[Tabloid, int] = {}
+    cur = t
+    for _ in range(sigma.order()):
+        tv_add_scaled(acc, polytabloid_expand(cur), 1)
+        cur = cur.apply(sigma)
+    return acc
+
+
 def _sort_columns(t: Tableau) -> tuple[Tableau, int]:
     cols = t.columns()
     sign = 1
@@ -667,15 +699,14 @@ def tabloids_of_shape(shape_parts: tuple[int, ...]) -> tuple[Tabloid, ...]:
     return tuple(sorted(split(tuple(range(1, n + 1)), shape_parts)))
 
 
-def tabloid_action_matrix(sigma: Permutation, shape: Partition) -> IntMatrix:
+def tabloid_action_matrix(sigma: Permutation, shape: Partition) -> list[list[int]]:
     """Permutation matrix of sigma on the tabloid basis of the shape."""
     tabs = tabloids_of_shape(shape.parts)
     index = {T: i for i, T in enumerate(tabs)}
-    m = len(tabs)
-    M = [[0] * m for _ in range(m)]
+    M = int_zeros(len(tabs))
     for j, T in enumerate(tabs):
         M[index[perm_tabloid(sigma, T)]][j] = 1
-    return IntMatrix(M)
+    return M
 
 
 def dominance_counts(T: Tabloid) -> tuple[int, ...]:

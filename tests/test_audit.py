@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from eigenone.audit import (
 )
 from eigenone.errors import UsageError, VerificationError
 from eigenone.gf2 import BitMatrix, GF2Module, rank_nullspace
-from eigenone.intlinalg import IntMatrix
 from eigenone.meataxe import is_irreducible
 from eigenone.perms import (
     IndexedGroup,
@@ -37,10 +37,13 @@ from oracles import (
     charpoly_mod2,
     conjugate_by,
     cyclic_subgroups_by_definition,
+    det,
     embedded_elements,
     identity_perm,
+    int_identity,
     matrix_classes,
     matrix_closure,
+    matsub,
     peval1,
     subgroup_census_by_matrices,
     two_generated_subgroups_by_pairs,
@@ -48,7 +51,7 @@ from oracles import (
 
 
 def test_trivial_representation_unisingular():
-    classes = [("1", 1, 1, IntMatrix.identity(1)), ("2", 3, 2, IntMatrix.identity(1))]
+    classes = [("1", 1, 1, [[1]]), ("2", 3, 2, [[1]])]
     rep = audit_int_classes("trivial", classes)
     assert rep["unisingular"] and rep["offenders"] == []
 
@@ -106,32 +109,50 @@ def test_geometric_multiplicity_matches_character_average():
                 assert rec["eig1_algebraic"] == eig1_multiplicity(M)[0], (n, family, ct)
 
 
-def test_det_constant_on_class_sampled():
-    from eigenone.intlinalg import det_exact
+@pytest.mark.parametrize("n", [5, 7, 9, 10, 11])
+def test_two_row_fixed_space_by_orbit_counts(n):
+    # M^(n-2,2) = S^(n) + S^(n-1,1) + S^(n-2,2), and a permutation module's
+    # fixed space has one dimension per orbit: so dim Fix(g) on S^(n-2,2) is
+    # the number of <g>-orbits on 2-subsets minus the number on points
+    def orbit_count(subsets, g):
+        seen, count = set(), 0
+        for S in subsets:
+            count += S not in seen
+            while S not in seen:
+                seen.add(S)
+                S = frozenset(map(g.apply, S))
+        return count
 
+    points = [frozenset(S) for S in itertools.combinations(range(1, n + 1), 1)]
+    pairs = [frozenset(S) for S in itertools.combinations(range(1, n + 1), 2)]
+    rep = audit_specht(n, FAMILY_TWO)
+    for rec, (ct, g) in zip(rep["classes"], class_reps_symmetric(n), strict=True):
+        assert rec["class"] == str(ct)
+        assert rec["eig1_geometric"] == orbit_count(pairs, g) - orbit_count(points, g), (n, ct)
+
+
+def test_det_constant_on_class_sampled():
     rng = random.Random(0)
     n = 6
     sh = Partition((4, 2))
     els = builtin_group("s_n", n=n).indexed.elements
     for ct, rep in class_reps_symmetric(n):
         M = action_matrix(rep, sh)
-        base = det_exact(IntMatrix.identity(M.nrows) - M)
+        base = det(matsub(int_identity(len(M)), M))
         for _ in range(3):
             g = els[rng.randrange(len(els))]
             M2 = action_matrix(conjugate_by(rep, g), sh)
-            assert det_exact(IntMatrix.identity(M2.nrows) - M2) == base
+            assert det(matsub(int_identity(len(M2)), M2)) == base
 
 
 def test_sign_twist_changes_only_odd_classes():
     n = 6
     sh = Partition((4, 2))
-    from eigenone.intlinalg import det_exact
-
     for ct, rep in class_reps_symmetric(n):
         M = action_matrix(rep, sh)
         Mt = twisted_action_matrix(rep, sh)
-        d = det_exact(IntMatrix.identity(M.nrows) - M)
-        dt = det_exact(IntMatrix.identity(M.nrows) - Mt)
+        d = det(matsub(int_identity(len(M)), M))
+        dt = det(matsub(int_identity(len(M)), Mt))
         if ct.is_even_class():
             assert d == dt
         # odd classes may or may not differ; the even case is the invariant

@@ -324,6 +324,9 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ("nt frobenius-scan --a 1 --t -32 --pmax 300000000 --group agl2_3",
      "--pmax must be at most 1000000, got 300000000"),
     ("specht fixed-vector --n 61 --cycle-type 61", "fixed vectors need n <= 60, got n=61"),
+    ("specht mod2-factors --n 100 --family n-2,2", "module dimension 4850 exceeds bound 256"),
+    # PGL(2,101) has 101^3 - 101 = 1030200 elements
+    ("embed audit --group pgl2 --q 101", "closure exceeded bound 1000000"),
     # a scan needs a polynomial
     ("nt frobenius-scan --group agl2_3", "frobenius-scan needs --a and --t, or --poly"),
     ("nt frobenius-scan --a 1 --group agl2_3", "frobenius-scan needs --a and --t, or --poly"),
@@ -364,6 +367,38 @@ def test_oversized_input_is_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: module dimension 14 exceeds bound 10\n"
     assert main(["embed", "census", "--group", "s_n", "--n", "7"]) == 2
     assert capsys.readouterr().err == "error: census input capped at 2000 elements\n"
+
+
+@pytest.mark.parametrize("family,dim", [("n-2,1,1", 276), ("n-2,2", 275), ("n-2,2'", 275)])
+def test_oversized_module_builds_no_matrix(capsys, monkeypatch, family, dim):
+    # the family dimensions (n-1)(n-2)/2 and n(n-3)/2 are closed forms, so
+    # the MeatAxe bound is checked before any action matrix is built
+    import eigenone.specht
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("an action matrix was built")
+
+    monkeypatch.setattr(eigenone.specht, "generator_matrices", no_matrix)
+    assert main(["specht", "mod2-factors", "--n", "25", "--family", family]) == 2
+    assert capsys.readouterr().err == f"error: module dimension {dim} exceeds bound 256\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "embed audit --group pgl2 --q 101",
+    "embed census --group pgl2 --q 101",
+    "nt frobenius-scan --a 1 --t -32 --group pgl2 --q 101",
+])
+def test_pgl2_above_the_bound_is_refused_before_closing(capsys, monkeypatch, argv):
+    # PGL(2,101) has 101^3 - 101 = 1030200 elements, an order known before
+    # any closure, as for S_n and A_n
+    from eigenone.perms import Permutation
+
+    def no_product(self, other):
+        raise AssertionError("a group product was formed")
+
+    monkeypatch.setattr(Permutation, "__mul__", no_product)
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == "error: closure exceeded bound 1000000\n"
 
 
 @pytest.mark.parametrize("group", [["pgl2", "--q", "61"], ["s_n", "--n", "9"]])

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from eigenone.fixed_vectors import (
@@ -10,7 +12,7 @@ from eigenone.fixed_vectors import (
 )
 from eigenone.perms import Partition, Permutation, class_rep_for, class_reps_symmetric
 from eigenone.specht import Tableau, family_shape, polytabloid_expand, tv_apply_perm
-from oracles import expand_coords, identity_perm
+from oracles import expand_coords, fixed_vector_full_orbit, identity_perm
 
 
 def vector_of(fv: dict, n: int) -> dict:
@@ -47,6 +49,29 @@ def test_orbit_sum_is_always_fixed():
     t = Tableau.of([[1, 2, 3, 4], [5], [6]])
     E = fixed_vector_sum(sigma, t)
     assert tv_apply_perm(sigma, E) == E
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_one_period_sum_equals_the_full_orbit_sum(n):
+    # the terms repeat with the period of the entries in long columns, so
+    # order / P times one period is the sum over the whole orbit
+    for ct, rep in class_reps_symmetric(n):
+        for fam in (FAMILY_HOOK, FAMILY_TWO):
+            t, _ = witness_tableau(rep, fam)
+            assert fixed_vector_sum(rep, t) == fixed_vector_full_orbit(rep, t), (ct, fam)
+
+
+@pytest.mark.parametrize("cycle_type,family", [
+    ((17, 13, 11, 7, 5, 4, 3), FAMILY_TWO),  # order 1021020, period 51
+    ((19, 13, 11, 7, 5, 3, 2), FAMILY_HOOK),  # order 570570, period 3
+    ((19, 13, 11, 7, 5, 3, 2), FAMILY_TWO),  # period 38
+])
+def test_degree_60_sums_one_period(cycle_type, family):
+    # summing all order(sigma) terms had not finished after 60 s
+    t0 = time.time()
+    fv = build_fixed_vector(class_rep_for(Partition(cycle_type)), family)
+    assert any(int(c) for c in fv["coords"])
+    assert time.time() - t0 < 10
 
 
 def test_ncycle_on_standard_shape_vanishes():
