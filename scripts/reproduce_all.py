@@ -77,7 +77,8 @@ def check_run(proc: subprocess.CompletedProcess, expect: int) -> str:
 
 def canonical(text: str) -> str | None:
     """A JSON report without its wall_time_s, in the form of
-    RunReport.canonical_bytes; None when text is no JSON report."""
+    eigenone.reports.render called without wall_time_s; None when text is no
+    JSON report."""
     try:
         report = json.loads(text)
     except ValueError:

@@ -500,11 +500,12 @@ class Fq:
 def check_count_prime(f: ZPoly, p: int, k: int) -> None:
     """Refuse a p at which y^2 = f(x) cannot be counted over F_{p^k}: p must
     be an odd prime of good reduction, with p^k within POINT_BUDGET."""
-    # p comes from the command line (lpoly-check --primes)
+    # p comes from the command line (lpoly-check --primes); the budget first:
+    # is_prime trial-divides up to sqrt(p)
+    if p > 0 and p**k > POINT_BUDGET:
+        raise UsageError(f"{p}^{k} = {p**k} exceeds the enumeration budget {POINT_BUDGET}")
     if p == 2 or not is_prime(p):
         raise UsageError(f"p must be an odd prime, got {p}")
-    if p**k > POINT_BUDGET:
-        raise UsageError(f"{p}^{k} = {p**k} exceeds the enumeration budget {POINT_BUDGET}")
     if disc_resultant(f) % p == 0 or f[-1] % p == 0:
         raise UsageError(f"bad prime {p}")
 

@@ -9,8 +9,10 @@ undecided: the run had nothing to check (a Frobenius scan with no good prime up
 to --pmax), so it neither verifies nor refutes.  Every verdict, undecided
 included, prints a JSON report on standard output.
 
-Each handler imports the layers it runs when it runs, so a process loads only
-the layers of its subcommand.
+Each handler returns (anchor keys, result, verdict), and `main` alone times
+the run, prints the report and maps the verdict to the exit code.  Each handler
+imports the layers it runs when it runs, so a process loads only the layers of
+its subcommand.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 import time
 
 from .errors import DEFAULT_SEED, ClosureOverflow, UsageError
-from .reports import CLAIMS, RunReport
+from .reports import CLAIMS, render
 
 # disc-verify keeps every sample in its payload; 10^4 samples take about 4 s
 DISC_SAMPLES_MAX = 10**4
@@ -54,69 +56,51 @@ def _int_list(s: str) -> list[int]:
     return [int(x) for x in s.split(",") if x.strip()]
 
 
-def _build_group(args):
-    from .perms import builtin_group
-
-    param = {"pgl2": "q", "s_n": "n", "a_n": "n"}.get(args.group)
-    if param is None:
-        return builtin_group(args.group)
-    value = getattr(args, param)
-    if value is None:
-        raise UsageError(f"--group {args.group} requires --{param}")
-    return builtin_group(args.group, **{param: value})
+def _expect(result: dict, key: str, expected: list[int] | None, found: list[int]) -> bool:
+    """True unless an --expect-* list was given and differs from `found`; a
+    given list is recorded, sorted, under `key`."""
+    if expected is None:
+        return True
+    result[key] = sorted(expected)
+    return result[key] == found
 
 
-def _emit(args, anchors: list[str], result: dict, t0: float, verdict: bool | None) -> int:
-    """Print the report; exit 0 if `verdict` is true, 1 if false, 4 if None
-    (undecided)."""
-    report = RunReport(
-        command=list(args.raw_args),
-        seed=args.seed,
-        anchors=anchors,
-        result=result,
-        wall_time_s=time.time() - t0,
-    )
-    sys.stdout.write(report.to_json() + "\n")
-    if verdict is None:
-        return 4
-    return 0 if verdict else 1
+def _group_anchor(claim: str, group: str) -> str:
+    """The claim stated for this --group, or the claim for any group."""
+    return f"{claim}-{group}" if f"{claim}-{group}" in CLAIMS else claim
 
 
 # ---------------------------------------------------------------------------
 # specht subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_specht_audit(args) -> int:
+def cmd_specht_audit(args):
     from .audit import audit_specht
     from .specht import FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ
 
-    t0 = time.time()
     result = audit_specht(args.n, args.family, args.group)
     anchor = {
         FAMILY_HOOK: "specht-audit-hook",
         FAMILY_TWO: "specht-audit-two",
         FAMILY_TWO_CONJ: "specht-audit-twisted" if args.group == "s_n" else "specht-audit-alternating",
     }[args.family]
-    return _emit(args, [CLAIMS[anchor]], result, t0, result["unisingular"])
+    return [anchor], result, result["unisingular"]
 
 
-def cmd_specht_table(args) -> int:
+def cmd_specht_table(args):
     from .audit import conjecture_table
 
     if not args.n:
         raise UsageError("--n lists no value of n")
-    t0 = time.time()
     rows = conjecture_table(args.n)
     ok = all(r["matches"] for r in rows)
-    result = {"rows": rows, "all_match": ok}
-    return _emit(args, [CLAIMS["conjecture-table"]], result, t0, ok)
+    return ["conjecture-table"], {"rows": rows, "all_match": ok}, ok
 
 
-def cmd_specht_mod2(args) -> int:
+def cmd_specht_mod2(args):
     from . import meataxe
     from .specht import FAMILY_HOOK, family_shape, generator_matrices, rep_mod2
 
-    t0 = time.time()
     shape, twisted = family_shape(args.family, args.n)
     # the dimension in closed form, so an oversized module builds no matrix
     n = args.n
@@ -132,57 +116,50 @@ def cmd_specht_mod2(args) -> int:
         "factor_dims": factors,
         "irreducible": factors == [module.dim],
     }
-    verdict = True
-    if args.expect_dims is not None:
-        verdict = sorted(args.expect_dims) == factors
-        result["expected_dims"] = sorted(args.expect_dims)
-    return _emit(args, [CLAIMS["mod2-factors"]], result, t0, verdict)
+    return ["mod2-factors"], result, _expect(result, "expected_dims", args.expect_dims, factors)
 
 
-def cmd_specht_fixed_vector(args) -> int:
-    from .fixed_vectors import build_fixed_vector
+def cmd_specht_fixed_vector(args):
+    from .fixed_vectors import FIXED_VECTOR_N_MAX, build_fixed_vector
     from .perms import Partition, class_rep_for
 
-    t0 = time.time()
+    if args.n > FIXED_VECTOR_N_MAX:  # before a degree-n permutation is built
+        raise UsageError(f"fixed vectors need n <= {FIXED_VECTOR_N_MAX}, got n={args.n}")
     parts = tuple(sorted(args.cycle_type, reverse=True))
     if not parts or parts[-1] <= 0 or sum(parts) != args.n:
         raise UsageError(f"cycle type {args.cycle_type} does not partition n={args.n}")
-    result = build_fixed_vector(class_rep_for(Partition(parts)), args.family)
-    return _emit(args, [CLAIMS["fixed-vector"]], result, t0, True)
+    return ["fixed-vector"], build_fixed_vector(class_rep_for(Partition(parts)), args.family), True
 
 
 # ---------------------------------------------------------------------------
 # embed subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_embed_audit(args) -> int:
+def cmd_embed_audit(args):
     if args.module == "permutation":
         return _embed_audit_permutation_module(args)
     from .audit import audit_embedded_group
+    from .perms import builtin_group
     from .symplectic import build_space
 
-    t0 = time.time()
-    G = _build_group(args)
+    G = builtin_group(args.group, args.q, args.n)
     result = audit_embedded_group(G, args.seed)
     gram = build_space(G.degree)
     result["group"] = G.to_payload()
     result["group_order"] = G.order()
     result["space"] = {"d": G.degree, "dim": gram.nrows, "gram_hex_rows": gram.to_hex_rows()}
     result["form_preserved"] = True  # embed_group raises if a generator breaks the form
-    anchor = "embed-audit-agl2_3" if G.name == "agl2_3" else (
-        "embed-audit-pgl2" if G.name.startswith("pgl2") else "embed-audit"
-    )
-    return _emit(args, [CLAIMS[anchor]], result, t0, result["unisingular"])
+    return [_group_anchor("embed-audit", args.group)], result, result["unisingular"]
 
 
-def _embed_audit_permutation_module(args) -> int:
+def _embed_audit_permutation_module(args):
     from . import meataxe
     from .errors import VerificationError
     from .gf2 import BitMatrix, fixed_space_dim
+    from .perms import builtin_group
     from .symplectic import permutation_module_gf2
 
-    t0 = time.time()
-    G = _build_group(args)
+    G = builtin_group(args.group, args.q, args.n)
     module = permutation_module_gf2(G)
     factors = meataxe.composition_factors(module, args.seed)
     dims = [f.dim for f in factors]
@@ -217,18 +194,15 @@ def _embed_audit_permutation_module(args) -> int:
             "unisingular": uni,
         },
     }
-    verdict = uni and absirr
-    if args.expect_dims is not None:
-        verdict = verdict and sorted(args.expect_dims) == dims
-        result["expected_dims"] = sorted(args.expect_dims)
-    return _emit(args, [CLAIMS["perm-module-factors"]], result, t0, verdict)
+    verdict = _expect(result, "expected_dims", args.expect_dims, dims) and uni and absirr
+    return [_group_anchor("perm-module-factors", args.group)], result, verdict
 
 
-def cmd_embed_census(args) -> int:
+def cmd_embed_census(args):
     from .audit import subgroup_census
+    from .perms import builtin_group
 
-    t0 = time.time()
-    G = _build_group(args)
+    G = builtin_group(args.group, args.q, args.n)
     census = subgroup_census(G, args.seed)
     orders = sorted({e["order"] for e in census if e["irreducible"]})
     result = {
@@ -237,18 +211,15 @@ def cmd_embed_census(args) -> int:
         "census": census,
         "irreducible_orders": orders,
     }
-    verdict = True
-    if args.expect_irreducible_orders is not None:
-        verdict = sorted(args.expect_irreducible_orders) == orders
-        result["expected_irreducible_orders"] = sorted(args.expect_irreducible_orders)
-    return _emit(args, [CLAIMS["embed-census"]], result, t0, verdict)
+    verdict = _expect(result, "expected_irreducible_orders", args.expect_irreducible_orders, orders)
+    return [_group_anchor("embed-census", args.group)], result, verdict
 
 
 # ---------------------------------------------------------------------------
 # nt subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_nt_disc_verify(args) -> int:
+def cmd_nt_disc_verify(args):
     import random
 
     from .arith import (
@@ -263,7 +234,6 @@ def cmd_nt_disc_verify(args) -> int:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     if args.samples > DISC_SAMPLES_MAX:
         raise UsageError(f"--samples must be at most {DISC_SAMPLES_MAX}, got {args.samples}")
-    t0 = time.time()
     rng = random.Random(args.seed)
     samples = []
     ok = True
@@ -294,13 +264,12 @@ def cmd_nt_disc_verify(args) -> int:
             "bad_primes_expected": [2, 3],
         },
     }
-    verdict = ok and special_ok and bad_ok
-    return _emit(args, [CLAIMS["disc-identity"], CLAIMS["disc-special"]],
-                 result, t0, verdict)
+    return ["disc-identity", "disc-special"], result, ok and special_ok and bad_ok
 
 
-def cmd_nt_frobenius_scan(args) -> int:
+def cmd_nt_frobenius_scan(args):
     from .arith import frobenius_scan, malle_g
+    from .perms import builtin_group
 
     if args.pmax < 0:
         raise UsageError(f"--pmax must not be negative, got {args.pmax}")
@@ -308,8 +277,7 @@ def cmd_nt_frobenius_scan(args) -> int:
         raise UsageError(f"--pmax must be at most {PMAX_MAX}, got {args.pmax}")
     if args.poly is None and (args.a is None or args.t is None):
         raise UsageError("frobenius-scan needs --a and --t, or --poly")
-    t0 = time.time()
-    G = _build_group(args)
+    G = builtin_group(args.group, args.q, args.n)
     f = malle_g(args.a, args.t) if args.poly is None else args.poly
     if len(f) < 4 or f[-1] == 0:
         raise UsageError(f"--poly needs degree >= 3 and a nonzero last coefficient, got {f}")
@@ -318,15 +286,14 @@ def cmd_nt_frobenius_scan(args) -> int:
     verdict = None
     if result["records"]:
         verdict = result["all_have_eigenvalue_one"] and result["all_types_in_group"]
-    return _emit(args, [CLAIMS["frobenius-scan"]], result, t0, verdict)
+    return ["frobenius-scan"], result, verdict
 
 
-def cmd_nt_lpoly_check(args) -> int:
+def cmd_nt_lpoly_check(args):
     from .arith import check_count_prime, frobenius_charpoly_gf2, lpoly_from_counts, malle_g
 
     if not args.primes:
         raise UsageError("--primes lists no prime")
-    t0 = time.time()
     f = malle_g(args.a, args.t)
     for p in args.primes:  # refuse a bad list before counting over any prime of it
         check_count_prime(f, p, 4)
@@ -349,8 +316,7 @@ def cmd_nt_lpoly_check(args) -> int:
                 "reversed_matches_frobenius": match,
             }
         )
-    result = {"a": args.a, "t": args.t, "primes": rows, "all_pass": ok}
-    return _emit(args, [CLAIMS["lpoly-parity"]], result, t0, ok)
+    return ["lpoly-parity"], {"a": args.a, "t": args.t, "primes": rows, "all_pass": ok}, ok
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="topic", required=True)
 
-    def common(p):
+    def common(p, fn):
         p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
         p.add_argument("--jobs", type=int, default=1)
+        p.set_defaults(fn=fn)
+
+    def group(p):
+        p.add_argument("--group", required=True, choices=GROUP_CHOICES)
+        p.add_argument("--q", type=int, default=None)
+        p.add_argument("--n", type=int, default=None)
 
     specht = sub.add_parser("specht", help="Specht-module audits").add_subparsers(
         dest="verb", required=True
@@ -373,86 +345,73 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", type=_family_arg, required=True)
     p.add_argument("--group", choices=["s_n", "a_n"], default="s_n")
-    common(p)
-    p.set_defaults(fn=cmd_specht_audit)
+    common(p, cmd_specht_audit)
 
     p = specht.add_parser("conjecture-table")
     p.add_argument("--n", type=_int_list, default=[5, 7, 9, 11, 13])
-    common(p)
-    p.set_defaults(fn=cmd_specht_table)
+    common(p, cmd_specht_table)
 
     p = specht.add_parser("mod2-factors")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", type=_family_arg, default="(n-2,2)")
     p.add_argument("--expect-dims", type=_int_list, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_specht_mod2)
+    common(p, cmd_specht_mod2)
 
     p = specht.add_parser("fixed-vector")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cycle-type", type=_int_list, required=True)
     p.add_argument("--family", type=_family_arg, default="(n-2,1,1)")
-    common(p)
-    p.set_defaults(fn=cmd_specht_fixed_vector)
+    common(p, cmd_specht_fixed_vector)
 
     embed = sub.add_parser("embed", help="symplectic embedding audits").add_subparsers(
         dest="verb", required=True
     )
     p = embed.add_parser("audit")
-    p.add_argument("--group", required=True, choices=GROUP_CHOICES)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    group(p)
     p.add_argument("--module", choices=["symplectic", "permutation"], default="symplectic")
     p.add_argument("--expect-dims", type=_int_list, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_embed_audit)
+    common(p, cmd_embed_audit)
 
     p = embed.add_parser("census")
-    p.add_argument("--group", required=True, choices=GROUP_CHOICES)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    group(p)
     p.add_argument("--expect-irreducible-orders", type=_int_list, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_embed_census)
+    common(p, cmd_embed_census)
 
     nt = sub.add_parser("nt", help="arithmetic checks").add_subparsers(dest="verb", required=True)
     p = nt.add_parser("disc-verify")
     p.add_argument("--samples", type=int, default=20)
-    common(p)
-    p.set_defaults(fn=cmd_nt_disc_verify)
+    common(p, cmd_nt_disc_verify)
 
     p = nt.add_parser("frobenius-scan")
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--pmax", type=int, default=10**4)
-    p.add_argument("--group", required=True, choices=GROUP_CHOICES)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    group(p)
     p.add_argument("--poly", type=_int_list, default=None,
                    help="override polynomial, ascending coefficients; write --poly=-2,0,... "
                         "when the first coefficient is negative")
-    common(p)
-    p.set_defaults(fn=cmd_nt_frobenius_scan)
+    common(p, cmd_nt_frobenius_scan)
 
     p = nt.add_parser("lpoly-check")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--primes", type=_int_list, default=[5, 7, 11, 13])
-    common(p)
-    p.set_defaults(fn=cmd_nt_lpoly_check)
+    common(p, cmd_nt_lpoly_check)
 
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    args.raw_args = argv
+    args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
         if args.jobs < 1:
             raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-        return args.fn(args)
+        anchors, result, verdict = args.fn(args)
+        sys.stdout.write(render(list(argv), args.seed, [CLAIMS[a] for a in anchors], result,
+                                time.time() - t0) + "\n")
+        return {True: 0, False: 1, None: 4}[verdict]
     except (UsageError, ClosureOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -30,7 +30,8 @@ from .specht import (
 
 
 # Bounds the matrix check, whose action matrix has dimension about n^2/2
-# (n = 60 takes 1.3-2.1 s); the orbit sum runs over one period only.
+# (n = 60 takes 1.3-2.1 s); the orbit sum runs over one period only.  The CLI
+# checks it before it builds the degree-n class representative.
 FIXED_VECTOR_N_MAX = 60
 
 
@@ -132,8 +133,6 @@ def witness_tableau(sigma: Permutation, family: str) -> tuple[Tableau, bool]:
     n = sigma.degree
     if n < 5:
         raise UsageError(f"fixed vectors need n >= 5, got n={n}")
-    if n > FIXED_VECTOR_N_MAX:
-        raise UsageError(f"fixed vectors need n <= {FIXED_VECTOR_N_MAX}, got n={n}")
     if family == FAMILY_HOOK:
         col, direct = _hook_column(sigma)
         rest = sorted(set(range(1, n + 1)) - set(col))

@@ -475,7 +475,7 @@ def _refuse_large_order(first: int, last: int) -> None:
             raise ClosureOverflow(f"closure exceeded bound {CLOSURE_BOUND}")
 
 
-def builtin_group(name: str, **params) -> PermGroup:
+def builtin_group(name: str, q: int | None = None, n: int | None = None) -> PermGroup:
     """Constructors for the explicitly named groups.
 
     Supported names: agl2_3, asl2_3, agl1_9, agammal1_9, pgl2 (param q, odd
@@ -498,15 +498,18 @@ def builtin_group(name: str, **params) -> PermGroup:
     if name == "pgl2":
         from .arith import is_prime  # arith imports perms
 
-        q = params["q"]
+        if q is None:
+            raise UsageError("--group pgl2 requires --q")
+        if q > 0:  # the order first: is_prime trial-divides up to sqrt(q)
+            _refuse_large_order(q - 1, q + 1)
         if not is_prime(q) or q == 2:
             raise UsageError(f"pgl2 requires an odd prime q, got {q}")
-        _refuse_large_order(q - 1, q + 1)
         return PermGroup(_pgl2_gens(q), name=f"pgl2_{q}")
     if name == "l3_2_flags":
         return PermGroup(_l3_2_flag_gens(), name="l3_2_flags")
     if name in ("s_n", "a_n"):
-        n = params["n"]
+        if n is None:
+            raise UsageError(f"--group {name} requires --n")
         if n < 3:
             raise UsageError(f"{name} requires n >= 3, got {n}")
         alternating = name == "a_n"

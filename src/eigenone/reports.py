@@ -1,8 +1,8 @@
-"""Run reports: canonical JSON payloads with claim anchors.
+"""Run reports: JSON payloads with claim anchors.
 
-Payloads are deterministic for a fixed command and seed (sorted keys, no
-timestamps inside the result); wall time is reported alongside but excluded
-from the canonical bytes.
+A report is deterministic for a fixed command and seed (sorted keys, no
+timestamps inside the result); wall time is printed alongside but is not part
+of the canonical form.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from . import __version__
 
 # Static registry of the claims each subcommand checks.  Anchor strings name
 # the claim being verified; reports carry them so every payload row is
-# attributable to a specific checked statement.
+# attributable to a specific checked statement.  A key "<claim>-<group>"
+# states what holds for that --group only; other groups get "<claim>".
 CLAIMS = {
     "specht-audit-hook": "the (n-2,1,1) Specht module has eigenvalue 1 on every conjugacy class",
     "specht-audit-two": "the (n-2,2) Specht module has eigenvalue 1 on every conjugacy class",
@@ -25,8 +26,10 @@ CLAIMS = {
     "embed-audit": "the symplectic mod-2 embedding of the group is audited for eigenvalue 1 on every class, with irreducibility flags",
     "embed-audit-agl2_3": "the embedded 432-element group at degree 9 is absolutely irreducible and unisingular",
     "embed-audit-pgl2": "the embedded group at degree q+1 fails eigenvalue 1 exactly on the order-q classes when q = 3 mod 4, and on those and the classes of orders (q+1)/2 and q+1 when q = 1 mod 4",
-    "perm-module-factors": "the degree-21 flag permutation module has one 8-dimensional factor, absolutely irreducible and unisingular",
-    "embed-census": "2-generated subgroups acting irreducibly have order set {72, 144, 216, 432} for the degree-9 affine group image",
+    "perm-module-factors": "the largest composition factor of the group's mod-2 permutation module is absolutely irreducible and unisingular",
+    "perm-module-factors-l3_2_flags": "the degree-21 flag permutation module has one 8-dimensional factor, absolutely irreducible and unisingular",
+    "embed-census": "the 2-generated subgroups of the group, up to conjugacy, are each flagged irreducible or not on the symplectic mod-2 module",
+    "embed-census-agl2_3": "2-generated subgroups acting irreducibly have order set {72, 144, 216, 432} for the degree-9 affine group image",
     "disc-identity": "disc(g_{a,t}) = -2^8 3^9 t^4 a^6 r(a,t)^3 exactly",
     "disc-special": "disc(g_{1,-32}) = -2^58 3^9 and its bad-prime set is {2, 3}",
     "frobenius-scan": "every good prime's Frobenius cycle type has eigenvalue 1 after embedding and occurs in the target group (statistical consistency with the expected image, not a proof of the Galois group)",
@@ -34,33 +37,12 @@ CLAIMS = {
 }
 
 
-class RunReport:
-    __slots__ = ("command", "seed", "anchors", "result", "wall_time_s", "version")
-
-    def __init__(self, command: list[str], seed: int, anchors: list[str], result: dict,
-                 wall_time_s: float = 0.0, version: str = __version__):
-        self.command = command
-        self.seed = seed
-        self.anchors = anchors
-        self.result = result
-        self.wall_time_s = wall_time_s
-        self.version = version
-
-    def to_dict(self, include_wall_time: bool = True) -> dict:
-        out = {
-            "version": self.version,
-            "command": self.command,
-            "seed": self.seed,
-            "anchors": self.anchors,
-            "result": self.result,
-        }
-        if include_wall_time:
-            out["wall_time_s"] = round(self.wall_time_s, 3)
-        return out
-
-    def to_json(self, include_wall_time: bool = True) -> str:
-        return json.dumps(self.to_dict(include_wall_time), sort_keys=True, separators=(",", ":"))
-
-    def canonical_bytes(self) -> bytes:
-        """Deterministic bytes for a fixed command and seed (no timings)."""
-        return self.to_json(include_wall_time=False).encode()
+def render(command: list[str], seed: int, anchors: list[str], result: dict,
+           wall_time_s: float | None = None) -> str:
+    """The JSON report of one run.  Without wall_time_s this is the canonical
+    form, the same text for a fixed command and seed."""
+    report = {"version": __version__, "command": command, "seed": seed, "anchors": anchors,
+              "result": result}
+    if wall_time_s is not None:
+        report["wall_time_s"] = round(wall_time_s, 3)
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))

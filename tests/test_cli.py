@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from eigenone.cli import main
-from eigenone.reports import CLAIMS, RunReport
+from eigenone.reports import CLAIMS, render
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -421,12 +421,12 @@ def test_census_cap_stops_the_closure(capsys, monkeypatch, group):
     assert 0 < products[0] <= 2001 * 3
 
 
-def run_python(program: str, *flags: str):
+def run_python(program: str, *flags: str, timeout: float = 120):
     """Run a Python program in a fresh interpreter with src/ on the import path."""
     path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, *flags, "-c", program], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, timeout=timeout)
 
 
 def loaded_modules(program: str) -> list[str]:
@@ -624,7 +624,54 @@ def test_missing_subcommand_usage_error():
     assert exc.value.code == 2
 
 
-def test_run_report_canonical_bytes():
-    r = RunReport(command=["x"], seed=1, anchors=["a"], result={"k": 1}, wall_time_s=1.23)
-    assert b"wall_time" not in r.canonical_bytes()
-    assert json.loads(r.to_json())["wall_time_s"] == 1.23
+def test_render_canonical_form():
+    assert "wall_time" not in render(["x"], 1, ["a"], {"k": 1})
+    assert json.loads(render(["x"], 1, ["a"], {"k": 1}, wall_time_s=1.23456))["wall_time_s"] == 1.235
+
+
+def test_printed_report_is_the_canonical_form_plus_wall_time(capsys):
+    argv = ["specht", "conjecture-table", "--n", "5", "--seed", "7"]
+    _, out = run_cli(capsys, *argv)
+    printed = json.loads(out)
+    assert isinstance(printed.pop("wall_time_s"), float)
+    assert json.dumps(printed, sort_keys=True, separators=(",", ":")) == render(
+        argv, 7, [CLAIMS["conjecture-table"]], printed["result"])
+
+
+@pytest.mark.parametrize("argv,claim", [
+    # AGL(1,9) has irreducible orders [72], not AGL(2,3)'s {72, 144, 216, 432}
+    ("embed census --group agl1_9", "embed-census"),
+    # AGL(2,3)'s permutation module has factor dims [1, 8], not the flag module's
+    ("embed audit --group agl2_3 --module permutation", "perm-module-factors"),
+])
+def test_group_specific_anchor_goes_only_to_its_group(capsys, argv, claim):
+    # the battery's census_agl2_3 and flag_module_l3_2 keep the group-specific ones
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert json.loads(out)["anchors"] == [CLAIMS[claim]]
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("embed audit --group pgl2 --q 1000000000000000003", "closure exceeded bound 1000000"),
+    ("nt frobenius-scan --a 1 --t -32 --group pgl2 --q 1000000000000000003",
+     "closure exceeded bound 1000000"),
+    ("nt lpoly-check --a 1 --t -32 --primes 1000000000000000003", "exceeds the enumeration budget"),
+])
+def test_huge_prime_is_refused_by_its_size(argv, message):
+    # the size bound comes before is_prime, whose trial division would not
+    # end; a fresh process with a timeout fails fast if it ever runs first
+    proc = run_python(f"import sys\nfrom eigenone.cli import main\nsys.exit(main({argv.split()!r}))",
+                      timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and message in proc.stderr
+
+
+def test_fixed_vector_above_the_cap_builds_no_permutation(capsys, monkeypatch):
+    import eigenone.perms
+
+    def no_permutation(*args, **kwargs):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(eigenone.perms.Permutation, "__init__", no_permutation)
+    assert main(["specht", "fixed-vector", "--n", "3000000", "--cycle-type", "3000000"]) == 2
+    assert capsys.readouterr().err == "error: fixed vectors need n <= 60, got n=3000000\n"
