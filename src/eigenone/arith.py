@@ -13,7 +13,7 @@ import os
 
 from .errors import UsageError, VerificationError
 from .intlinalg import _bareiss
-from .perms import PermGroup
+from .perms import PermGroup, is_prime
 
 # ZPoly: list of ints, ascending degree, no trailing zeros.
 ZPoly = list
@@ -104,19 +104,6 @@ def disc_resultant(f: ZPoly) -> int:
     if r:
         raise VerificationError("Res(f, f') must be divisible by lc(f)")
     return q
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -151,26 +151,27 @@ def conjecture_table(ns: list[int]) -> list[dict]:
 def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
     """Audit a permutation group on its symplectic module over GF(2).
 
-    Each class record is read off the cycle type of its representative
-    (`symplectic`); the MeatAxe certifies the embedded generators irreducible
-    or not, and an irreducible module is absolutely irreducible iff its
-    commuting algebra is GF(2)."""
+    Each class record is read off its cycle type (`symplectic`), from the
+    classes pgl2, s_n and a_n carry in closed form, or from the closure for
+    the other groups; so pgl2 and s_n form no group product.  The MeatAxe
+    certifies the embedded generators irreducible or not, and an irreducible
+    module is absolutely irreducible iff its commuting algebra, counted from
+    the Norton witness, is GF(2)."""
     from . import meataxe
     from .symplectic import eig1_algebraic, eig1_nullity, embed_group
 
     module = embed_group(G)
     classes = []
-    for size, rep, order in G.conjugacy_classes():
-        ct = rep.cycle_type()
+    for size, ct, order in G.classes():
         geo = eig1_nullity(ct.parts)
         # over GF(2), det(I - M) is 0 exactly when M has eigenvalue 1
         det = 0 if geo else 1
         classes.append(class_payload(str(ct), size, order, det, eig1_algebraic(ct.parts), geo))
-    irreducible = meataxe.is_irreducible(module, seed)
+    end_dim = meataxe.endomorphism_dim(module, seed)
     return {
         **audit_payload(f"embed:{G.name}:d={G.degree}", module.dim, "GF2", classes),
-        "irreducible": irreducible,
-        "absolutely_irreducible": irreducible and meataxe.endomorphism_algebra_dim(module) == 1,
+        "irreducible": end_dim is not None,
+        "absolutely_irreducible": end_dim == 1,
     }
 
 

@@ -181,7 +181,10 @@ def _embed_audit_permutation_module(args):
         raise VerificationError(f"a kernel of order {kernel} must divide |G|")
     # a composition factor is certified irreducible, so it is absolutely
     # irreducible iff its commuting algebra is GF(2)
-    absirr = meataxe.endomorphism_algebra_dim(top) == 1
+    end_dim = meataxe.endomorphism_dim(top, args.seed)
+    if end_dim is None:
+        raise VerificationError("a composition factor must be irreducible")
+    absirr = end_dim == 1
     result = {
         "group": G.name,
         "module": "permutation",

@@ -10,6 +10,8 @@ the minimal polynomial of one random vector under a, grouped by degree: such a
 p divides the characteristic polynomial of a, and ker p(a) of dimension deg p
 is then a simple F_2[a]-module, which is all the criterion uses.  Every
 nullspace vector that spins to a proper subspace splits the module, whatever p.
+The same witness counts the commuting algebra of an irreducible module
+(`endomorphism_dim`), so absolute irreducibility needs no n^2-unknown system.
 """
 
 from __future__ import annotations
@@ -106,11 +108,13 @@ def _split_by_subspace(module: GF2Module, sub: dict[int, int]) -> tuple[GF2Modul
 
 
 def _decide(module: GF2Module, rng: random.Random):
-    """Return ("irreducible", None) or ("split", sub_basis)."""
+    """Return ("irreducible", kernel) or ("split", sub_basis).  The kernel is
+    a basis of ker theta, the Norton witness, whose first vector spins to the
+    whole module."""
     n = module.dim
     gens = module.gens
     if n == 1:
-        return "irreducible", None
+        return "irreducible", [1]
     gens_t = [g.transpose() for g in gens]
     for _ in range(MAX_ATTEMPTS):
         a = _random_algebra_element(gens, rng, n)
@@ -134,7 +138,7 @@ def _decide(module: GF2Module, rng: random.Random):
                     if not 0 < len(sub) < n:
                         raise VerificationError("the dual split must give a proper submodule")
                     return "split", sub
-                return "irreducible", None
+                return "irreducible", left_null
     raise MeatAxeError(f"no decision for a {n}-dimensional module after {MAX_ATTEMPTS} attempts")
 
 
@@ -143,6 +147,50 @@ def is_irreducible(module: GF2Module, seed: int = DEFAULT_SEED) -> bool:
         raise UsageError(f"module dimension {module.dim} exceeds bound {DIM_BOUND}")
     verdict, _ = _decide(module, random.Random(seed))
     return verdict == "irreducible"
+
+
+def _norton_count(module: GF2Module, kernel: list[int]) -> int:
+    """dim End of a module from a basis of ker theta, theta in its algebra,
+    whose first vector v spins to the whole module (Holt & Rees 1994).
+
+    An endomorphism commutes with theta, so it maps v into ker theta, and it
+    is fixed by that image, since v generates the module.  So dim End is the
+    dimension of the w in ker theta for which v * word -> w * word, along
+    the spin of v, is a well-defined map: one that commutes with every
+    generator.  The spin carries the images of every basis vector w_i along
+    with each vector, and each vector it finds already in the span is a
+    relation: the coefficients of w must annihilate the images it carries."""
+    basis: dict[int, tuple[int, list[int]]] = {}  # top bit -> (row, images)
+    relations = [0] * len(kernel)  # relations[i]: the images of w_i, concatenated
+    n, gens = module.dim, module.gens
+    queue = [(kernel[0], list(kernel))]
+    while queue:
+        v, images = queue.pop()
+        while v and (v.bit_length() - 1) in basis:
+            row, row_images = basis[v.bit_length() - 1]
+            v ^= row
+            images = [a ^ b for a, b in zip(images, row_images)]
+        if v:
+            basis[v.bit_length() - 1] = v, images
+            queue.extend((g.row_apply(v), [g.row_apply(w) for w in images]) for g in gens)
+        else:
+            relations = [(r << n) | w for r, w in zip(relations, images)]
+    if len(basis) != n:
+        raise VerificationError("the Norton witness must spin to the whole module")
+    pivots: dict[int, int] = {}
+    for r in relations:
+        echelon_insert(pivots, r)
+    return len(kernel) - len(pivots)
+
+
+def endomorphism_dim(module: GF2Module, seed: int = DEFAULT_SEED) -> int | None:
+    """dim over GF(2) of the commuting algebra of an irreducible module,
+    counted from the Norton witness that certifies it irreducible; None for
+    a reducible module.  The module is absolutely irreducible iff this is 1."""
+    if module.dim > DIM_BOUND:
+        raise UsageError(f"module dimension {module.dim} exceeds bound {DIM_BOUND}")
+    verdict, kernel = _decide(module, random.Random(seed))
+    return _norton_count(module, kernel) if verdict == "irreducible" else None
 
 
 def composition_factors(module: GF2Module, seed: int = DEFAULT_SEED) -> list[GF2Module]:
@@ -171,28 +219,3 @@ def composition_factors(module: GF2Module, seed: int = DEFAULT_SEED) -> list[GF2
 
 def factor_dimensions(module: GF2Module, seed: int = DEFAULT_SEED) -> list[int]:
     return [f.dim for f in composition_factors(module, seed)]
-
-
-def endomorphism_algebra_dim(module: GF2Module) -> int:
-    """Dimension over GF(2) of {X : XG = GX for all generators G}."""
-    n = module.dim
-    rows = []
-    for G in module.gens:
-        Gt = G.transpose()
-        for r in range(n):
-            row_r = G.rows[r]
-            for c in range(n):
-                eq = Gt.rows[c] << (r * n)
-                rest = row_r
-                while rest:
-                    low = rest & -rest
-                    k = low.bit_length() - 1
-                    eq ^= 1 << (k * n + c)
-                    rest ^= low
-                if eq:
-                    rows.append(eq)
-    if not rows:
-        return n * n
-    rank, _ = rank_nullspace(BitMatrix(rows, n * n))
-    return n * n - rank
-

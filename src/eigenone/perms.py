@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import ClosureOverflow, UsageError, VerificationError
 
@@ -347,11 +347,12 @@ class IndexedGroup:
 class PermGroup:
     """A permutation group given by generators, with its indexed closure."""
 
-    def __init__(self, generators: list[Permutation], name: str = "group"):
+    def __init__(self, generators: list[Permutation], name: str = "group",
+                 classes: list[tuple[int, Partition, int]] | None = None):
         self.generators = generators
         self.name = name
-        # set by builtin_group where the cycle types are known without a closure
-        self._cycle_types: frozenset | None = None
+        # set by builtin_group where the classes have a closed form
+        self._classes = classes
 
     @property
     def degree(self) -> int:
@@ -362,6 +363,8 @@ class PermGroup:
         return IndexedGroup(self.generators)
 
     def order(self) -> int:
+        if self._classes is not None:
+            return sum(size for size, _, _ in self._classes)
         return len(self.indexed.elements)
 
     def conjugacy_classes(self) -> list[tuple[int, Permutation, int]]:
@@ -371,10 +374,16 @@ class PermGroup:
         G = self.indexed
         return [(size, G.elements[i], order) for size, i, order in G.conjugacy_classes()]
 
+    def classes(self) -> list[tuple[int, Partition, int]]:
+        """Classes as (class size, cycle type, element order), in the order of
+        `conjugacy_classes`: recorded for pgl2, s_n and a_n, else read off the
+        closure."""
+        if self._classes is not None:
+            return self._classes
+        return [(size, rep.cycle_type(), order) for size, rep, order in self.conjugacy_classes()]
+
     def cycle_types(self) -> frozenset[tuple[int, ...]]:
-        """Cycle types in the group: recorded for s_n and a_n, else from its classes."""
-        return self._cycle_types or frozenset(
-            rep.cycle_type().parts for _, rep, _ in self.conjugacy_classes())
+        return frozenset(ct.parts for _, ct, _ in self.classes())
 
     def to_payload(self) -> dict:
         return {
@@ -410,6 +419,19 @@ def _affine_f3_square(maps) -> list[Permutation]:
         )
         for A, b in maps
     ]
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    i = 3
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 2
+    return True
 
 
 def _primitive_root(q: int) -> int:
@@ -464,6 +486,63 @@ def _l3_2_flag_gens() -> list[Permutation]:
     return gens
 
 
+def _class_key(c: tuple[int, Partition, int]) -> tuple:
+    """The closure's class order: element order, then class size, then the
+    images of the representative with its cycles laid out consecutively in
+    ascending length, which has the least images in its S_n class."""
+    size, ct, order = c
+    images, start = [], 0
+    for k in reversed(ct.parts):
+        images.extend(range(start + 1, start + k))
+        images.append(start)
+        start += k
+    return order, size, images
+
+
+def _pgl2_classes(q: int) -> list[tuple[int, Partition, int]]:
+    """The q + 2 classes of PGL(2,q) on the q + 1 points of P^1(F_q), q an
+    odd prime: the identity, the unipotent class (q, 1), and the classes
+    that meet a cyclic torus, split of order q - 1 (two fixed points) or
+    nonsplit of order q + 1 (none).  A torus holds phi(d) elements of each
+    order d dividing its order, and t is conjugate to t^-1 only: so phi(d)/2
+    classes of order d > 2, centralized by the torus alone, and one class of
+    involutions, whose centralizer is twice the torus."""
+    classes = [(1, Partition((1,) * (q + 1)), 1), (q * q - 1, Partition((q, 1)), q)]
+    for m, fixed, size in ((q - 1, (1, 1), q * (q + 1)), (q + 1, (), q * (q - 1))):
+        for d in range(2, m + 1):
+            if m % d == 0:
+                ct = Partition((d,) * (m // d) + fixed)
+                if d == 2:
+                    classes.append((size // 2, ct, d))
+                else:
+                    phi = sum(gcd(k, d) == 1 for k in range(1, d))
+                    classes.extend([(size, ct, d)] * (phi // 2))
+    return sorted(classes, key=_class_key)
+
+
+def _symmetric_classes(n: int, alternating: bool) -> list[tuple[int, Partition, int]]:
+    """The classes of S_n, one per cycle type, or of A_n: the even S_n
+    classes, each split into two halves when its cycle lengths are distinct
+    and odd (the centralizer in S_n then lies in A_n)."""
+    classes = []
+    for ct in partitions_of(n):
+        size, order = ct.sn_class_size(), lcm(*ct.parts)
+        if not alternating:
+            classes.append((size, ct, order))
+        elif ct.is_even_class():
+            halves = len(set(ct.parts)) == len(ct.parts) and all(k % 2 for k in ct.parts)
+            classes += [(size // 2, ct, order)] * 2 if halves else [(size, ct, order)]
+    return sorted(classes, key=_class_key)
+
+
+def _with_classes(gens: list[Permutation], name: str, order: int,
+                  classes: list[tuple[int, Partition, int]]) -> PermGroup:
+    """A group with its classes recorded, checked by the class equation."""
+    if sum(size for size, _, _ in classes) != order:
+        raise VerificationError(f"the class sizes of {name} must sum to its order {order}")
+    return PermGroup(gens, name, classes)
+
+
 def _refuse_large_order(first: int, last: int) -> None:
     """Raise ClosureOverflow up front when first * (first + 1) * ... * last,
     the order of S_n (2..n), A_n (3..n) or PGL(2,q) (q-1..q+1), exceeds
@@ -480,8 +559,14 @@ def builtin_group(name: str, q: int | None = None, n: int | None = None) -> Perm
 
     Supported names: agl2_3, asl2_3, agl1_9, agammal1_9, pgl2 (param q, odd
     prime), l3_2_flags, s_n (param n >= 3), a_n (param n >= 3).  Invalid
-    names and parameters raise UsageError: they come from the command line.
+    names and parameters, and a parameter the group does not take, raise
+    UsageError: they come from the command line.  pgl2, s_n and a_n carry
+    their classes in closed form, so no closure lists them.
     """
+    takes = {"pgl2": "q", "s_n": "n", "a_n": "n"}.get(name)
+    for flag, value in (("q", q), ("n", n)):
+        if value is not None and flag != takes:
+            raise UsageError(f"--group {name} takes no --{flag}")
     if name in ("agl2_3", "asl2_3"):
         linear = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]  # generate SL(2,3)
         if name == "agl2_3":
@@ -496,15 +581,13 @@ def builtin_group(name: str, q: int | None = None, n: int | None = None) -> Perm
             maps.append(([[1, 0], [0, 2]], (0, 0)))
         return PermGroup(_affine_f3_square(maps), name=name)
     if name == "pgl2":
-        from .arith import is_prime  # arith imports perms
-
         if q is None:
             raise UsageError("--group pgl2 requires --q")
         if q > 0:  # the order first: is_prime trial-divides up to sqrt(q)
             _refuse_large_order(q - 1, q + 1)
         if not is_prime(q) or q == 2:
             raise UsageError(f"pgl2 requires an odd prime q, got {q}")
-        return PermGroup(_pgl2_gens(q), name=f"pgl2_{q}")
+        return _with_classes(_pgl2_gens(q), f"pgl2_{q}", q**3 - q, _pgl2_classes(q))
     if name == "l3_2_flags":
         return PermGroup(_l3_2_flag_gens(), name="l3_2_flags")
     if name in ("s_n", "a_n"):
@@ -518,9 +601,7 @@ def builtin_group(name: str, q: int | None = None, n: int | None = None) -> Perm
         first = (1, 2, 3) if alternating else (1, 2)
         last = tuple(range(2 if alternating and n % 2 == 0 else 1, n + 1))
         cycles = [first] if alternating and n == 3 else [first, last]
-        G = PermGroup([Permutation.from_cycles(n, [c]) for c in cycles], name=f"{name[0]}_{n}")
-        # S_n has every cycle type and A_n every even one
-        G._cycle_types = frozenset(
-            ct.parts for ct in partitions_of(n) if not alternating or ct.is_even_class())
-        return G
+        return _with_classes([Permutation.from_cycles(n, [c]) for c in cycles], f"{name[0]}_{n}",
+                             factorial(n) // (2 if alternating else 1),
+                             _symmetric_classes(n, alternating))
     raise UsageError(f"unsupported builtin group: {name}")

@@ -26,9 +26,10 @@ from eigenone.gf2 import (
     pdeg,
     pdiv,
     pmod,
+    rank_nullspace,
 )
 from eigenone.intlinalg import _bareiss
-from eigenone.meataxe import composition_factors, endomorphism_algebra_dim, is_irreducible
+from eigenone.meataxe import composition_factors, is_irreducible
 from eigenone.perms import (
     IndexedGroup,
     Partition,
@@ -333,6 +334,32 @@ def ddf_degrees_per_degree_powmod(f: list[int], p: int) -> tuple[int, ...] | Non
 # ---------------------------------------------------------------------------
 # GF(2)
 # ---------------------------------------------------------------------------
+
+
+def endomorphism_algebra_dim(module: GF2Module) -> int:
+    """Dimension over GF(2) of {X : XG = GX for all generators G}, as the
+    nullity of that linear system in the n^2 entries of X: the reference for
+    `meataxe.endomorphism_dim`, which counts from the Norton witness."""
+    n = module.dim
+    rows = []
+    for G in module.gens:
+        Gt = G.transpose()
+        for r in range(n):
+            row_r = G.rows[r]
+            for c in range(n):
+                eq = Gt.rows[c] << (r * n)
+                rest = row_r
+                while rest:
+                    low = rest & -rest
+                    k = low.bit_length() - 1
+                    eq ^= 1 << (k * n + c)
+                    rest ^= low
+                if eq:
+                    rows.append(eq)
+    if not rows:
+        return n * n
+    rank, _ = rank_nullspace(BitMatrix(rows, n * n))
+    return n * n - rank
 
 
 def gf2_det(M: BitMatrix) -> int:

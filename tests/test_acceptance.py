@@ -29,14 +29,19 @@ from eigenone.fixed_vectors import build_fixed_vector
 from eigenone.gf2 import BitMatrix, rank_nullspace
 from eigenone.meataxe import (
     composition_factors,
-    endomorphism_algebra_dim,
     factor_dimensions,
     is_irreducible,
 )
 from eigenone.perms import Partition, builtin_group, class_reps_symmetric
 from eigenone.specht import FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ
 from eigenone.symplectic import embed_group, permutation_module_gf2
-from oracles import charpoly_mod2, matmul, matrix_closure, specht_mod2_module
+from oracles import (
+    charpoly_mod2,
+    endomorphism_algebra_dim,
+    matmul,
+    matrix_closure,
+    specht_mod2_module,
+)
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 

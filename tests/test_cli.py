@@ -327,6 +327,14 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ("specht mod2-factors --n 100 --family n-2,2", "module dimension 4850 exceeds bound 256"),
     # PGL(2,101) has 101^3 - 101 = 1030200 elements
     ("embed audit --group pgl2 --q 101", "closure exceeded bound 1000000"),
+    # a parameter the group does not take names no computation
+    ("embed audit --group agl2_3 --q 5 --n 99", "--group agl2_3 takes no --q"),
+    ("embed audit --group agl2_3 --n 99", "--group agl2_3 takes no --n"),
+    ("embed audit --group pgl2 --q 7 --n 5", "--group pgl2 takes no --n"),
+    ("embed census --group s_n --n 5 --q 7", "--group s_n takes no --q"),
+    ("embed audit --group a_n --n 5 --q 7 --module permutation", "--group a_n takes no --q"),
+    ("nt frobenius-scan --a 1 --t -32 --pmax 50 --group agl2_3 --q 7",
+     "--group agl2_3 takes no --q"),
     # a scan needs a polynomial
     ("nt frobenius-scan --group agl2_3", "frobenius-scan needs --a and --t, or --poly"),
     ("nt frobenius-scan --a 1 --group agl2_3", "frobenius-scan needs --a and --t, or --poly"),
@@ -401,6 +409,20 @@ def test_pgl2_above_the_bound_is_refused_before_closing(capsys, monkeypatch, arg
     assert capsys.readouterr().err == "error: closure exceeded bound 1000000\n"
 
 
+@pytest.mark.parametrize("group", [["pgl2", "--q", "97"], ["s_n", "--n", "9"]])
+def test_named_group_audit_forms_no_product(capsys, monkeypatch, group):
+    # PGL(2,97) and S_9 carry their classes in closed form, so the audit
+    # closes neither; both have offenders on the symplectic module
+    from eigenone.perms import Permutation
+
+    def no_product(self, other):
+        raise AssertionError("a group product was formed")
+
+    monkeypatch.setattr(Permutation, "__mul__", no_product)
+    assert main(["embed", "audit", "--group", *group]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["irreducible"] is True
+
+
 @pytest.mark.parametrize("group", [["pgl2", "--q", "61"], ["s_n", "--n", "9"]])
 def test_census_cap_stops_the_closure(capsys, monkeypatch, group):
     # PGL(2,61) has 226920 elements and S_9 362880: the census refuses them
@@ -460,6 +482,15 @@ def test_embed_command_loads_no_integral_layer(subcommand):
                            f"assert main(['embed', '{subcommand}', '--group', 'agl2_3']) == 0")
     assert "eigenone.audit" in loaded and "eigenone.meataxe" in loaded
     for layer in ("specht", "intlinalg"):
+        assert f"eigenone.{layer}" not in loaded
+
+
+def test_pgl2_audit_loads_no_arith_layer():
+    # pgl2 tests q with perms.is_prime, so only frobenius-scan loads arith
+    loaded = loaded_layers("from eigenone.cli import main\n"
+                           "assert main(['embed', 'audit', '--group', 'pgl2', '--q', '19']) == 1")
+    assert "eigenone.perms" in loaded
+    for layer in ("arith", "specht", "intlinalg"):
         assert f"eigenone.{layer}" not in loaded
 
 

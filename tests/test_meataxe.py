@@ -3,15 +3,16 @@ import random
 import pytest
 
 from eigenone.gf2 import BitMatrix, GF2Module
+from eigenone.errors import DEFAULT_SEED
 from eigenone.meataxe import (
     composition_factors,
-    endomorphism_algebra_dim,
+    endomorphism_dim,
     factor_dimensions,
     is_irreducible,
 )
 from eigenone.perms import Partition, builtin_group
 from eigenone.symplectic import embed_group, permutation_module_gf2
-from oracles import specht_mod2_module
+from oracles import endomorphism_algebra_dim, specht_mod2_module
 
 
 def test_trivial_module():
@@ -52,6 +53,39 @@ def test_not_absolutely_irreducible_example():
     mod = GF2Module(2, [C])
     assert is_irreducible(mod)
     assert endomorphism_algebra_dim(mod) == 2
+    assert endomorphism_dim(mod) == 2
+
+
+def test_companion_of_x3_x_1_has_gf8_endomorphisms():
+    # C7 acting through the companion matrix of x^3 + x + 1: commuting algebra GF(8)
+    C = BitMatrix.from_entries([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    mod = GF2Module(3, [C])
+    assert endomorphism_algebra_dim(mod) == endomorphism_dim(mod) == 3
+
+
+BUILTIN_MODULE_GROUPS = [
+    ("agl2_3", {}), ("asl2_3", {}), ("agl1_9", {}), ("agammal1_9", {}), ("l3_2_flags", {}),
+    ("pgl2", {"q": 3}), ("pgl2", {"q": 5}), ("pgl2", {"q": 7}), ("pgl2", {"q": 19}),
+    ("s_n", {"n": 4}), ("s_n", {"n": 5}), ("s_n", {"n": 6}),
+    ("a_n", {"n": 3}), ("a_n", {"n": 4}), ("a_n", {"n": 5}), ("a_n", {"n": 6}),
+]
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
+@pytest.mark.parametrize("group,params", BUILTIN_MODULE_GROUPS,
+                         ids=[f"{g}{p}" for g, p in BUILTIN_MODULE_GROUPS])
+def test_norton_count_matches_the_commuting_algebra(group, params, seed):
+    # the symplectic module and every composition factor of the permutation
+    # module: the count from the Norton witness is the nullity of the n^2
+    # linear system.  A_3 = C_3 acts on its 2-dimensional modules through
+    # GF(4), and the symplectic module of l3_2_flags is reducible
+    G = builtin_group(group, **params)
+    perm = permutation_module_gf2(G)
+    for mod in [embed_group(G), *composition_factors(perm, seed)]:
+        expected = endomorphism_algebra_dim(mod) if is_irreducible(mod, seed) else None
+        assert endomorphism_dim(mod, seed) == expected
+    # reducible: the all-ones vector spans a submodule
+    assert endomorphism_dim(perm, seed) is None
 
 
 def _direct_sum(a: GF2Module, b: GF2Module) -> GF2Module:

@@ -12,6 +12,7 @@ from eigenone.perms import (
     builtin_group,
     class_rep_for,
     class_reps_symmetric,
+    is_prime,
     partitions_of,
 )
 from oracles import (
@@ -142,6 +143,28 @@ def test_s_n_a_n_cycle_types_recorded(n):
         types = G.cycle_types()
         assert "indexed" not in vars(G)
         assert types == {rep.cycle_type().parts for _, rep, _ in G.conjugacy_classes()}
+
+
+# S_9 is the first group where the tie-break reads the layout's direction:
+# cycles laid out in descending length would misplace some of its classes
+CLOSED_FORM_GROUPS = [("pgl2", {"q": q}) for q in range(3, 32) if is_prime(q)] + [
+    (name, {"n": n}) for name in ("s_n", "a_n") for n in range(3, 9)] + [("s_n", {"n": 9})]
+
+
+@pytest.mark.parametrize("name,params", CLOSED_FORM_GROUPS,
+                         ids=[f"{g}{p}" for g, p in CLOSED_FORM_GROUPS])
+def test_closed_form_classes_equal_the_closure(name, params):
+    # pgl2, s_n and a_n list their classes without a closure, and the list,
+    # in order, is the one the closure's conjugacy classes give: the payloads
+    # of both routes are the same bytes.  S_6, S_8 and S_9 have ties in order
+    # and size between different cycle types, which the least images break
+    G = builtin_group(name, **params)
+    closed = [(size, ct.parts, order) for size, ct, order in G.classes()]
+    order = G.order()
+    assert "indexed" not in vars(G)
+    assert closed == [(size, rep.cycle_type().parts, order)
+                      for size, rep, order in G.conjugacy_classes()]
+    assert order == len(G.indexed.elements)
 
 
 def test_closure_is_closed_spot_check():
