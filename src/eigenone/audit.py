@@ -86,7 +86,7 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> dict:
 
     family: specht.FAMILY_HOOK, FAMILY_TWO or FAMILY_TWO_CONJ; group: "s_n" or "a_n".
     Supported range is 5 <= n <= 17 (the class count grows as p(n); n = 17
-    takes tens of seconds per family).  For a_n only even
+    takes about 11 s per family).  For a_n only even
     classes are audited (every element of A_n lies in an even S_n class and
     det(I - M) is constant on S_n classes); reported sizes are S_n class
     sizes.

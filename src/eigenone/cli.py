@@ -56,6 +56,15 @@ def _int_list(s: str) -> list[int]:
     return [int(x) for x in s.split(",") if x.strip()]
 
 
+def _refuse_repeats(flag: str, values: list[int]) -> None:
+    """A repeated value would redo its work and print its row twice."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise UsageError(f"{flag} repeats {v}")
+        seen.add(v)
+
+
 def _expect(result: dict, key: str, expected: list[int] | None, found: list[int]) -> bool:
     """True unless an --expect-* list was given and differs from `found`; a
     given list is recorded, sorted, under `key`."""
@@ -92,6 +101,7 @@ def cmd_specht_table(args):
 
     if not args.n:
         raise UsageError("--n lists no value of n")
+    _refuse_repeats("--n", args.n)
     rows = conjecture_table(args.n)
     ok = all(r["matches"] for r in rows)
     return ["conjecture-table"], {"rows": rows, "all_match": ok}, ok
@@ -297,6 +307,7 @@ def cmd_nt_lpoly_check(args):
 
     if not args.primes:
         raise UsageError("--primes lists no prime")
+    _refuse_repeats("--primes", args.primes)
     f = malle_g(args.a, args.t)
     for p in args.primes:  # refuse a bad list before counting over any prime of it
         check_count_prime(f, p, 4)

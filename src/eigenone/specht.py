@@ -87,7 +87,8 @@ def tabloid_of(t: Tableau) -> Tabloid:
 
 
 def perm_tabloid(sigma: Permutation, T: Tabloid) -> Tabloid:
-    return tuple(tuple(sorted(sigma.apply(x) for x in row)) for row in T)
+    images = sigma.images
+    return tuple(tuple(sorted([images[x - 1] + 1 for x in row])) for row in T)
 
 
 def _dominance_key(T: Tabloid) -> tuple[int, ...]:
@@ -186,8 +187,34 @@ class NotInSpechtModule(VerificationError):
     """Straightening found a vector outside the Specht module."""
 
 
+class _RankTable(dict):
+    """Minus the dominance rank of each tabloid of one shape met so far, so a
+    min-heap pops the most dominant first: _dominance_key read as the digits
+    of one integer in base (number of rows), filled the first time a tabloid
+    is looked up and bounded by the tabloids of the shape."""
+
+    def __init__(self, shape: Partition):
+        super().__init__()
+        self.shape = shape
+
+    def __missing__(self, T: Tabloid) -> int:
+        parts = self.shape.parts
+        if (
+            tuple(map(len, T)) != parts
+            or any(list(row) != sorted(row) for row in T)
+            or sorted(x for row in T for x in row) != list(range(1, self.shape.n + 1))
+        ):
+            raise NotInSpechtModule(f"{T} is not a tabloid of shape {parts}")
+        rank = 0
+        for row in _dominance_key(T):
+            rank = rank * len(parts) + row
+        self[T] = -rank
+        return -rank
+
+
 class _SpechtBasis:
-    """Per-shape data: ordered standard basis, expansions, leader lookup."""
+    """Per-shape data: ordered standard basis, expansions, leader lookup,
+    rank table."""
 
     def __init__(self, shape_parts: tuple[int, ...]):
         self.shape = Partition(shape_parts)
@@ -197,8 +224,10 @@ class _SpechtBasis:
         self.leader_index = {tabloid_of(t): i for i, t in enumerate(self.tableaux)}
         if len(self.leader_index) != self.dim:
             raise VerificationError(f"standard tableaux of {shape_parts} must have distinct leaders")
+        self.neg_rank = _RankTable(self.shape)
 
 
+# an entry's rank table grows to at most the tabloids of its shape
 @lru_cache(maxsize=8)  # owner: action_matrix and straighten, one entry per shape audited
 def _basis(shape_parts: tuple[int, ...]) -> _SpechtBasis:
     return _SpechtBasis(shape_parts)
@@ -216,8 +245,9 @@ def straighten(v: dict[Tabloid, int], shape: Partition) -> list[int]:
     coords = [0] * B.dim
     if not v:
         return coords
+    neg_rank = B.neg_rank
     work = dict(v)
-    heap = [(tuple(-x for x in _dominance_key(T)), T) for T in work]
+    heap = [(neg_rank[T], T) for T in work]
     heapq.heapify(heap)
     while heap:
         _, T = heapq.heappop(heap)
@@ -232,7 +262,7 @@ def straighten(v: dict[Tabloid, int], shape: Partition) -> list[int]:
             nv = work.get(S, 0) - c * a
             if nv:
                 if S not in work:
-                    heapq.heappush(heap, (tuple(-x for x in _dominance_key(S)), S))
+                    heapq.heappush(heap, (neg_rank[S], S))
                 work[S] = nv
             elif S in work:
                 del work[S]
@@ -277,7 +307,14 @@ def action_matrix(sigma: Permutation, shape: Partition) -> list[list[int]]:
         return [[1]]
     if shape.parts == tuple([1] * n):
         return [[1 if sigma.is_even() else -1]]
-    cols = [straighten(tv_apply_perm(sigma, exp), shape) for exp in _basis(shape.parts).expansions]
+    expansions = _basis(shape.parts).expansions
+    # sigma permutes tabloids, so an expansion's image needs no merging
+    image: dict[Tabloid, Tabloid] = {}
+    for exp in expansions:
+        for T in exp:
+            if T not in image:
+                image[T] = perm_tabloid(sigma, T)
+    cols = [straighten({image[T]: c for T, c in exp.items()}, shape) for exp in expansions]
     return [list(row) for row in zip(*cols)]
 
 

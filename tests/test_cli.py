@@ -318,6 +318,10 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ("nt disc-verify --samples -3", "--samples must be at least 1, got -3"),
     ("specht conjecture-table --n ,", "--n lists no value of n"),
     ("nt lpoly-check --a 1 --t -32 --primes ,", "--primes lists no prime"),
+    # a repeated value would redo its work and print its row twice
+    ("nt lpoly-check --a 1 --t -32 --primes 5,5", "--primes repeats 5"),
+    ("nt lpoly-check --a 1 --t -32 --primes 5,7,11,7", "--primes repeats 7"),
+    ("specht conjecture-table --n 7,7", "--n repeats 7"),
     # sizes whose run time has no bound
     ("specht conjecture-table --n 5,103", "table rows need n <= 31, got 103"),
     ("nt disc-verify --samples 100000000", "--samples must be at most 10000, got 100000000"),

@@ -8,6 +8,7 @@ from eigenone.perms import Partition, Permutation, class_reps_symmetric, partiti
 from eigenone.specht import (
     NotInSpechtModule,
     Tableau,
+    _basis,
     _dominance_key,
     action_matrix,
     character_mn,
@@ -129,6 +130,8 @@ def test_dominance_key_extends_dominance_order():
         for shape in partitions_of(n):
             tabs = sorted(tabloids_of_shape(shape.parts), key=_dominance_key)
             assert len({_dominance_key(T) for T in tabs}) == len(tabs)
+            # the rank table, which straightening reads, keeps that order
+            assert sorted(tabs, key=_basis(shape.parts).neg_rank.__getitem__, reverse=True) == tabs
             counts = [dominance_counts(T) for T in tabs]
             for i, low in enumerate(counts):
                 for high in counts[i + 1 :]:
@@ -138,6 +141,21 @@ def test_dominance_key_extends_dominance_order():
 def test_straighten_rejects_non_specht_vectors():
     with pytest.raises(NotInSpechtModule):
         straighten({((2, 3), (1,)): 1}, Partition((2, 1)))
+
+
+@pytest.mark.parametrize("T", [
+    ((1, 2, 3),),  # another shape of n = 3
+    ((1, 2), (4,)),  # entries other than 1..3
+    ((2, 1), (3,)),  # a row out of order
+])
+def test_straighten_rejects_a_tabloid_of_another_shape(T):
+    # such a tabloid gets no rank, so the table holds only tabloids of its
+    # shape, even one that another shape of the same n has ranked
+    _basis((3,)).neg_rank[((1, 2, 3),)]
+    B = _basis((2, 1))
+    with pytest.raises(NotInSpechtModule, match="is not a tabloid of shape"):
+        straighten({T: 1, ((1, 2), (3,)): 1}, Partition((2, 1)))
+    assert T not in B.neg_rank
 
 
 def test_straighten_soundness_exhaustive_small_n():
@@ -177,6 +195,18 @@ def test_garnir_route_equals_reduction_route():
                     k += ln
                 t = Tableau.of(rows)
                 assert garnir_coords(t) == straighten(polytabloid_expand(t), shape)
+
+
+def test_action_matrix_columns_equal_garnir_rewriting():
+    # column j holds the coordinates of e_{sigma t_j}; the shapes of each n
+    # take turns on every class, so tabloid images kept from one sigma to
+    # the next would show
+    for n in range(1, 8):
+        shapes = list(partitions_of(n))
+        for ct, rep in class_reps_symmetric(n):
+            for shape in shapes:
+                cols = [garnir_coords(t.apply(rep)) for t in standard_tableaux(shape.parts)]
+                assert action_matrix(rep, shape) == [list(r) for r in zip(*cols)], (shape, ct)
 
 
 def test_action_matrix_identity():
