@@ -1,7 +1,8 @@
 """Arithmetic side: the 2-parameter degree-9 polynomial family, exact
 discriminants by resultants, factorization types over prime fields, Frobenius
-cycle-type scans against a target permutation group, hyperelliptic point
-counts, and L-polynomials with the mod-2 parity cross-check.
+cycle-type scans against a target permutation group, and L-polynomials of
+hyperelliptic curves as character sums of resultants, with the mod-2 parity
+cross-check.
 
 All polynomial arithmetic is exact and deterministic; factorization types
 come from distinct-degree factorization alone.
@@ -9,7 +10,9 @@ come from distinct-degree factorization alone.
 
 from __future__ import annotations
 
+import itertools
 import os
+from math import comb
 
 from .errors import UsageError, VerificationError
 from .intlinalg import _bareiss
@@ -134,50 +137,6 @@ def bad_primes(f: ZPoly) -> list[int]:
     if d > 1:
         out.add(d)
     return sorted(out)
-
-
-# ---------------------------------------------------------------------------
-# F_p[x] (p an odd prime)
-# ---------------------------------------------------------------------------
-
-def fp_trim(f, p):
-    while f and f[-1] % p == 0:
-        f.pop()
-    return [c % p for c in f]
-
-
-def fp_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return fp_trim(out, p)
-
-
-def fp_divmod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    if len(f) - 1 < dg:
-        return [], fp_trim(f, p)
-    inv = pow(g[-1], -1, p)
-    q = [0] * (len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] * inv % p
-        s = len(f) - 1 - dg
-        q[s] = c
-        for i, b in enumerate(g):
-            f[s + i] = (f[s + i] - c * b) % p
-        f = fp_trim(f, p)
-        if not f:
-            break
-    return fp_trim(q, p), f
-
-
-def fp_mod(f, g, p):
-    return fp_divmod(f, g, p)[1]
 
 
 class PackedFp:
@@ -366,6 +325,8 @@ def frobenius_scan(f: ZPoly, pmax: int, group: PermGroup, jobs: int = 1) -> dict
         raise UsageError(f"polynomial degree {zp_degree(f)} differs from the degree "
                          f"{group.degree} of {group.name}")
     disc = disc_resultant(f)
+    if disc == 0:  # f has a repeated root, which stays repeated mod every p
+        raise UsageError("disc(f) = 0, so no prime is good")
     group_types = group.cycle_types()
     listed_bad = []
     good = []
@@ -405,154 +366,67 @@ def frobenius_scan(f: ZPoly, pmax: int, group: PermGroup, jobs: int = 1) -> dict
 
 
 # ---------------------------------------------------------------------------
-# F_{p^k} and hyperelliptic point counts
+# L-polynomials of y^2 = f(x)
 # ---------------------------------------------------------------------------
 
 POINT_BUDGET = 10**7
 
 
-def field_modulus(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree k over F_p
-    (ordered by the coefficient tuple (c_0..c_{k-1}))."""
-    if k == 1:
-        return (0, 1)
-
-    def irreducible(coeffs) -> bool:
-        # Rabin: no factor of degree <= k/2, and x^(p^k) = x mod f
-        F = PackedFp(list(coeffs) + [1], p)
-        h = F.x
-        for _ in range(k // 2):
-            h = F.powmod(h, p)
-            if F.degree(F.gcd(F.f, F.reduce(h + F.neg_x))) != 0:
-                return False
-        return F.powmod(F.x, p**k) == F.x
-
-    import itertools as it
-
-    for coeffs in it.product(range(p), repeat=k):
-        if irreducible(coeffs):
-            return tuple(coeffs) + (1,)
-    raise VerificationError("no irreducible found")
-
-
-class Fq:
-    """F_{p^k} with elements as integers encoding base-p coefficient vectors."""
-
-    def __init__(self, p: int, k: int):
-        self.p = p
-        self.k = k
-        self.q = p**k
-        self.modulus = list(field_modulus(p, k))
-
-    def decode(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(x % self.p)
-            x //= self.p
-        return out
-
-    def encode(self, coeffs) -> int:
-        x = 0
-        for c in reversed(list(coeffs)):
-            x = x * self.p + c % self.p
-        return x
-
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return a * b % self.p
-        fa = self.decode(a)
-        fb = self.decode(b)
-        prod = fp_mul(fa, fb, self.p)
-        rem = fp_mod(prod, self.modulus, self.p)
-        return self.encode(rem + [0] * (self.k - len(rem)))
-
-    def elements(self):
-        return range(self.q)
-
-    def squares(self) -> set[int]:
-        return {self.mul(x, x) for x in self.elements()}
-
-
-def check_count_prime(f: ZPoly, p: int, k: int) -> None:
-    """Refuse a p at which y^2 = f(x) cannot be counted over F_{p^k}: p must
-    be an odd prime of good reduction, with p^k within POINT_BUDGET."""
+def check_count_prime(f: ZPoly, p: int) -> None:
+    """Refuse a p at which the L-polynomial of y^2 = f(x) is not computed: p
+    must be an odd prime of good reduction, with the p^4 monic polynomials of
+    degree 4 over F_p within POINT_BUDGET."""
     # p comes from the command line (lpoly-check --primes); the budget first:
     # is_prime trial-divides up to sqrt(p)
-    if p > 0 and p**k > POINT_BUDGET:
-        raise UsageError(f"{p}^{k} = {p**k} exceeds the enumeration budget {POINT_BUDGET}")
+    if p > 0 and p**4 > POINT_BUDGET:
+        raise UsageError(f"{p}^4 = {p**4} exceeds the enumeration budget {POINT_BUDGET}")
     if p == 2 or not is_prime(p):
         raise UsageError(f"p must be an odd prime, got {p}")
     if disc_resultant(f) % p == 0 or f[-1] % p == 0:
         raise UsageError(f"bad prime {p}")
 
 
-def curve_count(f: ZPoly, p: int, k: int) -> int:
-    """Number of points of y^2 = f(x) over F_{p^k}, deg f odd (one point at
-    infinity); naive enumeration with a precomputed square table."""
-    d = zp_degree(f)
-    if d % 2 == 0:
-        raise ValueError("only odd-degree models here")
-    check_count_prime(f, p, k)
-    F = Fq(p, k)
-    sq = F.squares()
-    fp = [c % p for c in f]
-    count = 1  # point at infinity (odd degree)
-    for x in F.elements():
-        # Horner in F_q
-        v = 0
-        for c in reversed(fp):
-            v = F.add(F.mul(v, x), c)
-        if v == 0:
-            count += 1
-        elif v in sq:
-            count += 2
-    g = (d - 1) // 2
-    q = p**k
-    if (count - (q + 1)) ** 2 > 4 * g * g * q:
-        raise VerificationError(f"Weil bound violated: {count} points over F_{q}")
-    return count
-
-
 def lpoly_from_counts(f: ZPoly, p: int) -> list[int]:
     """Coefficients c_0 = 1, ..., c_8, ascending, of the L-polynomial of
-    y^2 = f(x) (deg f = 9, genus 4) over F_p: the numerator of its zeta
-    function, from point counts over F_{p^k}, k = 1..4, via Newton's
-    identities plus the functional equation c_{8-i} = p^{4-i} c_i."""
+    y^2 = f(x) (deg f = 9, genus 4) over F_p, the numerator of its zeta
+    function: c_e is the sum of chi_p(Res(m, f)) over the monic m of degree
+    e <= 4, the L-function of a quadratic character on F_p[x] (Rosen, Number
+    Theory in Function Fields, GTM 210), and c_{8-i} = p^{4-i} c_i.
+
+    - Res(m, f) = prod_{m(a)=0} f(a) is multiplicative in m, so the sum over
+      all monic m is an Euler product over the monic irreducible P.
+    - For P irreducible of degree e with a root a, Res(P, f) is the norm of
+      f(a) from F_{p^e}, and the norm is y^((p^e-1)/(p-1)), so
+      chi_p(Res(P, f)) = f(a)^((p^e-1)/2) = chi_{p^e}(f(a)).
+    - The log-derivative of that product has u^k coefficient
+      sum_{x in F_{p^k}} chi(f(x)) = #C(F_{p^k}) - p^k - 1, as the zeta
+      numerator's has, so the two agree."""
     d = zp_degree(f)
     if d != 9:
         raise ValueError("genus-4 odd model expected (degree 9)")
+    check_count_prime(f, p)
     g = 4
-    s = []
+    fp = [c % p for c in f]
+    c = [1]
+    for e in range(1, g + 1):
+        total = 0
+        for tail in itertools.product(range(p), repeat=e):
+            # chi_p(r) = r^((p-1)/2) mod p, which is 0, 1 or p - 1
+            total += (pow(resultant([*tail, 1], fp) % p, (p - 1) // 2, p) + 1) % p - 1
+        c.append(total)
+    # Newton's identities, division-free: s_k = -k c_k - sum_{i<k} c_i s_{k-i}
+    # is the sum of the k-th powers of the Frobenius eigenvalues, and
+    # #C(F_{p^k}) = p^k + 1 - s_k
+    s = [0]
     for k in range(1, g + 1):
-        s.append(p**k + 1 - curve_count(f, p, k))
-    # Newton: e_k = (1/k) * sum_{i=1..k} (-1)^(i-1) e_{k-i} s_i;  c_i = (-1)^i e_i
-    e = [1]
-    for k in range(1, g + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * s[i - 1]
-        q, r = divmod(acc, k)
-        if r:
-            raise VerificationError("Newton identity division must be exact")
-        e.append(q)
-    c = [(-1) ** i * e[i] for i in range(g + 1)]
+        s.append(-k * c[k] - sum(c[i] * s[k - i] for i in range(1, k)))
+        q = p**k
+        if s[k] ** 2 > 4 * g * g * q:
+            raise VerificationError(f"Weil bound violated: {q + 1 - s[k]} points over F_{q}")
     full = c + [0] * g
     for i in range(g):
         full[2 * g - i] = p ** (g - i) * c[i]
     # coefficient bound check: |c_i| <= C(2g, i) p^{i/2}
-    from math import comb
-
     for i, ci in enumerate(full):
         if ci * ci > comb(2 * g, i) ** 2 * p**i:
             raise VerificationError(f"Weil coefficient bound violated: c_{i} = {ci}")

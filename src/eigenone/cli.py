@@ -309,8 +309,8 @@ def cmd_nt_lpoly_check(args):
         raise UsageError("--primes lists no prime")
     _refuse_repeats("--primes", args.primes)
     f = malle_g(args.a, args.t)
-    for p in args.primes:  # refuse a bad list before counting over any prime of it
-        check_count_prime(f, p, 4)
+    for p in args.primes:  # refuse a bad list before computing any L-polynomial of it
+        check_count_prime(f, p)
     rows = []
     ok = True
     for p in args.primes:

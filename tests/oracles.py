@@ -5,7 +5,8 @@ the package computes another way: the Berkowitz characteristic polynomial
 against the one-Bareiss eigenvalue-1 verdict, embedded matrices against the
 cycle-type forms of the symplectic module, Garnir rewriting against
 leading-tabloid straightening, tabloid permutation modules against the
-character oracle, and so on.
+character oracle, point counts over F_{p^k} against the L-polynomial as a
+character sum of resultants, and so on.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from eigenone.arith import PackedFp, fp_divmod, fp_mod, fp_mul, fp_trim
+from eigenone.arith import PackedFp, check_count_prime, zp_degree
 from eigenone.audit import audit_payload, class_payload, two_generated_subgroups
 from eigenone.errors import DEFAULT_SEED
 from eigenone.gf2 import (
@@ -263,6 +264,46 @@ def zp_eval(f: list[int], x: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def fp_trim(f, p):
+    while f and f[-1] % p == 0:
+        f.pop()
+    return [c % p for c in f]
+
+
+def fp_mul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    return fp_trim(out, p)
+
+
+def fp_divmod(f, g, p):
+    f = list(f)
+    dg = len(g) - 1
+    if len(f) - 1 < dg:
+        return [], fp_trim(f, p)
+    inv = pow(g[-1], -1, p)
+    q = [0] * (len(f) - dg)
+    while len(f) - 1 >= dg and f:
+        c = f[-1] * inv % p
+        s = len(f) - 1 - dg
+        q[s] = c
+        for i, b in enumerate(g):
+            f[s + i] = (f[s + i] - c * b) % p
+        f = fp_trim(f, p)
+        if not f:
+            break
+    return fp_trim(q, p), f
+
+
+def fp_mod(f, g, p):
+    return fp_divmod(f, g, p)[1]
+
+
 def fp_monic(f: list[int], p: int) -> list[int]:
     if not f:
         return f
@@ -329,6 +370,125 @@ def ddf_degrees_per_degree_powmod(f: list[int], p: int) -> tuple[int, ...] | Non
             v = fp_monic(fp_divmod(v, g, p)[0], p)
             h = fp_mod(h, v, p)
     return tuple(sorted(degrees))
+
+
+# ---------------------------------------------------------------------------
+# F_{p^k} and hyperelliptic point counts by enumeration
+# ---------------------------------------------------------------------------
+
+
+def field_modulus(p: int, k: int) -> tuple[int, ...]:
+    """Lexicographically least monic irreducible of degree k over F_p
+    (ordered by the coefficient tuple (c_0..c_{k-1}))."""
+    if k == 1:
+        return (0, 1)
+
+    def irreducible(coeffs) -> bool:
+        # Rabin: no factor of degree <= k/2, and x^(p^k) = x mod f
+        F = PackedFp(list(coeffs) + [1], p)
+        h = F.x
+        for _ in range(k // 2):
+            h = F.powmod(h, p)
+            if F.degree(F.gcd(F.f, F.reduce(h + F.neg_x))) != 0:
+                return False
+        return F.powmod(F.x, p**k) == F.x
+
+    for coeffs in itertools.product(range(p), repeat=k):
+        if irreducible(coeffs):
+            return tuple(coeffs) + (1,)
+    raise AssertionError("no irreducible found")
+
+
+class Fq:
+    """F_{p^k} with elements as integers encoding base-p coefficient vectors."""
+
+    def __init__(self, p: int, k: int):
+        self.p = p
+        self.k = k
+        self.q = p**k
+        self.modulus = list(field_modulus(p, k))
+
+    def decode(self, x: int) -> list[int]:
+        out = []
+        for _ in range(self.k):
+            out.append(x % self.p)
+            x //= self.p
+        return out
+
+    def encode(self, coeffs) -> int:
+        x = 0
+        for c in reversed(list(coeffs)):
+            x = x * self.p + c % self.p
+        return x
+
+    def add(self, a: int, b: int) -> int:
+        p = self.p
+        out = 0
+        mult = 1
+        for _ in range(self.k):
+            out += ((a + b) % p) * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
+
+    def mul(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return a * b % self.p
+        fa = self.decode(a)
+        fb = self.decode(b)
+        prod = fp_mul(fa, fb, self.p)
+        rem = fp_mod(prod, self.modulus, self.p)
+        return self.encode(rem + [0] * (self.k - len(rem)))
+
+    def elements(self):
+        return range(self.q)
+
+    def squares(self) -> set[int]:
+        return {self.mul(x, x) for x in self.elements()}
+
+
+def curve_count(f: list[int], p: int, k: int) -> int:
+    """Number of points of y^2 = f(x) over F_{p^k}, deg f odd (one point at
+    infinity); naive enumeration with a precomputed square table."""
+    d = zp_degree(f)
+    if d % 2 == 0:
+        raise ValueError("only odd-degree models here")
+    check_count_prime(f, p)
+    F = Fq(p, k)
+    sq = F.squares()
+    fp = [c % p for c in f]
+    count = 1  # point at infinity (odd degree)
+    for x in F.elements():
+        # Horner in F_q
+        v = 0
+        for c in reversed(fp):
+            v = F.add(F.mul(v, x), c)
+        if v == 0:
+            count += 1
+        elif v in sq:
+            count += 2
+    g = (d - 1) // 2
+    q = p**k
+    assert (count - (q + 1)) ** 2 <= 4 * g * g * q, f"Weil bound violated over F_{q}"
+    return count
+
+
+def lpoly_by_enumeration(f: list[int], p: int) -> list[int]:
+    """The L-polynomial of y^2 = f(x) (deg f = 9) over F_p, ascending, from
+    `curve_count` over F_{p^k}, k = 1..4: Newton's identities give
+    c_1..c_4 from the power sums s_k = p^k + 1 - #C(F_{p^k}), and the
+    functional equation gives c_{8-i} = p^{4-i} c_i."""
+    g = 4
+    s = [p**k + 1 - curve_count(f, p, k) for k in range(1, g + 1)]
+    # e_k = (1/k) * sum_{i=1..k} (-1)^(i-1) e_{k-i} s_i;  c_i = (-1)^i e_i
+    e = [1]
+    for k in range(1, g + 1):
+        q, r = divmod(sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1)), k)
+        assert r == 0, "Newton identity division must be exact"
+        e.append(q)
+    c = [(-1) ** i * e[i] for i in range(g + 1)]
+    return c + [p ** (g - i) * c[i] for i in reversed(range(g))]
 
 
 # ---------------------------------------------------------------------------

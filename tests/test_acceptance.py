@@ -268,7 +268,7 @@ def test_criterion_10_property_suites():
             for ct, rep in class_reps_symmetric(n):
                 assert trace(action_matrix(rep, sh)) == character_mn(shape, ct.parts)
     # MeatAxe basis-change invariance is covered in tests/test_meataxe.py and
-    # Weil bounds are asserted inside every curve_count call
+    # Weil bounds are checked inside every lpoly_from_counts call
     elapsed = time.time() - t0
     assert elapsed < 600
     _report(10, f"straightening equivalence (n <= 7), homomorphism checks, character "

@@ -4,16 +4,10 @@ import random
 import pytest
 
 from eigenone.arith import (
-    Fq,
     PackedFp,
     bad_primes,
-    curve_count,
     disc_resultant,
     factor_mod_p,
-    field_modulus,
-    fp_divmod,
-    fp_mod,
-    fp_mul,
     frobenius_charpoly_gf2,
     frobenius_scan,
     lpoly_from_counts,
@@ -23,12 +17,20 @@ from eigenone.arith import (
     primes_up_to,
     resultant,
 )
+from eigenone.errors import UsageError
 from eigenone.perms import builtin_group
 from oracles import (
+    Fq,
+    curve_count,
     ddf_degrees_per_degree_powmod,
+    field_modulus,
+    fp_divmod,
     fp_gcd,
+    fp_mod,
+    fp_mul,
     fp_powmod,
     fp_powmod_lists,
+    lpoly_by_enumeration,
     zp_eval,
 )
 
@@ -371,8 +373,9 @@ def test_curve_count_weil_bound_and_bad_prime_rejection():
 
 
 def test_curve_count_budget():
-    with pytest.raises(ValueError):
-        curve_count(malle_g(1, -32), 101, 4)
+    # 101^4 monic polynomials of degree 4 exceed POINT_BUDGET
+    with pytest.raises(UsageError, match="exceeds the enumeration budget"):
+        lpoly_from_counts(malle_g(1, -32), 101)
 
 
 def test_lpoly_structure():
@@ -384,14 +387,23 @@ def test_lpoly_structure():
         assert L[8 - i] == 5 ** (4 - i) * L[i]
 
 
-def test_newton_exactness_check_fires(monkeypatch):
-    # counts with s_1 = 1 and s_2 = 0 give e_2 = (e_1 s_1 - s_2) / 2 = 1/2
-    import eigenone.arith
-    from eigenone.errors import VerificationError
-
-    monkeypatch.setattr(eigenone.arith, "curve_count", lambda f, p, k: p**k + 1 - (k == 1))
-    with pytest.raises(VerificationError, match="Newton identity division must be exact"):
-        lpoly_from_counts(malle_g(1, -32), 5)
+@pytest.mark.parametrize("f", [
+    malle_g(1, -32),
+    malle_g(1, 1),
+    [4, 0, 0, -1, 0, 0, 0, 2, 0, 1],  # x^9 + 2x^7 - x^3 + 4
+    [5, -2, 0, 0, 1, 0, 0, 0, 0, 3],  # 3x^9 + x^4 - 2x + 5, not monic
+])
+@pytest.mark.parametrize("p", [5, 7])
+def test_lpoly_equals_the_point_count_oracle(f, p):
+    # the character sums over monic polynomials against point counts over
+    # F_{p^k} and Newton's identities; g_{1,1} has bad reduction at 5
+    if p in bad_primes(f):
+        with pytest.raises(UsageError, match=f"bad prime {p}"):
+            lpoly_from_counts(f, p)
+        with pytest.raises(UsageError, match=f"bad prime {p}"):
+            lpoly_by_enumeration(f, p)
+        return
+    assert lpoly_from_counts(f, p) == lpoly_by_enumeration(f, p)
 
 
 def test_lpoly_parity_and_frobenius_match():

@@ -300,6 +300,10 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
      "--poly needs degree >= 3 and a nonzero last coefficient, got [1, 1]"),
     ("nt frobenius-scan --a 1 --t -32 --pmax -5 --group agl2_3",
      "--pmax must not be negative, got -5"),
+    # with discriminant 0 every prime is bad, at any --pmax
+    ("nt frobenius-scan --a 1 --t 1 --pmax 50 --group agl2_3 --poly=0,0,0,0,0,0,0,0,0,1",
+     "disc(f) = 0, so no prime is good"),
+    ("nt frobenius-scan --a 0 --t 0 --group agl2_3", "disc(f) = 0, so no prime is good"),
     # a degree mismatch would read every prime as a type outside the group
     ("nt frobenius-scan --a 1 --t -32 --pmax 100 --group pgl2 --q 7",
      "polynomial degree 9 differs from the degree 8 of pgl2_7"),
@@ -357,13 +361,13 @@ def test_bad_input_is_usage_error(capsys, argv, message):
 @pytest.mark.parametrize("primes", ["5,59", "5,3", "5,9", "7,5,2"])
 def test_lpoly_check_refuses_a_bad_prime_before_counting(capsys, monkeypatch, primes):
     # a prime too large, of bad reduction or not an odd prime is refused
-    # before any point count, wherever it stands in the list
+    # before any L-polynomial is computed, wherever it stands in the list
     import eigenone.arith
 
-    def no_count(*args):
-        raise AssertionError("a point count ran before the primes were checked")
+    def no_lpoly(*args):
+        raise AssertionError("an L-polynomial was computed before the primes were checked")
 
-    monkeypatch.setattr(eigenone.arith, "curve_count", no_count)
+    monkeypatch.setattr(eigenone.arith, "lpoly_from_counts", no_lpoly)
     assert main(["nt", "lpoly-check", "--a", "1", "--t", "-32", "--primes", primes]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
@@ -572,32 +576,18 @@ def test_embed_audit_form_check_survives_optimize():
 
 
 def test_lpoly_check_weil_bound_survives_optimize():
-    # counting every nonzero value as a square puts #C(F_125) at about 2q,
-    # outside the Weil bound |#C - (q + 1)| <= 2g sqrt(q); the guard must
-    # fire under python -O
+    # with every resultant a square, c_e = p^e, and the power sum s_3 = -125
+    # puts #C(F_125) = 251 outside the Weil bound |#C - (q + 1)| <= 2g sqrt(q);
+    # the guard must fire under python -O
     proc = run_optimized(
         "import sys, eigenone.arith\n"
         "from eigenone.cli import main\n"
-        "eigenone.arith.Fq.squares = lambda F: set(range(F.q))\n"
+        "eigenone.arith.resultant = lambda f, g: 1\n"
         "sys.exit(main(['nt', 'lpoly-check', '--a', '1', '--t', '-32', '--primes', '5']))\n"
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert "VerificationError: Weil bound violated" in proc.stderr
-
-
-def test_lpoly_check_newton_check_survives_optimize():
-    # counts with s_1 = 1 and s_2 = 0 make Newton's e_2 = 1/2; the exactness
-    # guard must fire under python -O
-    proc = run_optimized(
-        "import sys, eigenone.arith\n"
-        "from eigenone.cli import main\n"
-        "eigenone.arith.curve_count = lambda f, p, k: p**k + 1 - (k == 1)\n"
-        "sys.exit(main(['nt', 'lpoly-check', '--a', '1', '--t', '-32', '--primes', '5']))\n"
-    )
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert "VerificationError: Newton identity division must be exact" in proc.stderr
+    assert "VerificationError: Weil bound violated: 251 points over F_125" in proc.stderr
 
 
 def test_failed_fixed_vector_check_is_internal_error(capsys, monkeypatch):
@@ -640,7 +630,6 @@ def test_frobenius_scan_poly_with_negative_first_coefficient(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--a", "1", "--t", "1", "--pmax", "50", "--poly=0,0,0,0,0,0,0,0,0,1"),  # discriminant 0
     ("--a", "1", "--t", "-32", "--pmax", "3"),  # 2 and 3 are the bad primes
     *[("--a", "1", "--t", "-32", "--pmax", pmax) for pmax in ("0", "1", "2")],  # no odd prime
 ])
