@@ -382,7 +382,10 @@ def check_count_prime(f: ZPoly, p: int) -> None:
         raise UsageError(f"{p}^4 = {p**4} exceeds the enumeration budget {POINT_BUDGET}")
     if p == 2 or not is_prime(p):
         raise UsageError(f"p must be an odd prime, got {p}")
-    if disc_resultant(f) % p == 0 or f[-1] % p == 0:
+    disc = disc_resultant(f)
+    if disc == 0:  # f has a repeated root, which stays repeated mod every p
+        raise UsageError("disc(f) = 0, so no prime is good")
+    if disc % p == 0 or f[-1] % p == 0:
         raise UsageError(f"bad prime {p}")
 
 

@@ -11,12 +11,13 @@ from math import gcd
 from .errors import DEFAULT_SEED, ClosureOverflow, UsageError, VerificationError
 from .perms import (
     IndexedGroup,
-    Partition,
     PermGroup,
     class_rep_for,
     class_reps_symmetric,
+    is_even_class,
     orbit,
     orbits,
+    sn_class_size,
 )
 
 # Each audit imports the layers it runs where it runs: the integral ones
@@ -25,6 +26,11 @@ from .perms import (
 # tracer wraps each layer where it is defined, so it counts these calls, but
 # not the census's own loops: `perms.orbit` and `_coset_closure` are not
 # among its targets, and their time lands in `audit.subgroup_census`.
+
+
+def _label(ct: tuple[int, ...]) -> str:
+    """A cycle type as a class label, e.g. "5,2,1,1"."""
+    return ",".join(map(str, ct))
 
 
 def class_payload(label: str, size: int, order: int, det: int, alg: int, geo: int) -> dict:
@@ -100,10 +106,10 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> dict:
     shape, twisted = family_shape(family, n)
     classes = []
     for ct, rep in class_reps_symmetric(n):
-        if group == "a_n" and not ct.is_even_class():
+        if group == "a_n" and not is_even_class(ct):
             continue
         M = twisted_action_matrix(rep, shape) if twisted else action_matrix(rep, shape)
-        classes.append((str(ct), ct.sn_class_size(), rep.order(), M))
+        classes.append((_label(ct), sn_class_size(ct), rep.order(), M))
     rep_id = f"specht:{family}:n={n}:{group}"
     return audit_int_classes(rep_id, classes)
 
@@ -126,8 +132,7 @@ def conjecture_table(ns: list[int]) -> list[dict]:
             raise UsageError(f"table rows need n <= {TABLE_N_MAX}, got {n}")
     rows = []
     for n in ns:
-        shape = Partition((n - 2, 2))
-        ct = Partition((n - 2, 2))
+        shape = ct = (n - 2, 2)
         M = twisted_action_matrix(class_rep_for(ct), shape)
         _, det = _bareiss(_one_minus(M))
         k = (n - 1) // 2
@@ -135,7 +140,7 @@ def conjecture_table(ns: list[int]) -> list[dict]:
             {
                 "n": n,
                 "dim": len(M),
-                "class": str(ct),
+                "class": _label(ct),
                 "det_one_minus": str(det),
                 "closed_form": str(2 ** (k - 1) * (2 * k - 1)),
                 "matches": det == 2 ** (k - 1) * (2 * k - 1),
@@ -163,10 +168,10 @@ def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
     module = embed_group(G)
     classes = []
     for size, ct, order in G.classes():
-        geo = eig1_nullity(ct.parts)
+        geo = eig1_nullity(ct)
         # over GF(2), det(I - M) is 0 exactly when M has eigenvalue 1
         det = 0 if geo else 1
-        classes.append(class_payload(str(ct), size, order, det, eig1_algebraic(ct.parts), geo))
+        classes.append(class_payload(_label(ct), size, order, det, eig1_algebraic(ct), geo))
     end_dim = meataxe.endomorphism_dim(module, seed)
     return {
         **audit_payload(f"embed:{G.name}:d={G.degree}", module.dim, "GF2", classes),
@@ -286,7 +291,7 @@ def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> list[dict]:
         raise UsageError("census input capped at 2000 elements") from None
     elements = group.elements
     table = group.cayley_table  # table[b][a] = index of x_a * x_b
-    eig1 = [eig1_nullity(x.cycle_type().parts) > 0 for x in elements]
+    eig1 = [eig1_nullity(x.cycle_type()) > 0 for x in elements]
 
     def invariants(K: frozenset[int], gens: tuple[int, int]) -> tuple:
         irr = meataxe.is_irreducible(embed_group(PermGroup([elements[g] for g in gens])), seed)

@@ -131,14 +131,14 @@ def cmd_specht_mod2(args):
 
 def cmd_specht_fixed_vector(args):
     from .fixed_vectors import FIXED_VECTOR_N_MAX, build_fixed_vector
-    from .perms import Partition, class_rep_for
+    from .perms import class_rep_for
 
     if args.n > FIXED_VECTOR_N_MAX:  # before a degree-n permutation is built
         raise UsageError(f"fixed vectors need n <= {FIXED_VECTOR_N_MAX}, got n={args.n}")
     parts = tuple(sorted(args.cycle_type, reverse=True))
     if not parts or parts[-1] <= 0 or sum(parts) != args.n:
         raise UsageError(f"cycle type {args.cycle_type} does not partition n={args.n}")
-    return ["fixed-vector"], build_fixed_vector(class_rep_for(Partition(parts)), args.family), True
+    return ["fixed-vector"], build_fixed_vector(class_rep_for(parts), args.family), True
 
 
 # ---------------------------------------------------------------------------

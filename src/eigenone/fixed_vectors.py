@@ -21,6 +21,7 @@ from .specht import (
     Tableau,
     Tabloid,
     action_matrix,
+    columns,
     family_shape,
     polytabloid_expand,
     straighten,
@@ -48,15 +49,15 @@ def fixed_vector_sum(sigma: Permutation, t: Tableau) -> dict[Tabloid, int]:
     every other entry sits in row 1.  So the terms repeat with period P, the
     lcm of the lengths of the cycles of sigma through those entries, and E is
     order / P times the sum over one period."""
-    if sigma.degree != t.n:
+    if sigma.degree != sum(map(len, t)):
         raise ValueError("degree mismatch")
     length = {x: len(c) for c in sigma.cycles(include_fixed=True) for x in c}
-    period = lcm(*(length[x] for col in t.columns() if len(col) > 1 for x in col))
+    period = lcm(*(length[x] for col in columns(t) if len(col) > 1 for x in col))
     acc: dict[Tabloid, int] = {}
     cur = t
     for _ in range(period):
         tv_add_scaled(acc, polytabloid_expand(cur), 1)
-        cur = cur.apply(sigma)
+        cur = tuple(tuple(sigma.apply(x) for x in row) for row in cur)
     scale = sigma.order() // period
     return {T: scale * c for T, c in acc.items()}
 
@@ -136,11 +137,11 @@ def witness_tableau(sigma: Permutation, family: str) -> tuple[Tableau, bool]:
     if family == FAMILY_HOOK:
         col, direct = _hook_column(sigma)
         rest = sorted(set(range(1, n + 1)) - set(col))
-        return Tableau.of([[col[0]] + rest, [col[1]], [col[2]]]), direct
+        return ((col[0], *rest), (col[1],), (col[2],)), direct
     if family == FAMILY_TWO:
         block, direct = _two_row_block(sigma)
         rest = sorted(set(range(1, n + 1)) - set(block))
-        return Tableau.of([[block[0], block[1]] + rest, [block[2], block[3]]]), direct
+        return ((block[0], block[1], *rest), (block[2], block[3])), direct
     raise UsageError(f"no fixed-vector construction for family {family}")
 
 
@@ -168,7 +169,7 @@ def build_fixed_vector(sigma: Permutation, family: str) -> dict:
     return {
         "sigma": sigma.cycle_string(),
         "family": family,
-        "tableau": t.to_lists(),
+        "tableau": [list(r) for r in t],
         "coords": [str(c) for c in coords],
         "nonzero": True,
     }

@@ -1,5 +1,8 @@
 """Permutations, partitions, permutation groups, and exact conjugacy classes.
 
+A partition, and so a cycle type, is a weakly decreasing tuple of positive
+ints.
+
 Points are 1-based in all external interfaces (cycle strings, apply) and
 0-based internally.  Composition is right-to-left throughout the package:
 (p * q)(x) = p(q(x)).
@@ -16,58 +19,23 @@ from .errors import ClosureOverflow, UsageError, VerificationError
 CLOSURE_BOUND = 10**6
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
+def is_even_class(ct: tuple[int, ...]) -> bool:
+    """Parity of the S_n class with cycle type ct: even iff n - #parts is even."""
+    return (sum(ct) - len(ct)) % 2 == 0
 
-    __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple[int, ...]):
-        if any(p <= 0 for p in parts):
-            raise ValueError(f"partition parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-        self.parts = parts
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):  # the hash of a frozen dataclass, so set orders stay as they were
-        return hash((self.parts,))
-
-    def __repr__(self):
-        return f"Partition({self.parts})"
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def is_even_class(self) -> bool:
-        """Parity of the S_n class with this cycle type: even iff n - #parts is even."""
-        return (self.n - len(self.parts)) % 2 == 0
-
-    def sn_class_size(self) -> int:
-        """Size of the S_n conjugacy class with this cycle type: n!/prod(i^m_i m_i!)."""
-        cent = 1
-        for length in set(self.parts):
-            m = self.parts.count(length)
-            cent *= length**m * factorial(m)
-        return factorial(self.n) // cent
-
-    def __str__(self):
-        return ",".join(str(p) for p in self.parts)
+def sn_class_size(ct: tuple[int, ...]) -> int:
+    """Size of the S_n conjugacy class with cycle type ct: n!/prod(i^m_i m_i!)."""
+    cent = 1
+    for length in set(ct):
+        m = ct.count(length)
+        cent *= length**m * factorial(m)
+    return factorial(sum(ct)) // cent
 
 
 def partitions_of(n: int):
-    """All partitions of n in descending lexicographic order."""
+    """All partitions of n, as weakly decreasing tuples, in descending
+    lexicographic order."""
 
     def gen(remaining, maxpart):
         if remaining == 0:
@@ -77,8 +45,7 @@ def partitions_of(n: int):
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    for parts in gen(n, n):
-        yield Partition(parts)
+    yield from gen(n, n)
 
 
 class Permutation:
@@ -137,9 +104,8 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_type(self) -> Partition:
-        lengths = sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True)
-        return Partition(tuple(lengths))
+    def cycle_type(self) -> tuple[int, ...]:
+        return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True))
 
     def fixed_points(self) -> list[int]:
         return [i + 1 for i in range(self.degree) if self.images[i] == i]
@@ -148,7 +114,7 @@ class Permutation:
         return lcm(*map(len, self.cycles()))
 
     def is_even(self) -> bool:
-        return self.cycle_type().is_even_class()
+        return is_even_class(self.cycle_type())
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -166,17 +132,17 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, d={self.degree})"
 
 
-def class_rep_for(ct: Partition) -> Permutation:
+def class_rep_for(ct: tuple[int, ...]) -> Permutation:
     """Canonical S_n representative of a cycle type: cycles filled consecutively."""
     cycles = []
     next_pt = 1
-    for length in ct.parts:
+    for length in ct:
         cycles.append(tuple(range(next_pt, next_pt + length)))
         next_pt += length
-    return Permutation.from_cycles(ct.n, [c for c in cycles if len(c) > 1])
+    return Permutation.from_cycles(sum(ct), [c for c in cycles if len(c) > 1])
 
 
-def class_reps_symmetric(n: int) -> list[tuple[Partition, Permutation]]:
+def class_reps_symmetric(n: int) -> list[tuple[tuple[int, ...], Permutation]]:
     """One canonical representative per partition of n."""
     return [(ct, class_rep_for(ct)) for ct in partitions_of(n)]
 
@@ -348,7 +314,7 @@ class PermGroup:
     """A permutation group given by generators, with its indexed closure."""
 
     def __init__(self, generators: list[Permutation], name: str = "group",
-                 classes: list[tuple[int, Partition, int]] | None = None):
+                 classes: list[tuple[int, tuple[int, ...], int]] | None = None):
         self.generators = generators
         self.name = name
         # set by builtin_group where the classes have a closed form
@@ -374,7 +340,7 @@ class PermGroup:
         G = self.indexed
         return [(size, G.elements[i], order) for size, i, order in G.conjugacy_classes()]
 
-    def classes(self) -> list[tuple[int, Partition, int]]:
+    def classes(self) -> list[tuple[int, tuple[int, ...], int]]:
         """Classes as (class size, cycle type, element order), in the order of
         `conjugacy_classes`: recorded for pgl2, s_n and a_n, else read off the
         closure."""
@@ -383,7 +349,7 @@ class PermGroup:
         return [(size, rep.cycle_type(), order) for size, rep, order in self.conjugacy_classes()]
 
     def cycle_types(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(ct.parts for _, ct, _ in self.classes())
+        return frozenset(ct for _, ct, _ in self.classes())
 
     def to_payload(self) -> dict:
         return {
@@ -486,20 +452,20 @@ def _l3_2_flag_gens() -> list[Permutation]:
     return gens
 
 
-def _class_key(c: tuple[int, Partition, int]) -> tuple:
+def _class_key(c: tuple[int, tuple[int, ...], int]) -> tuple:
     """The closure's class order: element order, then class size, then the
     images of the representative with its cycles laid out consecutively in
     ascending length, which has the least images in its S_n class."""
     size, ct, order = c
     images, start = [], 0
-    for k in reversed(ct.parts):
+    for k in reversed(ct):
         images.extend(range(start + 1, start + k))
         images.append(start)
         start += k
     return order, size, images
 
 
-def _pgl2_classes(q: int) -> list[tuple[int, Partition, int]]:
+def _pgl2_classes(q: int) -> list[tuple[int, tuple[int, ...], int]]:
     """The q + 2 classes of PGL(2,q) on the q + 1 points of P^1(F_q), q an
     odd prime: the identity, the unipotent class (q, 1), and the classes
     that meet a cyclic torus, split of order q - 1 (two fixed points) or
@@ -507,11 +473,11 @@ def _pgl2_classes(q: int) -> list[tuple[int, Partition, int]]:
     order d dividing its order, and t is conjugate to t^-1 only: so phi(d)/2
     classes of order d > 2, centralized by the torus alone, and one class of
     involutions, whose centralizer is twice the torus."""
-    classes = [(1, Partition((1,) * (q + 1)), 1), (q * q - 1, Partition((q, 1)), q)]
+    classes = [(1, (1,) * (q + 1), 1), (q * q - 1, (q, 1), q)]
     for m, fixed, size in ((q - 1, (1, 1), q * (q + 1)), (q + 1, (), q * (q - 1))):
         for d in range(2, m + 1):
             if m % d == 0:
-                ct = Partition((d,) * (m // d) + fixed)
+                ct = (d,) * (m // d) + fixed
                 if d == 2:
                     classes.append((size // 2, ct, d))
                 else:
@@ -520,23 +486,23 @@ def _pgl2_classes(q: int) -> list[tuple[int, Partition, int]]:
     return sorted(classes, key=_class_key)
 
 
-def _symmetric_classes(n: int, alternating: bool) -> list[tuple[int, Partition, int]]:
+def _symmetric_classes(n: int, alternating: bool) -> list[tuple[int, tuple[int, ...], int]]:
     """The classes of S_n, one per cycle type, or of A_n: the even S_n
     classes, each split into two halves when its cycle lengths are distinct
     and odd (the centralizer in S_n then lies in A_n)."""
     classes = []
     for ct in partitions_of(n):
-        size, order = ct.sn_class_size(), lcm(*ct.parts)
+        size, order = sn_class_size(ct), lcm(*ct)
         if not alternating:
             classes.append((size, ct, order))
-        elif ct.is_even_class():
-            halves = len(set(ct.parts)) == len(ct.parts) and all(k % 2 for k in ct.parts)
+        elif is_even_class(ct):
+            halves = len(set(ct)) == len(ct) and all(k % 2 for k in ct)
             classes += [(size // 2, ct, order)] * 2 if halves else [(size, ct, order)]
     return sorted(classes, key=_class_key)
 
 
 def _with_classes(gens: list[Permutation], name: str, order: int,
-                  classes: list[tuple[int, Partition, int]]) -> PermGroup:
+                  classes: list[tuple[int, tuple[int, ...], int]]) -> PermGroup:
     """A group with its classes recorded, checked by the class equation."""
     if sum(size for size, _, _ in classes) != order:
         raise VerificationError(f"the class sizes of {name} must sum to its order {order}")

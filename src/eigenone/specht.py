@@ -17,73 +17,27 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .errors import UsageError, VerificationError
-from .perms import Partition, Permutation
+from .perms import Permutation
 
 if TYPE_CHECKING:
     from .gf2 import GF2Module
 
 
-class Tableau:
-    """A bijective filling of a Young diagram by 1..n."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        entries = sorted(x for row in rows for x in row)
-        if entries != list(range(1, len(entries) + 1)):
-            raise ValueError("tableau entries must be a bijection onto 1..n")
-        lens = [len(r) for r in rows]
-        if any(lens[i] < lens[i + 1] for i in range(len(lens) - 1)):
-            raise ValueError("row lengths must be weakly decreasing")
-        self.rows = rows
-
-    def __eq__(self, other):
-        return isinstance(other, Tableau) and self.rows == other.rows
-
-    def __hash__(self):  # the hash of a frozen dataclass, so set orders stay as they were
-        return hash((self.rows,))
-
-    @classmethod
-    def of(cls, rows) -> "Tableau":
-        return cls(tuple(tuple(r) for r in rows))
-
-    @property
-    def shape(self) -> Partition:
-        return Partition(tuple(len(r) for r in self.rows))
-
-    @property
-    def n(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def columns(self) -> list[list[int]]:
-        ncols = len(self.rows[0]) if self.rows else 0
-        return [
-            [row[j] for row in self.rows if len(row) > j]
-            for j in range(ncols)
-        ]
-
-    def column_word(self) -> tuple[int, ...]:
-        return tuple(x for col in self.columns() for x in col)
-
-    def apply(self, sigma: Permutation) -> "Tableau":
-        if sigma.degree != self.n:
-            raise ValueError("degree mismatch")
-        return Tableau(tuple(tuple(sigma.apply(x) for x in row) for row in self.rows))
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
-    def __repr__(self):
-        return f"Tableau({self.to_lists()})"
-
-
-# A tabloid is the row-equivalence class of a tableau: each row sorted
-# ascending, rows kept in shape order.
+# A tableau is a bijective filling of a Young diagram by 1..n, as a tuple of
+# row tuples; a tabloid is its row-equivalence class: each row sorted
+# ascending, rows kept in shape order.  A shape is a partition, a weakly
+# decreasing tuple.
+Tableau = tuple[tuple[int, ...], ...]
 Tabloid = tuple[tuple[int, ...], ...]
 
 
+def columns(t: Tableau) -> list[list[int]]:
+    """The columns of t, each read from the top row down."""
+    return [[row[j] for row in t if len(row) > j] for j in range(len(t[0]) if t else 0)]
+
+
 def tabloid_of(t: Tableau) -> Tabloid:
-    return tuple(tuple(sorted(row)) for row in t.rows)
+    return tuple(tuple(sorted(row)) for row in t)
 
 
 def perm_tabloid(sigma: Permutation, T: Tabloid) -> Tabloid:
@@ -114,8 +68,8 @@ def _perm_sign(order: tuple[int, ...]) -> int:
 
 def polytabloid_expand(t: Tableau) -> dict[Tabloid, int]:
     """Alternating sum of tabloids over the column group of t."""
-    cols = t.columns()
-    shape = [len(r) for r in t.rows]
+    cols = columns(t)
+    shape = [len(r) for r in t]
     out: dict[Tabloid, int] = {}
     col_perms = [list(itertools.permutations(range(len(c)))) for c in cols]
     for assignment in itertools.product(*col_perms):
@@ -160,7 +114,7 @@ def _gen_standard(shape: tuple[int, ...]) -> list[Tableau]:
 
     def place(k: int):
         if k > n:
-            out.append(Tableau.of(rows))
+            out.append(tuple(map(tuple, rows)))
             return
         for i, ln in enumerate(shape):
             j = next((jj for jj in range(ln) if rows[i][jj] == 0), None)
@@ -176,10 +130,10 @@ def _gen_standard(shape: tuple[int, ...]) -> list[Tableau]:
     return out
 
 
-def standard_tableaux(shape_parts: tuple[int, ...]) -> tuple[Tableau, ...]:
+def standard_tableaux(shape: tuple[int, ...]) -> tuple[Tableau, ...]:
     """All standard tableaux of a shape, ordered by column reading word."""
-    tabs = _gen_standard(shape_parts)
-    tabs.sort(key=lambda t: t.column_word())
+    tabs = _gen_standard(shape)
+    tabs.sort(key=lambda t: [x for col in columns(t) for x in col])
     return tuple(tabs)
 
 
@@ -193,21 +147,21 @@ class _RankTable(dict):
     of one integer in base (number of rows), filled the first time a tabloid
     is looked up and bounded by the tabloids of the shape."""
 
-    def __init__(self, shape: Partition):
+    def __init__(self, shape: tuple[int, ...]):
         super().__init__()
         self.shape = shape
 
     def __missing__(self, T: Tabloid) -> int:
-        parts = self.shape.parts
+        shape = self.shape
         if (
-            tuple(map(len, T)) != parts
+            tuple(map(len, T)) != shape
             or any(list(row) != sorted(row) for row in T)
-            or sorted(x for row in T for x in row) != list(range(1, self.shape.n + 1))
+            or sorted(x for row in T for x in row) != list(range(1, sum(shape) + 1))
         ):
-            raise NotInSpechtModule(f"{T} is not a tabloid of shape {parts}")
+            raise NotInSpechtModule(f"{T} is not a tabloid of shape {shape}")
         rank = 0
         for row in _dominance_key(T):
-            rank = rank * len(parts) + row
+            rank = rank * len(shape) + row
         self[T] = -rank
         return -rank
 
@@ -216,24 +170,23 @@ class _SpechtBasis:
     """Per-shape data: ordered standard basis, expansions, leader lookup,
     rank table."""
 
-    def __init__(self, shape_parts: tuple[int, ...]):
-        self.shape = Partition(shape_parts)
-        self.tableaux = standard_tableaux(shape_parts)
+    def __init__(self, shape: tuple[int, ...]):
+        self.tableaux = standard_tableaux(shape)
         self.dim = len(self.tableaux)
         self.expansions = [polytabloid_expand(t) for t in self.tableaux]
         self.leader_index = {tabloid_of(t): i for i, t in enumerate(self.tableaux)}
         if len(self.leader_index) != self.dim:
-            raise VerificationError(f"standard tableaux of {shape_parts} must have distinct leaders")
-        self.neg_rank = _RankTable(self.shape)
+            raise VerificationError(f"standard tableaux of {shape} must have distinct leaders")
+        self.neg_rank = _RankTable(shape)
 
 
 # an entry's rank table grows to at most the tabloids of its shape
 @lru_cache(maxsize=8)  # owner: action_matrix and straighten, one entry per shape audited
-def _basis(shape_parts: tuple[int, ...]) -> _SpechtBasis:
-    return _SpechtBasis(shape_parts)
+def _basis(shape: tuple[int, ...]) -> _SpechtBasis:
+    return _SpechtBasis(shape)
 
 
-def straighten(v: dict[Tabloid, int], shape: Partition) -> list[int]:
+def straighten(v: dict[Tabloid, int], shape: tuple[int, ...]) -> list[int]:
     """Exact coordinates of v on the standard-polytabloid basis.
 
     Reduces the dominance-maximal tabloid of v against the unique standard
@@ -241,7 +194,7 @@ def straighten(v: dict[Tabloid, int], shape: Partition) -> list[int]:
     Raises NotInSpechtModule if v is not an integer combination of
     polytabloids of the given shape.
     """
-    B = _basis(shape.parts)
+    B = _basis(shape)
     coords = [0] * B.dim
     if not v:
         return coords
@@ -286,28 +239,28 @@ FAMILIES = {
 }
 
 
-def family_shape(family: str, n: int) -> tuple[Partition, bool]:
+def family_shape(family: str, n: int) -> tuple[tuple[int, ...], bool]:
     """The shape of a family's S_n module, and whether it is sign-twisted."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}")
     tail, twisted = FAMILIES[family]
     if n - 2 < tail[0]:
         raise UsageError(f"family {family} needs n >= {tail[0] + 2}, got n={n}")
-    return Partition((n - 2, *tail)), twisted
+    return (n - 2, *tail), twisted
 
 
-def action_matrix(sigma: Permutation, shape: Partition) -> list[list[int]]:
+def action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]:
     """Rows of the matrix of sigma on the Specht module, whose columns are the
     images of the basis vectors."""
-    if sigma.degree != shape.n:
+    n = sum(shape)
+    if sigma.degree != n:
         raise ValueError("degree mismatch")
-    n = shape.n
     # 1-dimensional shapes: avoid the n!-term column-group expansion
-    if shape.parts == (n,):
+    if shape == (n,):
         return [[1]]
-    if shape.parts == tuple([1] * n):
+    if shape == (1,) * n:
         return [[1 if sigma.is_even() else -1]]
-    expansions = _basis(shape.parts).expansions
+    expansions = _basis(shape).expansions
     # sigma permutes tabloids, so an expansion's image needs no merging
     image: dict[Tabloid, Tabloid] = {}
     for exp in expansions:
@@ -318,16 +271,16 @@ def action_matrix(sigma: Permutation, shape: Partition) -> list[list[int]]:
     return [list(row) for row in zip(*cols)]
 
 
-def twisted_action_matrix(sigma: Permutation, shape: Partition) -> list[list[int]]:
+def twisted_action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]:
     """Rows of the matrix of sigma on the conjugate module: sign-twist of the action."""
     M = action_matrix(sigma, shape)
     return M if sigma.is_even() else [[-a for a in row] for row in M]
 
 
-def generator_matrices(shape: Partition, twisted: bool = False) -> list[list[list[int]]]:
+def generator_matrices(shape: tuple[int, ...], twisted: bool = False) -> list[list[list[int]]]:
     """Matrices of the generators (1,2) and (1,2,...,n) of S_n on the
     standard basis of the shape, or on its sign twist."""
-    n = shape.n
+    n = sum(shape)
     gens = [Permutation.from_cycles(n, [(1, 2)])]
     if n > 2:
         gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
@@ -349,16 +302,16 @@ def rep_mod2(mats: list[list[list[int]]]) -> GF2Module:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4096)  # owner: fixed_space_dim_via_characters, the recursion's memo
-def character_mn(shape_parts: tuple[int, ...], type_parts: tuple[int, ...]) -> int:
+def character_mn(shape: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
     """Character of the Specht module of the given shape on the given class."""
-    if sum(shape_parts) != sum(type_parts):
+    if sum(shape) != sum(cycle_type):
         raise ValueError("shape and cycle type must partition the same n")
-    if not type_parts:
+    if not cycle_type:
         return 1
-    m = type_parts[0]
-    rest = type_parts[1:]
-    k = len(shape_parts)
-    betas = [shape_parts[i] + (k - 1 - i) for i in range(k)]
+    m = cycle_type[0]
+    rest = cycle_type[1:]
+    k = len(shape)
+    betas = [shape[i] + (k - 1 - i) for i in range(k)]
     bset = set(betas)
     total = 0
     for b in betas:
@@ -376,22 +329,21 @@ def character_mn(shape_parts: tuple[int, ...], type_parts: tuple[int, ...]) -> i
     return total
 
 
-def fixed_space_dim_via_characters(shape: Partition, sigma_type: Partition) -> int:
+def fixed_space_dim_via_characters(shape: tuple[int, ...], sigma_type: tuple[int, ...]) -> int:
     """Dimension of the fixed space of a class element, as the average of the
     character over the cyclic group it generates."""
-    order = lcm(*sigma_type.parts)
+    order = lcm(*sigma_type)
     total = 0
     for j in range(order):
-        powered = _power_cycle_type(sigma_type, j)
-        total += character_mn(shape.parts, powered.parts)
+        total += character_mn(shape, _power_cycle_type(sigma_type, j))
     if total % order:
         raise VerificationError("character average over a cyclic group must be an integer")
     return total // order
 
 
-def _power_cycle_type(ct: Partition, j: int) -> Partition:
+def _power_cycle_type(ct: tuple[int, ...], j: int) -> tuple[int, ...]:
     out = []
-    for ln in ct.parts:
+    for ln in ct:
         g = gcd(ln, j)
         out.extend([ln // g] * g)
-    return Partition(tuple(sorted(out, reverse=True)))
+    return tuple(sorted(out, reverse=True))

@@ -33,7 +33,6 @@ from eigenone.intlinalg import _bareiss
 from eigenone.meataxe import composition_factors, is_irreducible
 from eigenone.perms import (
     IndexedGroup,
-    Partition,
     PermGroup,
     Permutation,
     class_rep_for,
@@ -45,6 +44,7 @@ from eigenone.specht import (
     Tabloid,
     _basis,
     _perm_sign,
+    columns,
     generator_matrices,
     perm_tabloid,
     polytabloid_expand,
@@ -74,11 +74,16 @@ def conjugate_by(p: Permutation, g: Permutation) -> Permutation:
     return g * p * inverse(g)
 
 
-def conjugate_partition(lam: Partition) -> Partition:
+def conjugate_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
     """The partition of the transposed Young diagram."""
-    if not lam.parts:
-        return Partition(())
-    return Partition(tuple(sum(1 for p in lam.parts if p > j) for j in range(lam.parts[0])))
+    if not lam:
+        return ()
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+
+
+def class_label(ct: tuple[int, ...]) -> str:
+    """The label a report gives the class of cycle type ct, e.g. "5,2,1,1"."""
+    return ",".join(map(str, ct))
 
 
 def is_identity(p: Permutation) -> bool:
@@ -633,7 +638,7 @@ def audit_gf2_classes(
 
 def audit_embedded_group_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
     """`audit.audit_embedded_group` with every class representative embedded."""
-    classes = [(str(rep.cycle_type()), size, order, embed_permutation(rep))
+    classes = [(class_label(rep.cycle_type()), size, order, embed_permutation(rep))
                for size, rep, order in G.conjugacy_classes()]
     return audit_gf2_classes(f"embed:{G.name}:d={G.degree}", classes, embed_group(G), seed)
 
@@ -746,7 +751,7 @@ def subgroup_census_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> list[
 def eig1_data_by_embedding(cycle_type: tuple[int, ...]) -> tuple[int, int, int]:
     """(dim ker(M + I), multiplicity of x + 1, characteristic polynomial) of
     the symplectic embedding M of a permutation with this cycle type."""
-    M = embed_permutation(class_rep_for(Partition(cycle_type)))
+    M = embed_permutation(class_rep_for(cycle_type))
     record = gf2_class_payload("", 1, 1, M)
     return record["eig1_geometric"], record["eig1_algebraic"], charpoly_mod2(M)
 
@@ -756,25 +761,30 @@ def eig1_data_by_embedding(cycle_type: tuple[int, ...]) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def hook_length_count(shape: Partition) -> int:
+def hook_length_count(shape: tuple[int, ...]) -> int:
     conj = conjugate_partition(shape)
-    d = factorial(shape.n)
-    for i, ln in enumerate(shape.parts):
+    d = factorial(sum(shape))
+    for i, ln in enumerate(shape):
         for j in range(ln):
-            hook = (ln - j - 1) + (conj.parts[j] - i - 1) + 1
+            hook = (ln - j - 1) + (conj[j] - i - 1) + 1
             assert d % hook == 0
             d //= hook
     return d
 
 
-def expand_coords(coords: list[int], shape: Partition) -> dict[Tabloid, int]:
+def expand_coords(coords: list[int], shape: tuple[int, ...]) -> dict[Tabloid, int]:
     """Inverse of straighten: tabloid expansion of a coordinate vector."""
-    B = _basis(shape.parts)
+    B = _basis(shape)
     out: dict[Tabloid, int] = {}
     for c, exp in zip(coords, B.expansions):
         if c:
             tv_add_scaled(out, exp, c)
     return out
+
+
+def apply_tableau(sigma: Permutation, t: Tableau) -> Tableau:
+    """The tableau sigma t: each entry x replaced by sigma(x)."""
+    return tuple(tuple(sigma.apply(x) for x in row) for row in t)
 
 
 def fixed_vector_full_orbit(sigma: Permutation, t: Tableau) -> dict[Tabloid, int]:
@@ -783,27 +793,27 @@ def fixed_vector_full_orbit(sigma: Permutation, t: Tableau) -> dict[Tabloid, int
     cur = t
     for _ in range(sigma.order()):
         tv_add_scaled(acc, polytabloid_expand(cur), 1)
-        cur = cur.apply(sigma)
+        cur = apply_tableau(sigma, cur)
     return acc
 
 
 def _sort_columns(t: Tableau) -> tuple[Tableau, int]:
-    cols = t.columns()
+    cols = columns(t)
     sign = 1
     sorted_cols = []
     for col in cols:
         order = sorted(range(len(col)), key=lambda i: col[i])
         sign *= _perm_sign(tuple(order))
         sorted_cols.append([col[i] for i in order])
-    shape = [len(r) for r in t.rows]
-    rows = [[sorted_cols[j][i] for j in range(ln)] for i, ln in enumerate(shape)]
-    return Tableau.of(rows), sign
+    shape = [len(r) for r in t]
+    rows = [tuple(sorted_cols[j][i] for j in range(ln)) for i, ln in enumerate(shape)]
+    return tuple(rows), sign
 
 
 def _find_row_violation(t: Tableau) -> tuple[int, int] | None:
     """Leftmost adjacent column pair with a descent, topmost row: (row, col)."""
-    for j in range(len(t.rows[0]) - 1):
-        for i, row in enumerate(t.rows):
+    for j in range(len(t[0]) - 1):
+        for i, row in enumerate(t):
             if len(row) > j + 1 and row[j] > row[j + 1]:
                 return i, j
     return None
@@ -822,8 +832,7 @@ def _garnir_expand_cached(t: Tableau) -> tuple[tuple[Tableau, int], ...]:
     if viol is None:
         return ((u, sign),)
     i, j = viol
-    colA = u.columns()[j]
-    colB = u.columns()[j + 1]
+    colA, colB = columns(u)[j:j + 2]
     A = colA[i:]
     B = colB[: i + 1]
     union = sorted(A + B)
@@ -838,10 +847,10 @@ def _garnir_expand_cached(t: Tableau) -> tuple[tuple[Tableau, int], ...]:
         # sign of the rearrangement of the involved values
         pos = {v: k for k, v in enumerate(old_vals)}
         sign_shuffle = _perm_sign(tuple(pos[v] for v in new_vals))
-        rows = [list(r) for r in u.rows]
+        rows = [list(r) for r in u]
         for (r, c), v in zip(cells, new_vals):
             rows[r][c] = v
-        for sub_t, sub_c in _garnir_expand_cached(Tableau.of(rows)):
+        for sub_t, sub_c in _garnir_expand_cached(tuple(map(tuple, rows))):
             nv = out.get(sub_t, 0) - sign_shuffle * sub_c
             if nv:
                 out[sub_t] = nv
@@ -852,7 +861,7 @@ def _garnir_expand_cached(t: Tableau) -> tuple[tuple[Tableau, int], ...]:
 
 def garnir_coords(t: Tableau) -> list[int]:
     """Coordinates of e_t on the standard basis via Garnir rewriting."""
-    B = _basis(t.shape.parts)
+    B = _basis(tuple(map(len, t)))
     index = {tab: i for i, tab in enumerate(B.tableaux)}
     coords = [0] * B.dim
     for s, c in garnir_expand(t).items():
@@ -860,7 +869,7 @@ def garnir_coords(t: Tableau) -> list[int]:
     return coords
 
 
-def specht_mod2_module(n: int, shape: Partition) -> GF2Module:
+def specht_mod2_module(n: int, shape: tuple[int, ...]) -> GF2Module:
     return rep_mod2(generator_matrices(shape))
 
 
@@ -886,9 +895,9 @@ def tabloids_of_shape(shape_parts: tuple[int, ...]) -> tuple[Tabloid, ...]:
     return tuple(sorted(split(tuple(range(1, n + 1)), shape_parts)))
 
 
-def tabloid_action_matrix(sigma: Permutation, shape: Partition) -> list[list[int]]:
+def tabloid_action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]:
     """Permutation matrix of sigma on the tabloid basis of the shape."""
-    tabs = tabloids_of_shape(shape.parts)
+    tabs = tabloids_of_shape(shape)
     index = {T: i for i, T in enumerate(tabs)}
     M = int_zeros(len(tabs))
     for j, T in enumerate(tabs):

@@ -32,7 +32,7 @@ from eigenone.meataxe import (
     factor_dimensions,
     is_irreducible,
 )
-from eigenone.perms import Partition, builtin_group, class_reps_symmetric
+from eigenone.perms import builtin_group, class_reps_symmetric
 from eigenone.specht import FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ
 from eigenone.symplectic import embed_group, permutation_module_gf2
 from oracles import (
@@ -164,10 +164,10 @@ def test_criterion_6_steinberg_flag_module():
 
 def test_criterion_7_mod2_specht_facts():
     t0 = time.time()
-    assert factor_dimensions(specht_mod2_module(5, Partition((3, 1, 1)))) == [1, 1, 4]
+    assert factor_dimensions(specht_mod2_module(5, (3, 1, 1))) == [1, 1, 4]
     expectations = {5: False, 7: True, 9: False, 11: True, 13: False}
     for n, irr in expectations.items():
-        mod = specht_mod2_module(n, Partition((n - 2, 2)))
+        mod = specht_mod2_module(n, (n - 2, 2))
         dims = factor_dimensions(mod)
         assert (dims == [mod.dim]) == irr, (n, dims)
     elapsed = time.time() - t0
@@ -230,7 +230,6 @@ def test_criterion_10_property_suites():
 
     from eigenone.perms import Permutation
     from eigenone.specht import (
-        Tableau,
         action_matrix,
         character_mn,
         polytabloid_expand,
@@ -243,30 +242,27 @@ def test_criterion_10_property_suites():
     # families for n <= 7
     for n in range(5, 8):
         for shape in [(n - 2, 2), (n - 2, 1, 1)]:
-            sh = Partition(shape)
             for perm in itertools.permutations(range(1, n + 1)):
                 rows, k = [], 0
                 for ln in shape:
                     rows.append(perm[k : k + ln])
                     k += ln
-                t = Tableau.of(rows)
+                t = tuple(rows)
                 v = polytabloid_expand(t)
-                assert expand_coords(straighten(v, sh), sh) == v
+                assert expand_coords(straighten(v, shape), shape) == v
     # homomorphism spot checks
     rng = random.Random(1)
     for shape in [(5, 2), (5, 1, 1)]:
-        sh = Partition(shape)
         n = sum(shape)
         for _ in range(200):
             p = Permutation(tuple(rng.sample(range(n), n)))
             q = Permutation(tuple(rng.sample(range(n), n)))
-            assert matmul(action_matrix(p, sh), action_matrix(q, sh)) == action_matrix(p * q, sh)
+            assert matmul(action_matrix(p, shape), action_matrix(q, shape)) == action_matrix(p * q, shape)
     # character oracle agreement for all classes, n <= 9
     for n in range(5, 10):
         for shape in [(n - 2, 2), (n - 2, 1, 1), (n - 1, 1), (n,), tuple([1] * n)]:
-            sh = Partition(shape)
             for ct, rep in class_reps_symmetric(n):
-                assert trace(action_matrix(rep, sh)) == character_mn(shape, ct.parts)
+                assert trace(action_matrix(rep, shape)) == character_mn(shape, ct)
     # MeatAxe basis-change invariance is covered in tests/test_meataxe.py and
     # Weil bounds are checked inside every lpoly_from_counts call
     elapsed = time.time() - t0

@@ -17,11 +17,11 @@ from eigenone.gf2 import BitMatrix, GF2Module, rank_nullspace
 from eigenone.meataxe import is_irreducible
 from eigenone.perms import (
     IndexedGroup,
-    Partition,
     PermGroup,
     Permutation,
     builtin_group,
     class_reps_symmetric,
+    is_even_class,
 )
 from eigenone.specht import (
     FAMILY_HOOK,
@@ -35,6 +35,7 @@ from oracles import (
     audit_embedded_group_by_matrices,
     audit_gf2_classes,
     charpoly_mod2,
+    class_label,
     conjugate_by,
     cyclic_subgroups_by_definition,
     det,
@@ -87,18 +88,18 @@ def test_geometric_multiplicity_matches_character_average():
         total, x = 0, sigma
         for _ in range(sigma.order()):
             sign = 1 if x.is_even() else -1
-            total += sign * character_mn(shape.parts, x.cycle_type().parts)
+            total += sign * character_mn(shape, x.cycle_type())
             x = x * sigma
         return total // sigma.order()
 
     for n in range(5, 9):
         for family in (FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ):
-            shape = Partition((n - 2, 1, 1) if family == FAMILY_HOOK else (n - 2, 2))
+            shape = (n - 2, 1, 1) if family == FAMILY_HOOK else (n - 2, 2)
             twisted = family == FAMILY_TWO_CONJ
             rep = audit_specht(n, family)
             by_label = {c["class"]: c for c in rep["classes"]}
             for ct, sigma in class_reps_symmetric(n):
-                rec = by_label[str(ct)]
+                rec = by_label[class_label(ct)]
                 if twisted:
                     expected = twisted_fixed_space_dim(shape, sigma)
                     M = twisted_action_matrix(sigma, shape)
@@ -127,14 +128,14 @@ def test_two_row_fixed_space_by_orbit_counts(n):
     pairs = [frozenset(S) for S in itertools.combinations(range(1, n + 1), 2)]
     rep = audit_specht(n, FAMILY_TWO)
     for rec, (ct, g) in zip(rep["classes"], class_reps_symmetric(n), strict=True):
-        assert rec["class"] == str(ct)
+        assert rec["class"] == class_label(ct)
         assert rec["eig1_geometric"] == orbit_count(pairs, g) - orbit_count(points, g), (n, ct)
 
 
 def test_det_constant_on_class_sampled():
     rng = random.Random(0)
     n = 6
-    sh = Partition((4, 2))
+    sh = (4, 2)
     els = builtin_group("s_n", n=n).indexed.elements
     for ct, rep in class_reps_symmetric(n):
         M = action_matrix(rep, sh)
@@ -147,13 +148,13 @@ def test_det_constant_on_class_sampled():
 
 def test_sign_twist_changes_only_odd_classes():
     n = 6
-    sh = Partition((4, 2))
+    sh = (4, 2)
     for ct, rep in class_reps_symmetric(n):
         M = action_matrix(rep, sh)
         Mt = twisted_action_matrix(rep, sh)
         d = det(matsub(int_identity(len(M)), M))
         dt = det(matsub(int_identity(len(M)), Mt))
-        if ct.is_even_class():
+        if is_even_class(ct):
             assert d == dt
         # odd classes may or may not differ; the even case is the invariant
 
@@ -430,7 +431,7 @@ def test_flag_factor_classes_unisingular():
 def test_audit_gf2_classes_reducible_module_flags():
     from oracles import specht_mod2_module
 
-    mod = specht_mod2_module(5, Partition((3, 1, 1)))
+    mod = specht_mod2_module(5, (3, 1, 1))
     classes = [("id", 1, 1, BitMatrix.identity(6))]
     rep = audit_gf2_classes("s311-mod2", classes, mod)
     assert rep["irreducible"] is False

@@ -304,6 +304,8 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ("nt frobenius-scan --a 1 --t 1 --pmax 50 --group agl2_3 --poly=0,0,0,0,0,0,0,0,0,1",
      "disc(f) = 0, so no prime is good"),
     ("nt frobenius-scan --a 0 --t 0 --group agl2_3", "disc(f) = 0, so no prime is good"),
+    ("nt lpoly-check --a 0 --t 1 --primes 5", "disc(f) = 0, so no prime is good"),
+    ("nt lpoly-check --a 1 --t 0 --primes 5", "disc(f) = 0, so no prime is good"),
     # a degree mismatch would read every prime as a type outside the group
     ("nt frobenius-scan --a 1 --t -32 --pmax 100 --group pgl2 --q 7",
      "polynomial degree 9 differs from the degree 8 of pgl2_7"),
@@ -593,15 +595,27 @@ def test_lpoly_check_weil_bound_survives_optimize():
 def test_failed_fixed_vector_check_is_internal_error(capsys, monkeypatch):
     # an unfixed witness is a failed check, not a refuted claim
     import eigenone.fixed_vectors
-    from eigenone.specht import Tableau
 
-    bad = Tableau.of([[1, 4, 5], [2], [3]])
+    bad = ((1, 4, 5), (2,), (3,))
     monkeypatch.setattr(eigenone.fixed_vectors, "witness_tableau", lambda s, f: (bad, True))
     code = main(["specht", "fixed-vector", "--n", "5", "--cycle-type", "5", "--family", "n-2,1,1"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert "FixedVectorError" in captured.err
+
+
+@pytest.mark.parametrize("direct", [True, False])
+def test_malformed_witness_is_internal_error(capsys, monkeypatch, direct):
+    # a repeated entry in the case table's column is a failed check, whether
+    # the polytabloid is taken as it is or summed over sigma's orbit
+    import eigenone.fixed_vectors
+
+    monkeypatch.setattr(eigenone.fixed_vectors, "_hook_column", lambda s: ((1, 1, 2), direct))
+    code = main(["specht", "fixed-vector", "--n", "6", "--cycle-type", "3,3", "--family", "n-2,1,1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
 
 
 def test_straightening_failure_is_internal_error(capsys, monkeypatch):

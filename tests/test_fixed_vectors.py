@@ -10,8 +10,9 @@ from eigenone.fixed_vectors import (
     fixed_vector_sum,
     witness_tableau,
 )
-from eigenone.perms import Partition, Permutation, class_rep_for, class_reps_symmetric
-from eigenone.specht import Tableau, family_shape, polytabloid_expand, tv_apply_perm
+from eigenone.errors import VerificationError
+from eigenone.perms import Permutation, class_rep_for, class_reps_symmetric
+from eigenone.specht import family_shape, polytabloid_expand, tv_apply_perm
 from oracles import expand_coords, fixed_vector_full_orbit, identity_perm
 
 
@@ -26,13 +27,13 @@ def test_identity_gets_direct_polytabloid():
     t, direct = witness_tableau(sigma, FAMILY_HOOK)
     assert direct
     fv = build_fixed_vector(sigma, FAMILY_HOOK)
-    assert vector_of(fv, 6) == polytabloid_expand(Tableau.of(fv["tableau"]))
+    assert vector_of(fv, 6) == polytabloid_expand(tuple(map(tuple, fv["tableau"])))
 
 
 def test_three_fixed_points_hook_direct():
     sigma = Permutation.from_cycles(7, [(4, 5, 6, 7)])
     t, direct = witness_tableau(sigma, FAMILY_HOOK)
-    assert direct is False or sorted(x for row in t.rows[1:] for x in row) == [2, 3]
+    assert direct is False or sorted(x for row in t[1:] for x in row) == [2, 3]
     vec = vector_of(build_fixed_vector(sigma, FAMILY_HOOK), 7)
     assert vec and tv_apply_perm(sigma, vec) == vec
 
@@ -41,12 +42,12 @@ def test_four_fixed_points_two_row_direct():
     sigma = Permutation.from_cycles(8, [(5, 6, 7, 8)])
     t, direct = witness_tableau(sigma, FAMILY_TWO)
     assert direct
-    assert t.rows[0][:2] == (1, 2) and t.rows[1] == (3, 4)
+    assert t[0][:2] == (1, 2) and t[1] == (3, 4)
 
 
 def test_orbit_sum_is_always_fixed():
     sigma = Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)])
-    t = Tableau.of([[1, 2, 3, 4], [5], [6]])
+    t = ((1, 2, 3, 4), (5,), (6,))
     E = fixed_vector_sum(sigma, t)
     assert tv_apply_perm(sigma, E) == E
 
@@ -69,19 +70,19 @@ def test_one_period_sum_equals_the_full_orbit_sum(n):
 def test_degree_60_sums_one_period(cycle_type, family):
     # summing all order(sigma) terms had not finished after 60 s
     t0 = time.time()
-    fv = build_fixed_vector(class_rep_for(Partition(cycle_type)), family)
+    fv = build_fixed_vector(class_rep_for(cycle_type), family)
     assert any(int(c) for c in fv["coords"])
     assert time.time() - t0 < 10
 
 
 def test_ncycle_on_standard_shape_vanishes():
     sigma = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
-    t = Tableau.of([[1, 2, 3, 4], [5]])
+    t = ((1, 2, 3, 4), (5,))
     assert fixed_vector_sum(sigma, t) == {}
 
 
 def test_orbit_sum_of_identity_is_single_polytabloid():
-    t = Tableau.of([[1, 3, 5], [2], [4]])
+    t = ((1, 3, 5), (2,), (4,))
     assert fixed_vector_sum(identity_perm(5), t) == polytabloid_expand(t)
 
 
@@ -96,7 +97,7 @@ def test_single_big_cycle_term_count():
     # an (n-2)-cycle with two fixed points: a sum of 3n-8 basis vectors
     # (counted with multiplicity: one coefficient n-2, and 2(n-3) signs)
     for n in [7, 9, 11]:
-        sigma = class_rep_for(Partition((n - 2, 1, 1)))
+        sigma = class_rep_for((n - 2, 1, 1))
         coords = [int(c) for c in build_fixed_vector(sigma, FAMILY_HOOK)["coords"]]
         assert sum(abs(c) for c in coords) == 3 * n - 8
         assert sum(1 for c in coords if c) == 2 * n - 5
@@ -117,11 +118,26 @@ def test_verification_rejects_bad_selection(monkeypatch):
     # verification must refuse it rather than return silently
     import eigenone.fixed_vectors as fvmod
 
-    bad = Tableau.of([[1, 4, 5], [2], [3]])
+    bad = ((1, 4, 5), (2,), (3,))
     monkeypatch.setattr(fvmod, "witness_tableau", lambda s, f: (bad, True))
     sigma = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
     with pytest.raises(FixedVectorError):
         build_fixed_vector(sigma, FAMILY_HOOK)
+
+
+@pytest.mark.parametrize("case,family,entries", [
+    ("_hook_column", FAMILY_HOOK, (1, 1, 2)),  # a column with a repeat: e_t = 0
+    ("_two_row_block", FAMILY_TWO, (1, 1, 3, 4)),  # a row with a repeat
+])
+def test_malformed_witness_fails_as_a_check(monkeypatch, case, family, entries):
+    # a tableau is a plain tuple, so nothing refuses a repeated entry when the
+    # witness is built; the checks after it must: the nonzero check, or the
+    # rank table of straighten, which knows only the tabloids of its shape
+    import eigenone.fixed_vectors as fvmod
+
+    monkeypatch.setattr(fvmod, case, lambda sigma: (entries, True))
+    with pytest.raises(VerificationError):
+        build_fixed_vector(identity_perm(6), family)
 
 
 def test_degree_too_small_rejected():
@@ -135,9 +151,9 @@ def test_unknown_family_rejected():
 
 
 def test_payload_shape():
-    sigma = class_rep_for(Partition((3, 2)))
+    sigma = class_rep_for((3, 2))
     payload = build_fixed_vector(sigma, FAMILY_TWO)
     assert payload["nonzero"] is True
     assert payload["sigma"] == "(1,2,3)(4,5)"
     assert payload["family"] == FAMILY_TWO
-    assert Tableau.of(payload["tableau"]) == witness_tableau(sigma, FAMILY_TWO)[0]
+    assert tuple(map(tuple, payload["tableau"])) == witness_tableau(sigma, FAMILY_TWO)[0]

@@ -18,8 +18,8 @@ SCRIPTS = ROOT / "scripts"
 
 # name -> why it stays in the package without a caller
 UNREACHED_ALLOWED = {
-    "fixed_space_dim_via_characters": "ROADMAP item 2 makes the character route "
-    "the production fixed-space dimension",
+    "fixed_space_dim_via_characters": "ROADMAP item 12 gives the character route "
+    "its production caller",
 }
 # Class.method -> why it stays in the package without a caller
 UNREAD_METHODS_ALLOWED = {}

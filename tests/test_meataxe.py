@@ -10,7 +10,7 @@ from eigenone.meataxe import (
     factor_dimensions,
     is_irreducible,
 )
-from eigenone.perms import Partition, builtin_group
+from eigenone.perms import builtin_group
 from eigenone.symplectic import embed_group, permutation_module_gf2
 from oracles import endomorphism_algebra_dim, specht_mod2_module
 
@@ -23,12 +23,12 @@ def test_trivial_module():
 
 
 def test_specht_311_mod2():
-    mod = specht_mod2_module(5, Partition((3, 1, 1)))
+    mod = specht_mod2_module(5, (3, 1, 1))
     assert factor_dimensions(mod) == [1, 1, 4]
 
 
 def test_specht_52_mod2_irreducible():
-    mod = specht_mod2_module(7, Partition((5, 2)))
+    mod = specht_mod2_module(7, (5, 2))
     assert factor_dimensions(mod) == [14]
     assert is_irreducible(mod)
 
@@ -98,8 +98,8 @@ def _direct_sum(a: GF2Module, b: GF2Module) -> GF2Module:
 
 
 def test_direct_sum_factors_are_multiset_union():
-    m1 = specht_mod2_module(5, Partition((3, 1, 1)))
-    m2 = specht_mod2_module(5, Partition((3, 2)))
+    m1 = specht_mod2_module(5, (3, 1, 1))
+    m2 = specht_mod2_module(5, (3, 2))
     d1 = factor_dimensions(m1)
     d2 = factor_dimensions(m2)
     assert factor_dimensions(_direct_sum(m1, m2)) == sorted(d1 + d2)
@@ -137,7 +137,7 @@ def _random_basis_change(mod: GF2Module, rng: random.Random) -> GF2Module:
 
 def test_factors_invariant_under_basis_change():
     rng = random.Random(99)
-    mod = specht_mod2_module(5, Partition((3, 1, 1)))
+    mod = specht_mod2_module(5, (3, 1, 1))
     base = factor_dimensions(mod)
     for _ in range(10):
         assert factor_dimensions(_random_basis_change(mod, rng)) == base
@@ -152,7 +152,7 @@ def test_dimension_sum_check_fires(monkeypatch):
     split = mx._split_by_subspace
     monkeypatch.setattr(mx, "_split_by_subspace", lambda m, sub: (split(m, sub)[0],) * 2)
     with pytest.raises(VerificationError, match="must sum to the module dimension"):
-        composition_factors(specht_mod2_module(5, Partition((3, 1, 1))))
+        composition_factors(specht_mod2_module(5, (3, 1, 1)))
 
 
 def test_factors_re_irreducible():
@@ -162,14 +162,14 @@ def test_factors_re_irreducible():
 
 
 def test_determinism_of_seeded_runs():
-    mod = specht_mod2_module(5, Partition((3, 1, 1)))
+    mod = specht_mod2_module(5, (3, 1, 1))
     a = [tuple(g.rows) for f in composition_factors(mod, seed=0xC0FFEE) for g in f.gens]
     b = [tuple(g.rows) for f in composition_factors(mod, seed=0xC0FFEE) for g in f.gens]
     assert a == b
 
 
 def test_factor_dims_independent_of_seed():
-    mod = specht_mod2_module(7, Partition((5, 1, 1)))
+    mod = specht_mod2_module(7, (5, 1, 1))
     base = factor_dimensions(mod, seed=1)
     for seed in [2, 3, 0xC0FFEE]:
         assert factor_dimensions(mod, seed=seed) == base
@@ -184,7 +184,7 @@ def test_dimension_bound():
 
 
 def _irreducible_module():
-    return specht_mod2_module(7, Partition((5, 2)))  # irreducible, dimension 14
+    return specht_mod2_module(7, (5, 2))  # irreducible, dimension 14
 
 
 def _run_mod2_factors(capsys):
@@ -237,12 +237,12 @@ def test_dual_split_check_fires_on_a_full_complement(monkeypatch, capsys):
 
 
 SWEEP_MODULES = {
-    "S^(3,1,1)": (lambda: specht_mod2_module(5, Partition((3, 1, 1))), [1, 1, 4]),
-    "S^(5,2)": (lambda: specht_mod2_module(7, Partition((5, 2))), [14]),
-    "S^(5,1,1)": (lambda: specht_mod2_module(7, Partition((5, 1, 1))), [1, 14]),
+    "S^(3,1,1)": (lambda: specht_mod2_module(5, (3, 1, 1)), [1, 1, 4]),
+    "S^(5,2)": (lambda: specht_mod2_module(7, (5, 2)), [14]),
+    "S^(5,1,1)": (lambda: specht_mod2_module(7, (5, 1, 1)), [1, 14]),
     "agl2_3": (lambda: embed_group(builtin_group("agl2_3")), [8]),
     "flags": (lambda: permutation_module_gf2(builtin_group("l3_2_flags")), [1, 3, 3, 3, 3, 8]),
-    "S^(4,3,2)": (lambda: specht_mod2_module(9, Partition((4, 3, 2))), [8, 160]),
+    "S^(4,3,2)": (lambda: specht_mod2_module(9, (4, 3, 2)), [8, 160]),
 }
 
 

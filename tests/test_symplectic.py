@@ -89,7 +89,7 @@ def test_nullity_equals_cycle_count_minus_one_odd_degree():
         for ct, rep in class_reps_symmetric(d):
             M = embed_permutation(rep)
             _, ns = rank_nullspace(M + ident)
-            assert len(ns) == len(ct.parts) - 1
+            assert len(ns) == len(ct) - 1
 
 
 def test_cycle_type_forms_match_the_embedded_matrix():
