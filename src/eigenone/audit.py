@@ -6,7 +6,7 @@ group for irreducibility and the same property on that module.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DEFAULT_SEED, ClosureOverflow, UsageError, VerificationError
 from .perms import (
@@ -15,17 +15,20 @@ from .perms import (
     class_rep_for,
     class_reps_symmetric,
     is_even_class,
+    is_prime,
     orbit,
     orbits,
+    power_cycle_type,
     sn_class_size,
 )
 
-# Each audit imports the layers it runs where it runs: the integral ones
-# (specht, intlinalg) and the GF(2) ones (meataxe, symplectic).  So `embed`
-# loads no integral layer and `specht audit` no GF(2) one.  perfbench's
-# tracer wraps each layer where it is defined, so it counts these calls, but
-# not the census's own loops: `perms.orbit` and `_coset_closure` are not
-# among its targets, and their time lands in `audit.subgroup_census`.
+# Each audit imports the layers it runs where it runs: the integral one
+# (specht; its ranks are taken mod a prime here) and the GF(2) ones
+# (meataxe, symplectic).  So `embed` loads no integral layer, and
+# `specht audit` no GF(2) one and no exact elimination.  perfbench's tracer
+# wraps each layer where it is defined, so it counts these calls, but not
+# the census's own loops: `perms.orbit` and `_coset_closure` are not among
+# its targets, and their time lands in `audit.subgroup_census`.
 
 
 def _label(ct: tuple[int, ...]) -> str:
@@ -59,72 +62,156 @@ def audit_payload(rep_id: str, dim: int, ring: str, classes: list[dict]) -> dict
     }
 
 
-def _one_minus(M: list[list[int]]) -> list[list[int]]:
-    """The rows of I - M, new lists that `_bareiss` may eliminate in place."""
-    return [[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(M)]
-
-
-def _int_class_payload(label: str, size: int, order: int, M: list[list[int]]) -> dict:
-    from .intlinalg import _bareiss
-
-    rank, det = _bareiss(_one_minus(M))
-    geo = len(M) - rank
-    # M has finite order, so it is semisimple over QQ: the algebraic
-    # multiplicity of eigenvalue 1 equals the geometric one
-    return class_payload(label, size, order, det, geo, geo)
-
-
-def audit_int_classes(rep_id: str, classes: list[tuple[str, int, int, list[list[int]]]]) -> dict:
-    """classes: (label, class size, element order, matrix rows), one per class."""
-    if not classes:
-        raise ValueError("no classes to audit")
-    return audit_payload(rep_id, len(classes[0][3]), "ZZ",
-                         [_int_class_payload(*c) for c in classes])
-
-
 # ---------------------------------------------------------------------------
 # Specht audits
 # ---------------------------------------------------------------------------
 
+# A prime above every degree the integral audits accept: see _rank_one_minus.
+FIX_PRIME = 32749
+
+
+def _rank_one_minus(M: list[list[int]], p: int) -> int:
+    """The rank of I - M over F_p, by elimination on plain row lists that
+    skips every row whose entry in the pivot column is 0.
+
+    For an integral M of finite order o prime to p, this is the rank over
+    QQ.  E = (1/o) sum_{k<o} M^k has entries in Z_(p), as o is a unit there.
+    E is idempotent, ME = E and E fixes every fixed vector of M, so the image
+    of E is Fix(M).  Over the local ring Z_(p), the image of an idempotent is
+    a free direct summand, here of rank dim Fix_QQ(M).  Reducing mod p keeps
+    that rank, and since o is a unit in F_p, the image of E mod p is
+    Fix(M mod p) by the same argument.  So rank_{F_p}(I - M) =
+    rank_QQ(I - M).  A (sign-twisted) Specht matrix of g has order dividing
+    ord(g), whose prime factors are at most n: so p > n suffices.
+    """
+    rows = []
+    for i, row in enumerate(M):
+        r = [-a % p for a in row]
+        r[i] = (1 - row[i]) % p
+        rows.append(r)
+    rank = 0
+    for c in range(len(M)):
+        piv = next((i for i, r in enumerate(rows) if r[c]), None)
+        if piv is None:
+            continue
+        pivot = rows.pop(piv)
+        inv = pow(pivot[c], -1, p)
+        tail = [a * inv % p for a in pivot[c + 1:]]
+        for r in rows:
+            f = r[c]
+            if f:
+                r[c + 1:] = [(a - f * b) % p for a, b in zip(r[c + 1:], tail)]
+                r[c] = 0
+        rank += 1
+    return rank
+
+
+def _fixed_dims(shape: tuple[int, ...], twisted: bool, classes: list) -> tuple[int, dict]:
+    """The dimension of the (sign-twisted) Specht module of a shape, and
+    dim Fix(g) on it for each (cycle type, representative g) in classes, as
+    dim - rank(I - M) over F_p with p = FIX_PRIME."""
+    from .specht import action_matrix, twisted_action_matrix
+
+    n = sum(shape)
+    if n >= FIX_PRIME:
+        raise UsageError(f"fixed dimensions mod {FIX_PRIME} need n < {FIX_PRIME}, got n={n}")
+    matrix = twisted_action_matrix if twisted else action_matrix
+    dim = None
+    fixed = {}
+    for ct, rep in classes:
+        M = matrix(rep, shape)
+        dim = len(M)
+        fixed[ct] = dim - _rank_one_minus(M, FIX_PRIME)
+    return dim, fixed
+
+
+def _divisors(m: int) -> list[int]:
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def _cyclotomic_at_one(e: int) -> tuple[int, int]:
+    """(phi(e), Phi_e(1)): Phi_e(1) is 0 for e = 1, q for e a power of the
+    prime q, and 1 otherwise."""
+    primes = [q for q in _divisors(e) if is_prime(q)]
+    phi = e
+    for q in primes:
+        phi = phi // q * (q - 1)
+    return phi, 0 if e == 1 else primes[0] if len(primes) == 1 else 1
+
+
+def _det_from_powers(ct: tuple[int, ...], fixed: dict, dim: int) -> int:
+    """det(I - M) for g of cycle type ct, from F(d) = dim Fix(g^d), d | ord(g),
+    read from fixed by the cycle type of g^d.
+
+    M is semisimple, and each eigenvalue has order dividing o = ord(g).
+    F(d) counts the eigenvalues with x^d = 1, so F(d) = sum_{e | d} m_e,
+    where m_e is the number of exact order e; hence m_e = F(e) - sum of m_d
+    over d | e, d < e.  M is rational, so those of order e are the roots of
+    Phi_e, each m_e / phi(e) times, and their factors 1 - x multiply to
+    Phi_e(1)^(m_e / phi(e)): the product is 0 when m_1 > 0, and otherwise
+    that of the prime powers e > 1.  The counts are checked: each m_e a
+    non-negative multiple of phi(e), and sum m_e = dim.
+    """
+    m: dict[int, int] = {}
+    for e in _divisors(lcm(*ct)):
+        m[e] = fixed[power_cycle_type(ct, e)] - sum(k for d, k in m.items() if e % d == 0)
+    det = 1
+    for e, k in m.items():
+        phi, at_one = _cyclotomic_at_one(e)
+        if k < 0 or k % phi:
+            raise VerificationError(
+                f"class {_label(ct)}: {k} eigenvalues of order {e}, "
+                f"not a non-negative multiple of phi({e}) = {phi}")
+        det *= at_one ** (k // phi)  # 0 ** 0 is 1: no eigenvalue 1, no zero factor
+    if sum(m.values()) != dim:
+        raise VerificationError(f"class {_label(ct)}: {sum(m.values())} eigenvalues in dimension {dim}")
+    return det
+
+
 def audit_specht(n: int, family: str, group: str = "s_n") -> dict:
     """Audit a Specht-family representation over the integers, one matrix per
-    conjugacy class (det(I - M) is a class function).
+    conjugacy class (dim Fix and det(I - M) are class functions).
+
+    Each class's dim Fix is read from one rank mod p (`_rank_one_minus`),
+    and det(I - M) from the fixed dimensions of its powers
+    (`_det_from_powers`), which are classes of the same audit.  M has finite
+    order, so it is semisimple over QQ: the algebraic multiplicity of
+    eigenvalue 1 equals the geometric one.
 
     family: specht.FAMILY_HOOK, FAMILY_TWO or FAMILY_TWO_CONJ; group: "s_n" or "a_n".
     Supported range is 5 <= n <= 17 (the class count grows as p(n); n = 17
-    takes about 11 s per family).  For a_n only even
-    classes are audited (every element of A_n lies in an even S_n class and
-    det(I - M) is constant on S_n classes); reported sizes are S_n class
-    sizes.
+    takes a few seconds per family).  For a_n only even classes are audited
+    (every element of A_n lies in an even S_n class, whose powers are even
+    too, and the invariants are constant on S_n classes); reported sizes are
+    S_n class sizes.
     """
-    from .specht import action_matrix, family_shape, twisted_action_matrix
+    from .specht import family_shape
 
     if group not in ("s_n", "a_n"):
         raise UsageError(f"unknown group {group!r}")
     if not 5 <= n <= 17:
         raise UsageError(f"n={n} outside supported range 5..17")
     shape, twisted = family_shape(family, n)
-    classes = []
-    for ct, rep in class_reps_symmetric(n):
-        if group == "a_n" and not is_even_class(ct):
-            continue
-        M = twisted_action_matrix(rep, shape) if twisted else action_matrix(rep, shape)
-        classes.append((_label(ct), sn_class_size(ct), rep.order(), M))
-    rep_id = f"specht:{family}:n={n}:{group}"
-    return audit_int_classes(rep_id, classes)
+    classes = [(ct, rep) for ct, rep in class_reps_symmetric(n)
+               if group == "s_n" or is_even_class(ct)]
+    dim, fixed = _fixed_dims(shape, twisted, classes)
+    records = []
+    for ct, rep in classes:
+        geo = fixed[ct]
+        records.append(class_payload(_label(ct), sn_class_size(ct), rep.order(),
+                                     _det_from_powers(ct, fixed, dim), geo, geo))
+    return audit_payload(f"specht:{family}:n={n}:{group}", dim, "ZZ", records)
 
 
-# The table's matrix has dimension n(n - 3)/2, and its determinant is exact:
-# n = 31 (434 dimensions) takes about 2.5 s.
+# The table's matrix has dimension n(n - 3)/2; its determinant comes from
+# the fixed dimensions of the powers of one class: n = 31 (434 dimensions)
+# takes about half a second.
 TABLE_N_MAX = 31
 
 
 def conjecture_table(ns: list[int]) -> list[dict]:
     """det(I - M) for the sign-twisted two-row module on the class of an
     (n-2)-cycle times a transposition, with the closed form 2^(k-1)(2k-1)."""
-    from .intlinalg import _bareiss
-    from .specht import twisted_action_matrix
-
     for n in ns:
         if n < 5 or n % 2 == 0:
             raise UsageError("table rows need odd n >= 5")
@@ -133,13 +220,15 @@ def conjecture_table(ns: list[int]) -> list[dict]:
     rows = []
     for n in ns:
         shape = ct = (n - 2, 2)
-        M = twisted_action_matrix(class_rep_for(ct), shape)
-        _, det = _bareiss(_one_minus(M))
+        # g^d has order ord(g)/d, so each divisor gives another class
+        powers = [power_cycle_type(ct, d) for d in _divisors(lcm(*ct))]
+        dim, fixed = _fixed_dims(shape, True, [(c, class_rep_for(c)) for c in powers])
+        det = _det_from_powers(ct, fixed, dim)
         k = (n - 1) // 2
         rows.append(
             {
                 "n": n,
-                "dim": len(M),
+                "dim": dim,
                 "class": _label(ct),
                 "det_one_minus": str(det),
                 "closed_form": str(2 ** (k - 1) * (2 * k - 1)),

@@ -146,12 +146,19 @@ def witness_tableau(sigma: Permutation, family: str) -> tuple[Tableau, bool]:
 
 
 def build_fixed_vector(sigma: Permutation, family: str) -> dict:
-    """Select the witness tableau for sigma, form E, and verify it: nonzero
-    (a nonzero coordinate after straightening) and fixed (action matrix times
-    coordinates reproduces them).  Returns the tableau and E's coordinates on
-    the standard basis; raises FixedVectorError when either check fails."""
-    shape, _ = family_shape(family, sigma.degree)
+    """Select the witness tableau for sigma, check that it fills 1..n once,
+    form E, and verify it: nonzero (a nonzero coordinate after straightening)
+    and fixed (action matrix times coordinates reproduces them).  Returns the
+    tableau and E's coordinates on the standard basis; raises
+    FixedVectorError when any check fails."""
+    n = sigma.degree
+    shape, _ = family_shape(family, n)
     t, direct = witness_tableau(sigma, family)
+    if sorted(x for row in t for x in row) != list(range(1, n + 1)):
+        raise FixedVectorError(
+            f"witness tableau {[list(r) for r in t]} for {sigma.cycle_string()} on {family} "
+            f"does not fill 1..{n} once"
+        )
     vec = polytabloid_expand(t) if direct else fixed_vector_sum(sigma, t)
     coords = straighten(vec, shape)
     if not any(coords):

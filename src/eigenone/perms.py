@@ -33,6 +33,16 @@ def sn_class_size(ct: tuple[int, ...]) -> int:
     return factorial(sum(ct)) // cent
 
 
+def power_cycle_type(ct: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """The cycle type of g^j for g of cycle type ct: a cycle of length l
+    splits into gcd(l, j) cycles of length l / gcd(l, j)."""
+    out = []
+    for ln in ct:
+        g = gcd(ln, j)
+        out.extend([ln // g] * g)
+    return tuple(sorted(out, reverse=True))
+
+
 def partitions_of(n: int):
     """All partitions of n, as weakly decreasing tuples, in descending
     lexicographic order."""

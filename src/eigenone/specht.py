@@ -13,11 +13,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import UsageError, VerificationError
-from .perms import Permutation
+from .perms import Permutation, power_cycle_type
 
 if TYPE_CHECKING:
     from .gf2 import GF2Module
@@ -335,15 +335,7 @@ def fixed_space_dim_via_characters(shape: tuple[int, ...], sigma_type: tuple[int
     order = lcm(*sigma_type)
     total = 0
     for j in range(order):
-        total += character_mn(shape, _power_cycle_type(sigma_type, j))
+        total += character_mn(shape, power_cycle_type(sigma_type, j))
     if total % order:
         raise VerificationError("character average over a cyclic group must be an integer")
     return total // order
-
-
-def _power_cycle_type(ct: tuple[int, ...], j: int) -> tuple[int, ...]:
-    out = []
-    for ln in ct:
-        g = gcd(ln, j)
-        out.extend([ln // g] * g)
-    return tuple(sorted(out, reverse=True))

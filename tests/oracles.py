@@ -2,11 +2,12 @@
 
 Nothing here runs on a command-line path.  Each routine reaches a quantity
 the package computes another way: the Berkowitz characteristic polynomial
-against the one-Bareiss eigenvalue-1 verdict, embedded matrices against the
-cycle-type forms of the symplectic module, Garnir rewriting against
-leading-tabloid straightening, tabloid permutation modules against the
-character oracle, point counts over F_{p^k} against the L-polynomial as a
-character sum of resultants, and so on.
+against the audits' eigenvalue-1 multiplicities, one Bareiss elimination
+per class against ranks mod p and the fixed dimensions of the powers,
+embedded matrices against the cycle-type forms of the symplectic module,
+Garnir rewriting against leading-tabloid straightening, tabloid permutation
+modules against the character oracle, point counts over F_{p^k} against the
+L-polynomial as a character sum of resultants, and so on.
 """
 
 from __future__ import annotations
@@ -36,20 +37,26 @@ from eigenone.perms import (
     PermGroup,
     Permutation,
     class_rep_for,
+    class_reps_symmetric,
+    is_even_class,
     orbit,
     orbits,
+    sn_class_size,
 )
 from eigenone.specht import (
     Tableau,
     Tabloid,
     _basis,
     _perm_sign,
+    action_matrix,
     columns,
+    family_shape,
     generator_matrices,
     perm_tabloid,
     polytabloid_expand,
     rep_mod2,
     tv_add_scaled,
+    twisted_action_matrix,
 )
 from eigenone.symplectic import embed_group, embed_permutation, permutation_module_gf2
 
@@ -245,6 +252,39 @@ def eig1_multiplicity(M: list[list[int]]) -> tuple[int, int]:
     geo = len(M) - rank_exact(matsub(M, int_identity(len(M))))
     assert geo <= alg
     return alg, geo
+
+
+def _one_minus(M: list[list[int]]) -> list[list[int]]:
+    """The rows of I - M, new lists that `_bareiss` may eliminate in place."""
+    return [[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(M)]
+
+
+def _int_class_payload(label: str, size: int, order: int, M: list[list[int]]) -> dict:
+    rank, d = _bareiss(_one_minus(M))
+    geo = len(M) - rank
+    # M has finite order, so it is semisimple over QQ: the algebraic
+    # multiplicity of eigenvalue 1 equals the geometric one
+    return class_payload(label, size, order, d, geo, geo)
+
+
+def audit_int_classes(rep_id: str, classes: list[tuple[str, int, int, list[list[int]]]]) -> dict:
+    """The Bareiss audit: rank and det(I - M) over ZZ, one elimination per
+    class.  classes: (label, class size, element order, matrix rows)."""
+    if not classes:
+        raise ValueError("no classes to audit")
+    return audit_payload(rep_id, len(classes[0][3]), "ZZ",
+                         [_int_class_payload(*c) for c in classes])
+
+
+def audit_specht_by_bareiss(n: int, family: str, group: str = "s_n") -> dict:
+    """`audit.audit_specht`, with one Bareiss elimination of each class's
+    matrix instead of ranks mod p and the fixed dimensions of the powers."""
+    shape, twisted = family_shape(family, n)
+    matrix = twisted_action_matrix if twisted else action_matrix
+    classes = [(class_label(ct), sn_class_size(ct), rep.order(), matrix(rep, shape))
+               for ct, rep in class_reps_symmetric(n)
+               if group == "s_n" or is_even_class(ct)]
+    return audit_int_classes(f"specht:{family}:n={n}:{group}", classes)
 
 
 def permutation_matrix(images0: tuple[int, ...]) -> list[list[int]]:

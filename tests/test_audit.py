@@ -1,12 +1,15 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from eigenone.audit import (
+    FIX_PRIME,
     _cyclic_subgroups,
+    _fixed_dims,
+    _rank_one_minus,
     audit_embedded_group,
-    audit_int_classes,
     audit_specht,
     conjecture_table,
     subgroup_census,
@@ -20,6 +23,7 @@ from eigenone.perms import (
     PermGroup,
     Permutation,
     builtin_group,
+    class_rep_for,
     class_reps_symmetric,
     is_even_class,
 )
@@ -32,8 +36,11 @@ from eigenone.specht import (
 )
 from eigenone.symplectic import embed_group, embed_permutation
 from oracles import (
+    _one_minus,
     audit_embedded_group_by_matrices,
     audit_gf2_classes,
+    audit_int_classes,
+    audit_specht_by_bareiss,
     charpoly_mod2,
     class_label,
     conjugate_by,
@@ -46,6 +53,7 @@ from oracles import (
     matrix_closure,
     matsub,
     peval1,
+    rank_exact,
     subgroup_census_by_matrices,
     two_generated_subgroups_by_pairs,
 )
@@ -66,6 +74,58 @@ def test_audit_specht_examples():
     assert rec["det_one_minus"] == "6"
     repA = audit_specht(7, FAMILY_TWO_CONJ, group="a_n")
     assert repA["unisingular"]
+
+
+VARIANTS = [(FAMILY_HOOK, "s_n"), (FAMILY_TWO, "s_n"), (FAMILY_TWO_CONJ, "s_n"),
+            (FAMILY_TWO_CONJ, "a_n")]
+
+
+@pytest.mark.parametrize("n", range(5, 12))
+def test_audit_specht_equals_the_bareiss_oracle(n):
+    # ranks mod p and det(I - M) from the powers' fixed dimensions give the
+    # bytes that one exact elimination per class gives
+    for family, group in VARIANTS:
+        got = json.dumps(audit_specht(n, family, group), sort_keys=True)
+        assert got == json.dumps(audit_specht_by_bareiss(n, family, group), sort_keys=True), \
+            (n, family, group)
+
+
+def test_conjecture_table_equals_the_bareiss_determinant():
+    ns = list(range(5, 24, 2))
+    for n, row in zip(ns, conjecture_table(ns), strict=True):
+        ct = (n - 2, 2)
+        M = twisted_action_matrix(class_rep_for(ct), ct)
+        assert row["dim"] == len(M)
+        assert row["det_one_minus"] == str(det(_one_minus(M))), n
+
+
+def test_rank_mod_p_needs_p_prime_to_the_order():
+    # on (3,2), the 3-cycle's I - M has rank 4 over QQ and mod 32749, but 3
+    # mod 3, which divides its order
+    M = action_matrix(class_rep_for((3, 1, 1)), (3, 2))
+    assert rank_exact(_one_minus(M)) == 4
+    assert _rank_one_minus(M, FIX_PRIME) == 4
+    assert _rank_one_minus(M, 3) == 3
+    assert M == action_matrix(class_rep_for((3, 1, 1)), (3, 2))  # M is not eliminated
+
+
+def test_fixed_dims_refuse_n_at_least_the_prime():
+    with pytest.raises(UsageError, match="need n < 32749"):
+        _fixed_dims((FIX_PRIME - 2, 2), False, [])
+
+
+def test_a_wrong_fixed_dimension_fails_the_power_counts(monkeypatch):
+    # one more fixed vector on the 3-cycle's class of (3,2) is one more
+    # eigenvalue of order 2 for the class (3,2), whose square is a 3-cycle,
+    # and so one fewer of order 6: m_6 = 1, no multiple of phi(6) = 2
+    import eigenone.audit
+
+    target = action_matrix(class_rep_for((3, 1, 1)), (3, 2))
+    rank = eigenone.audit._rank_one_minus
+    monkeypatch.setattr(eigenone.audit, "_rank_one_minus",
+                        lambda M, p: rank(M, p) - (M == target))
+    with pytest.raises(VerificationError, match="class 3,2: 1 eigenvalues of order 6"):
+        audit_specht(5, FAMILY_TWO)
 
 
 def test_audit_specht_rejects_bad_args():

@@ -508,7 +508,7 @@ def test_pgl2_audit_loads_no_arith_layer():
 def test_integral_specht_command_loads_no_gf2_layer(argv):
     loaded = loaded_layers("from eigenone.cli import main\n"
                            f"assert main(['specht', *{argv.split()}]) == 0")
-    assert "eigenone.specht" in loaded and "eigenone.intlinalg" in loaded
+    assert "eigenone.specht" in loaded and "eigenone.intlinalg" not in loaded
     for layer in ("gf2", "meataxe", "symplectic"):
         assert f"eigenone.{layer}" not in loaded
 
@@ -616,6 +616,26 @@ def test_malformed_witness_is_internal_error(capsys, monkeypatch, direct):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
+    assert ("FixedVectorError: witness tableau [[1, 3, 4, 5, 6], [1], [2]] for (1,2,3)(4,5,6) "
+            "on (n-2,1,1) does not fill 1..6 once") in captured.err
+
+
+def test_wrong_fixed_dimension_is_internal_error(capsys, monkeypatch):
+    # one class's dim Fix off by one breaks the eigenvalue counts of a class
+    # whose power it is: a failed check (exit 3), not a refuted claim
+    import eigenone.audit
+    from eigenone.perms import class_rep_for
+    from eigenone.specht import action_matrix
+
+    target = action_matrix(class_rep_for((3, 1, 1)), (3, 2))
+    rank = eigenone.audit._rank_one_minus
+    monkeypatch.setattr(eigenone.audit, "_rank_one_minus",
+                        lambda M, p: rank(M, p) - (M == target))
+    code = main(["specht", "audit", "--n", "5", "--family", "n-2,2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "VerificationError: class 3,2: 1 eigenvalues of order 6" in captured.err
 
 
 def test_straightening_failure_is_internal_error(capsys, monkeypatch):

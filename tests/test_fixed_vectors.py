@@ -131,12 +131,12 @@ def test_verification_rejects_bad_selection(monkeypatch):
 ])
 def test_malformed_witness_fails_as_a_check(monkeypatch, case, family, entries):
     # a tableau is a plain tuple, so nothing refuses a repeated entry when the
-    # witness is built; the checks after it must: the nonzero check, or the
-    # rank table of straighten, which knows only the tabloids of its shape
+    # witness is built; build_fixed_vector checks that it fills 1..n once
+    # before it forms E
     import eigenone.fixed_vectors as fvmod
 
     monkeypatch.setattr(fvmod, case, lambda sigma: (entries, True))
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="does not fill 1..6 once"):
         build_fixed_vector(identity_perm(6), family)
 
 

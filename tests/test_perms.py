@@ -13,6 +13,7 @@ from eigenone.perms import (
     class_reps_symmetric,
     is_prime,
     partitions_of,
+    power_cycle_type,
     sn_class_size,
 )
 from oracles import (
@@ -64,6 +65,15 @@ def test_compose_convention_right_to_left():
 def test_degree_mismatch_rejected():
     with pytest.raises(ValueError):
         perm(3, (1, 2)) * perm(4, (1, 2))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_power_cycle_type_is_the_cycle_type_of_the_power(n):
+    for ct, g in class_reps_symmetric(n):
+        power = identity_perm(n)
+        for j in range(2 * g.order() + 1):
+            assert power_cycle_type(ct, j) == power.cycle_type(), (ct, j)
+            power = power * g
 
 
 def test_cycle_type_examples():
