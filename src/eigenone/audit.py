@@ -23,12 +23,13 @@ from .perms import (
 )
 
 # Each audit imports the layers it runs where it runs: the integral one
-# (specht; its ranks are taken mod a prime here) and the GF(2) ones
-# (meataxe, symplectic).  So `embed` loads no integral layer, and
-# `specht audit` no GF(2) one and no exact elimination.  perfbench's tracer
-# wraps each layer where it is defined, so it counts these calls, but not
-# the census's own loops: `perms.orbit` and `_coset_closure` are not among
-# its targets, and their time lands in `audit.subgroup_census`.
+# (specht; the hook family's fixed dimensions are orbit counts read from the
+# cycle type, the two-row families' are ranks taken mod a prime here) and
+# the GF(2) ones (meataxe, symplectic).  So `embed` loads no integral layer,
+# and `specht audit` no GF(2) one and no exact elimination.  perfbench's
+# tracer wraps each layer where it is defined, so it counts these calls, but
+# not the census's own loops: `perms.orbit` and `_coset_closure` are not
+# among its targets, and their time lands in `audit.subgroup_census`.
 
 
 def _label(ct: tuple[int, ...]) -> str:
@@ -125,6 +126,35 @@ def _fixed_dims(shape: tuple[int, ...], twisted: bool, classes: list) -> tuple[i
     return dim, fixed
 
 
+def _hook_fixed_dim(ct: tuple[int, ...]) -> int:
+    """dim Fix(g) on S^(n-2,1,1) for g of cycle type ct, fixed points counted
+    as 1-cycles: with c cycles of lengths l_1..l_c and G the sum of
+    gcd(l_i, l_j) over i < j, it is sum floor((l_i - 1)/2) + G - c + 1.
+
+    Over QQ, M^(n-1,1) = 1 + V and Lambda^2 M^(n-1,1) = V + S^(n-2,1,1).  g
+    permutes the basis vectors e_a ^ e_b of Lambda^2 M^(n-1,1) up to sign,
+    so its fixed space there has one dimension per <g>-orbit on 2-subsets
+    {a, b} whose stabilizer acts by +1, that is, swaps no a and b:
+    - inside an l-cycle there are floor(l/2) orbits.  For l even, g^(l/2)
+      swaps each pair {x, g^(l/2) x} of the antipodal orbit, so that orbit
+      has sign -1 and drops out, and floor((l - 1)/2) remain;
+    - across two cycles there are gcd(l_i, l_j) orbits, each of sign +1, as
+      no power of g swaps points of different cycles.
+    Fix(V) is the c orbits on points less the trivial summand, c - 1.
+
+    Fix >= 1 for every n >= 5, so the family is unisingular.  With c >= 3,
+    G >= C(c, 2) gives Fix >= (c - 1)(c - 2)/2 >= 1.  With c = 2, the longer
+    cycle has l_1 >= 3 as l_1 + l_2 = n >= 5, so Fix >= floor((l_1 - 1)/2)
+    + gcd(l_1, l_2) - 1 >= 1.  With c = 1, Fix = floor((n - 1)/2) >= 2.
+    """
+    # equal lengths grouped: m cycles of length a give C(m, 2) pairs of gcd a
+    mult = [(a, ct.count(a)) for a in set(ct)]
+    G = 0
+    for i, (a, m) in enumerate(mult):
+        G += a * m * (m - 1) // 2 + sum(m * k * gcd(a, b) for b, k in mult[i + 1:])
+    return sum((length - 1) // 2 for length in ct) + G - len(ct) + 1
+
+
 def _divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
@@ -169,23 +199,27 @@ def _det_from_powers(ct: tuple[int, ...], fixed: dict, dim: int) -> int:
 
 
 def audit_specht(n: int, family: str, group: str = "s_n") -> dict:
-    """Audit a Specht-family representation over the integers, one matrix per
-    conjugacy class (dim Fix and det(I - M) are class functions).
+    """Audit a Specht-family representation over the integers, class by
+    class (dim Fix and det(I - M) are class functions).
 
-    Each class's dim Fix is read from one rank mod p (`_rank_one_minus`),
-    and det(I - M) from the fixed dimensions of its powers
-    (`_det_from_powers`), which are classes of the same audit.  M has finite
-    order, so it is semisimple over QQ: the algebraic multiplicity of
-    eigenvalue 1 equals the geometric one.
+    Each class's dim Fix on the hook family (n-2,1,1) is an orbit count read
+    from its cycle type (`_hook_fixed_dim`), with no matrix; on (n-2,2) and
+    its twist it is read from one matrix per class and its rank mod p
+    (`_fixed_dims`).  Each is checked to lie in 0..dim.  det(I - M) comes
+    from the fixed dimensions of the class's powers (`_det_from_powers`),
+    which are classes of the same audit.  M has finite order, so it is
+    semisimple over QQ: the algebraic multiplicity of eigenvalue 1 equals
+    the geometric one.
 
     family: specht.FAMILY_HOOK, FAMILY_TWO or FAMILY_TWO_CONJ; group: "s_n" or "a_n".
     Supported range is 5 <= n <= 17 (the class count grows as p(n); n = 17
-    takes a few seconds per family).  For a_n only even classes are audited
-    (every element of A_n lies in an even S_n class, whose powers are even
-    too, and the invariants are constant on S_n classes); reported sizes are
-    S_n class sizes.
+    takes a few seconds per two-row family, and well under one for the
+    hook).  For a_n only even classes are audited (every element of A_n
+    lies in an even S_n class, whose powers are even too, and the
+    invariants are constant on S_n classes); reported sizes are S_n class
+    sizes.
     """
-    from .specht import family_shape
+    from .specht import FAMILY_HOOK, family_dim, family_shape
 
     if group not in ("s_n", "a_n"):
         raise UsageError(f"unknown group {group!r}")
@@ -194,7 +228,14 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> dict:
     shape, twisted = family_shape(family, n)
     classes = [(ct, rep) for ct, rep in class_reps_symmetric(n)
                if group == "s_n" or is_even_class(ct)]
-    dim, fixed = _fixed_dims(shape, twisted, classes)
+    if family == FAMILY_HOOK:
+        dim = family_dim(family, n)
+        fixed = {ct: _hook_fixed_dim(ct) for ct, _ in classes}
+    else:
+        dim, fixed = _fixed_dims(shape, twisted, classes)
+    for ct, geo in fixed.items():
+        if not 0 <= geo <= dim:
+            raise VerificationError(f"class {_label(ct)}: dim Fix = {geo}, outside 0..{dim}")
     records = []
     for ct, rep in classes:
         geo = fixed[ct]

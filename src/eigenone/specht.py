@@ -249,6 +249,13 @@ def family_shape(family: str, n: int) -> tuple[tuple[int, ...], bool]:
     return (n - 2, *tail), twisted
 
 
+def family_dim(family: str, n: int) -> int:
+    """The dimension of a family's S_n module, by the hook length formula:
+    (n-1)(n-2)/2 for (n-2,1,1), n(n-3)/2 for (n-2,2) and its sign twist."""
+    shape, _ = family_shape(family, n)
+    return (n - 1) * (n - 2) // 2 if shape[1:] == (1, 1) else n * (n - 3) // 2
+
+
 def action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]:
     """Rows of the matrix of sigma on the Specht module, whose columns are the
     images of the basis vectors."""

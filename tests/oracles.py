@@ -4,8 +4,9 @@ Nothing here runs on a command-line path.  Each routine reaches a quantity
 the package computes another way: the Berkowitz characteristic polynomial
 against the audits' eigenvalue-1 multiplicities, one Bareiss elimination
 per class against ranks mod p and the fixed dimensions of the powers,
-embedded matrices against the cycle-type forms of the symplectic module,
-Garnir rewriting against leading-tabloid straightening, tabloid permutation
+orbit counts on points and 2-subsets against the ranks of the two-row
+families, embedded matrices against the cycle-type forms of the symplectic
+module, Garnir rewriting against leading-tabloid straightening, tabloid permutation
 modules against the character oracle, point counts over F_{p^k} against the
 L-polynomial as a character sum of resultants, and so on.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 from eigenone.arith import PackedFp, check_count_prime, zp_degree
 from eigenone.audit import audit_payload, class_payload, two_generated_subgroups
@@ -285,6 +286,43 @@ def audit_specht_by_bareiss(n: int, family: str, group: str = "s_n") -> dict:
                for ct, rep in class_reps_symmetric(n)
                if group == "s_n" or is_even_class(ct)]
     return audit_int_classes(f"specht:{family}:n={n}:{group}", classes)
+
+
+def _cross_cycle_orbits(ct: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(count, length) of the <g>-orbits on 2-subsets that meet two cycles:
+    an l_i-cycle and an l_j-cycle give gcd(l_i, l_j) orbits of length
+    lcm(l_i, l_j)."""
+    return [(gcd(a, b), lcm(a, b)) for a, b in itertools.combinations(ct, 2)]
+
+
+def two_row_fixed_dim_by_orbits(ct: tuple[int, ...]) -> int:
+    """dim Fix(g) on S^(n-2,2) for g of cycle type ct, with c cycles of
+    lengths l_1..l_c: sum floor(l_i/2) + G - c, G the sum of gcd(l_i, l_j)
+    over i < j.
+
+    M^(n-2,2) = 1 + V + S^(n-2,2) and M^(n-1,1) = 1 + V, and a permutation
+    module's fixed space has one dimension per orbit.  An l-cycle's own
+    2-subsets fall into floor(l/2) orbits, two cycles' into gcd(l_i, l_j),
+    and the points into c."""
+    return sum(length // 2 for length in ct) + sum(k for k, _ in _cross_cycle_orbits(ct)) - len(ct)
+
+
+def twisted_two_row_fixed_dim_by_orbits(ct: tuple[int, ...]) -> int:
+    """dim Fix(g) on the sign twist of S^(n-2,2) for g of cycle type ct.
+
+    For g even it is the value on S^(n-2,2).  For g odd the fixed vectors
+    are those that g sends to their negatives on S^(n-2,2).  On a
+    permutation module, that eigenspace has one dimension per orbit of even
+    length, so the value is the even-length <g>-orbits on 2-subsets less the
+    even-length cycles.  Inside an l-cycle, l even, there are l/2 - 1 orbits
+    of length l and the antipodal one of length l/2; for l odd every orbit
+    has length l."""
+    if is_even_class(ct):
+        return two_row_fixed_dim_by_orbits(ct)
+    even_cycles = [length for length in ct if length % 2 == 0]
+    inside = sum(length // 2 - 1 + (length % 4 == 0) for length in even_cycles)
+    across = sum(k for k, length in _cross_cycle_orbits(ct) if length % 2 == 0)
+    return inside + across - len(even_cycles)
 
 
 def permutation_matrix(images0: tuple[int, ...]) -> list[list[int]]:

@@ -8,6 +8,7 @@ from eigenone.audit import (
     FIX_PRIME,
     _cyclic_subgroups,
     _fixed_dims,
+    _hook_fixed_dim,
     _rank_one_minus,
     audit_embedded_group,
     audit_specht,
@@ -32,6 +33,10 @@ from eigenone.specht import (
     FAMILY_TWO,
     FAMILY_TWO_CONJ,
     action_matrix,
+    character_mn,
+    family_dim,
+    family_shape,
+    fixed_space_dim_via_characters,
     twisted_action_matrix,
 )
 from eigenone.symplectic import embed_group, embed_permutation
@@ -56,6 +61,8 @@ from oracles import (
     rank_exact,
     subgroup_census_by_matrices,
     two_generated_subgroups_by_pairs,
+    twisted_two_row_fixed_dim_by_orbits,
+    two_row_fixed_dim_by_orbits,
 )
 
 
@@ -77,13 +84,13 @@ def test_audit_specht_examples():
 
 
 VARIANTS = [(FAMILY_HOOK, "s_n"), (FAMILY_TWO, "s_n"), (FAMILY_TWO_CONJ, "s_n"),
-            (FAMILY_TWO_CONJ, "a_n")]
+            (FAMILY_HOOK, "a_n"), (FAMILY_TWO, "a_n"), (FAMILY_TWO_CONJ, "a_n")]
 
 
 @pytest.mark.parametrize("n", range(5, 12))
 def test_audit_specht_equals_the_bareiss_oracle(n):
-    # ranks mod p and det(I - M) from the powers' fixed dimensions give the
-    # bytes that one exact elimination per class gives
+    # orbit counts or ranks mod p, and det(I - M) from the powers' fixed
+    # dimensions, give the bytes that one exact elimination per class gives
     for family, group in VARIANTS:
         got = json.dumps(audit_specht(n, family, group), sort_keys=True)
         assert got == json.dumps(audit_specht_by_bareiss(n, family, group), sort_keys=True), \
@@ -128,6 +135,33 @@ def test_a_wrong_fixed_dimension_fails_the_power_counts(monkeypatch):
         audit_specht(5, FAMILY_TWO)
 
 
+@pytest.mark.parametrize("target,message", [
+    # one more fixed vector on the 3-cycles is one more eigenvalue of order 2
+    # for the class (3,2), whose square they are, and one fewer of order 6
+    ((3, 1, 1), "class 3,2: 1 eigenvalues of order 6"),
+    ((1, 1, 1, 1, 1), r"class 1,1,1,1,1: dim Fix = 7, outside 0\.\.6"),
+])
+def test_a_wrong_hook_orbit_count_fails_a_check(monkeypatch, target, message):
+    import eigenone.audit
+
+    monkeypatch.setattr(eigenone.audit, "_hook_fixed_dim",
+                        lambda ct: _hook_fixed_dim(ct) + (ct == target))
+    with pytest.raises(VerificationError, match=message):
+        audit_specht(5, FAMILY_HOOK)
+
+
+@pytest.mark.parametrize("group", ["s_n", "a_n"])
+def test_hook_audit_takes_no_rank(monkeypatch, group):
+    # the hook family reads its fixed dimensions from the cycle types alone
+    import eigenone.audit
+
+    def fail(*args):
+        raise AssertionError("the hook audit reached the rank route")
+
+    monkeypatch.setattr(eigenone.audit, "_fixed_dims", fail)
+    assert audit_specht(9, FAMILY_HOOK, group)["unisingular"]
+
+
 def test_audit_specht_rejects_bad_args():
     with pytest.raises(ValueError):
         audit_specht(4, FAMILY_HOOK)
@@ -137,20 +171,21 @@ def test_audit_specht_rejects_bad_args():
         audit_specht(7, FAMILY_HOOK, group="d_n")
 
 
+def twisted_fixed_space_dim(shape, sigma):
+    """The sign-twisted character averaged over the cyclic group of sigma."""
+    total, x = 0, sigma
+    for _ in range(sigma.order()):
+        sign = 1 if x.is_even() else -1
+        total += sign * character_mn(shape, x.cycle_type())
+        x = x * sigma
+    return total // sigma.order()
+
+
 def test_geometric_multiplicity_matches_character_average():
     # dual routes: the fixed-space dimension is the average of the (twisted)
     # character over the cyclic group generated by a class representative,
     # and the algebraic multiplicity is the charpoly oracle's
-    from eigenone.specht import character_mn, fixed_space_dim_via_characters
     from oracles import eig1_multiplicity
-
-    def twisted_fixed_space_dim(shape, sigma):
-        total, x = 0, sigma
-        for _ in range(sigma.order()):
-            sign = 1 if x.is_even() else -1
-            total += sign * character_mn(shape, x.cycle_type())
-            x = x * sigma
-        return total // sigma.order()
 
     for n in range(5, 9):
         for family in (FAMILY_HOOK, FAMILY_TWO, FAMILY_TWO_CONJ):
@@ -190,6 +225,33 @@ def test_two_row_fixed_space_by_orbit_counts(n):
     for rec, (ct, g) in zip(rep["classes"], class_reps_symmetric(n), strict=True):
         assert rec["class"] == class_label(ct)
         assert rec["eig1_geometric"] == orbit_count(pairs, g) - orbit_count(points, g), (n, ct)
+
+
+ORBIT_FORMULAS = [
+    (FAMILY_HOOK, _hook_fixed_dim),
+    (FAMILY_TWO, two_row_fixed_dim_by_orbits),
+    (FAMILY_TWO_CONJ, twisted_two_row_fixed_dim_by_orbits),
+]
+
+
+@pytest.mark.parametrize("n", range(5, 19))
+def test_orbit_formulas_match_characters_and_ranks(n):
+    # the hook family's orbit count and the two-row families' against the
+    # (twisted) character averaged over <g> on every class, and against
+    # dim - rank(I - M) mod p of the class's matrix while those stay small
+    classes = class_reps_symmetric(n)
+    for family, formula in ORBIT_FORMULAS:
+        shape, twisted = family_shape(family, n)
+        by_orbits = {ct: formula(ct) for ct, _ in classes}
+        by_characters = {
+            ct: twisted_fixed_space_dim(shape, g) if twisted
+            else fixed_space_dim_via_characters(shape, ct)
+            for ct, g in classes
+        }
+        assert by_orbits == by_characters, (n, family)
+        if n <= 13:
+            assert _fixed_dims(shape, twisted, classes) == (family_dim(family, n), by_orbits), \
+                (n, family)
 
 
 def test_det_constant_on_class_sampled():

@@ -274,9 +274,10 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def mismatch(*args, **kwargs):
         raise ValueError("planted degree mismatch")
 
-    # audit_specht imports action_matrix from specht when it runs
+    # audit_specht imports action_matrix from specht when it runs; of the
+    # three families, only the hook builds no matrix
     monkeypatch.setattr(eigenone.specht, "action_matrix", mismatch)
-    code = main(["specht", "audit", "--n", "5", "--family", "hook"])
+    code = main(["specht", "audit", "--n", "5", "--family", "two"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -632,6 +633,21 @@ def test_wrong_fixed_dimension_is_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(eigenone.audit, "_rank_one_minus",
                         lambda M, p: rank(M, p) - (M == target))
     code = main(["specht", "audit", "--n", "5", "--family", "n-2,2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "VerificationError: class 3,2: 1 eigenvalues of order 6" in captured.err
+
+
+def test_wrong_hook_orbit_count_is_internal_error(capsys, monkeypatch):
+    # the hook family's fixed dimensions are orbit counts: one more fixed
+    # vector on the 3-cycles breaks the eigenvalue counts of the class (3,2)
+    import eigenone.audit
+
+    count = eigenone.audit._hook_fixed_dim
+    monkeypatch.setattr(eigenone.audit, "_hook_fixed_dim",
+                        lambda ct: count(ct) + (ct == (3, 1, 1)))
+    code = main(["specht", "audit", "--n", "5", "--family", "n-2,1,1"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

@@ -4,13 +4,17 @@ import random
 
 import pytest
 
+from eigenone.errors import UsageError
 from eigenone.perms import Permutation, class_reps_symmetric, partitions_of
 from eigenone.specht import (
+    FAMILIES,
     NotInSpechtModule,
     _basis,
     _dominance_key,
     action_matrix,
     character_mn,
+    family_dim,
+    family_shape,
     fixed_space_dim_via_characters,
     polytabloid_expand,
     standard_tableaux,
@@ -47,6 +51,16 @@ def test_dimension_formulas():
         hook = len(standard_tableaux((n - 2, 1, 1)))
         assert two == n * (n - 3) // 2
         assert hook == two + 1
+    # the closed forms that mod2-factors and the hook audit read
+    for family in FAMILIES:
+        for n in range(3, 13):
+            try:
+                shape, _ = family_shape(family, n)
+            except UsageError:
+                with pytest.raises(UsageError):
+                    family_dim(family, n)
+                continue
+            assert family_dim(family, n) == len(standard_tableaux(shape)), (family, n)
 
 
 def test_hook_length_formula_agreement():
