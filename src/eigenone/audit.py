@@ -24,12 +24,13 @@ from .perms import (
 
 # Each audit imports the layers it runs where it runs: the integral one
 # (specht; the hook family's fixed dimensions are orbit counts read from the
-# cycle type, the two-row families' are ranks taken mod a prime here) and
-# the GF(2) ones (meataxe, symplectic).  So `embed` loads no integral layer,
-# and `specht audit` no GF(2) one and no exact elimination.  perfbench's
-# tracer wraps each layer where it is defined, so it counts these calls, but
-# not the census's own loops: `perms.orbit` and `_coset_closure` are not
-# among its targets, and their time lands in `audit.subgroup_census`.
+# cycle type, (n-2,2)'s are ranks taken mod a prime here, and its sign
+# twist's are derived from those) and the GF(2) ones (meataxe, symplectic).
+# So `embed` loads no integral layer, and `specht audit` no GF(2) one and no
+# exact elimination.  perfbench's tracer wraps each layer where it is
+# defined, so it counts these calls, but not the census's own loops:
+# `perms.orbit` and `_coset_closure` are not among its targets, and their
+# time lands in `audit.subgroup_census`.
 
 
 def _label(ct: tuple[int, ...]) -> str:
@@ -82,8 +83,8 @@ def _rank_one_minus(M: list[list[int]], p: int) -> int:
     a free direct summand, here of rank dim Fix_QQ(M).  Reducing mod p keeps
     that rank, and since o is a unit in F_p, the image of E mod p is
     Fix(M mod p) by the same argument.  So rank_{F_p}(I - M) =
-    rank_QQ(I - M).  A (sign-twisted) Specht matrix of g has order dividing
-    ord(g), whose prime factors are at most n: so p > n suffices.
+    rank_QQ(I - M).  A Specht matrix of g has order dividing ord(g), whose
+    prime factors are at most n: so p > n suffices.
     """
     rows = []
     for i, row in enumerate(M):
@@ -107,23 +108,48 @@ def _rank_one_minus(M: list[list[int]], p: int) -> int:
     return rank
 
 
-def _fixed_dims(shape: tuple[int, ...], twisted: bool, classes: list) -> tuple[int, dict]:
-    """The dimension of the (sign-twisted) Specht module of a shape, and
-    dim Fix(g) on it for each (cycle type, representative g) in classes, as
-    dim - rank(I - M) over F_p with p = FIX_PRIME."""
-    from .specht import action_matrix, twisted_action_matrix
+def _fixed_dims(shape: tuple[int, ...], dim: int, classes: list) -> dict:
+    """dim Fix(g) on the Specht module of a shape, of dimension dim, for each
+    (cycle type, representative g) in classes, as dim - rank(I - M) over F_p
+    with p = FIX_PRIME.  Each matrix is checked to have dim rows."""
+    from .specht import action_matrix
 
     n = sum(shape)
     if n >= FIX_PRIME:
         raise UsageError(f"fixed dimensions mod {FIX_PRIME} need n < {FIX_PRIME}, got n={n}")
-    matrix = twisted_action_matrix if twisted else action_matrix
-    dim = None
     fixed = {}
     for ct, rep in classes:
-        M = matrix(rep, shape)
-        dim = len(M)
+        M = action_matrix(rep, shape)
+        if len(M) != dim:
+            raise VerificationError(
+                f"class {_label(ct)}: a {len(M)}-row matrix on a module of dimension {dim}")
         fixed[ct] = dim - _rank_one_minus(M, FIX_PRIME)
-    return dim, fixed
+    return fixed
+
+
+def _sign_twisted(fixed: dict) -> dict:
+    """dim Fix(g) on the sign twist S' = S (x) sgn of a Specht module S,
+    from fixed, dim Fix(g) on S by cycle type: Fix'(g) = Fix(g) for g even,
+    and Fix(g^2) - Fix(g) for g odd.
+
+    g acts on S' by sgn(g) M, with M = M(g) on S.  So for g even Fix'(g) =
+    Fix(g), and for g odd Fix'(g) = dim ker(M + I), the -1-eigenspace of M.
+    Over QQ, x - 1 and x + 1 are coprime, so ker(M^2 - I) is the direct sum
+    of ker(M - I) and ker(M + I), and dim ker(M + I) = Fix(g^2) - Fix(g).
+    The class of g^2 must be in fixed; a missing one raises
+    VerificationError.
+    """
+    twisted = {}
+    for ct, f in fixed.items():
+        if is_even_class(ct):
+            twisted[ct] = f
+            continue
+        square = power_cycle_type(ct, 2)
+        if square not in fixed:
+            raise VerificationError(
+                f"class {_label(ct)}: no fixed dimension for its square {_label(square)}")
+        twisted[ct] = fixed[square] - f
+    return twisted
 
 
 def _hook_fixed_dim(ct: tuple[int, ...]) -> int:
@@ -203,13 +229,16 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> dict:
     class (dim Fix and det(I - M) are class functions).
 
     Each class's dim Fix on the hook family (n-2,1,1) is an orbit count read
-    from its cycle type (`_hook_fixed_dim`), with no matrix; on (n-2,2) and
-    its twist it is read from one matrix per class and its rank mod p
-    (`_fixed_dims`).  Each is checked to lie in 0..dim.  det(I - M) comes
-    from the fixed dimensions of the class's powers (`_det_from_powers`),
-    which are classes of the same audit.  M has finite order, so it is
-    semisimple over QQ: the algebraic multiplicity of eigenvalue 1 equals
-    the geometric one.
+    from its cycle type (`_hook_fixed_dim`), with no matrix; on (n-2,2) it is
+    read from one matrix per class and its rank mod p (`_fixed_dims`), and
+    on its sign twist (n-2,2)' it is derived from those of (n-2,2) and the
+    class's square (`_sign_twisted`), with no matrix of its own.  The
+    dimension is `specht.family_dim`, and each dim Fix is checked to lie in
+    0..dim.  det(I - M) comes from the fixed dimensions of the class's powers
+    (`_det_from_powers`).  The powers and squares are classes of the same
+    audit: for s_n it lists every class, and for a_n the even ones.  M has
+    finite order, so it is semisimple over QQ: the algebraic multiplicity of
+    eigenvalue 1 equals the geometric one.
 
     family: specht.FAMILY_HOOK, FAMILY_TWO or FAMILY_TWO_CONJ; group: "s_n" or "a_n".
     Supported range is 5 <= n <= 17 (the class count grows as p(n); n = 17
@@ -219,20 +248,22 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> dict:
     invariants are constant on S_n classes); reported sizes are S_n class
     sizes.
     """
-    from .specht import FAMILY_HOOK, family_dim, family_shape
+    from .specht import FAMILY_HOOK, FAMILY_TWO_CONJ, family_dim, family_shape
 
     if group not in ("s_n", "a_n"):
         raise UsageError(f"unknown group {group!r}")
     if not 5 <= n <= 17:
         raise UsageError(f"n={n} outside supported range 5..17")
-    shape, twisted = family_shape(family, n)
+    shape = family_shape(family, n)
+    dim = family_dim(family, n)
     classes = [(ct, rep) for ct, rep in class_reps_symmetric(n)
                if group == "s_n" or is_even_class(ct)]
     if family == FAMILY_HOOK:
-        dim = family_dim(family, n)
         fixed = {ct: _hook_fixed_dim(ct) for ct, _ in classes}
     else:
-        dim, fixed = _fixed_dims(shape, twisted, classes)
+        fixed = _fixed_dims(shape, dim, classes)
+        if family == FAMILY_TWO_CONJ:  # for a_n every class is even, and the twist changes none
+            fixed = _sign_twisted(fixed)
     for ct, geo in fixed.items():
         if not 0 <= geo <= dim:
             raise VerificationError(f"class {_label(ct)}: dim Fix = {geo}, outside 0..{dim}")
@@ -244,15 +275,22 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> dict:
     return audit_payload(f"specht:{family}:n={n}:{group}", dim, "ZZ", records)
 
 
-# The table's matrix has dimension n(n - 3)/2; its determinant comes from
+# The table's module has dimension n(n - 3)/2; its determinant comes from
 # the fixed dimensions of the powers of one class: n = 31 (434 dimensions)
-# takes about half a second.
+# takes 0.32-0.34 s (`conjecture-table --n 31`, three runs on a 2-vCPU VM,
+# CPython 3.11.7).
 TABLE_N_MAX = 31
 
 
 def conjecture_table(ns: list[int]) -> list[dict]:
     """det(I - M) for the sign-twisted two-row module on the class of an
-    (n-2)-cycle times a transposition, with the closed form 2^(k-1)(2k-1)."""
+    (n-2)-cycle times a transposition, with the closed form 2^(k-1)(2k-1).
+
+    The fixed dimensions of the class's powers g^d on the twist are derived
+    from those on (n-2,2) (`_sign_twisted`).  An odd g^d has d odd, so d
+    divides n - 2 and g^(2d), its square, is a power of g too."""
+    from .specht import FAMILY_TWO_CONJ, family_dim, family_shape
+
     for n in ns:
         if n < 5 or n % 2 == 0:
             raise UsageError("table rows need odd n >= 5")
@@ -260,10 +298,11 @@ def conjecture_table(ns: list[int]) -> list[dict]:
             raise UsageError(f"table rows need n <= {TABLE_N_MAX}, got {n}")
     rows = []
     for n in ns:
-        shape = ct = (n - 2, 2)
+        shape = ct = family_shape(FAMILY_TWO_CONJ, n)
+        dim = family_dim(FAMILY_TWO_CONJ, n)
         # g^d has order ord(g)/d, so each divisor gives another class
         powers = [power_cycle_type(ct, d) for d in _divisors(lcm(*ct))]
-        dim, fixed = _fixed_dims(shape, True, [(c, class_rep_for(c)) for c in powers])
+        fixed = _sign_twisted(_fixed_dims(shape, dim, [(c, class_rep_for(c)) for c in powers]))
         det = _det_from_powers(ct, fixed, dim)
         k = (n - 1) // 2
         rows.append(

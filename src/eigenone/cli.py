@@ -111,12 +111,13 @@ def cmd_specht_mod2(args):
     from . import meataxe
     from .specht import family_dim, family_shape, generator_matrices, rep_mod2
 
-    shape, twisted = family_shape(args.family, args.n)
+    shape = family_shape(args.family, args.n)
     # the dimension in closed form, so an oversized module builds no matrix
     dim = family_dim(args.family, args.n)
     if dim > meataxe.DIM_BOUND:
         raise UsageError(f"module dimension {dim} exceeds bound {meataxe.DIM_BOUND}")
-    module = rep_mod2(generator_matrices(shape, twisted))
+    # the sign twist is -M = M mod 2, so (n-2,2)' reduces the matrices of (n-2,2)
+    module = rep_mod2(generator_matrices(shape))
     factors = meataxe.factor_dimensions(module, args.seed)
     result = {
         "n": args.n,

@@ -152,7 +152,7 @@ def build_fixed_vector(sigma: Permutation, family: str) -> dict:
     tableau and E's coordinates on the standard basis; raises
     FixedVectorError when any check fails."""
     n = sigma.degree
-    shape, _ = family_shape(family, n)
+    shape = family_shape(family, n)
     t, direct = witness_tableau(sigma, family)
     if sorted(x for row in t for x in row) != list(range(1, n + 1)):
         raise FixedVectorError(

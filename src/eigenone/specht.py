@@ -231,29 +231,30 @@ def straighten(v: dict[Tabloid, int], shape: tuple[int, ...]) -> list[int]:
 FAMILY_HOOK = "(n-2,1,1)"
 FAMILY_TWO = "(n-2,2)"
 FAMILY_TWO_CONJ = "(n-2,2)'"
-# audited family -> (parts after the first part n - 2, sign-twisted)
+# audited family -> the parts after its first part n - 2.  (n-2,2)' is the
+# sign twist of (n-2,2): it has the same shape, and the audits derive its
+# fixed dimensions from those of (n-2,2) (audit._sign_twisted).
 FAMILIES = {
-    FAMILY_HOOK: ((1, 1), False),
-    FAMILY_TWO: ((2,), False),
-    FAMILY_TWO_CONJ: ((2,), True),
+    FAMILY_HOOK: (1, 1),
+    FAMILY_TWO: (2,),
+    FAMILY_TWO_CONJ: (2,),
 }
 
 
-def family_shape(family: str, n: int) -> tuple[tuple[int, ...], bool]:
-    """The shape of a family's S_n module, and whether it is sign-twisted."""
+def family_shape(family: str, n: int) -> tuple[int, ...]:
+    """The shape of a family's S_n module."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}")
-    tail, twisted = FAMILIES[family]
+    tail = FAMILIES[family]
     if n - 2 < tail[0]:
         raise UsageError(f"family {family} needs n >= {tail[0] + 2}, got n={n}")
-    return (n - 2, *tail), twisted
+    return (n - 2, *tail)
 
 
 def family_dim(family: str, n: int) -> int:
     """The dimension of a family's S_n module, by the hook length formula:
     (n-1)(n-2)/2 for (n-2,1,1), n(n-3)/2 for (n-2,2) and its sign twist."""
-    shape, _ = family_shape(family, n)
-    return (n - 1) * (n - 2) // 2 if shape[1:] == (1, 1) else n * (n - 3) // 2
+    return (n - 1) * (n - 2) // 2 if family_shape(family, n)[1:] == (1, 1) else n * (n - 3) // 2
 
 
 def action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]:
@@ -278,21 +279,15 @@ def action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]
     return [list(row) for row in zip(*cols)]
 
 
-def twisted_action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]:
-    """Rows of the matrix of sigma on the conjugate module: sign-twist of the action."""
-    M = action_matrix(sigma, shape)
-    return M if sigma.is_even() else [[-a for a in row] for row in M]
-
-
-def generator_matrices(shape: tuple[int, ...], twisted: bool = False) -> list[list[list[int]]]:
+def generator_matrices(shape: tuple[int, ...]) -> list[list[list[int]]]:
     """Matrices of the generators (1,2) and (1,2,...,n) of S_n on the
-    standard basis of the shape, or on its sign twist."""
+    standard basis of the shape.  Mod 2 they serve its sign twist too, as
+    -M = M there."""
     n = sum(shape)
     gens = [Permutation.from_cycles(n, [(1, 2)])]
     if n > 2:
         gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
-    matrix = twisted_action_matrix if twisted else action_matrix
-    return [matrix(g, shape) for g in gens]
+    return [action_matrix(g, shape) for g in gens]
 
 
 def rep_mod2(mats: list[list[list[int]]]) -> GF2Module:

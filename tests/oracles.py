@@ -45,6 +45,7 @@ from eigenone.perms import (
     sn_class_size,
 )
 from eigenone.specht import (
+    FAMILY_TWO_CONJ,
     Tableau,
     Tabloid,
     _basis,
@@ -57,7 +58,6 @@ from eigenone.specht import (
     polytabloid_expand,
     rep_mod2,
     tv_add_scaled,
-    twisted_action_matrix,
 )
 from eigenone.symplectic import embed_group, embed_permutation, permutation_module_gf2
 
@@ -277,11 +277,19 @@ def audit_int_classes(rep_id: str, classes: list[tuple[str, int, int, list[list[
                          [_int_class_payload(*c) for c in classes])
 
 
+def twisted_action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]:
+    """Rows of the matrix of sigma on the sign twist of the Specht module:
+    an odd sigma acts by -M."""
+    M = action_matrix(sigma, shape)
+    return M if sigma.is_even() else [[-a for a in row] for row in M]
+
+
 def audit_specht_by_bareiss(n: int, family: str, group: str = "s_n") -> dict:
     """`audit.audit_specht`, with one Bareiss elimination of each class's
-    matrix instead of ranks mod p and the fixed dimensions of the powers."""
-    shape, twisted = family_shape(family, n)
-    matrix = twisted_action_matrix if twisted else action_matrix
+    matrix, the sign twist's built as such, instead of ranks mod p, the
+    derived twist and the fixed dimensions of the powers."""
+    shape = family_shape(family, n)
+    matrix = twisted_action_matrix if family == FAMILY_TWO_CONJ else action_matrix
     classes = [(class_label(ct), sn_class_size(ct), rep.order(), matrix(rep, shape))
                for ct, rep in class_reps_symmetric(n)
                if group == "s_n" or is_even_class(ct)]

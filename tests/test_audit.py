@@ -10,6 +10,7 @@ from eigenone.audit import (
     _fixed_dims,
     _hook_fixed_dim,
     _rank_one_minus,
+    _sign_twisted,
     audit_embedded_group,
     audit_specht,
     conjecture_table,
@@ -37,7 +38,6 @@ from eigenone.specht import (
     family_dim,
     family_shape,
     fixed_space_dim_via_characters,
-    twisted_action_matrix,
 )
 from eigenone.symplectic import embed_group, embed_permutation
 from oracles import (
@@ -61,6 +61,7 @@ from oracles import (
     rank_exact,
     subgroup_census_by_matrices,
     two_generated_subgroups_by_pairs,
+    twisted_action_matrix,
     twisted_two_row_fixed_dim_by_orbits,
     two_row_fixed_dim_by_orbits,
 )
@@ -118,7 +119,20 @@ def test_rank_mod_p_needs_p_prime_to_the_order():
 
 def test_fixed_dims_refuse_n_at_least_the_prime():
     with pytest.raises(UsageError, match="need n < 32749"):
-        _fixed_dims((FIX_PRIME - 2, 2), False, [])
+        _fixed_dims((FIX_PRIME - 2, 2), 0, [])
+
+
+def test_fixed_dims_check_the_matrix_size():
+    with pytest.raises(VerificationError, match="class 5: a 5-row matrix on a module of dimension 6"):
+        _fixed_dims((3, 2), 6, [((5,), class_rep_for((5,)))])
+
+
+def test_sign_twist_needs_the_square_class():
+    # (4,1) is odd, and its square (2,2,1) is not among the classes given
+    fixed = {(4, 1): 1, (1, 1, 1, 1, 1): 5}
+    with pytest.raises(VerificationError, match="class 4,1: no fixed dimension for its square 2,2,1"):
+        _sign_twisted(fixed)
+    assert _sign_twisted({**fixed, (2, 2, 1): 3}) == {(4, 1): 2, (1, 1, 1, 1, 1): 5, (2, 2, 1): 3}
 
 
 def test_a_wrong_fixed_dimension_fails_the_power_counts(monkeypatch):
@@ -237,11 +251,14 @@ ORBIT_FORMULAS = [
 @pytest.mark.parametrize("n", range(5, 19))
 def test_orbit_formulas_match_characters_and_ranks(n):
     # the hook family's orbit count and the two-row families' against the
-    # (twisted) character averaged over <g> on every class, and against
-    # dim - rank(I - M) mod p of the class's matrix while those stay small
+    # (twisted) character averaged over <g> on every class, and, while the
+    # matrices stay small, against dim - rank(I - M) mod p of the class's
+    # matrix; on the twist, against that of (n-2,2) with Fix(g^2) - Fix(g)
+    # for odd g (`_sign_twisted`)
     classes = class_reps_symmetric(n)
     for family, formula in ORBIT_FORMULAS:
-        shape, twisted = family_shape(family, n)
+        shape = family_shape(family, n)
+        twisted = family == FAMILY_TWO_CONJ
         by_orbits = {ct: formula(ct) for ct, _ in classes}
         by_characters = {
             ct: twisted_fixed_space_dim(shape, g) if twisted
@@ -250,8 +267,10 @@ def test_orbit_formulas_match_characters_and_ranks(n):
         }
         assert by_orbits == by_characters, (n, family)
         if n <= 13:
-            assert _fixed_dims(shape, twisted, classes) == (family_dim(family, n), by_orbits), \
-                (n, family)
+            by_ranks = _fixed_dims(shape, family_dim(family, n), classes)
+            if twisted:
+                by_ranks = _sign_twisted(by_ranks)
+            assert by_ranks == by_orbits, (n, family)
 
 
 def test_det_constant_on_class_sampled():

@@ -65,6 +65,17 @@ def test_mod2_factors(capsys):
     assert payload["result"]["factor_dims"] == [1, 1, 4]
 
 
+@pytest.mark.parametrize("n", range(5, 9))
+def test_mod2_factors_of_the_twist_are_those_of_the_two_row_family(capsys, n):
+    # the sign twist is -M = M mod 2, so both families have the same factors
+    dims = []
+    for family in ("n-2,2", "n-2,2'"):
+        code, out = run_cli(capsys, "specht", "mod2-factors", "--n", str(n), "--family", family)
+        assert code == 0
+        dims.append(json.loads(out)["result"]["factor_dims"])
+    assert dims[0] == dims[1], n
+
+
 def test_fixed_vector(capsys):
     code, out = run_cli(capsys, "specht", "fixed-vector", "--n", "7", "--cycle-type", "5,2",
                         "--family", "n-2,2")

@@ -18,8 +18,7 @@ from oracles import expand_coords, fixed_vector_full_orbit, identity_perm
 
 def vector_of(fv: dict, n: int) -> dict:
     """The tabloid expansion of a fixed vector from its coordinates."""
-    shape, _ = family_shape(fv["family"], n)
-    return expand_coords([int(c) for c in fv["coords"]], shape)
+    return expand_coords([int(c) for c in fv["coords"]], family_shape(fv["family"], n))
 
 
 def test_identity_gets_direct_polytabloid():

@@ -16,11 +16,12 @@ from eigenone.specht import (
     family_dim,
     family_shape,
     fixed_space_dim_via_characters,
+    generator_matrices,
     polytabloid_expand,
+    rep_mod2,
     standard_tableaux,
     straighten,
     tv_apply_perm,
-    twisted_action_matrix,
 )
 from oracles import (
     apply_tableau,
@@ -36,6 +37,7 @@ from oracles import (
     tabloid_action_matrix,
     tabloids_of_shape,
     trace,
+    twisted_action_matrix,
 )
 
 
@@ -55,7 +57,7 @@ def test_dimension_formulas():
     for family in FAMILIES:
         for n in range(3, 13):
             try:
-                shape, _ = family_shape(family, n)
+                shape = family_shape(family, n)
             except UsageError:
                 with pytest.raises(UsageError):
                     family_dim(family, n)
@@ -258,6 +260,18 @@ def test_sign_twist():
     odd = Permutation.from_cycles(5, [(1, 2)])
     assert twisted_action_matrix(even, sh) == action_matrix(even, sh)
     assert twisted_action_matrix(odd, sh) == [[-a for a in r] for r in action_matrix(odd, sh)]
+
+
+def test_sign_twist_vanishes_mod_2():
+    # -M = M mod 2, so the twist's generators reduce to those of (n-2,2),
+    # which mod2-factors reduces for both families
+    for n in range(5, 9):
+        shape = (n - 2, 2)
+        gens = [Permutation.from_cycles(n, [(1, 2)]),
+                Permutation.from_cycles(n, [tuple(range(1, n + 1))])]
+        twisted = [twisted_action_matrix(g, shape) for g in gens]
+        assert twisted != generator_matrices(shape), n  # (1,2) is odd
+        assert rep_mod2(twisted).gens == rep_mod2(generator_matrices(shape)).gens, n
 
 
 def test_sign_rep_via_twist_of_trivial():
