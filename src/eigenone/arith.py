@@ -152,7 +152,10 @@ class PackedFp:
     floor(v * mu / 2^k) = floor(v / p), since the error v(mu - 2^k/p)/2^k
     stays below 2^(s - k) < 1/p (division by an invariant integer through
     one multiplication: Granlund & Montgomery, PLDI 1994).  `mulmod` reduces
-    mod f by polynomial Barrett with m = floor(x^(2n-2) / f)."""
+    mod f by polynomial Barrett with m = floor(x^(2n-2) / f).  The one power
+    taken is of x (`x_power`), so its multiply step is a shift by one slot;
+    `gcd` runs Euclid's remainder loop inline, with no quotient and no call
+    per step."""
 
     def __init__(self, f, p: int):
         n = len(f) - 1
@@ -168,7 +171,7 @@ class PackedFp:
         self.f = self.pack([c * inv for c in f])
         self.neg_f = self.pack([-c * inv for c in f[:-1]])  # -f + x^n
         self.neg_x = (p - 1) << S
-        self.x = self.divmod(1 << S, self.f)[1]  # x mod f: -f_0 when n = 1
+        self.x = 1 << S if n >= 2 else self.neg_f  # x mod f: -f_0 when n = 1
         self.m = self.divmod(1 << ((2 * n - 2) * S), self.f)[0]
         self.m_shift = max(n - 2, 0) * S  # at n = 1, m = 0
 
@@ -199,15 +202,19 @@ class PackedFp:
         q = self.reduce(self.reduce(t >> (self.n * self.S)) * self.m) >> self.m_shift
         return self.reduce((t & self.low[self.n]) + (q * self.neg_f & self.low[self.n]))
 
-    def powmod(self, a: int, e: int) -> int:
-        """a^e mod f by square-and-multiply, for a reduced residue a."""
+    def x_power(self, e: int) -> int:
+        """x^e mod f by square-and-multiply.  Multiplying by x shifts every
+        slot up by one; the slot that reaches x^n is cancelled with x^n =
+        x^n - f = `neg_f` (mod f), so its value times neg_f replaces it."""
         if not e:
             return 1
-        r = a
+        S, nS, below_n, neg_f = self.S, self.n * self.S, self.low[self.n], self.neg_f
+        r = self.x
         for bit in bin(e)[3:]:
             r = self.mulmod(r, r)
             if bit == "1":
-                r = self.mulmod(r, a)
+                r <<= S
+                r = self.reduce((r & below_n) + (r >> nS) * neg_f)
         return r
 
     def divmod(self, a: int, b: int) -> tuple[int, int]:
@@ -227,22 +234,38 @@ class PackedFp:
 
     def gcd(self, a: int, b: int) -> int:
         """The monic gcd of reduced a and b (degrees below 2n; 0 when both
-        are 0), by Euclid."""
+        are 0), by Euclid, with the remainder loop inline.  Each of its
+        steps clears a's top slot j and adds c x^(j - deg b) times the slots
+        of b below its leading one, with c = -a_j / lc(b) mod p; every slot
+        stays below B, as in `divmod`, and one `reduce` per remainder brings
+        them back below p."""
+        S, p, low = self.S, self.p, self.low
         while b:
-            a, b = b, self.divmod(a, b)[1]
+            db = (b.bit_length() - 1) // S
+            ninv = p - pow(b >> (db * S), -1, p)
+            tail = b & low[db]
+            for j in range((a.bit_length() - 1) // S, db - 1, -1):
+                c = (a >> (j * S)) * ninv % p
+                a &= low[j]
+                a += c * tail << ((j - db) * S)
+            a, b = b, self.reduce(a)
         if not a:
             return 0
-        return self.reduce(a * pow(a >> (self.degree(a) * self.S), -1, self.p))
+        return self.reduce(a * pow(a >> (self.degree(a) * S), -1, p))
 
 
-def factor_mod_p(f: ZPoly, p: int) -> tuple[int, ...] | None:
+def factor_mod_p(f: ZPoly, p: int, disc: int) -> tuple[int, ...] | None:
     """The irreducible-factor degrees of f mod p, ascending, or None when
-    f mod p is not squarefree: a squarefree test, then distinct-degree
-    factorization, on packed polynomials (`PackedFp`).
+    f mod p is not squarefree, by distinct-degree factorization on packed
+    polynomials (`PackedFp`).  disc is the exact disc(f) (1 at degree 1).
 
-    The part g_d of f collecting its irreducible factors of degree d has
-    degree d times their number, so the degrees need no equal-degree split
-    (von zur Gathen & Gerhard, Modern Computer Algebra, 14.2).
+    With p not dividing lc(f), f mod p keeps its degree and disc(f mod p) =
+    disc(f) mod p, which vanishes exactly when f mod p has a repeated root;
+    so f mod p is squarefree iff p does not divide disc, and no gcd with f'
+    is taken.  The part g_d of f collecting its irreducible factors of
+    degree d has degree d times their number, so the degrees need no
+    equal-degree split (von zur Gathen & Gerhard, Modern Computer Algebra,
+    14.2).
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -250,14 +273,14 @@ def factor_mod_p(f: ZPoly, p: int) -> tuple[int, ...] | None:
         raise ValueError("p divides the leading coefficient")
     if len(f) < 2:
         raise ValueError("f must have degree >= 1")
+    if disc % p == 0:
+        return None
     F = PackedFp(f, p)
     n = F.n
-    if F.gcd(F.f, F.pack([i * c for i, c in enumerate(f)][1:])) != 1:
-        return None
     # Frobenius g -> g^p is F_p-linear on F_p[x]/(f): with h = x^p mod f
     # computed once, the rows x^(ip) mod f carry x^(p^d) to x^(p^(d+1))
     # (von zur Gathen & Shoup, Comput. Complexity 2, 1992)
-    h = F.powmod(F.x, p)
+    h = F.x_power(p)
     frobenius = [1, h]
     while len(frobenius) < n:
         frobenius.append(F.mulmod(frobenius[-1], h))
@@ -292,8 +315,13 @@ def factor_mod_p(f: ZPoly, p: int) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 
 def _scan_prime_worker(work: tuple) -> tuple[int, tuple[int, ...]]:
+    """The factorization type of f mod one good prime p, from the exact
+    disc(f) the scan computed once: the scan chose p by p not dividing
+    disc(f) lc(f), which is factor_mod_p's squarefree test, so None here is
+    a contradiction.  Each factor count is checked against Stickelberger's
+    parity."""
     f, disc, p = work
-    degrees = factor_mod_p(list(f), p)
+    degrees = factor_mod_p(list(f), p, disc)
     if degrees is None:
         raise VerificationError(f"p={p} should be a good prime")
     # Stickelberger: f squarefree mod an odd p with r irreducible factors has
@@ -438,10 +466,11 @@ def lpoly_from_counts(f: ZPoly, p: int) -> list[int]:
 
 def frobenius_charpoly_gf2(f: ZPoly, p: int) -> int:
     """GF(2) characteristic polynomial of Frobenius at a good prime p on the
-    symplectic module, read off the factorization type of f mod p."""
+    symplectic module, read off the factorization type of f mod p; a p that
+    divides disc(f) is refused."""
     from .symplectic import cycle_type_charpoly
 
-    degrees = factor_mod_p(f, p)
+    degrees = factor_mod_p(f, p, disc_resultant(f))
     if degrees is None:
         raise UsageError(f"bad prime {p}")
     return cycle_type_charpoly(degrees)

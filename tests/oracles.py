@@ -418,11 +418,24 @@ def _sub_x(h: list[int], p: int) -> list[int]:
     return fp_trim(h, p)
 
 
+def packed_powmod(F: PackedFp, a: int, e: int) -> int:
+    """a^e mod F.f by square-and-multiply on `PackedFp.mulmod`, for any
+    reduced residue a; production raises only x (`PackedFp.x_power`)."""
+    if not e:
+        return 1
+    r = a
+    for bit in bin(e)[3:]:
+        r = F.mulmod(r, r)
+        if bit == "1":
+            r = F.mulmod(r, a)
+    return r
+
+
 def fp_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """base^e mod (mod) through the packed kernel `PackedFp`, as lists: the
-    production route, for comparison with `fp_powmod_lists`."""
+    """base^e mod (mod) through the packed kernel `PackedFp`, as lists, for
+    comparison with `fp_powmod_lists`."""
     F = PackedFp(mod, p)
-    return F.unpack(F.powmod(F.divmod(F.pack(base), F.f)[1], e))
+    return F.unpack(packed_powmod(F, F.divmod(F.pack(base), F.f)[1], e))
 
 
 def fp_powmod_lists(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
@@ -441,7 +454,8 @@ def fp_powmod_lists(base: list[int], e: int, mod: list[int], p: int) -> list[int
 def ddf_degrees_per_degree_powmod(f: list[int], p: int) -> tuple[int, ...] | None:
     """Irreducible-factor degrees of f mod p (lc(f) a unit) by distinct-degree
     factorization that raises h to the p-th power mod the remaining part
-    afresh for every degree d; None when f mod p is not squarefree."""
+    afresh for every degree d; None when f mod p is not squarefree, decided
+    by gcd(f, f') (production reads it off disc(f) mod p)."""
     fp = fp_monic(fp_trim([c % p for c in f], p), p)
     if fp_gcd(fp, fp_trim([i * c % p for i, c in enumerate(fp)][1:], p), p) != [1]:
         return None
@@ -479,10 +493,10 @@ def field_modulus(p: int, k: int) -> tuple[int, ...]:
         F = PackedFp(list(coeffs) + [1], p)
         h = F.x
         for _ in range(k // 2):
-            h = F.powmod(h, p)
+            h = packed_powmod(F, h, p)
             if F.degree(F.gcd(F.f, F.reduce(h + F.neg_x))) != 0:
                 return False
-        return F.powmod(F.x, p**k) == F.x
+        return F.x_power(p**k) == F.x
 
     for coeffs in itertools.product(range(p), repeat=k):
         if irreducible(coeffs):

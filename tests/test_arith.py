@@ -1,5 +1,7 @@
 import itertools
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -31,8 +33,14 @@ from oracles import (
     fp_powmod,
     fp_powmod_lists,
     lpoly_by_enumeration,
+    packed_powmod,
     zp_eval,
 )
+
+
+def _disc(f):
+    """disc(f) as factor_mod_p takes it: 1 at degree 1."""
+    return disc_resultant(f) if len(f) > 2 else 1
 
 
 def test_malle_g_special_coefficients():
@@ -110,30 +118,31 @@ def test_bad_primes_special():
 
 
 def test_factor_mod_p_quadratic():
-    assert factor_mod_p([1, 0, 1], 5) == (1, 1)
-    assert factor_mod_p([1, 0, 1], 7) == (2,)
+    assert factor_mod_p([1, 0, 1], 5, -4) == (1, 1)
+    assert factor_mod_p([1, 0, 1], 7, -4) == (2,)
 
 
 def test_factor_mod_p_pinned_oracle_values():
     # degrees pinned from an independent computer-algebra run
     g = malle_g(1, -32)
-    assert factor_mod_p(g, 5) == (1, 8)
-    assert factor_mod_p(g, 7) == (3, 3, 3)
-    assert factor_mod_p(g, 11) == (1, 8)
-    assert factor_mod_p(g, 13) == (1, 2, 6)
+    disc = disc_resultant(g)
+    assert factor_mod_p(g, 5, disc) == (1, 8)
+    assert factor_mod_p(g, 7, disc) == (3, 3, 3)
+    assert factor_mod_p(g, 11, disc) == (1, 8)
+    assert factor_mod_p(g, 13, disc) == (1, 2, 6)
 
 
 def test_factor_mod_p_non_squarefree_flag():
-    assert factor_mod_p([1, 2, 1], 3) is None  # (x+1)^2
+    assert factor_mod_p([1, 2, 1], 3, 0) is None  # (x+1)^2
 
 
 def test_factor_mod_p_rejects_bad_input():
     with pytest.raises(ValueError):
-        factor_mod_p([1, 0, 1], 2)
+        factor_mod_p([1, 0, 1], 2, -4)
     with pytest.raises(ValueError):
-        factor_mod_p([1, 0, 5], 5)
+        factor_mod_p([1, 0, 5], 5, -20)
     with pytest.raises(ValueError, match="degree >= 1"):
-        factor_mod_p([4], 5)
+        factor_mod_p([4], 5, 1)
 
 
 def _trial_division_degrees(f, p):
@@ -165,7 +174,7 @@ def test_factor_mod_p_degrees_match_trial_division():
         for _ in range(40):
             f = [rng.randint(-10, 10) for _ in range(rng.randint(1, 9))] + [1]
             expected = _trial_division_degrees(f, p)
-            assert factor_mod_p(f, p) == expected, (f, p)
+            assert factor_mod_p(f, p, _disc(f)) == expected, (f, p)
             squarefree += expected is not None
     assert squarefree >= 40
 
@@ -185,7 +194,7 @@ def test_factor_mod_p_matches_per_degree_powering(p):
             linear = [rng.randrange(p), 1]
             f = fp_mul(f[2:], fp_mul(linear, linear, p), p)
         expected = ddf_degrees_per_degree_powmod(f, p)
-        assert factor_mod_p(f, p) == expected, (f, p)
+        assert factor_mod_p(f, p, _disc(f)) == expected, (f, p)
         squarefree += expected is not None
         base = [rng.randrange(p) for _ in range(rng.randint(0, 2 * n))]
         e = rng.choice([0, 1, p, p**2, rng.randrange(2**40)])
@@ -245,7 +254,7 @@ def test_packed_kernel_matches_list_oracles(p):
         A, Bp = F.pack(a), F.pack(b)
         assert F.unpack(F.mulmod(A, Bp)) == fp_mod(fp_mul(a, b, p), f, p)
         e = rng.choice([0, 1, 2, p, p**2 + 1, rng.randrange(2**20)])
-        assert F.unpack(F.powmod(A, e)) == fp_powmod_lists(a, e, f, p), (f, a, e)
+        assert F.unpack(packed_powmod(F, A, e)) == fp_powmod_lists(a, e, f, p), (f, a, e)
         # gcd of two products sharing a factor, and exact division by it
         g = _random_monic(rng, rng.randint(0, n), p)
         u = fp_mul(g, _random_monic(rng, rng.randint(0, n - len(g) + 1), p), p)
@@ -257,6 +266,77 @@ def test_packed_kernel_matches_list_oracles(p):
         z = fp_mul(u, [rng.randrange(p) for _ in range(n)], p)[: 2 * n]
         q, r = F.divmod(F.pack(z), F.f)
         assert (F.unpack(q), F.unpack(r)) == fp_divmod(z, f, p), z
+
+
+@contextmanager
+def _ends_within(seconds):
+    """Fail, instead of hanging, when the block runs longer than seconds:
+    a Euclid step that leaves the top slot in place never ends."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p", (3, 10007, 2**31 - 1))
+def test_packed_gcd_edge_cases_match_the_list_gcd(p):
+    rng = random.Random(p)
+    for n in (1, 2, 5, 9):
+        F = PackedFp([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p)
+        a = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        g = [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)]
+        short = [rng.randrange(1, p)]
+        for u, w in [
+            ([], []),  # both zero
+            (a, []), ([], a),  # one zero operand
+            ([rng.randrange(1, p)], short), (a, short), (short, a),  # constants
+            (g, a), (a, g),  # deg u < deg w, and the reverse
+            (a, a),
+            # a common factor g of degree n - 1; a g has degree 2n - 1, the kernel's top
+            (fp_mul(a, g, p), fp_mul(g, g, p)),
+        ]:
+            with _ends_within(10):
+                packed = F.unpack(F.gcd(F.pack(u), F.pack(w)))
+            assert packed == fp_gcd(u, w, p), (n, u, w)
+
+
+@pytest.mark.parametrize("p", (3, 5, 10007, 2**31 - 1))
+@pytest.mark.parametrize("n", (1, 2, 9, 12))
+def test_x_power_matches_list_powering(p, n):
+    rng = random.Random(p * n)
+    for _ in range(3):
+        f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(2, p) if p > 3 else 2]
+        F = PackedFp(f, p)  # not monic: x_power reduces mod f made monic
+        for e in (0, 1, 2, p, p**2 + 1, rng.randrange(2**39, 2**40)):
+            assert F.unpack(F.x_power(e)) == fp_powmod_lists([0, 1], e, f, p), (f, e)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 10007))
+def test_factor_mod_p_with_the_exact_disc_matches_the_gcd_oracle(p):
+    # squarefreeness read off disc(f) mod p against gcd(f, f') in the
+    # oracle; at p = 3 the degrees 9 and 12 are multiples of p, where f' loses
+    # its leading term
+    rng = random.Random(p + 1)
+    squarefree = repeated = 0
+    for n in [9, 12] * 10 + [rng.randint(2, 12) for _ in range(20)]:
+        f = [rng.randint(-20, 20) for _ in range(n)] + [rng.choice([1, 2, -1, 4])]
+        if rng.random() < 0.3:  # force a repeated factor (x - c)^2 mod p
+            c = rng.randrange(p)
+            rest = [0, 0] + f[2:] + [0, 0]  # f[2:] times x^2 - 2cx + c^2
+            f = [rest[k] - 2 * c * rest[k + 1] + c * c * rest[k + 2] for k in range(n + 1)]
+        disc = disc_resultant(f)
+        expected = ddf_degrees_per_degree_powmod(f, p)
+        assert (expected is None) == (disc % p == 0), (f, p)
+        assert factor_mod_p(f, p, disc) == expected, (f, p)
+        squarefree += expected is not None
+        repeated += expected is None
+    assert squarefree >= 10 and repeated >= 5
 
 
 def test_frobenius_scan_x9_minus_2_has_eig1_offenders():
@@ -279,8 +359,8 @@ def test_stickelberger_parity_check_fires(monkeypatch, capsys):
     from eigenone.cli import main
     from eigenone.errors import VerificationError
 
-    monkeypatch.setattr(eigenone.arith.PackedFp, "powmod", lambda self, a, e: self.x)
-    assert factor_mod_p(malle_g(1, -32), 5) == (1,) * 9
+    monkeypatch.setattr(eigenone.arith.PackedFp, "x_power", lambda self, e: self.x)
+    assert factor_mod_p(malle_g(1, -32), 5, -(2**58) * 3**9) == (1,) * 9
     with pytest.raises(VerificationError, match="Stickelberger"):
         frobenius_scan(malle_g(1, -32), 50, builtin_group("agl2_3"))
     code = main(["nt", "frobenius-scan", "--a", "1", "--t", "-32", "--pmax", "50",
@@ -413,6 +493,12 @@ def test_lpoly_parity_and_frobenius_match():
         assert sum(L) % 2 == 0  # #J(F_p) = P(1)
         # x^8 P(1/x) mod 2 against the charpoly of Frobenius on the 2-torsion
         assert sum((c % 2) << (8 - i) for i, c in enumerate(L)) == frobenius_charpoly_gf2(g, p)
+
+
+def test_frobenius_charpoly_refuses_a_prime_dividing_the_disc():
+    # disc(g_{1,-32}) = -2^58 3^9, so 3 is bad although g is monic
+    with pytest.raises(UsageError, match="bad prime 3"):
+        frobenius_charpoly_gf2(malle_g(1, -32), 3)
 
 
 def test_primes_up_to():
