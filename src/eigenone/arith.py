@@ -400,29 +400,29 @@ def frobenius_scan(f: ZPoly, pmax: int, group: PermGroup, jobs: int = 1) -> dict
 POINT_BUDGET = 10**7
 
 
-def check_count_prime(f: ZPoly, p: int) -> None:
+def check_count_prime(f: ZPoly, p: int, disc: int) -> None:
     """Refuse a p at which the L-polynomial of y^2 = f(x) is not computed: p
     must be an odd prime of good reduction, with the p^4 monic polynomials of
-    degree 4 over F_p within POINT_BUDGET."""
+    degree 4 over F_p within POINT_BUDGET.  disc is the exact disc(f)."""
     # p comes from the command line (lpoly-check --primes); the budget first:
     # is_prime trial-divides up to sqrt(p)
     if p > 0 and p**4 > POINT_BUDGET:
         raise UsageError(f"{p}^4 = {p**4} exceeds the enumeration budget {POINT_BUDGET}")
     if p == 2 or not is_prime(p):
         raise UsageError(f"p must be an odd prime, got {p}")
-    disc = disc_resultant(f)
     if disc == 0:  # f has a repeated root, which stays repeated mod every p
         raise UsageError("disc(f) = 0, so no prime is good")
     if disc % p == 0 or f[-1] % p == 0:
         raise UsageError(f"bad prime {p}")
 
 
-def lpoly_from_counts(f: ZPoly, p: int) -> list[int]:
+def lpoly_from_counts(f: ZPoly, p: int, disc: int) -> list[int]:
     """Coefficients c_0 = 1, ..., c_8, ascending, of the L-polynomial of
-    y^2 = f(x) (deg f = 9, genus 4) over F_p, the numerator of its zeta
-    function: c_e is the sum of chi_p(Res(m, f)) over the monic m of degree
-    e <= 4, the L-function of a quadratic character on F_p[x] (Rosen, Number
-    Theory in Function Fields, GTM 210), and c_{8-i} = p^{4-i} c_i.
+    y^2 = f(x) (deg f = 9, genus 4, exact discriminant disc) over F_p, the
+    numerator of its zeta function: c_e is the sum of chi_p(Res(m, f)) over
+    the monic m of degree e <= 4, the L-function of a quadratic character on
+    F_p[x] (Rosen, Number Theory in Function Fields, GTM 210), and c_{8-i} =
+    p^{4-i} c_i.
 
     - Res(m, f) = prod_{m(a)=0} f(a) is multiplicative in m, so the sum over
       all monic m is an Euler product over the monic irreducible P.
@@ -435,7 +435,7 @@ def lpoly_from_counts(f: ZPoly, p: int) -> list[int]:
     d = zp_degree(f)
     if d != 9:
         raise ValueError("genus-4 odd model expected (degree 9)")
-    check_count_prime(f, p)
+    check_count_prime(f, p, disc)
     g = 4
     fp = [c % p for c in f]
     c = [1]
@@ -464,13 +464,13 @@ def lpoly_from_counts(f: ZPoly, p: int) -> list[int]:
     return full
 
 
-def frobenius_charpoly_gf2(f: ZPoly, p: int) -> int:
+def frobenius_charpoly_gf2(f: ZPoly, p: int, disc: int) -> int:
     """GF(2) characteristic polynomial of Frobenius at a good prime p on the
-    symplectic module, read off the factorization type of f mod p; a p that
-    divides disc(f) is refused."""
+    symplectic module, read off the factorization type of f mod p; disc is
+    the exact disc(f), and a p that divides it is refused."""
     from .symplectic import cycle_type_charpoly
 
-    degrees = factor_mod_p(f, p, disc_resultant(f))
+    degrees = factor_mod_p(f, p, disc)
     if degrees is None:
         raise UsageError(f"bad prime {p}")
     return cycle_type_charpoly(degrees)

@@ -108,23 +108,17 @@ def cmd_specht_table(args):
 
 
 def cmd_specht_mod2(args):
-    from . import meataxe
-    from .specht import family_dim, family_shape, generator_matrices, rep_mod2
+    from .specht import family_dim, mod2_factor_dims
 
-    shape = family_shape(args.family, args.n)
-    # the dimension in closed form, so an oversized module builds no matrix
+    # James's decomposition numbers, in closed form: no matrix and no MeatAxe
+    factors = mod2_factor_dims(args.family, args.n)
     dim = family_dim(args.family, args.n)
-    if dim > meataxe.DIM_BOUND:
-        raise UsageError(f"module dimension {dim} exceeds bound {meataxe.DIM_BOUND}")
-    # the sign twist is -M = M mod 2, so (n-2,2)' reduces the matrices of (n-2,2)
-    module = rep_mod2(generator_matrices(shape))
-    factors = meataxe.factor_dimensions(module, args.seed)
     result = {
         "n": args.n,
         "family": args.family,
-        "dim": module.dim,
+        "dim": dim,
         "factor_dims": factors,
-        "irreducible": factors == [module.dim],
+        "irreducible": factors == [dim],
     }
     return ["mod2-factors"], result, _expect(result, "expected_dims", args.expect_dims, factors)
 
@@ -303,23 +297,24 @@ def cmd_nt_frobenius_scan(args):
 
 
 def cmd_nt_lpoly_check(args):
-    from .arith import check_count_prime, frobenius_charpoly_gf2, lpoly_from_counts, malle_g
+    from .arith import check_count_prime, disc_resultant, frobenius_charpoly_gf2, lpoly_from_counts, malle_g
 
     if not args.primes:
         raise UsageError("--primes lists no prime")
     _refuse_repeats("--primes", args.primes)
     f = malle_g(args.a, args.t)
+    disc = disc_resultant(f)  # once: every check of every prime reads it
     for p in args.primes:  # refuse a bad list before computing any L-polynomial of it
-        check_count_prime(f, p)
+        check_count_prime(f, p, disc)
     rows = []
     ok = True
     for p in args.primes:
-        L = lpoly_from_counts(f, p)
+        L = lpoly_from_counts(f, p, disc)
         order = sum(L)  # #J(F_p) = P(1)
         even = order % 2 == 0
         # x^8 P(1/x) mod 2, the charpoly of Frobenius on the 2-torsion, as a
         # bit-poly: c_i is the coefficient of x^(8-i)
-        match = int("".join(str(c % 2) for c in L), 2) == frobenius_charpoly_gf2(f, p)
+        match = int("".join(str(c % 2) for c in L), 2) == frobenius_charpoly_gf2(f, p, disc)
         ok = ok and even and match
         rows.append(
             {

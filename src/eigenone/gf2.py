@@ -38,18 +38,6 @@ class BitMatrix:
         m = n if m is None else m
         return cls([0] * n, m)
 
-    @classmethod
-    def from_entries(cls, entries) -> "BitMatrix":
-        rows = []
-        ncols = len(entries[0]) if entries else 0
-        for r in entries:
-            v = 0
-            for j, e in enumerate(r):
-                if e % 2:
-                    v |= 1 << j
-            rows.append(v)
-        return cls(rows, ncols)
-
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols

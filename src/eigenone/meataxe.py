@@ -32,6 +32,9 @@ from .gf2 import (
 
 MAX_ATTEMPTS = 64
 MAX_WORD_LEN = 8
+# the largest module the MeatAxe takes.  `embed audit` and the census, its
+# callers, build modules of at most 98 dimensions under the group-order caps
+# (PGL(2,97) on the projective line), so only a new caller could reach it
 DIM_BOUND = 256
 
 
@@ -215,7 +218,3 @@ def composition_factors(module: GF2Module, seed: int = DEFAULT_SEED) -> list[GF2
         raise VerificationError("composition factor dimensions must sum to the module dimension")
     out.sort(key=lambda f: (f.dim, [g.rows for g in f.gens]))
     return out
-
-
-def factor_dimensions(module: GF2Module, seed: int = DEFAULT_SEED) -> list[int]:
-    return [f.dim for f in composition_factors(module, seed)]

@@ -13,15 +13,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import lru_cache
-from math import lcm
-from typing import TYPE_CHECKING
+from math import comb, lcm
 
 from .errors import UsageError, VerificationError
 from .perms import Permutation, power_cycle_type
-
-if TYPE_CHECKING:
-    from .gf2 import GF2Module
-
 
 # A tableau is a bijective filling of a Young diagram by 1..n, as a tuple of
 # row tuples; a tabloid is its row-equivalence class: each row sorted
@@ -257,6 +252,45 @@ def family_dim(family: str, n: int) -> int:
     return (n - 1) * (n - 2) // 2 if family_shape(family, n)[1:] == (1, 1) else n * (n - 3) // 2
 
 
+def _james(n: int, m: int, j: int) -> int:
+    """The decomposition number [S^(n-m,m) : D^(n-j,j)] in characteristic 2,
+    for 2j < n (James, The Representation Theory of the Symmetric Groups,
+    LNM 682, Thm 24.15): 1 exactly when n - 2j + 1 contains m - j to base 2,
+    that is, each binary digit of m - j is 0 or that of n - 2j + 1."""
+    k = m - j
+    return int(k >= 0 and k & (n - 2 * j + 1) == k)
+
+
+def mod2_factor_dims(family: str, n: int) -> list[int]:
+    """The composition-factor dimensions of a family's S_n module mod 2,
+    ascending, with no matrix.
+
+    - S^(n-2,2) has the factors D^(n-j,j), 2j < n, with the multiplicities
+      of `_james`.  dim D^(n-j,j) follows by recursion: the factors of
+      S^(n-j,j), of dimension C(n,j) - C(n,j-1), are D^(n-j,j) once and the
+      D^(n-i,i) with i < j.
+    - The sign twist: -M = M mod 2, so (n-2,2)' has the factors of (n-2,2).
+    - The hook: mod 2 the signs vanish, so the exterior square of the
+      natural permutation module M^(n-1,1) is M^(n-2,2), the permutation
+      module on 2-subsets.  Over Q the first is S^(n-1,1) + S^(n-2,1,1) and
+      the second 1 + S^(n-1,1) + S^(n-2,2); so as composition factors
+      S^(n-2,1,1) = S^(n-2,2) + D^(n) mod 2.
+    """
+    hook = family_shape(family, n)[1:] == (1, 1)
+    dims = []  # dim D^(n-j,j) for 2j < n and j <= 2
+    for j in range(min(3, (n + 1) // 2)):
+        below = sum(_james(n, j, i) * d for i, d in enumerate(dims))
+        dims.append(comb(n, j) - (comb(n, j - 1) if j else 0) - below)
+    factors = sorted([d for j, d in enumerate(dims) if _james(n, 2, j)] + [1] * hook)
+    # for n >= 5 the recursion gives sum C(n,2) - C(n,1) by construction; so
+    # this checks the hook length formula, the hook's trivial factor, and
+    # n <= 4, where the guard 2j < n drops D^(n-2,2)
+    if sum(factors) != family_dim(family, n):
+        raise VerificationError(f"mod-2 factors {factors} of {family} at n={n} must sum to "
+                                f"{family_dim(family, n)}")
+    return factors
+
+
 def action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]:
     """Rows of the matrix of sigma on the Specht module, whose columns are the
     images of the basis vectors."""
@@ -277,26 +311,6 @@ def action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]
                 image[T] = perm_tabloid(sigma, T)
     cols = [straighten({image[T]: c for T, c in exp.items()}, shape) for exp in expansions]
     return [list(row) for row in zip(*cols)]
-
-
-def generator_matrices(shape: tuple[int, ...]) -> list[list[list[int]]]:
-    """Matrices of the generators (1,2) and (1,2,...,n) of S_n on the
-    standard basis of the shape.  Mod 2 they serve its sign twist too, as
-    -M = M there."""
-    n = sum(shape)
-    gens = [Permutation.from_cycles(n, [(1, 2)])]
-    if n > 2:
-        gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
-    return [action_matrix(g, shape) for g in gens]
-
-
-def rep_mod2(mats: list[list[list[int]]]) -> GF2Module:
-    """Reduce integer representation matrices, given as rows, mod 2."""
-    from .gf2 import BitMatrix, GF2Module
-
-    if not mats:
-        raise ValueError("need at least one matrix")
-    return GF2Module(len(mats[0]), [BitMatrix.from_entries(M) for M in mats])
 
 
 # ---------------------------------------------------------------------------

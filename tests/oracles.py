@@ -8,7 +8,8 @@ orbit counts on points and 2-subsets against the ranks of the two-row
 families, embedded matrices against the cycle-type forms of the symplectic
 module, Garnir rewriting against leading-tabloid straightening, tabloid permutation
 modules against the character oracle, point counts over F_{p^k} against the
-L-polynomial as a character sum of resultants, and so on.
+L-polynomial as a character sum of resultants, the MeatAxe on reduced Specht
+matrices against James's mod-2 decomposition numbers, and so on.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
-from eigenone.arith import PackedFp, check_count_prime, zp_degree
+from eigenone.arith import PackedFp, check_count_prime, disc_resultant, zp_degree
 from eigenone.audit import audit_payload, class_payload, two_generated_subgroups
 from eigenone.errors import DEFAULT_SEED
 from eigenone.gf2 import (
@@ -53,10 +54,8 @@ from eigenone.specht import (
     action_matrix,
     columns,
     family_shape,
-    generator_matrices,
     perm_tabloid,
     polytabloid_expand,
-    rep_mod2,
     tv_add_scaled,
 )
 from eigenone.symplectic import embed_group, embed_permutation, permutation_module_gf2
@@ -559,7 +558,7 @@ def curve_count(f: list[int], p: int, k: int) -> int:
     d = zp_degree(f)
     if d % 2 == 0:
         raise ValueError("only odd-degree models here")
-    check_count_prime(f, p)
+    check_count_prime(f, p, disc_resultant(f))
     F = Fq(p, k)
     sq = F.squares()
     fp = [c % p for c in f]
@@ -599,6 +598,24 @@ def lpoly_by_enumeration(f: list[int], p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # GF(2)
 # ---------------------------------------------------------------------------
+
+
+def from_entries(entries) -> BitMatrix:
+    """The matrix over GF(2) of integer entries, given as rows, mod 2."""
+    rows = []
+    for r in entries:
+        v = 0
+        for j, e in enumerate(r):
+            if e % 2:
+                v |= 1 << j
+        rows.append(v)
+    return BitMatrix(rows, len(entries[0]) if entries else 0)
+
+
+def factor_dimensions(module: GF2Module, seed: int = DEFAULT_SEED) -> list[int]:
+    """The MeatAxe's composition-factor dimensions, ascending: the reference
+    for `specht.mod2_factor_dims`, James's decomposition numbers."""
+    return [f.dim for f in composition_factors(module, seed)]
 
 
 def endomorphism_algebra_dim(module: GF2Module) -> int:
@@ -969,8 +986,33 @@ def garnir_coords(t: Tableau) -> list[int]:
     return coords
 
 
+def generator_matrices(shape: tuple[int, ...], matrix=action_matrix) -> list[list[list[int]]]:
+    """Matrices of the generators (1,2) and (1,2,...,n) of S_n on the
+    standard basis of the shape, by `matrix` (`twisted_action_matrix` for
+    the sign twist)."""
+    n = sum(shape)
+    gens = [Permutation.from_cycles(n, [(1, 2)])]
+    if n > 2:
+        gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
+    return [matrix(g, shape) for g in gens]
+
+
+def rep_mod2(mats: list[list[list[int]]]) -> GF2Module:
+    """Reduce integer representation matrices, given as rows, mod 2."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    return GF2Module(len(mats[0]), [from_entries(M) for M in mats])
+
+
 def specht_mod2_module(n: int, shape: tuple[int, ...]) -> GF2Module:
     return rep_mod2(generator_matrices(shape))
+
+
+def mod2_factor_dims_by_meataxe(family: str, n: int, seed: int = DEFAULT_SEED) -> list[int]:
+    """`specht.mod2_factor_dims` by the MeatAxe on the family's generator
+    matrices reduced mod 2, the sign twist's built as such."""
+    matrix = twisted_action_matrix if family == FAMILY_TWO_CONJ else action_matrix
+    return factor_dimensions(rep_mod2(generator_matrices(family_shape(family, n), matrix)), seed)
 
 
 # ---------------------------------------------------------------------------

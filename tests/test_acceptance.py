@@ -29,7 +29,6 @@ from eigenone.fixed_vectors import build_fixed_vector
 from eigenone.gf2 import BitMatrix, rank_nullspace
 from eigenone.meataxe import (
     composition_factors,
-    factor_dimensions,
     is_irreducible,
 )
 from eigenone.perms import builtin_group, class_reps_symmetric
@@ -38,6 +37,7 @@ from eigenone.symplectic import embed_group, permutation_module_gf2
 from oracles import (
     charpoly_mod2,
     endomorphism_algebra_dim,
+    factor_dimensions,
     matmul,
     matrix_closure,
     specht_mod2_module,
@@ -205,11 +205,12 @@ def test_criterion_9_frobenius_parity():
     # every record of the committed battery reports, not only the verdicts
     committed = json.loads((OUT / "frobenius_scan_g1_m32.json").read_text())["result"]
     assert scan == committed
+    disc = disc_resultant(g)
     for p in [5, 7, 11, 13]:
-        L = lpoly_from_counts(g, p)
+        L = lpoly_from_counts(g, p, disc)
         assert sum(L) % 2 == 0  # #J(F_p) = P(1)
         # x^8 P(1/x) mod 2 against the charpoly of Frobenius on the 2-torsion
-        assert sum((c % 2) << (8 - i) for i, c in enumerate(L)) == frobenius_charpoly_gf2(g, p)
+        assert sum((c % 2) << (8 - i) for i, c in enumerate(L)) == frobenius_charpoly_gf2(g, p, disc)
     g11 = malle_g(1, 1)
     scan11 = frobenius_scan(g11, 10**4, builtin_group("agammal1_9"))
     assert scan11["all_types_in_group"]

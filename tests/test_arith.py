@@ -8,6 +8,7 @@ import pytest
 from eigenone.arith import (
     PackedFp,
     bad_primes,
+    check_count_prime,
     disc_resultant,
     factor_mod_p,
     frobenius_charpoly_gf2,
@@ -455,12 +456,12 @@ def test_curve_count_weil_bound_and_bad_prime_rejection():
 def test_curve_count_budget():
     # 101^4 monic polynomials of degree 4 exceed POINT_BUDGET
     with pytest.raises(UsageError, match="exceeds the enumeration budget"):
-        lpoly_from_counts(malle_g(1, -32), 101)
+        lpoly_from_counts(malle_g(1, -32), 101, -(2**58) * 3**9)
 
 
 def test_lpoly_structure():
     g = malle_g(1, -32)
-    L = lpoly_from_counts(g, 5)
+    L = lpoly_from_counts(g, 5, _disc(g))
     assert len(L) == 9 and L[0] == 1
     # functional equation c_{8-i} = p^{4-i} c_i
     for i in range(4):
@@ -479,26 +480,43 @@ def test_lpoly_equals_the_point_count_oracle(f, p):
     # F_{p^k} and Newton's identities; g_{1,1} has bad reduction at 5
     if p in bad_primes(f):
         with pytest.raises(UsageError, match=f"bad prime {p}"):
-            lpoly_from_counts(f, p)
+            lpoly_from_counts(f, p, _disc(f))
         with pytest.raises(UsageError, match=f"bad prime {p}"):
             lpoly_by_enumeration(f, p)
         return
-    assert lpoly_from_counts(f, p) == lpoly_by_enumeration(f, p)
+    assert lpoly_from_counts(f, p, _disc(f)) == lpoly_by_enumeration(f, p)
 
 
 def test_lpoly_parity_and_frobenius_match():
     g = malle_g(1, -32)
+    disc = _disc(g)
     for p in [5, 7, 11, 13]:
-        L = lpoly_from_counts(g, p)
+        L = lpoly_from_counts(g, p, disc)
         assert sum(L) % 2 == 0  # #J(F_p) = P(1)
         # x^8 P(1/x) mod 2 against the charpoly of Frobenius on the 2-torsion
-        assert sum((c % 2) << (8 - i) for i, c in enumerate(L)) == frobenius_charpoly_gf2(g, p)
+        assert sum((c % 2) << (8 - i) for i, c in enumerate(L)) == frobenius_charpoly_gf2(g, p, disc)
 
 
 def test_frobenius_charpoly_refuses_a_prime_dividing_the_disc():
     # disc(g_{1,-32}) = -2^58 3^9, so 3 is bad although g is monic
     with pytest.raises(UsageError, match="bad prime 3"):
-        frobenius_charpoly_gf2(malle_g(1, -32), 3)
+        frobenius_charpoly_gf2(malle_g(1, -32), 3, -(2**58) * 3**9)
+
+
+@pytest.mark.parametrize("disc,message", [
+    (0, r"disc\(f\) = 0, so no prime is good"),
+    (-(5**3) * 7, "bad prime 5"),
+])
+def test_lpoly_steps_refuse_the_disc_they_are_given(disc, message):
+    # lpoly-check computes disc(f) once and passes it on, so each step reads
+    # the disc it is given, not one of its own; g_{1,-32} itself is good at 5
+    g = malle_g(1, -32)
+    with pytest.raises(UsageError, match=message):
+        check_count_prime(g, 5, disc)
+    with pytest.raises(UsageError, match=message):
+        lpoly_from_counts(g, 5, disc)
+    with pytest.raises(UsageError, match="bad prime 5"):
+        frobenius_charpoly_gf2(g, 5, disc)
 
 
 def test_primes_up_to():

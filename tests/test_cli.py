@@ -346,7 +346,6 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ("nt frobenius-scan --a 1 --t -32 --pmax 300000000 --group agl2_3",
      "--pmax must be at most 1000000, got 300000000"),
     ("specht fixed-vector --n 61 --cycle-type 61", "fixed vectors need n <= 60, got n=61"),
-    ("specht mod2-factors --n 100 --family n-2,2", "module dimension 4850 exceeds bound 256"),
     # PGL(2,101) has 101^3 - 101 = 1030200 elements
     ("embed audit --group pgl2 --q 101", "closure exceeded bound 1000000"),
     # a parameter the group does not take names no computation
@@ -387,30 +386,60 @@ def test_lpoly_check_refuses_a_bad_prime_before_counting(capsys, monkeypatch, pr
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_lpoly_check_computes_the_discriminant_once(capsys, monkeypatch):
+    # every check of every prime reads the one exact disc(f)
+    import eigenone.arith
+
+    calls = [0]
+    disc_resultant = eigenone.arith.disc_resultant
+
+    def counting(f):
+        calls[0] += 1
+        return disc_resultant(f)
+
+    monkeypatch.setattr(eigenone.arith, "disc_resultant", counting)
+    code, _ = run_cli(capsys, "nt", "lpoly-check", "--a", "1", "--t", "-32", "--primes", "5,7")
+    assert code == 0
+    assert calls[0] == 1
+
+
 def test_oversized_input_is_usage_error(capsys, monkeypatch):
     # the MeatAxe dimension bound and the census size cap read the size of
     # the module or group that the command line chose
     import eigenone.meataxe
 
     monkeypatch.setattr(eigenone.meataxe, "DIM_BOUND", 10)
-    assert main(["specht", "mod2-factors", "--n", "7", "--family", "n-2,2"]) == 2
-    assert capsys.readouterr().err == "error: module dimension 14 exceeds bound 10\n"
+    assert main(["embed", "audit", "--group", "l3_2_flags", "--module", "permutation"]) == 2
+    assert capsys.readouterr().err == "error: module dimension 21 exceeds bound 10\n"
     assert main(["embed", "census", "--group", "s_n", "--n", "7"]) == 2
     assert capsys.readouterr().err == "error: census input capped at 2000 elements\n"
 
 
 @pytest.mark.parametrize("family,dim", [("n-2,1,1", 276), ("n-2,2", 275), ("n-2,2'", 275)])
 def test_oversized_module_builds_no_matrix(capsys, monkeypatch, family, dim):
-    # the family dimensions (n-1)(n-2)/2 and n(n-3)/2 are closed forms, so
-    # the MeatAxe bound is checked before any action matrix is built
+    # above the MeatAxe's DIM_BOUND (256), James's decomposition numbers give
+    # the factors with no action matrix: at n = 25, D^(24,1) does not occur
+    # in S^(23,2), and D^(25) does once
     import eigenone.specht
 
     def no_matrix(*args, **kwargs):
         raise AssertionError("an action matrix was built")
 
-    monkeypatch.setattr(eigenone.specht, "generator_matrices", no_matrix)
-    assert main(["specht", "mod2-factors", "--n", "25", "--family", family]) == 2
-    assert capsys.readouterr().err == f"error: module dimension {dim} exceeds bound 256\n"
+    monkeypatch.setattr(eigenone.specht, "action_matrix", no_matrix)
+    code, out = run_cli(capsys, "specht", "mod2-factors", "--n", "25", "--family", family)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["dim"] == dim
+    assert result["factor_dims"] == [1] * (dim - 274) + [274]
+
+
+def test_mod2_factors_at_n_100(capsys):
+    # n(n-3)/2 = 4850, far above the MeatAxe's DIM_BOUND: D^(99,1), of
+    # dimension 99 - 1, and D^(98,2)
+    code, out = run_cli(capsys, "specht", "mod2-factors", "--n", "100", "--family", "n-2,2",
+                        "--expect-dims", "98,4752")
+    assert code == 0
+    assert json.loads(out)["result"]["factor_dims"] == [98, 4752]
 
 
 @pytest.mark.parametrize("argv", [
@@ -522,6 +551,17 @@ def test_integral_specht_command_loads_no_gf2_layer(argv):
                            f"assert main(['specht', *{argv.split()}]) == 0")
     assert "eigenone.specht" in loaded and "eigenone.intlinalg" not in loaded
     for layer in ("gf2", "meataxe", "symplectic"):
+        assert f"eigenone.{layer}" not in loaded
+
+
+@pytest.mark.parametrize("family", ["n-2,1,1", "n-2,2", "n-2,2'"])
+def test_mod2_factors_loads_no_gf2_layer(family):
+    # James's decomposition numbers build no matrix, so neither GF(2) nor
+    # the MeatAxe is loaded
+    loaded = loaded_layers("from eigenone.cli import main\n"
+                           f"assert main(['specht', 'mod2-factors', '--n', '9', '--family', {family!r}]) == 0")
+    assert "eigenone.specht" in loaded
+    for layer in ("gf2", "meataxe", "intlinalg", "symplectic"):
         assert f"eigenone.{layer}" not in loaded
 
 

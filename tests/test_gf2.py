@@ -23,6 +23,7 @@ from oracles import (
     bit_apply,
     charpoly_mod2,
     distinct_factors_by_trial_division,
+    from_entries,
     from_hex_rows,
     gf2_det,
     is_irreducible_by_trial_division,
@@ -83,7 +84,7 @@ def test_charpoly_identity_2x2():
 
 def test_charpoly_companion():
     # companion matrix of x^3 + x + 1, column convention
-    C = BitMatrix.from_entries([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    C = from_entries([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
     assert charpoly_mod2(C) == 0b1011
 
 
@@ -135,15 +136,15 @@ def test_charpoly_value_at_1_iff_nullity():
 
 
 def test_preserves_form():
-    J2 = BitMatrix.from_entries([[0, 1], [1, 0]])
+    J2 = from_entries([[0, 1], [1, 0]])
     assert preserves_form(BitMatrix.identity(2), J2)
     # every invertible 2x2 over GF(2) is symplectic (SL2 = Sp2), so the
     # planted counterexample needs dimension 4: swap the two hyperbolic pairs'
     # first vectors only
-    J4 = BitMatrix.from_entries(
+    J4 = from_entries(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     )
-    swap23 = BitMatrix.from_entries(
+    swap23 = from_entries(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
     )
     assert not preserves_form(swap23, J4)
@@ -287,6 +288,6 @@ def test_distinct_degree_parts_multiply_to_the_radical(f):
 
 
 def test_eval_poly_at_matrix():
-    C = BitMatrix.from_entries([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    C = from_entries([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
     # Cayley-Hamilton: charpoly(C)(C) = 0
     assert eval_poly_at_matrix(0b1011, C) == BitMatrix.zeros(3)

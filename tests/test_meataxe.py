@@ -7,12 +7,16 @@ from eigenone.errors import DEFAULT_SEED
 from eigenone.meataxe import (
     composition_factors,
     endomorphism_dim,
-    factor_dimensions,
     is_irreducible,
 )
 from eigenone.perms import builtin_group
 from eigenone.symplectic import embed_group, permutation_module_gf2
-from oracles import endomorphism_algebra_dim, specht_mod2_module
+from oracles import (
+    endomorphism_algebra_dim,
+    factor_dimensions,
+    from_entries,
+    specht_mod2_module,
+)
 
 
 def test_trivial_module():
@@ -49,7 +53,7 @@ def test_flag_module_8dim_factor_absolutely_irreducible():
 
 def test_not_absolutely_irreducible_example():
     # C9 acting on the 2-dimensional GF(2) factor: commuting algebra is GF(4)
-    C = BitMatrix.from_entries([[0, 1], [1, 1]])  # companion of x^2+x+1
+    C = from_entries([[0, 1], [1, 1]])  # companion of x^2+x+1
     mod = GF2Module(2, [C])
     assert is_irreducible(mod)
     assert endomorphism_algebra_dim(mod) == 2
@@ -58,7 +62,7 @@ def test_not_absolutely_irreducible_example():
 
 def test_companion_of_x3_x_1_has_gf8_endomorphisms():
     # C7 acting through the companion matrix of x^3 + x + 1: commuting algebra GF(8)
-    C = BitMatrix.from_entries([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    C = from_entries([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
     mod = GF2Module(3, [C])
     assert endomorphism_algebra_dim(mod) == endomorphism_dim(mod) == 3
 
@@ -187,10 +191,11 @@ def _irreducible_module():
     return specht_mod2_module(7, (5, 2))  # irreducible, dimension 14
 
 
-def _run_mod2_factors(capsys):
+def _run_cli(capsys, argv: str):
+    """A command whose verdict rests on the MeatAxe."""
     from eigenone.cli import main
 
-    code = main(["specht", "mod2-factors", "--n", "7", "--family", "n-2,2"])
+    code = main(argv.split())
     return code, capsys.readouterr()
 
 
@@ -205,7 +210,8 @@ def test_split_check_fires_on_a_non_invariant_subspace(monkeypatch, capsys):
     monkeypatch.setattr(mx, "spin", lambda vectors, gens: spin(vectors, []))
     with pytest.raises(VerificationError, match="^vector not in the invariant subspace$"):
         composition_factors(_irreducible_module())
-    code, captured = _run_mod2_factors(capsys)
+    # the flag module's composition factors
+    code, captured = _run_cli(capsys, "embed audit --group l3_2_flags --module permutation")
     assert code == 3
     assert captured.out == ""
     assert "VerificationError: vector not in the invariant subspace" in captured.err
@@ -230,7 +236,8 @@ def test_dual_split_check_fires_on_a_full_complement(monkeypatch, capsys):
     with pytest.raises(VerificationError, match="^the dual split must give a proper submodule$"):
         composition_factors(_irreducible_module())
     seen.clear()
-    code, captured = _run_mod2_factors(capsys)
+    # the irreducibility of the embedded AGL(2,3), whose module is irreducible
+    code, captured = _run_cli(capsys, "embed audit --group agl2_3")
     assert code == 3
     assert captured.out == ""
     assert "VerificationError: the dual split must give a proper submodule" in captured.err

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
-from eigenone.errors import UsageError
+from eigenone.errors import UsageError, VerificationError
 from eigenone.perms import Permutation, class_reps_symmetric, partitions_of
 from eigenone.specht import (
     FAMILIES,
+    FAMILY_HOOK,
+    FAMILY_TWO,
+    FAMILY_TWO_CONJ,
     NotInSpechtModule,
     _basis,
     _dominance_key,
@@ -16,9 +19,8 @@ from eigenone.specht import (
     family_dim,
     family_shape,
     fixed_space_dim_via_characters,
-    generator_matrices,
+    mod2_factor_dims,
     polytabloid_expand,
-    rep_mod2,
     standard_tableaux,
     straighten,
     tv_apply_perm,
@@ -29,11 +31,14 @@ from oracles import (
     dominance_counts,
     eig1_multiplicity,
     garnir_coords,
+    generator_matrices,
     hook_length_count,
     identity_perm,
     int_identity,
     matmul,
     matsub,
+    mod2_factor_dims_by_meataxe,
+    rep_mod2,
     tabloid_action_matrix,
     tabloids_of_shape,
     trace,
@@ -63,6 +68,34 @@ def test_dimension_formulas():
                     family_dim(family, n)
                 continue
             assert family_dim(family, n) == len(standard_tableaux(shape)), (family, n)
+
+
+@pytest.mark.parametrize("family,n", [
+    (family, n) for family in FAMILIES for n in range(FAMILIES[family][0] + 2, 17)
+])
+def test_mod2_factor_dims_equal_the_meataxe(family, n):
+    # James's decomposition numbers against the MeatAxe on the generator
+    # matrices mod 2, the twist's built as such; n = 3 and 4 are where the
+    # guard 2j < n drops D^(n-2,2), and a digit test on n - 2j instead of
+    # n - 2j + 1 already fails at n = 5
+    assert mod2_factor_dims(family, n) == mod2_factor_dims_by_meataxe(family, n)
+
+
+def test_mod2_factor_dims_at_n_100():
+    # far above the MeatAxe's DIM_BOUND: 101 = 1100101 in base 2 has no
+    # digit 2, so D^(100) is not a factor of S^(98,2); 99 is odd, so D^(99,1)
+    # is, of dimension 99 - 1; D^(98,2) takes the rest of C(100,2) - 100
+    assert mod2_factor_dims(FAMILY_TWO, 100) == [98, 4752]
+    assert mod2_factor_dims(FAMILY_TWO_CONJ, 100) == [98, 4752]
+    assert mod2_factor_dims(FAMILY_HOOK, 100) == [1, 98, 4752]
+
+
+def test_mod2_factor_dims_check_their_sum(monkeypatch):
+    import eigenone.specht
+
+    monkeypatch.setattr(eigenone.specht, "family_dim", lambda family, n: 15)
+    with pytest.raises(VerificationError, match="must sum to 15"):
+        mod2_factor_dims(FAMILY_TWO, 7)
 
 
 def test_hook_length_formula_agreement():
@@ -264,7 +297,7 @@ def test_sign_twist():
 
 def test_sign_twist_vanishes_mod_2():
     # -M = M mod 2, so the twist's generators reduce to those of (n-2,2),
-    # which mod2-factors reduces for both families
+    # and mod2-factors gives both families the same factors
     for n in range(5, 9):
         shape = (n - 2, 2)
         gens = [Permutation.from_cycles(n, [(1, 2)]),
