@@ -14,6 +14,7 @@ import itertools
 import os
 from math import comb
 
+from .cycletypes import eig1_nullity
 from .errors import UsageError, VerificationError
 from .intlinalg import _bareiss
 from .perms import PermGroup, is_prime
@@ -265,9 +266,10 @@ def factor_mod_p(f: ZPoly, p: int, disc: int) -> tuple[int, ...] | None:
     is taken.  The part g_d of f collecting its irreducible factors of
     degree d has degree d times their number, so the degrees need no
     equal-degree split (von zur Gathen & Gerhard, Modern Computer Algebra,
-    14.2).
+    14.2).  The caller proves p prime: the scan takes p from `primes_up_to`,
+    and `lpoly-check` through `check_count_prime`.
     """
-    if p == 2 or not is_prime(p):
+    if p % 2 == 0:
         raise ValueError("p must be an odd prime")
     if f[-1] % p == 0:
         raise ValueError("p divides the leading coefficient")
@@ -345,8 +347,6 @@ def frobenius_scan(f: ZPoly, pmax: int, group: PermGroup, jobs: int = 1) -> dict
     A clean scan is statistical consistency with the target group being the
     Galois image, never a proof.  Per-prime work runs in chunks of 64 primes
     on at most `jobs` processes; output order is ascending p regardless."""
-    from .symplectic import eig1_nullity
-
     if zp_degree(f) < 3:
         raise ValueError("need degree >= 3")
     if zp_degree(f) != group.degree:  # else every type would lie outside the group

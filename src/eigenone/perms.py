@@ -1,7 +1,7 @@
-"""Permutations, partitions, permutation groups, and exact conjugacy classes.
+"""Permutations, permutation groups, and exact conjugacy classes.
 
 A partition, and so a cycle type, is a weakly decreasing tuple of positive
-ints.
+ints; the functions of a cycle type live in `cycletypes`.
 
 Points are 1-based in all external interfaces (cycle strings, apply) and
 0-based internally.  Composition is right-to-left throughout the package:
@@ -12,50 +12,12 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
+from .cycletypes import euler_phi, is_even_class, partitions_of, sn_class_size
 from .errors import ClosureOverflow, UsageError, VerificationError
 
 CLOSURE_BOUND = 10**6
-
-
-def is_even_class(ct: tuple[int, ...]) -> bool:
-    """Parity of the S_n class with cycle type ct: even iff n - #parts is even."""
-    return (sum(ct) - len(ct)) % 2 == 0
-
-
-def sn_class_size(ct: tuple[int, ...]) -> int:
-    """Size of the S_n conjugacy class with cycle type ct: n!/prod(i^m_i m_i!)."""
-    cent = 1
-    for length in set(ct):
-        m = ct.count(length)
-        cent *= length**m * factorial(m)
-    return factorial(sum(ct)) // cent
-
-
-def power_cycle_type(ct: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """The cycle type of g^j for g of cycle type ct: a cycle of length l
-    splits into gcd(l, j) cycles of length l / gcd(l, j)."""
-    out = []
-    for ln in ct:
-        g = gcd(ln, j)
-        out.extend([ln // g] * g)
-    return tuple(sorted(out, reverse=True))
-
-
-def partitions_of(n: int):
-    """All partitions of n, as weakly decreasing tuples, in descending
-    lexicographic order."""
-
-    def gen(remaining, maxpart):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, maxpart), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    yield from gen(n, n)
 
 
 class Permutation:
@@ -491,8 +453,7 @@ def _pgl2_classes(q: int) -> list[tuple[int, tuple[int, ...], int]]:
                 if d == 2:
                     classes.append((size // 2, ct, d))
                 else:
-                    phi = sum(gcd(k, d) == 1 for k in range(1, d))
-                    classes.extend([(size, ct, d)] * (phi // 2))
+                    classes.extend([(size, ct, d)] * (euler_phi(d) // 2))
     return sorted(classes, key=_class_key)
 
 

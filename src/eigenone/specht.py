@@ -13,10 +13,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from .errors import UsageError, VerificationError
-from .perms import Permutation, power_cycle_type
+from .perms import Permutation
 
 # A tableau is a bijective filling of a Young diagram by 1..n, as a tuple of
 # row tuples; a tabloid is its row-equivalence class: each row sorted
@@ -228,7 +228,7 @@ FAMILY_TWO = "(n-2,2)"
 FAMILY_TWO_CONJ = "(n-2,2)'"
 # audited family -> the parts after its first part n - 2.  (n-2,2)' is the
 # sign twist of (n-2,2): it has the same shape, and the audits derive its
-# fixed dimensions from those of (n-2,2) (audit._sign_twisted).
+# fixed dimensions from those of (n-2,2) (cycletypes.sign_twisted).
 FAMILIES = {
     FAMILY_HOOK: (1, 1),
     FAMILY_TWO: (2,),
@@ -311,47 +311,3 @@ def action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]
                 image[T] = perm_tabloid(sigma, T)
     cols = [straighten({image[T]: c for T, c in exp.items()}, shape) for exp in expansions]
     return [list(row) for row in zip(*cols)]
-
-
-# ---------------------------------------------------------------------------
-# Murnaghan-Nakayama character oracle (via beta-sets)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=4096)  # owner: fixed_space_dim_via_characters, the recursion's memo
-def character_mn(shape: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
-    """Character of the Specht module of the given shape on the given class."""
-    if sum(shape) != sum(cycle_type):
-        raise ValueError("shape and cycle type must partition the same n")
-    if not cycle_type:
-        return 1
-    m = cycle_type[0]
-    rest = cycle_type[1:]
-    k = len(shape)
-    betas = [shape[i] + (k - 1 - i) for i in range(k)]
-    bset = set(betas)
-    total = 0
-    for b in betas:
-        nb = b - m
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for c in betas if nb < c < b)
-        new_betas = sorted((bb if bb != b else nb) for bb in betas)
-        parts = tuple(
-            sorted((bb - i for i, bb in enumerate(new_betas)), reverse=True)
-        )
-        parts = tuple(p for p in parts if p > 0)
-        sign = -1 if height & 1 else 1
-        total += sign * character_mn(parts, rest)
-    return total
-
-
-def fixed_space_dim_via_characters(shape: tuple[int, ...], sigma_type: tuple[int, ...]) -> int:
-    """Dimension of the fixed space of a class element, as the average of the
-    character over the cyclic group it generates."""
-    order = lcm(*sigma_type)
-    total = 0
-    for j in range(order):
-        total += character_mn(shape, power_cycle_type(sigma_type, j))
-    if total % order:
-        raise VerificationError("character average over a cyclic group must be an integer")
-    return total // order

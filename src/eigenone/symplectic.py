@@ -8,7 +8,8 @@ vector.  The induced form has Gram matrix (all-ones + identity).
 
 A permutation g with cycle lengths l_1..l_c acts on the module as its cycle
 type dictates.  Over <g>, F_2^d is the sum of the F_2[x]/(x^l_i + 1); W has
-trivial quotient, and for d even <1> is a trivial submodule of W.  Hence:
+trivial quotient, and for d even <1> is a trivial submodule of W.  Hence
+(`cycle_type_charpoly`, `cycletypes.eig1_algebraic` and `eig1_nullity`):
 - charpoly = prod (x^l_i + 1) / (x + 1) for d odd, / (x + 1)^2 for d even;
 - alg = sum 2^v_2(l_i) - 1 for d odd, - 2 for d even: x + 1 divides x^l + 1
   = (x^m + 1)^(2^v) exactly 2^v times, where l = 2^v m with m odd;
@@ -84,23 +85,6 @@ def embed_group(G: PermGroup) -> GF2Module:
         if not preserves_form(m, gram):
             raise VerificationError("embedded generator does not preserve the form")
     return GF2Module(gram.nrows, gens)
-
-
-def eig1_nullity(cycle_type: tuple[int, ...]) -> int:
-    """dim of the eigenvalue-1 space of a permutation with these cycle
-    lengths on the module of its degree d >= 3."""
-    c, d = len(cycle_type), sum(cycle_type)
-    if d % 2:
-        return c - 1
-    if any(k % 2 for k in cycle_type):
-        return c - 2
-    return c - 1 + (d % 4 == 0)
-
-
-def eig1_algebraic(cycle_type: tuple[int, ...]) -> int:
-    """Multiplicity of x + 1 in `cycle_type_charpoly`: 2^v_2(l) per cycle
-    of length l, less one trivial factor for d odd and two for d even."""
-    return sum(k & -k for k in cycle_type) - (1 if sum(cycle_type) % 2 else 2)
 
 
 def cycle_type_charpoly(cycle_type: tuple[int, ...]) -> int:

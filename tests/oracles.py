@@ -20,7 +20,9 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 
 from eigenone.arith import PackedFp, check_count_prime, disc_resultant, zp_degree
-from eigenone.audit import audit_payload, class_payload, two_generated_subgroups
+from eigenone.audit import audit_payload, class_payload
+from eigenone.census import two_generated_subgroups
+from eigenone.cycletypes import is_even_class, sn_class_size
 from eigenone.errors import DEFAULT_SEED
 from eigenone.gf2 import (
     BitMatrix,
@@ -40,10 +42,8 @@ from eigenone.perms import (
     Permutation,
     class_rep_for,
     class_reps_symmetric,
-    is_even_class,
     orbit,
     orbits,
-    sn_class_size,
 )
 from eigenone.specht import (
     FAMILY_TWO_CONJ,
@@ -812,7 +812,7 @@ def top_factor_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
 def two_generated_subgroups_by_pairs(
     group: IndexedGroup,
 ) -> dict[frozenset[int], tuple[frozenset[int], tuple[int, int]]]:
-    """`audit.two_generated_subgroups` with every partner y paired with x and
+    """`census.two_generated_subgroups` with every partner y paired with x and
     every <x, y> closed from scratch as the orbit of x under right
     multiplication by x and y."""
     times = [row.__getitem__ for row in group.cayley_table]
@@ -834,7 +834,7 @@ def two_generated_subgroups_by_pairs(
 
 
 def subgroup_census_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> list[dict]:
-    """`audit.subgroup_census` with dim ker(M + I) read off every matrix of
+    """`census.subgroup_census` with dim ker(M + I) read off every matrix of
     the closed embedded group and the MeatAxe run on the matrices of each
     generator pair."""
     group = G.indexed

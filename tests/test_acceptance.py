@@ -23,8 +23,8 @@ from eigenone.audit import (
     audit_embedded_group,
     audit_specht,
     conjecture_table,
-    subgroup_census,
 )
+from eigenone.census import subgroup_census
 from eigenone.fixed_vectors import build_fixed_vector
 from eigenone.gf2 import BitMatrix, rank_nullspace
 from eigenone.meataxe import (
@@ -229,10 +229,10 @@ def test_criterion_10_property_suites():
     import itertools
     import random
 
+    from eigenone.cycletypes import character_mn
     from eigenone.perms import Permutation
     from eigenone.specht import (
         action_matrix,
-        character_mn,
         polytabloid_expand,
         straighten,
     )

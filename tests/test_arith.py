@@ -146,6 +146,23 @@ def test_factor_mod_p_rejects_bad_input():
         factor_mod_p([4], 5, 1)
 
 
+def test_scan_decides_no_primality(monkeypatch):
+    # the sieve proves each scanned p prime, so factor_mod_p trial-divides none
+    import eigenone.arith
+
+    calls = [0]
+    is_prime = eigenone.arith.is_prime
+
+    def counted(n):
+        calls[0] += 1
+        return is_prime(n)
+
+    monkeypatch.setattr(eigenone.arith, "is_prime", counted)
+    result = frobenius_scan(malle_g(1, -32), 10**4, builtin_group("agl2_3"))
+    assert len(result["records"]) > 1000
+    assert calls[0] == 0
+
+
 def _trial_division_degrees(f, p):
     """Irreducible-factor degrees of a monic f mod p, found by dividing by
     every monic polynomial of degree <= deg f / 2 in increasing degree (the

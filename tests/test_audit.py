@@ -6,16 +6,19 @@ import pytest
 
 from eigenone.audit import (
     FIX_PRIME,
-    _cyclic_subgroups,
     _fixed_dims,
-    _hook_fixed_dim,
     _rank_one_minus,
-    _sign_twisted,
     audit_embedded_group,
     audit_specht,
     conjecture_table,
-    subgroup_census,
-    two_generated_subgroups,
+)
+from eigenone.census import _cyclic_subgroups, subgroup_census, two_generated_subgroups
+from eigenone.cycletypes import (
+    character_mn,
+    fixed_space_dim_via_characters,
+    hook_fixed_dim,
+    is_even_class,
+    sign_twisted,
 )
 from eigenone.errors import UsageError, VerificationError
 from eigenone.gf2 import BitMatrix, GF2Module, rank_nullspace
@@ -27,17 +30,14 @@ from eigenone.perms import (
     builtin_group,
     class_rep_for,
     class_reps_symmetric,
-    is_even_class,
 )
 from eigenone.specht import (
     FAMILY_HOOK,
     FAMILY_TWO,
     FAMILY_TWO_CONJ,
     action_matrix,
-    character_mn,
     family_dim,
     family_shape,
-    fixed_space_dim_via_characters,
 )
 from eigenone.symplectic import embed_group, embed_permutation
 from oracles import (
@@ -132,8 +132,8 @@ def test_sign_twist_needs_the_square_class():
     # (4,1) is odd, and its square (2,2,1) is not among the classes given
     fixed = {(4, 1): 1, (1, 1, 1, 1, 1): 5}
     with pytest.raises(VerificationError, match="class 4,1: no fixed dimension for its square 2,2,1"):
-        _sign_twisted(fixed)
-    assert _sign_twisted({**fixed, (2, 2, 1): 3}) == {(4, 1): 2, (1, 1, 1, 1, 1): 5, (2, 2, 1): 3}
+        sign_twisted(fixed)
+    assert sign_twisted({**fixed, (2, 2, 1): 3}) == {(4, 1): 2, (1, 1, 1, 1, 1): 5, (2, 2, 1): 3}
 
 
 def test_a_wrong_fixed_dimension_fails_the_power_counts(monkeypatch):
@@ -159,8 +159,8 @@ def test_a_wrong_fixed_dimension_fails_the_power_counts(monkeypatch):
 def test_a_wrong_hook_orbit_count_fails_a_check(monkeypatch, target, message):
     import eigenone.audit
 
-    monkeypatch.setattr(eigenone.audit, "_hook_fixed_dim",
-                        lambda ct: _hook_fixed_dim(ct) + (ct == target))
+    monkeypatch.setattr(eigenone.audit, "hook_fixed_dim",
+                        lambda ct: hook_fixed_dim(ct) + (ct == target))
     with pytest.raises(VerificationError, match=message):
         audit_specht(5, FAMILY_HOOK)
 
@@ -243,7 +243,7 @@ def test_two_row_fixed_space_by_orbit_counts(n):
 
 
 ORBIT_FORMULAS = [
-    (FAMILY_HOOK, _hook_fixed_dim),
+    (FAMILY_HOOK, hook_fixed_dim),
     (FAMILY_TWO, two_row_fixed_dim_by_orbits),
     (FAMILY_TWO_CONJ, twisted_two_row_fixed_dim_by_orbits),
 ]
@@ -255,7 +255,7 @@ def test_orbit_formulas_match_characters_and_ranks(n):
     # (twisted) character averaged over <g> on every class, and, while the
     # matrices stay small, against dim - rank(I - M) mod p of the class's
     # matrix; on the twist, against that of (n-2,2) with Fix(g^2) - Fix(g)
-    # for odd g (`_sign_twisted`)
+    # for odd g (`sign_twisted`)
     classes = class_reps_symmetric(n)
     for family, formula in ORBIT_FORMULAS:
         shape = family_shape(family, n)
@@ -270,7 +270,7 @@ def test_orbit_formulas_match_characters_and_ranks(n):
         if n <= 13:
             by_ranks = _fixed_dims(shape, family_dim(family, n), classes)
             if twisted:
-                by_ranks = _sign_twisted(by_ranks)
+                by_ranks = sign_twisted(by_ranks)
             assert by_ranks == by_orbits, (n, family)
 
 

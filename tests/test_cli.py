@@ -531,7 +531,8 @@ def test_nt_command_loads_only_its_layers():
 def test_embed_command_loads_no_integral_layer(subcommand):
     loaded = loaded_layers("from eigenone.cli import main\n"
                            f"assert main(['embed', '{subcommand}', '--group', 'agl2_3']) == 0")
-    assert "eigenone.audit" in loaded and "eigenone.meataxe" in loaded
+    # each subcommand runs from its namesake module: audit or census
+    assert f"eigenone.{subcommand}" in loaded and "eigenone.meataxe" in loaded
     for layer in ("specht", "intlinalg"):
         assert f"eigenone.{layer}" not in loaded
 
@@ -550,7 +551,7 @@ def test_integral_specht_command_loads_no_gf2_layer(argv):
     loaded = loaded_layers("from eigenone.cli import main\n"
                            f"assert main(['specht', *{argv.split()}]) == 0")
     assert "eigenone.specht" in loaded and "eigenone.intlinalg" not in loaded
-    for layer in ("gf2", "meataxe", "symplectic"):
+    for layer in ("gf2", "meataxe", "symplectic", "census"):
         assert f"eigenone.{layer}" not in loaded
 
 
@@ -562,6 +563,17 @@ def test_mod2_factors_loads_no_gf2_layer(family):
                            f"assert main(['specht', 'mod2-factors', '--n', '9', '--family', {family!r}]) == 0")
     assert "eigenone.specht" in loaded
     for layer in ("gf2", "meataxe", "intlinalg", "symplectic"):
+        assert f"eigenone.{layer}" not in loaded
+
+
+def test_frobenius_scan_loads_no_gf2_layer():
+    # each nullity is read off the cycle type in cycletypes, so the scan loads
+    # neither the symplectic module nor GF(2)
+    loaded = loaded_layers("from eigenone.cli import main\n"
+                           "assert main(['nt', 'frobenius-scan', '--a', '1', '--t', '-32', "
+                           "'--group', 'agl2_3', '--pmax', '100']) == 0")
+    assert "eigenone.arith" in loaded and "eigenone.cycletypes" in loaded
+    for layer in ("gf2", "symplectic", "meataxe"):
         assert f"eigenone.{layer}" not in loaded
 
 
@@ -695,8 +707,8 @@ def test_wrong_hook_orbit_count_is_internal_error(capsys, monkeypatch):
     # vector on the 3-cycles breaks the eigenvalue counts of the class (3,2)
     import eigenone.audit
 
-    count = eigenone.audit._hook_fixed_dim
-    monkeypatch.setattr(eigenone.audit, "_hook_fixed_dim",
+    count = eigenone.audit.hook_fixed_dim
+    monkeypatch.setattr(eigenone.audit, "hook_fixed_dim",
                         lambda ct: count(ct) + (ct == (3, 1, 1)))
     code = main(["specht", "audit", "--n", "5", "--family", "n-2,1,1"])
     captured = capsys.readouterr()

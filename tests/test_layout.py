@@ -79,6 +79,19 @@ def test_every_package_method_is_referenced():
     assert sorted(entry.split(":")[1] for entry in unread) == sorted(UNREAD_METHODS_ALLOWED), unread
 
 
+def test_cycletypes_imports_only_math_and_errors():
+    # the class functions of a cycle type sit below every layer: any layer
+    # reads them without loading another
+    tree = ast.parse((PACKAGE / "cycletypes.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "math", ".errors"}
+
+
 def test_no_assert_statements():
     # python -O strips assert statements, so a check written as one stops
     # running; checks raise eigenone.errors.VerificationError instead

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -215,6 +216,24 @@ def test_split_check_fires_on_a_non_invariant_subspace(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert "VerificationError: vector not in the invariant subspace" in captured.err
+
+
+def test_agl2_3_audit_needs_an_absolutely_irreducible_module(monkeypatch, capsys):
+    # the agl2_3 claim states absolute irreducibility: a spin that stops at its
+    # seed vector finds a proper submodule, and the verdict must then be refuted
+    # though every class keeps eigenvalue 1; the generic and pgl2 claims rest
+    # on unisingularity alone
+    import eigenone.meataxe as mx
+
+    assert _run_cli(capsys, "embed audit --group agl2_3")[0] == 0
+    assert _run_cli(capsys, "embed audit --group pgl2 --q 19")[0] == 1
+    spin = mx.spin
+    monkeypatch.setattr(mx, "spin", lambda vectors, gens: spin(vectors, []))
+    code, captured = _run_cli(capsys, "embed audit --group agl2_3")
+    result = json.loads(captured.out)["result"]
+    assert code == 1
+    assert result["unisingular"] and not result["irreducible"]
+    assert not result["absolutely_irreducible"]
 
 
 def test_dual_split_check_fires_on_a_full_complement(monkeypatch, capsys):

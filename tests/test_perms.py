@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eigenone.cycletypes import partitions_of, power_cycle_type, sn_class_size
 from eigenone.perms import (
     ClosureOverflow,
     IndexedGroup,
@@ -12,9 +13,6 @@ from eigenone.perms import (
     class_rep_for,
     class_reps_symmetric,
     is_prime,
-    partitions_of,
-    power_cycle_type,
-    sn_class_size,
 )
 from oracles import (
     conjugate_by,
@@ -334,7 +332,7 @@ def test_indexed_group_tables_and_powers():
 def test_only_the_closure_multiplies(gens, monkeypatch):
     # every table is read off the closure's Schreier graph: the closure forms
     # x * g once per element and generator, and nothing after it multiplies
-    from eigenone.audit import _cyclic_subgroups
+    from eigenone.census import _cyclic_subgroups
 
     gens = gens()
     products = [0]
@@ -367,7 +365,7 @@ def test_closure_bound_is_the_largest_allowed_order(gens):
 
 
 def test_cyclic_generators_agl2_3():
-    from eigenone.audit import _cyclic_subgroups
+    from eigenone.census import _cyclic_subgroups
 
     G = builtin_group("agl2_3").indexed
     cyclic, _ = _cyclic_subgroups(G)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from eigenone.errors import UsageError, VerificationError
-from eigenone.perms import Permutation, class_reps_symmetric, partitions_of
+from eigenone.cycletypes import character_mn, fixed_space_dim_via_characters, partitions_of
+from eigenone.perms import Permutation, class_reps_symmetric
 from eigenone.specht import (
     FAMILIES,
     FAMILY_HOOK,
@@ -15,10 +16,8 @@ from eigenone.specht import (
     _basis,
     _dominance_key,
     action_matrix,
-    character_mn,
     family_dim,
     family_shape,
-    fixed_space_dim_via_characters,
     mod2_factor_dims,
     polytabloid_expand,
     standard_tableaux,

@@ -5,12 +5,11 @@ import pytest
 
 from eigenone.cli import main
 from eigenone.gf2 import BitMatrix, gf2_rank, preserves_form, rank_nullspace
-from eigenone.perms import Permutation, builtin_group, class_reps_symmetric, partitions_of
+from eigenone.cycletypes import eig1_algebraic, eig1_nullity, partitions_of
+from eigenone.perms import Permutation, builtin_group, class_reps_symmetric
 from eigenone.symplectic import (
     build_space,
     cycle_type_charpoly,
-    eig1_algebraic,
-    eig1_nullity,
     embed_group,
     embed_permutation,
 )
