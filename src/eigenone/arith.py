@@ -1,8 +1,9 @@
 """Arithmetic side: the 2-parameter degree-9 polynomial family, exact
 discriminants by resultants, factorization types over prime fields, Frobenius
 cycle-type scans against a target permutation group, and L-polynomials of
-hyperelliptic curves as character sums of resultants, with the mod-2 parity
-cross-check.
+hyperelliptic curves as character sums of resultants; `disc_verify` and
+`lpoly_check`, with its mod-2 parity cross-check, return the results of
+`nt disc-verify` and `nt lpoly-check`.
 
 All polynomial arithmetic is exact and deterministic; factorization types
 come from distinct-degree factorization alone.
@@ -13,11 +14,14 @@ from __future__ import annotations
 import itertools
 import os
 from math import comb
+from typing import TYPE_CHECKING
 
-from .cycletypes import eig1_nullity
+from .cycletypes import eig1_nullity, is_prime, prime_factors
 from .errors import UsageError, VerificationError
 from .intlinalg import _bareiss
-from .perms import PermGroup, is_prime
+
+if TYPE_CHECKING:
+    from .perms import PermGroup
 
 # ZPoly: list of ints, ascending degree, no trailing zeros.
 ZPoly = list
@@ -77,6 +81,36 @@ def malle_is_squarefree_specialization(a: int, t: int) -> bool:
     return a != 0 and t != 0 and malle_r(a, t) != 0
 
 
+def disc_verify(samples: int, seed: int) -> dict:
+    """`nt disc-verify`'s result: disc(g_{a,t}) by resultant against the
+    closed form at `samples` squarefree specializations, a and t uniform in
+    -50..50 by Random(seed), and the disc and bad primes of g_{1,-32}."""
+    import random  # here, so that a scan does not load it
+
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < samples:
+        a, t = rng.randint(-50, 50), rng.randint(-50, 50)
+        if malle_is_squarefree_specialization(a, t):
+            rows.append({"a": a, "t": t,
+                         "matches": disc_resultant(malle_g(a, t)) == malle_disc_formula(a, t)})
+    g = malle_g(1, -32)
+    disc, expected = disc_resultant(g), -(2**58) * 3**9
+    return {
+        "samples": rows,
+        "identity_holds": all(r["matches"] for r in rows),
+        "special": {
+            "a": 1,
+            "t": -32,
+            "disc": str(disc),
+            "expected": str(expected),
+            "matches": disc == expected,
+            "bad_primes": bad_primes(g),
+            "bad_primes_expected": [2, 3],
+        },
+    }
+
+
 def resultant(f: ZPoly, g: ZPoly) -> int:
     """Res(f, g) by a fraction-free determinant of the Sylvester matrix."""
     m, n = zp_degree(f), zp_degree(g)
@@ -120,24 +154,9 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def bad_primes(f: ZPoly) -> list[int]:
-    """Primes dividing disc(f) or the leading coefficient, by complete trial
-    division of their product."""
-    d = abs(disc_resultant(f) * f[-1])
-    out = set()
-    for p in [2, 3]:
-        while d % p == 0:
-            out.add(p)
-            d //= p
-    p = 5
-    while p * p <= d:
-        if d % p == 0:
-            out.add(p)
-            while d % p == 0:
-                d //= p
-        p += 2
-    if d > 1:
-        out.add(d)
-    return sorted(out)
+    """Primes dividing disc(f) or the leading coefficient, ascending; a
+    disc(f) of 0, which every prime divides, raises ValueError."""
+    return prime_factors(abs(disc_resultant(f) * f[-1]))
 
 
 class PackedFp:
@@ -474,3 +493,24 @@ def frobenius_charpoly_gf2(f: ZPoly, p: int, disc: int) -> int:
     if degrees is None:
         raise UsageError(f"bad prime {p}")
     return cycle_type_charpoly(degrees)
+
+
+def lpoly_check(a: int, t: int, primes: list[int]) -> dict:
+    """`nt lpoly-check`'s result for y^2 = g_{a,t}(x): per prime p, the
+    L-polynomial P, the parity of #J(F_p) = P(1), and whether x^8 P(1/x) mod
+    2 is the charpoly of Frobenius on the 2-torsion.  Every prime is checked,
+    against the one exact disc(f), before any L-polynomial is computed."""
+    f = malle_g(a, t)
+    disc = disc_resultant(f)
+    for p in primes:
+        check_count_prime(f, p, disc)
+    rows = []
+    for p in primes:
+        L = lpoly_from_counts(f, p, disc)
+        order = sum(L)
+        # as a bit-poly, c_i is the coefficient of x^(8-i)
+        match = int("".join(str(c % 2) for c in L), 2) == frobenius_charpoly_gf2(f, p, disc)
+        rows.append({"p": p, "lpoly": [str(c) for c in L], "jacobian_order": str(order),
+                     "even": order % 2 == 0, "reversed_matches_frobenius": match})
+    return {"a": a, "t": t, "primes": rows,
+            "all_pass": all(r["even"] and r["reversed_matches_frobenius"] for r in rows)}

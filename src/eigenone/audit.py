@@ -1,6 +1,7 @@
 """Eigenvalue-1 audits: check det(I - M) = 0 on every conjugacy class of a
 representation, over the integers or, from the cycle types, on the
-symplectic GF(2) module.
+symplectic GF(2) module, and on the largest composition factor of a
+permutation module.  Each audit returns its command's result.
 """
 
 from __future__ import annotations
@@ -219,7 +220,8 @@ def conjecture_table(ns: list[int]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
-    """Audit a permutation group on its symplectic module over GF(2).
+    """`embed audit`'s result: a permutation group audited on its symplectic
+    module over GF(2), with the Gram matrix each generator preserves.
 
     Each class record is read off its cycle type (`cycletypes`), from the
     classes pgl2, s_n and a_n carry in closed form, or from the closure for
@@ -228,9 +230,10 @@ def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
     module is absolutely irreducible iff its commuting algebra, counted from
     the Norton witness, is GF(2)."""
     from . import meataxe
-    from .symplectic import embed_group
+    from .symplectic import build_space, embed_group
 
-    module = embed_group(G)
+    gram = build_space(G.degree)
+    module = embed_group(G, gram)  # raises unless every generator preserves the form
     classes = []
     for size, ct, order in G.classes():
         geo = eig1_nullity(ct)
@@ -242,4 +245,53 @@ def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
         **audit_payload(f"embed:{G.name}:d={G.degree}", module.dim, "GF2", classes),
         "irreducible": end_dim is not None,
         "absolutely_irreducible": end_dim == 1,
+        "group": G.to_payload(),
+        "group_order": G.order(),
+        "space": {"d": G.degree, "dim": gram.nrows, "gram_hex_rows": gram.to_hex_rows()},
+        "form_preserved": True,
+    }
+
+
+def audit_permutation_module(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
+    """`embed audit --module permutation`'s result: the composition factors
+    of G's permutation module over GF(2), and the largest one audited on the
+    classes of G, closed here: x_i acts as the product of the factor's
+    generators along its tree word.  The kernel, the classes acting as I,
+    must contain the identity and have an order dividing |G|."""
+    from . import meataxe
+    from .gf2 import BitMatrix, fixed_space_dim
+    from .symplectic import permutation_module_gf2
+
+    module = permutation_module_gf2(G)
+    factors = meataxe.composition_factors(module, seed)
+    top = max(factors, key=lambda f: f.dim)
+    group, ident = G.indexed, BitMatrix.identity(top.dim)
+    uni, kernel = True, 0
+    for size, rep, _ in group.conjugacy_classes():
+        M = ident
+        for k in group.word(rep):
+            M = M * top.gens[k]
+        uni = uni and fixed_space_dim(M) > 0
+        if M == ident:
+            kernel += size
+        elif rep == group.identity:
+            raise VerificationError("the identity must act as I on the top factor")
+    if len(group.elements) % kernel:
+        raise VerificationError(f"a kernel of order {kernel} must divide |G|")
+    # a composition factor is certified irreducible, so it is absolutely
+    # irreducible iff its commuting algebra is GF(2)
+    end_dim = meataxe.endomorphism_dim(top, seed)
+    if end_dim is None:
+        raise VerificationError("a composition factor must be irreducible")
+    return {
+        "group": G.name,
+        "module": "permutation",
+        "dim": module.dim,
+        "factor_dims": [f.dim for f in factors],
+        "top_factor": {
+            "dim": top.dim,
+            "group_size": len(group.elements) // kernel,
+            "absolutely_irreducible": end_dim == 1,
+            "unisingular": uni,
+        },
     }

@@ -10,7 +10,7 @@ from . import meataxe
 from .cycletypes import eig1_nullity
 from .errors import DEFAULT_SEED, ClosureOverflow, UsageError, VerificationError
 from .perms import IndexedGroup, PermGroup, orbit, orbits
-from .symplectic import embed_group
+from .symplectic import build_space, embed_group
 
 # perfbench's tracer looks for `subgroup_census` in `audit`, so neither it nor the census's
 # own loops (`perms.orbit`, `_coset_closure`) are wrapped: their time lands in `cli.command`.
@@ -100,11 +100,11 @@ def _coset_closure(table, X: list[int], gens: tuple[int, ...]) -> frozenset[int]
     return frozenset(members)
 
 
-def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> list[dict]:
-    """Find every 2-generated subgroup of a permutation group, and count the
-    distinct subgroups per (order, irreducible?, unisingular?) on the
-    symplectic module, in that order.  Each entry lists the distinct
-    class-size fingerprints of its irreducible subgroups.
+def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
+    """`embed census`'s result: the order of a permutation group G, closed
+    here with a bound, and its 2-generated subgroups counted per (order,
+    irreducible?, unisingular?) on the symplectic module, in that order.
+    Each entry lists the class-size fingerprints of its irreducible ones.
 
     All three are invariant under conjugation, so they are computed once per
     conjugacy class of subgroups, on its representative; the MeatAxe certifies
@@ -112,18 +112,20 @@ def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> list[dict]:
     claim of finding subgroups that need three or more generators.  A group of
     degree 4 with a (2,2) element is refused: (2,2) acts trivially there.
     """
-    if G.degree == 4 and (2, 2) in G.cycle_types():
-        raise UsageError(f"the degree-4 module of {G.name} is not faithful: (2,2) acts trivially")
-    try:  # the closure stops at the cap; G.order() reads it afterwards
-        G.indexed = group = IndexedGroup(G.generators, bound=2000)
+    try:
+        group = IndexedGroup(G.generators, bound=2000)
     except ClosureOverflow:
         raise UsageError("census input capped at 2000 elements") from None
     elements = group.elements
+    types = [x.cycle_type() for x in elements]
+    if G.degree == 4 and (2, 2) in types:
+        raise UsageError(f"the degree-4 module of {G.name} is not faithful: (2,2) acts trivially")
     table = group.cayley_table  # table[b][a] = index of x_a * x_b
-    eig1 = [eig1_nullity(x.cycle_type()) > 0 for x in elements]
+    eig1 = [eig1_nullity(ct) > 0 for ct in types]
+    gram = build_space(G.degree)
 
     def invariants(K: frozenset[int], gens: tuple[int, int]) -> tuple:
-        irr = meataxe.is_irreducible(embed_group(PermGroup([elements[g] for g in gens])), seed)
+        irr = meataxe.is_irreducible(embed_group(PermGroup([elements[g] for g in gens]), gram), seed)
         uni = all(eig1[x] for x in K)
         if not irr:
             return irr, uni, None
@@ -143,8 +145,14 @@ def subgroup_census(G: PermGroup, seed: int = DEFAULT_SEED) -> list[dict]:
         rec[0] += 1
         if irr and fp not in rec[1]:
             rec[1].append(fp)
-    return [
+    census = [
         {"order": order, "irreducible": irr, "unisingular": uni, "count": count,
          "class_size_fingerprints": fps}
         for (order, irr, uni), (count, fps) in sorted(agg.items())
     ]
+    return {
+        "group": G.name,
+        "group_order": len(elements),
+        "census": census,
+        "irreducible_orders": sorted({e["order"] for e in census if e["irreducible"]}),
+    }

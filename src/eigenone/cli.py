@@ -3,16 +3,16 @@
 Exit codes: 0 = checked claim verified, 1 = claim refuted (payload lists the
 offenders), 2 = usage error (`UsageError`, or argparse) or a group too large to
 close (`ClosureOverflow`), 3 = internal error or a failed check (any other
-exception, `VerificationError` included; a traceback on standard error and
-nothing on standard output), so a crash never reads as a refutation; 4 =
+exception, a failed internal check included; a traceback on standard error
+and nothing on standard output), so a crash never reads as a refutation; 4 =
 undecided: the run had nothing to check (a Frobenius scan with no good prime up
 to --pmax), so it neither verifies nor refutes.  Every verdict, undecided
 included, prints a JSON report on standard output.
 
-Each handler returns (anchor keys, result, verdict), and `main` alone times
-the run, prints the report and maps the verdict to the exit code.  Each handler
-imports the layers it runs when it runs, so a process loads only the layers of
-its subcommand.
+Each handler checks its flags, takes its result from one layer call and
+returns (anchor keys, result, verdict); `main` alone times the run, prints
+the report and maps the verdict to the exit code.  Each handler imports the
+layers it runs when it runs, so a process loads only those of its subcommand.
 """
 
 from __future__ import annotations
@@ -140,19 +140,20 @@ def cmd_specht_fixed_vector(args):
 # ---------------------------------------------------------------------------
 
 def cmd_embed_audit(args):
-    if args.module == "permutation":
-        return _embed_audit_permutation_module(args)
-    from .audit import audit_embedded_group
     from .perms import builtin_group
-    from .symplectic import build_space
 
     G = builtin_group(args.group, args.q, args.n)
+    if args.module == "permutation":
+        from .audit import audit_permutation_module
+
+        result = audit_permutation_module(G, args.seed)
+        top = result["top_factor"]
+        verdict = (_expect(result, "expected_dims", args.expect_dims, result["factor_dims"])
+                   and top["unisingular"] and top["absolutely_irreducible"])
+        return [_group_anchor("perm-module-factors", args.group)], result, verdict
+    from .audit import audit_embedded_group
+
     result = audit_embedded_group(G, args.seed)
-    gram = build_space(G.degree)
-    result["group"] = G.to_payload()
-    result["group_order"] = G.order()
-    result["space"] = {"d": G.degree, "dim": gram.nrows, "gram_hex_rows": gram.to_hex_rows()}
-    result["form_preserved"] = True  # embed_group raises if a generator breaks the form
     anchor = _group_anchor("embed-audit", args.group)
     verdict = result["unisingular"]
     if anchor == "embed-audit-agl2_3":  # that claim states absolute irreducibility too
@@ -160,69 +161,13 @@ def cmd_embed_audit(args):
     return [anchor], result, verdict
 
 
-def _embed_audit_permutation_module(args):
-    from . import meataxe
-    from .errors import VerificationError
-    from .gf2 import BitMatrix, fixed_space_dim
-    from .perms import builtin_group
-    from .symplectic import permutation_module_gf2
-
-    G = builtin_group(args.group, args.q, args.n)
-    module = permutation_module_gf2(G)
-    factors = meataxe.composition_factors(module, args.seed)
-    dims = [f.dim for f in factors]
-    top = max(factors, key=lambda f: f.dim)
-    # x_i acts as the product of top.gens along its tree word; dim ker(M + I)
-    # is a class function, and the kernel is normal: the classes acting as I
-    group, ident = G.indexed, BitMatrix.identity(top.dim)
-    uni, kernel = True, 0
-    for size, rep, _ in group.conjugacy_classes():
-        M = ident
-        for k in group.word(rep):
-            M = M * top.gens[k]
-        uni = uni and fixed_space_dim(M) > 0
-        if M == ident:
-            kernel += size
-        elif rep == group.identity:
-            raise VerificationError("the identity must act as I on the top factor")
-    if len(group.elements) % kernel:
-        raise VerificationError(f"a kernel of order {kernel} must divide |G|")
-    # a composition factor is certified irreducible, so it is absolutely
-    # irreducible iff its commuting algebra is GF(2)
-    end_dim = meataxe.endomorphism_dim(top, args.seed)
-    if end_dim is None:
-        raise VerificationError("a composition factor must be irreducible")
-    absirr = end_dim == 1
-    result = {
-        "group": G.name,
-        "module": "permutation",
-        "dim": module.dim,
-        "factor_dims": dims,
-        "top_factor": {
-            "dim": top.dim,
-            "group_size": len(group.elements) // kernel,
-            "absolutely_irreducible": absirr,
-            "unisingular": uni,
-        },
-    }
-    verdict = _expect(result, "expected_dims", args.expect_dims, dims) and uni and absirr
-    return [_group_anchor("perm-module-factors", args.group)], result, verdict
-
-
 def cmd_embed_census(args):
     from .census import subgroup_census
     from .perms import builtin_group
 
-    G = builtin_group(args.group, args.q, args.n)
-    census = subgroup_census(G, args.seed)
-    orders = sorted({e["order"] for e in census if e["irreducible"]})
-    result = {
-        "group": G.name,
-        "group_order": G.order(),
-        "census": census,
-        "irreducible_orders": orders,
-    }
-    verdict = _expect(result, "expected_irreducible_orders", args.expect_irreducible_orders, orders)
+    result = subgroup_census(builtin_group(args.group, args.q, args.n), args.seed)
+    verdict = _expect(result, "expected_irreducible_orders", args.expect_irreducible_orders,
+                      result["irreducible_orders"])
     return [_group_anchor("embed-census", args.group)], result, verdict
 
 
@@ -231,51 +176,17 @@ def cmd_embed_census(args):
 # ---------------------------------------------------------------------------
 
 def cmd_nt_disc_verify(args):
-    import random
-
-    from .arith import (
-        bad_primes,
-        disc_resultant,
-        malle_disc_formula,
-        malle_g,
-        malle_is_squarefree_specialization,
-    )
+    from .arith import disc_verify
 
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     if args.samples > DISC_SAMPLES_MAX:
         raise UsageError(f"--samples must be at most {DISC_SAMPLES_MAX}, got {args.samples}")
-    rng = random.Random(args.seed)
-    samples = []
-    ok = True
-    n = 0
-    while n < args.samples:
-        a, t = rng.randint(-50, 50), rng.randint(-50, 50)
-        if not malle_is_squarefree_specialization(a, t):
-            continue
-        match = disc_resultant(malle_g(a, t)) == malle_disc_formula(a, t)
-        ok = ok and match
-        samples.append({"a": a, "t": t, "matches": match})
-        n += 1
-    g = malle_g(1, -32)
-    special_disc = disc_resultant(g)
-    special_ok = special_disc == -(2**58) * 3**9
-    bad = bad_primes(g)
-    bad_ok = bad == [2, 3]
-    result = {
-        "samples": samples,
-        "identity_holds": ok,
-        "special": {
-            "a": 1,
-            "t": -32,
-            "disc": str(special_disc),
-            "expected": str(-(2**58) * 3**9),
-            "matches": special_ok,
-            "bad_primes": bad,
-            "bad_primes_expected": [2, 3],
-        },
-    }
-    return ["disc-identity", "disc-special"], result, ok and special_ok and bad_ok
+    result = disc_verify(args.samples, args.seed)
+    special = result["special"]
+    verdict = (result["identity_holds"] and special["matches"]
+               and special["bad_primes"] == special["bad_primes_expected"])
+    return ["disc-identity", "disc-special"], result, verdict
 
 
 def cmd_nt_frobenius_scan(args):
@@ -301,35 +212,13 @@ def cmd_nt_frobenius_scan(args):
 
 
 def cmd_nt_lpoly_check(args):
-    from .arith import check_count_prime, disc_resultant, frobenius_charpoly_gf2, lpoly_from_counts, malle_g
+    from .arith import lpoly_check
 
     if not args.primes:
         raise UsageError("--primes lists no prime")
     _refuse_repeats("--primes", args.primes)
-    f = malle_g(args.a, args.t)
-    disc = disc_resultant(f)  # once: every check of every prime reads it
-    for p in args.primes:  # refuse a bad list before computing any L-polynomial of it
-        check_count_prime(f, p, disc)
-    rows = []
-    ok = True
-    for p in args.primes:
-        L = lpoly_from_counts(f, p, disc)
-        order = sum(L)  # #J(F_p) = P(1)
-        even = order % 2 == 0
-        # x^8 P(1/x) mod 2, the charpoly of Frobenius on the 2-torsion, as a
-        # bit-poly: c_i is the coefficient of x^(8-i)
-        match = int("".join(str(c % 2) for c in L), 2) == frobenius_charpoly_gf2(f, p, disc)
-        ok = ok and even and match
-        rows.append(
-            {
-                "p": p,
-                "lpoly": [str(c) for c in L],
-                "jacobian_order": str(order),
-                "even": even,
-                "reversed_matches_frobenius": match,
-            }
-        )
-    return ["lpoly-parity"], {"a": args.a, "t": args.t, "primes": rows, "all_pass": ok}, ok
+    result = lpoly_check(args.a, args.t, args.primes)
+    return ["lpoly-parity"], result, result["all_pass"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Class functions read off a cycle type, a weakly decreasing tuple of positive
 ints: S_n class data, the eigenvalue-1 forms of the symplectic module, fixed
 dimensions on the Specht families, det(I - M) from the fixed dimensions of
-the powers, and the Murnaghan-Nakayama characters.  Pure: no group, matrix
-or polynomial is built here.
+the powers, the Murnaghan-Nakayama characters, and the one trial
+factorization (`prime_factors`).  Pure: no group, matrix or polynomial is
+built here.
 """
 
 from __future__ import annotations
@@ -131,20 +132,42 @@ def divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
+def prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, ascending, by trial division;
+    any other m raises ValueError."""
+    if m < 1:
+        raise ValueError(f"prime factors need m >= 1, got {m}")
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Trial division up to sqrt(n), so every caller bounds n first."""
+    return n > 1 and prime_factors(n) == [n]
+
+
 def euler_phi(m: int) -> int:
-    """Euler's phi(m), the number of 1 <= k <= m prime to m."""
-    return sum(gcd(k, m) == 1 for k in range(1, m + 1))
+    """Euler's phi(m): m times the product of 1 - 1/r over the primes r | m."""
+    for r in prime_factors(m):
+        m = m // r * (r - 1)
+    return m
 
 
 def _cyclotomic_at_one(e: int) -> int:
-    """Phi_e(1): 0 for e = 1, q for e a power of the prime q, and 1 otherwise:
-    the least divisor q > 1 of e is prime, and e = q^k iff dividing out q leaves 1."""
+    """Phi_e(1): 0 for e = 1, q for e a power of the prime q, and 1 otherwise."""
     if e == 1:
         return 0
-    q = next(d for d in range(2, e + 1) if e % d == 0)
-    while e % q == 0:
-        e //= q
-    return q if e == 1 else 1
+    primes = prime_factors(e)
+    return primes[0] if len(primes) == 1 else 1
 
 
 def det_from_powers(ct: tuple[int, ...], fixed: dict, dim: int) -> int:

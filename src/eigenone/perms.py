@@ -14,7 +14,7 @@ import itertools
 from functools import cached_property
 from math import factorial, lcm
 
-from .cycletypes import euler_phi, is_even_class, partitions_of, sn_class_size
+from .cycletypes import euler_phi, is_even_class, is_prime, partitions_of, prime_factors, sn_class_size
 from .errors import ClosureOverflow, UsageError, VerificationError
 
 CLOSURE_BOUND = 10**6
@@ -44,8 +44,7 @@ class Permutation:
                 if not (1 <= a <= d):
                     raise ValueError(f"point {a} out of range for degree {d}")
                 images[a - 1] = b - 1
-        p = cls(images)
-        return p
+        return cls(images)
 
     def apply(self, point: int) -> int:
         """Image of a 1-based point."""
@@ -359,25 +358,11 @@ def _affine_f3_square(maps) -> list[Permutation]:
     ]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
 def _primitive_root(q: int) -> int:
-    """The least g whose powers run through all q - 1 units mod the prime q."""
-    for g in range(2, q):
-        if len(orbit(1, [lambda x: x * g % q])) == q - 1:
-            return g
-    raise VerificationError("no primitive root found")
+    """The least g whose powers run through all q - 1 units mod the prime q:
+    g has order q - 1 iff g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    primes = prime_factors(q - 1)
+    return next(g for g in range(2, q) if all(pow(g, (q - 1) // r, q) != 1 for r in primes))
 
 
 def _pgl2_gens(q: int) -> list[Permutation]:

@@ -77,9 +77,11 @@ def embed_permutation(p: Permutation) -> BitMatrix:
     return BitMatrix(rows, dim)
 
 
-def embed_group(G: PermGroup) -> GF2Module:
-    """Images of the group generators; checks the form is preserved."""
-    gram = build_space(G.degree)
+def embed_group(G: PermGroup, gram: BitMatrix | None = None) -> GF2Module:
+    """Images of the group generators, checked to preserve the form of Gram
+    matrix gram, `build_space(G.degree)` unless the caller built it."""
+    if gram is None:
+        gram = build_space(G.degree)
     gens = [embed_permutation(g) for g in G.generators]
     for m in gens:
         if not preserves_form(m, gram):

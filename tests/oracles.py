@@ -754,10 +754,23 @@ def audit_gf2_classes(
 
 
 def audit_embedded_group_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
-    """`audit.audit_embedded_group` with every class representative embedded."""
+    """`audit.audit_embedded_group` with every class representative embedded,
+    the order counted on the closure, and the form written out entry by
+    entry as all-ones + identity, with M^T J M = J checked for every
+    embedded generator M."""
     classes = [(class_label(rep.cycle_type()), size, order, embed_permutation(rep))
                for size, rep, order in G.conjugacy_classes()]
-    return audit_gf2_classes(f"embed:{G.name}:d={G.degree}", classes, embed_group(G), seed)
+    gens = [embed_permutation(g) for g in G.generators]
+    dim = gens[0].nrows
+    gram = from_entries([[int(i != j) for j in range(dim)] for i in range(dim)])
+    return {
+        **audit_gf2_classes(f"embed:{G.name}:d={G.degree}", classes, GF2Module(dim, gens), seed),
+        "group": {"name": G.name, "degree": G.degree,
+                  "generators": [g.cycle_string() for g in G.generators]},
+        "group_order": len(G.indexed.elements),
+        "space": {"d": G.degree, "dim": dim, "gram_hex_rows": gram.to_hex_rows()},
+        "form_preserved": all(M.transpose() * gram * M == gram for M in gens),
+    }
 
 
 def cyclic_subgroups_by_definition(group: IndexedGroup) -> dict[frozenset[int], int]:
@@ -833,7 +846,7 @@ def two_generated_subgroups_by_pairs(
     return subgroups
 
 
-def subgroup_census_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> list[dict]:
+def subgroup_census_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
     """`census.subgroup_census` with dim ker(M + I) read off every matrix of
     the closed embedded group and the MeatAxe run on the matrices of each
     generator pair."""
@@ -860,9 +873,11 @@ def subgroup_census_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> list[
         rec[0] += 1
         if irr and fp not in rec[1]:
             rec[1].append(fp)
-    return [{"order": order, "irreducible": irr, "unisingular": uni, "count": count,
-             "class_size_fingerprints": fps}
-            for (order, irr, uni), (count, fps) in sorted(agg.items())]
+    census = [{"order": order, "irreducible": irr, "unisingular": uni, "count": count,
+               "class_size_fingerprints": fps}
+              for (order, irr, uni), (count, fps) in sorted(agg.items())]
+    return {"group": G.name, "group_order": len(elements), "census": census,
+            "irreducible_orders": sorted({e["order"] for e in census if e["irreducible"]})}
 
 
 def eig1_data_by_embedding(cycle_type: tuple[int, ...]) -> tuple[int, int, int]:

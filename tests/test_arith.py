@@ -118,6 +118,12 @@ def test_bad_primes_special():
     assert bad_primes(malle_g(1, 1)) == [2, 3, 5, 13]
 
 
+def test_bad_primes_refuse_a_zero_discriminant():
+    # every prime divides disc(x^2) = 0: refused, not factored forever
+    with _ends_within(5), pytest.raises(ValueError, match="m >= 1, got 0"):
+        bad_primes([0, 0, 1])
+
+
 def test_factor_mod_p_quadratic():
     assert factor_mod_p([1, 0, 1], 5, -4) == (1, 1)
     assert factor_mod_p([1, 0, 1], 7, -4) == (2,)

@@ -474,6 +474,24 @@ def test_named_group_audit_forms_no_product(capsys, monkeypatch, group):
     assert json.loads(capsys.readouterr().out)["result"]["irreducible"] is True
 
 
+def test_embed_audit_builds_the_space_once(capsys, monkeypatch):
+    # the payload's space is the Gram matrix the generators were checked
+    # against (test_symplectic.py::test_space_payload checks its rows)
+    import eigenone.symplectic
+
+    calls = [0]
+    build_space = eigenone.symplectic.build_space
+
+    def counting(d):
+        calls[0] += 1
+        return build_space(d)
+
+    monkeypatch.setattr(eigenone.symplectic, "build_space", counting)
+    code, _ = run_cli(capsys, "embed", "audit", "--group", "agl2_3")
+    assert code == 0
+    assert calls[0] == 1
+
+
 @pytest.mark.parametrize("group", [["pgl2", "--q", "61"], ["s_n", "--n", "9"]])
 def test_census_cap_stops_the_closure(capsys, monkeypatch, group):
     # PGL(2,61) has 226920 elements and S_9 362880: the census refuses them
@@ -523,7 +541,8 @@ def test_nt_command_loads_only_its_layers():
     loaded = loaded_layers("from eigenone.cli import main\n"
                            "assert main(['nt', 'disc-verify', '--samples', '1']) == 0")
     assert "eigenone.arith" in loaded
-    for layer in ("audit", "specht", "meataxe", "fixed_vectors"):
+    # arith reads is_prime and prime_factors from cycletypes, and perms only to type a scan's group
+    for layer in ("audit", "specht", "meataxe", "fixed_vectors", "perms"):
         assert f"eigenone.{layer}" not in loaded
 
 
@@ -537,8 +556,17 @@ def test_embed_command_loads_no_integral_layer(subcommand):
         assert f"eigenone.{layer}" not in loaded
 
 
+def test_permutation_module_audit_runs_from_audit():
+    loaded = loaded_layers("from eigenone.cli import main\n"
+                           "assert main(['embed', 'audit', '--group', 'l3_2_flags', "
+                           "'--module', 'permutation']) == 0")
+    assert "eigenone.audit" in loaded and "eigenone.meataxe" in loaded
+    for layer in ("census", "specht", "intlinalg", "arith"):
+        assert f"eigenone.{layer}" not in loaded
+
+
 def test_pgl2_audit_loads_no_arith_layer():
-    # pgl2 tests q with perms.is_prime, so only frobenius-scan loads arith
+    # pgl2 tests q with cycletypes.is_prime, so only frobenius-scan loads arith
     loaded = loaded_layers("from eigenone.cli import main\n"
                            "assert main(['embed', 'audit', '--group', 'pgl2', '--q', '19']) == 1")
     assert "eigenone.perms" in loaded

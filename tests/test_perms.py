@@ -1,18 +1,26 @@
+import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eigenone.cycletypes import partitions_of, power_cycle_type, sn_class_size
+from eigenone.cycletypes import (
+    euler_phi,
+    is_prime,
+    partitions_of,
+    power_cycle_type,
+    prime_factors,
+    sn_class_size,
+)
 from eigenone.perms import (
     ClosureOverflow,
     IndexedGroup,
     Permutation,
+    _primitive_root,
     builtin_group,
     class_rep_for,
     class_reps_symmetric,
-    is_prime,
 )
 from oracles import (
     conjugate_by,
@@ -222,6 +230,29 @@ def test_builtin_generators_pinned():
         assert [g.cycle_string() for g in G.generators] == cycles
 
 
+def test_prime_factors_match_brute_force():
+    # the distinct primes of m, ascending, against every d <= m tested for
+    # dividing m and having no divisor between 1 and d
+    primes = [d for d in range(2, 5001) if all(d % e for e in range(2, d))]
+    prime_set = set(primes)
+    for m in range(1, 5001):
+        assert prime_factors(m) == [r for r in primes if m % r == 0], m
+        assert is_prime(m) == (m in prime_set)
+    for m in range(1, 1001):
+        assert euler_phi(m) == sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+    for m in (0, -1, -12):
+        with pytest.raises(ValueError):
+            prime_factors(m)
+        assert not is_prime(m)
+
+
+def test_primitive_root_is_the_least_by_brute_force():
+    for q in range(3, 200):
+        if all(q % d for d in range(2, q)):
+            least = next(g for g in range(2, q) if len({pow(g, k, q) for k in range(q - 1)}) == q - 1)
+            assert _primitive_root(q) == least, q
+
+
 def test_pgl2_multiplier_is_least_primitive_root():
     # the second generator multiplies by the least primitive root g mod q,
     # so its cycle through 1 lists the powers g^0, g^1, ... of that root
@@ -362,15 +393,6 @@ def test_closure_bound_is_the_largest_allowed_order(gens):
     assert len(IndexedGroup(gens(), bound=432).elements) == 432  # |AGL(2,3)|
     with pytest.raises(ClosureOverflow, match="^closure exceeded bound 431$"):
         IndexedGroup(gens(), bound=431)
-
-
-def test_cyclic_generators_agl2_3():
-    from eigenone.census import _cyclic_subgroups
-
-    G = builtin_group("agl2_3").indexed
-    cyclic, _ = _cyclic_subgroups(G)
-    assert len(cyclic) == 212
-    assert list(cyclic) == sorted(cyclic_subgroups_by_definition(G).values())
 
 
 @pytest.mark.parametrize("name,params", [("agl2_3", {}), ("pgl2", {"q": 7}), ("s_n", {"n": 5})],
