@@ -52,16 +52,21 @@ def child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
-def run(argv: list[str]) -> subprocess.CompletedProcess:
-    """One battery command in a fresh interpreter."""
+def run(argv: list[str], timeout: float | None = None) -> subprocess.CompletedProcess:
+    """One command in a fresh interpreter; past `timeout` seconds the child is
+    killed and subprocess.TimeoutExpired raised."""
     return subprocess.run(
-        [sys.executable, "-m", "eigenone"] + argv, capture_output=True, text=True, env=child_env()
+        [sys.executable, "-m", "eigenone"] + argv, capture_output=True, text=True, env=child_env(),
+        timeout=timeout,
     )
 
 
-def check_run(proc: subprocess.CompletedProcess, expect: int) -> str:
+def check_run(proc: subprocess.CompletedProcess, expect: int, false_field: str = "unisingular",
+              check=None) -> str:
     """"ok" when the run exited with the expected verdict and printed a report
-    that agrees with it; a crash also exits 1, so a refutation must say so."""
+    that agrees with it; a crash also exits 1, so a refutation must say so:
+    the result's `false_field` (dotted for a nested field) must read false.
+    `check`, if given, is a predicate the result must also satisfy."""
     if proc.returncode != expect:
         return f"UNEXPECTED exit {proc.returncode} (wanted {expect})"
     try:
@@ -70,8 +75,14 @@ def check_run(proc: subprocess.CompletedProcess, expect: int) -> str:
         return "UNEXPECTED output: no JSON report on stdout"
     if not isinstance(result, dict):
         return "UNEXPECTED output: report has no result object"
-    if expect == 1 and result.get("unisingular") is not False:
-        return 'UNEXPECTED report: exit 1 without result["unisingular"] == false'
+    if expect == 1:
+        value = result
+        for key in false_field.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if value is not False:
+            return f"UNEXPECTED report: exit 1 without result.{false_field} == false"
+    if check is not None and not check(result):
+        return f"UNEXPECTED result: {check.__name__} does not hold"
     return "ok"
 
 

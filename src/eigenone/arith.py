@@ -105,7 +105,7 @@ def disc_verify(samples: int, seed: int) -> dict:
             "disc": str(disc),
             "expected": str(expected),
             "matches": disc == expected,
-            "bad_primes": bad_primes(g),
+            "bad_primes": bad_primes(g, disc),
             "bad_primes_expected": [2, 3],
         },
     }
@@ -153,10 +153,10 @@ def primes_up_to(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if sieve[p]]
 
 
-def bad_primes(f: ZPoly) -> list[int]:
-    """Primes dividing disc(f) or the leading coefficient, ascending; a
-    disc(f) of 0, which every prime divides, raises ValueError."""
-    return prime_factors(abs(disc_resultant(f) * f[-1]))
+def bad_primes(f: ZPoly, disc: int) -> list[int]:
+    """Primes dividing disc, the exact disc(f), or the leading coefficient,
+    ascending; a disc(f) of 0, which every prime divides, raises ValueError."""
+    return prime_factors(abs(disc * f[-1]))
 
 
 class PackedFp:
@@ -487,7 +487,7 @@ def frobenius_charpoly_gf2(f: ZPoly, p: int, disc: int) -> int:
     """GF(2) characteristic polynomial of Frobenius at a good prime p on the
     symplectic module, read off the factorization type of f mod p; disc is
     the exact disc(f), and a p that divides it is refused."""
-    from .symplectic import cycle_type_charpoly
+    from .gf2 import cycle_type_charpoly
 
     degrees = factor_mod_p(f, p, disc)
     if degrees is None:

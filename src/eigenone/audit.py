@@ -179,9 +179,11 @@ def audit_specht(n: int, family: str, group: str = "s_n") -> dict:
 TABLE_N_MAX = 31
 
 
-def conjecture_table(ns: list[int]) -> list[dict]:
-    """det(I - M) for the sign-twisted two-row module on the class of an
-    (n-2)-cycle times a transposition, with the closed form 2^(k-1)(2k-1).
+def conjecture_table(ns: list[int]) -> dict:
+    """`specht conjecture-table`'s result: per n, det(I - M) for the
+    sign-twisted two-row module on the class of an (n-2)-cycle times a
+    transposition, with the closed form 2^(k-1)(2k-1), and whether every row
+    matches.
 
     The fixed dimensions of the class's powers g^d on the twist are derived
     from those on (n-2,2) (`sign_twisted`).  An odd g^d has d odd, so d
@@ -212,7 +214,7 @@ def conjecture_table(ns: list[int]) -> list[dict]:
                 "matches": det == 2 ** (k - 1) * (2 * k - 1),
             }
         )
-    return rows
+    return {"rows": rows, "all_match": all(r["matches"] for r in rows)}
 
 
 # ---------------------------------------------------------------------------

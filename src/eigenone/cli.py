@@ -102,25 +102,16 @@ def cmd_specht_table(args):
     if not args.n:
         raise UsageError("--n lists no value of n")
     _refuse_repeats("--n", args.n)
-    rows = conjecture_table(args.n)
-    ok = all(r["matches"] for r in rows)
-    return ["conjecture-table"], {"rows": rows, "all_match": ok}, ok
+    result = conjecture_table(args.n)
+    return ["conjecture-table"], result, result["all_match"]
 
 
 def cmd_specht_mod2(args):
-    from .specht import family_dim, mod2_factor_dims
+    from .specht import mod2_factors
 
-    # James's decomposition numbers, in closed form: no matrix and no MeatAxe
-    factors = mod2_factor_dims(args.family, args.n)
-    dim = family_dim(args.family, args.n)
-    result = {
-        "n": args.n,
-        "family": args.family,
-        "dim": dim,
-        "factor_dims": factors,
-        "irreducible": factors == [dim],
-    }
-    return ["mod2-factors"], result, _expect(result, "expected_dims", args.expect_dims, factors)
+    result = mod2_factors(args.family, args.n)
+    return ["mod2-factors"], result, _expect(result, "expected_dims", args.expect_dims,
+                                             result["factor_dims"])
 
 
 def cmd_specht_fixed_vector(args):

@@ -69,7 +69,7 @@ def eig1_nullity(cycle_type: tuple[int, ...]) -> int:
 
 
 def eig1_algebraic(cycle_type: tuple[int, ...]) -> int:
-    """Multiplicity of x + 1 in `symplectic.cycle_type_charpoly`: 2^v_2(l) per
+    """Multiplicity of x + 1 in `gf2.cycle_type_charpoly`: 2^v_2(l) per
     cycle of length l, less one trivial factor for d odd and two for d even."""
     return sum(k & -k for k in cycle_type) - (1 if sum(cycle_type) % 2 else 2)
 

@@ -240,6 +240,16 @@ def pgcd(a: int, b: int) -> int:
     return a
 
 
+def cycle_type_charpoly(cycle_type: tuple[int, ...]) -> int:
+    """GF(2) characteristic polynomial (bit-poly) of a permutation with these
+    cycle lengths on the `symplectic` module of degree d = sum of the lengths:
+    prod (x^l + 1) over (x + 1) for d odd, over (x + 1)^2 = x^2 + 1 for d even."""
+    full = 1
+    for k in cycle_type:
+        full = pmul(full, (1 << k) | 1)
+    return pdiv(full, 0b11 if sum(cycle_type) % 2 else 0b101)
+
+
 def vector_minpoly(M: BitMatrix, v: int) -> int:
     """The monic m of least degree with v m(M) = 0, for a row vector v.
 

@@ -291,6 +291,15 @@ def mod2_factor_dims(family: str, n: int) -> list[int]:
     return factors
 
 
+def mod2_factors(family: str, n: int) -> dict:
+    """`specht mod2-factors`'s result: `mod2_factor_dims`, with the module's
+    dimension and whether it stays irreducible mod 2."""
+    factors = mod2_factor_dims(family, n)
+    dim = family_dim(family, n)
+    return {"n": n, "family": family, "dim": dim, "factor_dims": factors,
+            "irreducible": factors == [dim]}
+
+
 def action_matrix(sigma: Permutation, shape: tuple[int, ...]) -> list[list[int]]:
     """Rows of the matrix of sigma on the Specht module, whose columns are the
     images of the basis vectors."""

@@ -9,7 +9,7 @@ vector.  The induced form has Gram matrix (all-ones + identity).
 A permutation g with cycle lengths l_1..l_c acts on the module as its cycle
 type dictates.  Over <g>, F_2^d is the sum of the F_2[x]/(x^l_i + 1); W has
 trivial quotient, and for d even <1> is a trivial submodule of W.  Hence
-(`cycle_type_charpoly`, `cycletypes.eig1_algebraic` and `eig1_nullity`):
+(`gf2.cycle_type_charpoly`, `cycletypes.eig1_algebraic` and `eig1_nullity`):
 - charpoly = prod (x^l_i + 1) / (x + 1) for d odd, / (x + 1)^2 for d even;
 - alg = sum 2^v_2(l_i) - 1 for d odd, - 2 for d even: x + 1 divides x^l + 1
   = (x^m + 1)^(2^v) exactly 2^v times, where l = 2^v m with m odd;
@@ -24,7 +24,7 @@ trivial quotient, and for d even <1> is a trivial submodule of W.  Hence
 from __future__ import annotations
 
 from .errors import VerificationError
-from .gf2 import BitMatrix, GF2Module, gf2_rank, pdiv, pmul, preserves_form
+from .gf2 import BitMatrix, GF2Module, gf2_rank, preserves_form
 from .perms import PermGroup, Permutation
 
 
@@ -87,16 +87,6 @@ def embed_group(G: PermGroup, gram: BitMatrix | None = None) -> GF2Module:
         if not preserves_form(m, gram):
             raise VerificationError("embedded generator does not preserve the form")
     return GF2Module(gram.nrows, gens)
-
-
-def cycle_type_charpoly(cycle_type: tuple[int, ...]) -> int:
-    """GF(2) characteristic polynomial (bit-poly) of a permutation with these
-    cycle lengths on the module: prod (x^l + 1) over (x + 1) for d odd, over
-    (x + 1)^2 = x^2 + 1 for d even."""
-    full = 1
-    for k in cycle_type:
-        full = pmul(full, (1 << k) | 1)
-    return pdiv(full, 0b11 if sum(cycle_type) % 2 else 0b101)
 
 
 def permutation_module_gf2(G: PermGroup) -> GF2Module:

@@ -929,6 +929,15 @@ def fixed_vector_full_orbit(sigma: Permutation, t: Tableau) -> dict[Tabloid, int
     return acc
 
 
+def fixed_by_action_matrix(sigma: Permutation, fv: dict) -> bool:
+    """`fixed_vectors.build_fixed_vector`'s tabloid-level check, one level
+    up: sigma's action matrix times the witness's coordinates gives them
+    back."""
+    coords = [int(c) for c in fv["coords"]]
+    M = action_matrix(sigma, family_shape(fv["family"], sigma.degree))
+    return [sum(a * c for a, c in zip(row, coords)) for row in M] == coords
+
+
 def _sort_columns(t: Tableau) -> tuple[Tableau, int]:
     cols = columns(t)
     sign = 1

@@ -52,10 +52,11 @@ def _report(k, msg):
 
 def test_criterion_1_conjecture_table():
     t0 = time.time()
-    rows = conjecture_table([5, 7, 9, 11, 13])
+    table = conjecture_table([5, 7, 9, 11, 13])
+    rows = table["rows"]
     values = [int(r["det_one_minus"]) for r in rows]
     assert values == [6, 20, 56, 144, 352]
-    assert all(r["matches"] for r in rows)
+    assert all(r["matches"] for r in rows) and table["all_match"] is True
     elapsed = time.time() - t0
     assert elapsed < 120
     _report(1, f"table values {values} match 2^(k-1)(2k-1) exactly ({elapsed:.1f}s)")
@@ -64,7 +65,7 @@ def test_criterion_1_conjecture_table():
 @pytest.mark.extended
 def test_criterion_1_extended_table():
     t0 = time.time()
-    rows = conjecture_table([15, 17])
+    rows = conjecture_table([15, 17])["rows"]
     values = [int(r["det_one_minus"]) for r in rows]
     assert values == [832, 1920]
     elapsed = time.time() - t0
@@ -189,7 +190,7 @@ def test_criterion_8_discriminant():
         done += 1
     g = malle_g(1, -32)
     assert disc_resultant(g) == -(2**58) * 3**9
-    assert bad_primes(g) == [2, 3]
+    assert bad_primes(g, disc_resultant(g)) == [2, 3]
     elapsed = time.time() - t0
     assert elapsed < 60
     _report(8, f"disc identity on 20 samples; disc(g_(1,-32)) = -2^58*3^9; "

@@ -20,7 +20,7 @@ from eigenone.arith import (
     primes_up_to,
     resultant,
 )
-from eigenone.errors import UsageError
+from eigenone.errors import DEFAULT_SEED, UsageError
 from eigenone.perms import builtin_group
 from oracles import (
     Fq,
@@ -114,14 +114,32 @@ def test_resultant_against_root_product():
 
 
 def test_bad_primes_special():
-    assert bad_primes(malle_g(1, -32)) == [2, 3]
-    assert bad_primes(malle_g(1, 1)) == [2, 3, 5, 13]
+    for f, bad in ((malle_g(1, -32), [2, 3]), (malle_g(1, 1), [2, 3, 5, 13])):
+        assert bad_primes(f, disc_resultant(f)) == bad
 
 
 def test_bad_primes_refuse_a_zero_discriminant():
     # every prime divides disc(x^2) = 0: refused, not factored forever
     with _ends_within(5), pytest.raises(ValueError, match="m >= 1, got 0"):
-        bad_primes([0, 0, 1])
+        bad_primes([0, 0, 1], disc_resultant([0, 0, 1]))
+
+
+def test_disc_verify_computes_each_discriminant_once(monkeypatch):
+    # one resultant per sample and one for g_{1,-32}, whose bad primes are
+    # read from the disc already computed
+    import eigenone.arith
+
+    calls = []
+    original = eigenone.arith.disc_resultant
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(eigenone.arith, "disc_resultant", counted)
+    result = eigenone.arith.disc_verify(20, DEFAULT_SEED)
+    assert len(calls) == 21
+    assert result["special"]["bad_primes"] == [2, 3]
 
 
 def test_factor_mod_p_quadratic():
@@ -501,7 +519,7 @@ def test_lpoly_structure():
 def test_lpoly_equals_the_point_count_oracle(f, p):
     # the character sums over monic polynomials against point counts over
     # F_{p^k} and Newton's identities; g_{1,1} has bad reduction at 5
-    if p in bad_primes(f):
+    if p in bad_primes(f, _disc(f)):
         with pytest.raises(UsageError, match=f"bad prime {p}"):
             lpoly_from_counts(f, p, _disc(f))
         with pytest.raises(UsageError, match=f"bad prime {p}"):

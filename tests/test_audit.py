@@ -87,7 +87,7 @@ def test_audit_specht_equals_the_bareiss_oracle(n):
 
 def test_conjecture_table_equals_the_bareiss_determinant():
     ns = list(range(5, 24, 2))
-    for n, row in zip(ns, conjecture_table(ns), strict=True):
+    for n, row in zip(ns, conjecture_table(ns)["rows"], strict=True):
         ct = (n - 2, 2)
         M = twisted_action_matrix(class_rep_for(ct), ct)
         assert row["dim"] == len(M)
@@ -288,9 +288,10 @@ def test_sign_twist_changes_only_odd_classes():
 
 
 def test_conjecture_table_values():
-    rows = conjecture_table([5, 7, 9])
+    table = conjecture_table([5, 7, 9])
+    rows = table["rows"]
     assert [int(r["det_one_minus"]) for r in rows] == [6, 20, 56]
-    assert all(r["matches"] for r in rows)
+    assert all(r["matches"] for r in rows) and table["all_match"] is True
 
 
 def test_conjecture_table_rejects_even_n():

@@ -175,18 +175,24 @@ def test_top_factor_matches_the_closed_factor_matrices(capsys, group, params):
     assert top["group_size"] == {"s_4": 6, "a_4": 3}.get(G.name, G.order())
 
 
-def load_reproduce_all():
+def load_script(name):
+    """scripts/<name>.py as a module, loaded as the script runs: with
+    scripts/ first on the import path."""
     import importlib.util
 
-    path = ROOT / "scripts" / "reproduce_all.py"
-    spec = importlib.util.spec_from_file_location("reproduce_all", path)
+    scripts = str(ROOT / "scripts")
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    sys.path.insert(0, scripts)
+    try:
+        spec.loader.exec_module(script)
+    finally:
+        sys.path.remove(scripts)
     return script
 
 
-def test_reproduce_all_rejects_crash_as_refutation():
-    script = load_reproduce_all()
+def test_reproduce_all_rejects_crash_as_refutation(monkeypatch, capsys):
+    script = load_script("reproduce_all")
 
     def run(code, out):
         return subprocess.CompletedProcess([], code, stdout=out, stderr="")
@@ -197,12 +203,88 @@ def test_reproduce_all_rejects_crash_as_refutation():
     assert script.check_run(run(1, json.dumps({"result": {"unisingular": True}})), 1) != "ok"
     assert script.check_run(run(0, refuted), 1) != "ok"
     assert script.check_run(run(0, json.dumps({"result": {"all_match": True}})), 0) == "ok"
+    # the battery's refutations read "unisingular" and no other field
+    assert script.check_run(run(1, json.dumps({"result": {"all_types_in_group": False}})), 1) != "ok"
+
+    # the range runner judges each exit-1 row by the same rule, on the field
+    # the row names
+    ranges = load_script("range_runs")
+    refuting = [row for row in ranges.RANGE_RUNS if row.expect == 1]
+    assert {row.false_field for row in refuting} == {
+        "unisingular", "top_factor.unisingular", "all_types_in_group"}
+    for row in refuting:
+        *outer, last = row.false_field.split(".")
+        result = {last: False}
+        for key in reversed(outer):
+            result = {key: result}
+        outputs = [("", False), (json.dumps({"result": {}}), False),
+                   (json.dumps({"result": {"verdict": False}}), False),
+                   (json.dumps({"result": result}), True)]
+        for out, passes in outputs:
+            monkeypatch.setattr(ranges, "RANGE_RUNS", [row])
+            monkeypatch.setattr(ranges, "run", lambda argv, timeout: run(1, out))
+            assert ranges.main() == (0 if passes else 1), (row.name, out)
+    capsys.readouterr()
+
+
+def test_range_runs_leave_the_battery_alone():
+    # a range run is not a battery run, so perfbench's coverage check, which
+    # reads every (str, list) tuple of reproduce_all.py, never sees one
+    battery = load_script("reproduce_all")
+    ranges = load_script("range_runs")
+
+    def without_jobs(argv):
+        argv = list(argv)
+        if "--jobs" in argv:
+            i = argv.index("--jobs")
+            del argv[i:i + 2]
+        return tuple(argv)
+
+    battery_argvs = {without_jobs(argv) for _, argv, _ in battery.RUNS}
+    names = [row.name for row in ranges.RANGE_RUNS]
+    assert len(set(names)) == len(names)
+    assert not set(names) & {name for name, _, _ in battery.RUNS}
+    for row in ranges.RANGE_RUNS:
+        assert without_jobs(row.argv) not in battery_argvs, row.name
+        assert row.expect in (0, 1), row.name
+        assert row.timeout > 0, row.name
+    tree = ast.parse((ROOT / "scripts" / "reproduce_all.py").read_text())
+    tuples = [node.elts[0].value for node in ast.walk(tree)
+              if isinstance(node, ast.Tuple) and len(node.elts) >= 2
+              and isinstance(node.elts[0], ast.Constant) and isinstance(node.elts[1], ast.List)]
+    assert tuples == [name for name, _, _ in battery.RUNS]
+
+
+def test_range_runs_exit_1_on_a_missed_verdict(monkeypatch, capsys):
+    ranges = load_script("range_runs")
+    [row] = [row for row in ranges.RANGE_RUNS if row.name == "mod2_factors_two_n100"]
+    monkeypatch.setattr(ranges, "RANGE_RUNS", [row])
+    assert ranges.main() == 0
+    monkeypatch.setattr(ranges, "RANGE_RUNS", [row._replace(expect=1 - row.expect)])
+    assert ranges.main() == 1
+    assert "UNEXPECTED exit 0 (wanted 1)" in capsys.readouterr().out
+    # a run that outlives its timeout is killed and counted as a miss
+    monkeypatch.setattr(ranges, "RANGE_RUNS", [row._replace(timeout=0.001)])
+    assert ranges.main() == 1
+    assert "UNEXPECTED timeout" in capsys.readouterr().out
+
+
+def test_range_run_checks_compare_the_result():
+    # the p = 17 row's L-polynomial is compared, not asserted, so python -O
+    # keeps the comparison
+    ranges = load_script("range_runs")
+    [row] = [row for row in ranges.RANGE_RUNS if row.check is not None]
+    L = "1,8,48,200,866,3400,13872,39304,83521".split(",")
+    assert row.check({"primes": [{"p": 17, "lpoly": L}]})
+    assert not row.check({"primes": [{"p": 17, "lpoly": L[:-1] + ["83522"]}]})
+    assert not row.check({"primes": []})
+    assert not row.check({})
 
 
 def test_reproduce_all_runs_the_checkout(monkeypatch, tmp_path):
     # with no install and no PYTHONPATH, from any directory, the battery's
     # children import eigenone from this checkout's src/
-    script = load_reproduce_all()
+    script = load_script("reproduce_all")
     monkeypatch.delenv("PYTHONPATH", raising=False)
     monkeypatch.chdir(tmp_path)
     assert script.child_env()["PYTHONPATH"].split(os.pathsep)[0] == str(ROOT / "src")
@@ -212,7 +294,7 @@ def test_reproduce_all_runs_the_checkout(monkeypatch, tmp_path):
 
 
 def test_reproduce_all_writes_only_reports_that_differ(monkeypatch, tmp_path, capsys):
-    script = load_reproduce_all()
+    script = load_script("reproduce_all")
     monkeypatch.setattr(script, "OUT", tmp_path)
     monkeypatch.setattr(script, "RUNS", [("disc", ["nt", "disc-verify", "--samples", "1"], 0)])
     dest = tmp_path / "disc.json"
@@ -229,7 +311,7 @@ def test_reproduce_all_writes_only_reports_that_differ(monkeypatch, tmp_path, ca
     assert json.loads(dest.read_text())["result"]["identity_holds"] is True
 
 
-REPRODUCE_ALL = load_reproduce_all()
+REPRODUCE_ALL = load_script("reproduce_all")
 
 
 @pytest.mark.parametrize("name,argv,expect", REPRODUCE_ALL.RUNS,
@@ -246,7 +328,7 @@ def test_battery_report_equals_the_committed_one(capsys, name, argv, expect):
 def test_committed_reports_match_the_battery():
     # each out/<name>.json is what reproduce_all.py writes for <name> at its
     # defaults: the same command, and anchors that are current claims
-    battery = {name: argv for name, argv, _ in load_reproduce_all().RUNS}
+    battery = {name: argv for name, argv, _ in load_script("reproduce_all").RUNS}
     claims = set(CLAIMS.values())
     reports = sorted((ROOT / "out").glob("*.json"))
     assert reports
@@ -543,6 +625,13 @@ def test_nt_command_loads_only_its_layers():
     assert "eigenone.arith" in loaded
     # arith reads is_prime and prime_factors from cycletypes, and perms only to type a scan's group
     for layer in ("audit", "specht", "meataxe", "fixed_vectors", "perms"):
+        assert f"eigenone.{layer}" not in loaded
+    # the parity cross-check reads the Frobenius charpoly from gf2 alone
+    loaded = loaded_layers("from eigenone.cli import main\n"
+                           "assert main(['nt', 'lpoly-check', '--a', '1', '--t', '-32', "
+                           "'--primes', '5']) == 0")
+    assert "eigenone.arith" in loaded and "eigenone.gf2" in loaded
+    for layer in ("perms", "symplectic"):
         assert f"eigenone.{layer}" not in loaded
 
 

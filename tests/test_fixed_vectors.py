@@ -13,7 +13,7 @@ from eigenone.fixed_vectors import (
 from eigenone.errors import VerificationError
 from eigenone.perms import Permutation, class_rep_for, class_reps_symmetric
 from eigenone.specht import family_shape, polytabloid_expand, tv_apply_perm
-from oracles import expand_coords, fixed_vector_full_orbit, identity_perm
+from oracles import expand_coords, fixed_by_action_matrix, fixed_vector_full_orbit, identity_perm
 
 
 def vector_of(fv: dict, n: int) -> dict:
@@ -110,6 +110,15 @@ def test_every_class_both_families(n):
             vec = vector_of(build_fixed_vector(rep, fam), n)
             assert vec  # nonzero
             assert tv_apply_perm(rep, vec) == vec
+
+
+@pytest.mark.parametrize("n", range(5, 12))
+def test_every_witness_is_fixed_by_its_action_matrix(n):
+    # the tabloid-level check stands in for this one: S^lambda lies in
+    # M^lambda, and straightening is linear and injective on it
+    for ct, rep in class_reps_symmetric(n):
+        for fam in (FAMILY_HOOK, FAMILY_TWO):
+            assert fixed_by_action_matrix(rep, build_fixed_vector(rep, fam)), (ct, fam)
 
 
 def test_verification_rejects_bad_selection(monkeypatch):

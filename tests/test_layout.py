@@ -94,10 +94,11 @@ def test_cycletypes_imports_only_math_and_errors():
 
 def test_no_assert_statements():
     # python -O strips assert statements, so a check written as one stops
-    # running; checks raise eigenone.errors.VerificationError instead
+    # running; checks raise eigenone.errors.VerificationError instead, and
+    # the scripts compare
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]

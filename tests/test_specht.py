@@ -19,6 +19,7 @@ from eigenone.specht import (
     family_dim,
     family_shape,
     mod2_factor_dims,
+    mod2_factors,
     polytabloid_expand,
     standard_tableaux,
     straighten,
@@ -87,6 +88,12 @@ def test_mod2_factor_dims_at_n_100():
     assert mod2_factor_dims(FAMILY_TWO, 100) == [98, 4752]
     assert mod2_factor_dims(FAMILY_TWO_CONJ, 100) == [98, 4752]
     assert mod2_factor_dims(FAMILY_HOOK, 100) == [1, 98, 4752]
+
+
+def test_mod2_factors_is_the_whole_result():
+    assert mod2_factors(FAMILY_TWO, 7) == {"n": 7, "family": FAMILY_TWO, "dim": 14,
+                                           "factor_dims": [14], "irreducible": True}
+    assert mod2_factors(FAMILY_HOOK, 100)["irreducible"] is False
 
 
 def test_mod2_factor_dims_check_their_sum(monkeypatch):
