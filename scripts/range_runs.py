@@ -61,11 +61,21 @@ RANGE_RUNS = [
     # their closed-form classes, with no closure
     RangeRun("embed_audit_pgl2_97", ["embed", "audit", "--group", "pgl2", "--q", "97"], 1, 30),
     RangeRun("embed_audit_s9", ["embed", "audit", "--group", "s_n", "--n", "9"], 1, 30),
-    # the permutation-module audit still closes its group (103776 elements,
-    # 2.7 s and 107 MiB on a 2-vCPU VM); the battery runs it only on the
-    # 168-element flag group
+    # the permutation-module audit reads the same class records, each with a
+    # representative whose matrix the MeatAxe carries onto the top factor,
+    # so it closes none of these groups (0.1-0.5 s and 16-17 MiB each on a
+    # 2-vCPU VM); the battery runs it only on the 168-element flag group
     RangeRun("perm_module_pgl2_47", ["embed", "audit", "--group", "pgl2", "--q", "47",
-                                     "--module", "permutation"], 1, 60,
+                                     "--module", "permutation"], 1, 10,
+             false_field="top_factor.unisingular"),
+    RangeRun("perm_module_pgl2_97", ["embed", "audit", "--group", "pgl2", "--q", "97",
+                                     "--module", "permutation"], 1, 30,
+             false_field="top_factor.unisingular"),
+    RangeRun("perm_module_s9", ["embed", "audit", "--group", "s_n", "--n", "9",
+                                "--module", "permutation"], 1, 10,
+             false_field="top_factor.unisingular"),
+    RangeRun("perm_module_a9", ["embed", "audit", "--group", "a_n", "--n", "9",
+                                "--module", "permutation"], 1, 10,
              false_field="top_factor.unisingular"),
     # n = 17 is audit_specht's cap: 297 classes of a 119- or 120-dimensional
     # module, where the battery stops at n = 13.  (n-2,2) takes one rank mod p

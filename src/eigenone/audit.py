@@ -227,7 +227,7 @@ def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
 
     Each class record is read off its cycle type (`cycletypes`), from the
     classes pgl2, s_n and a_n carry in closed form, or from the closure for
-    the other groups; so pgl2 and s_n form no group product.  The MeatAxe
+    the other groups; so pgl2, s_n and a_n form no group product.  The MeatAxe
     certifies the embedded generators irreducible or not, and an irreducible
     module is absolutely irreducible iff its commuting algebra, counted from
     the Norton witness, is GF(2)."""
@@ -237,7 +237,7 @@ def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
     gram = build_space(G.degree)
     module = embed_group(G, gram)  # raises unless every generator preserves the form
     classes = []
-    for size, ct, order in G.classes():
+    for size, ct, order, _ in G.classes():
         geo = eig1_nullity(ct)
         # over GF(2), det(I - M) is 0 exactly when M has eigenvalue 1
         det = 0 if geo else 1
@@ -257,28 +257,27 @@ def audit_embedded_group(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
 def audit_permutation_module(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
     """`embed audit --module permutation`'s result: the composition factors
     of G's permutation module over GF(2), and the largest one audited on the
-    classes of G, closed here: x_i acts as the product of the factor's
-    generators along its tree word.  The kernel, the classes acting as I,
-    must contain the identity and have an order dividing |G|."""
+    class records of G, each representative's permutation matrix carried onto
+    it through the MeatAxe's splits: no group product.  The kernel, the classes
+    acting as I, must contain the identity and have an order dividing |G|."""
     from . import meataxe
     from .gf2 import BitMatrix, fixed_space_dim
-    from .symplectic import permutation_module_gf2
+    from .symplectic import permutation_matrix, permutation_module_gf2
 
+    classes = G.classes()
     module = permutation_module_gf2(G)
-    factors = meataxe.composition_factors(module, seed)
-    top = max(factors, key=lambda f: f.dim)
-    group, ident = G.indexed, BitMatrix.identity(top.dim)
+    reps = [permutation_matrix(rep) for *_, rep in classes]
+    factors = meataxe.composition_factors(module, seed, reps)
+    top, mats = max(factors, key=lambda fc: fc[0].dim)
+    ident = BitMatrix.identity(top.dim)
     uni, kernel = True, 0
-    for size, rep, _ in group.conjugacy_classes():
-        M = ident
-        for k in group.word(rep):
-            M = M * top.gens[k]
+    for (size, _, order, _), M in zip(classes, mats):
         uni = uni and fixed_space_dim(M) > 0
         if M == ident:
             kernel += size
-        elif rep == group.identity:
+        elif order == 1:
             raise VerificationError("the identity must act as I on the top factor")
-    if len(group.elements) % kernel:
+    if G.order() % kernel:
         raise VerificationError(f"a kernel of order {kernel} must divide |G|")
     # a composition factor is certified irreducible, so it is absolutely
     # irreducible iff its commuting algebra is GF(2)
@@ -289,10 +288,10 @@ def audit_permutation_module(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
         "group": G.name,
         "module": "permutation",
         "dim": module.dim,
-        "factor_dims": [f.dim for f in factors],
+        "factor_dims": [f.dim for f, _ in factors],
         "top_factor": {
             "dim": top.dim,
-            "group_size": len(group.elements) // kernel,
+            "group_size": G.order() // kernel,
             "absolutely_irreducible": end_dim == 1,
             "unisingular": uni,
         },

@@ -66,9 +66,9 @@ def spin(vectors: list[int], gens: list[BitMatrix]) -> dict[int, int]:
     return basis
 
 
-def _split_by_subspace(module: GF2Module, sub: dict[int, int]) -> tuple[GF2Module, GF2Module]:
+def _split_by_subspace(module: GF2Module, sub: dict[int, int], carried: list[BitMatrix]):
     """Restrict to an invariant row space (given as RREF pivot->row) and form
-    the quotient module on the complementary coordinates."""
+    the quotient on the other coordinates, each with the `carried` matrices."""
     pivots = sorted(sub)
     B = [sub[p] for p in pivots]
     k = len(B)
@@ -102,12 +102,10 @@ def _split_by_subspace(module: GF2Module, sub: dict[int, int]) -> tuple[GF2Modul
             v ^= low
         return out
 
-    sub_gens = [BitMatrix([coords_sub(g.row_apply(b)) for b in B], k) for g in module.gens]
-    quot_gens = [
-        BitMatrix([coords_quot(g.row_apply(1 << c)) for c in free], n - k)
-        for g in module.gens
-    ]
-    return GF2Module(k, sub_gens), GF2Module(n - k, quot_gens)
+    mats, m = module.gens + carried, len(module.gens)
+    subs = [BitMatrix([coords_sub(g.row_apply(b)) for b in B], k) for g in mats]
+    quots = [BitMatrix([coords_quot(g.row_apply(1 << c)) for c in free], n - k) for g in mats]
+    return (GF2Module(k, subs[:m]), subs[m:]), (GF2Module(n - k, quots[:m]), quots[m:])
 
 
 def _decide(module: GF2Module, rng: random.Random):
@@ -196,25 +194,26 @@ def endomorphism_dim(module: GF2Module, seed: int = DEFAULT_SEED) -> int | None:
     return _norton_count(module, kernel) if verdict == "irreducible" else None
 
 
-def composition_factors(module: GF2Module, seed: int = DEFAULT_SEED) -> list[GF2Module]:
+def composition_factors(module: GF2Module, seed: int = DEFAULT_SEED, carried=()) -> list[tuple]:
     """Composition factors (with their generator matrices), sorted by
-    dimension then by matrix content; dimensions sum to the module dimension."""
+    dimension then by matrix content; dimensions sum to the module dimension.
+    Each comes with the matrices `carried` (of group elements, say) acting on
+    it; the random elements and the spins read only the generators."""
     if module.dim > DIM_BOUND:
         raise UsageError(f"module dimension {module.dim} exceeds bound {DIM_BOUND}")
     rng = random.Random(seed)
-    out: list[GF2Module] = []
+    out: list[tuple[GF2Module, list[BitMatrix]]] = []
 
-    def chop(m: GF2Module):
+    def chop(m: GF2Module, c: list[BitMatrix]):
         verdict, sub = _decide(m, rng)
         if verdict == "irreducible":
-            out.append(m)
+            out.append((m, c))
             return
-        s, q = _split_by_subspace(m, sub)
-        chop(s)
-        chop(q)
+        for part in _split_by_subspace(m, sub, c):
+            chop(*part)
 
-    chop(module)
-    if sum(f.dim for f in out) != module.dim:
+    chop(module, list(carried))
+    if sum(f.dim for f, _ in out) != module.dim:
         raise VerificationError("composition factor dimensions must sum to the module dimension")
-    out.sort(key=lambda f: (f.dim, [g.rows for g in f.gens]))
+    out.sort(key=lambda fc: (fc[0].dim, [g.rows for g in fc[0].gens]))
     return out

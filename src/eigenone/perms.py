@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
-from .cycletypes import euler_phi, is_even_class, is_prime, partitions_of, prime_factors, sn_class_size
+from .cycletypes import is_even_class, is_prime, label, partitions_of, prime_factors, sn_class_size
 from .errors import ClosureOverflow, UsageError, VerificationError
 
 CLOSURE_BOUND = 10**6
@@ -152,8 +152,8 @@ class IndexedGroup:
     `elements` is the closure of `generators` sorted by image tuple, and
     `index` maps each element to its number 0..N-1.  For the k-th generator
     g, `left[k][i]` and `right[k][i]` are the indices of g * x_i and x_i * g.
-    Tree words, powers, conjugation maps, classes, the full Cayley table,
-    inverses and normalizers of cyclic subgroups are computed on demand.
+    Powers, conjugation maps, classes, the full Cayley table, inverses and
+    normalizers of cyclic subgroups are computed on demand.
 
     The closure is the orbit of the first generator under right
     multiplication by the generators; each product x * g is formed once and
@@ -208,15 +208,6 @@ class IndexedGroup:
             for i in pos[1:]:
                 row[i] = self.right[self._via[i]][row[self._parent[i]]]
             self.left.append(row)
-
-    def word(self, i: int) -> list[int]:
-        """Generator indices k_0 = 0, k_1, ..., k_m along the tree, so that
-        x_i = g_k0 * g_k1 * ... * g_km."""
-        out = []
-        while i >= 0:
-            out.append(self._via[i])
-            i = self._parent[i]
-        return out[::-1]
 
     def powers(self, i: int) -> list[int]:
         """Indices of x, x^2, ..., x^ord(x) (the identity) for x = elements[i]."""
@@ -281,11 +272,14 @@ class IndexedGroup:
         return [g for g in range(len(inside)) if inside[table[inv[g]][gx[g]]]]
 
 
+ClassRecord = tuple[int, tuple[int, ...], int, Permutation]  # size, cycle type, order, rep
+
+
 class PermGroup:
     """A permutation group given by generators, with its indexed closure."""
 
     def __init__(self, generators: list[Permutation], name: str = "group",
-                 classes: list[tuple[int, tuple[int, ...], int]] | None = None):
+                 classes: list[ClassRecord] | None = None):
         self.generators = generators
         self.name = name
         # set by builtin_group where the classes have a closed form
@@ -301,7 +295,7 @@ class PermGroup:
 
     def order(self) -> int:
         if self._classes is not None:
-            return sum(size for size, _, _ in self._classes)
+            return sum(size for size, *_ in self._classes)
         return len(self.indexed.elements)
 
     def conjugacy_classes(self) -> list[tuple[int, Permutation, int]]:
@@ -311,16 +305,16 @@ class PermGroup:
         G = self.indexed
         return [(size, G.elements[i], order) for size, i, order in G.conjugacy_classes()]
 
-    def classes(self) -> list[tuple[int, tuple[int, ...], int]]:
-        """Classes as (class size, cycle type, element order), in the order of
-        `conjugacy_classes`: recorded for pgl2, s_n and a_n, else read off the
-        closure."""
+    def classes(self) -> list[ClassRecord]:
+        """`ClassRecord`s in the order of `conjugacy_classes`: recorded, each
+        with a representative built without a product, for pgl2, s_n and
+        a_n, else read off the closure."""
         if self._classes is not None:
             return self._classes
-        return [(size, rep.cycle_type(), order) for size, rep, order in self.conjugacy_classes()]
+        return [(size, rep.cycle_type(), k, rep) for size, rep, k in self.conjugacy_classes()]
 
     def cycle_types(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(ct for _, ct, _ in self.classes())
+        return frozenset(ct for _, ct, *_ in self.classes())
 
     def to_payload(self) -> dict:
         return {
@@ -365,21 +359,19 @@ def _primitive_root(q: int) -> int:
     return next(g for g in range(2, q) if all(pow(g, (q - 1) // r, q) != 1 for r in primes))
 
 
+def _mobius(q: int, a: int, b: int, c: int, d: int) -> Permutation:
+    """x -> (a x + b)/(c x + d) on P^1(F_q) = {0..q-1, infinity = q}."""
+    images = []
+    for x in range(q):
+        num, den = (a * x + b) % q, (c * x + d) % q
+        images.append(q if den == 0 else (num * pow(den, -1, q)) % q)
+    images.append(q if c % q == 0 else (a % q) * pow(c, -1, q) % q)
+    return Permutation(images)
+
+
 def _pgl2_gens(q: int) -> list[Permutation]:
-    # Moebius action on P^1(F_q) = {0..q-1, infinity=index q}.
-    points = list(range(q + 1))
-    inf = q
-
-    def mob(a, b, c, d):
-        images = []
-        for x in range(q):
-            num, den = (a * x + b) % q, (c * x + d) % q
-            images.append(inf if den == 0 else (num * pow(den, -1, q)) % q)
-        images.append(inf if c % q == 0 else (a % q) * pow(c, -1, q) % q)
-        return Permutation(images)
-
     g = _primitive_root(q)
-    return [mob(1, 1, 0, 1), mob(g, 0, 0, 1), mob(0, 1, 1, 0)]
+    return [_mobius(q, 1, 1, 0, 1), _mobius(q, g, 0, 0, 1), _mobius(q, 0, 1, 1, 0)]
 
 
 def _l3_2_flag_gens() -> list[Permutation]:
@@ -409,11 +401,11 @@ def _l3_2_flag_gens() -> list[Permutation]:
     return gens
 
 
-def _class_key(c: tuple[int, tuple[int, ...], int]) -> tuple:
+def _class_key(c: ClassRecord) -> tuple:
     """The closure's class order: element order, then class size, then the
     images of the representative with its cycles laid out consecutively in
     ascending length, which has the least images in its S_n class."""
-    size, ct, order = c
+    size, ct, order, _ = c
     images, start = [], 0
     for k in reversed(ct):
         images.extend(range(start + 1, start + k))
@@ -422,46 +414,64 @@ def _class_key(c: tuple[int, tuple[int, ...], int]) -> tuple:
     return order, size, images
 
 
-def _pgl2_classes(q: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """The q + 2 classes of PGL(2,q) on the q + 1 points of P^1(F_q), q an
-    odd prime: the identity, the unipotent class (q, 1), and the classes
-    that meet a cyclic torus, split of order q - 1 (two fixed points) or
-    nonsplit of order q + 1 (none).  A torus holds phi(d) elements of each
-    order d dividing its order, and t is conjugate to t^-1 only: so phi(d)/2
-    classes of order d > 2, centralized by the torus alone, and one class of
-    involutions, whose centralizer is twice the torus."""
-    classes = [(1, (1,) * (q + 1), 1), (q * q - 1, (q, 1), q)]
-    for m, fixed, size in ((q - 1, (1, 1), q * (q + 1)), (q + 1, (), q * (q - 1))):
-        for d in range(2, m + 1):
-            if m % d == 0:
-                ct = (d,) * (m // d) + fixed
-                if d == 2:
-                    classes.append((size // 2, ct, d))
-                else:
-                    classes.extend([(size, ct, d)] * (euler_phi(d) // 2))
+def _cycle_power(degree: int, cycle: list[int], k: int) -> Permutation:
+    """The k-th power of the cycle through the points `cycle`, read along it."""
+    step = dict(zip(cycle, cycle[k:] + cycle[:k]))
+    return Permutation(step.get(x, x) for x in range(degree))
+
+
+def _nonsplit_cycle(q: int) -> list[int]:
+    """P^1(F_q), infinity = q, in the order that the first (q+1)-cycle
+    x -> b/(x + a), a nonsplit torus's generator, visits it from infinity."""
+    return next(cycle for a, b in itertools.product(range(1, q), repeat=2)
+                if len(cycle := orbit(q, [_mobius(q, 0, b, 1, a).images.__getitem__])) == q + 1)
+
+
+def _pgl2_classes(q: int) -> list[ClassRecord]:
+    """The q + 2 classes of PGL(2,q) on P^1(F_q), q an odd prime: the identity,
+    the unipotent class (q, 1) of x -> x + 1, and the classes meeting a cyclic
+    torus of order m, split (m = q - 1, x -> g x for a primitive root g, two
+    fixed points) or nonsplit (m = q + 1, none).  t is conjugate to t^-1 only,
+    so a generator's powers t^k, 0 < k <= m/2, read along its cycle, represent
+    distinct classes, centralized by the torus alone but for the involution,
+    whose centralizer is twice the torus."""
+    classes = [(1, (1,) * (q + 1), 1, Permutation(range(q + 1))),
+               (q * q - 1, (q, 1), q, _mobius(q, 1, 1, 0, 1))]
+    split = [pow(_primitive_root(q), i, q) for i in range(q - 1)]
+    for cycle, fixed, size in ((split, (1, 1), q * (q + 1)), (_nonsplit_cycle(q), (), q * (q - 1))):
+        m = len(cycle)
+        for k in range(1, m // 2 + 1):
+            d = m // gcd(k, m)
+            classes.append((size // 2 if d == 2 else size, (d,) * (m // d) + fixed, d,
+                            _cycle_power(q + 1, cycle, k)))
     return sorted(classes, key=_class_key)
 
 
-def _symmetric_classes(n: int, alternating: bool) -> list[tuple[int, tuple[int, ...], int]]:
+def _symmetric_classes(n: int, alternating: bool) -> list[ClassRecord]:
     """The classes of S_n, one per cycle type, or of A_n: the even S_n
     classes, each split into two halves when its cycle lengths are distinct
-    and odd (the centralizer in S_n then lies in A_n)."""
+    and odd (the centralizer in S_n then lies in A_n).  Each is represented
+    by `class_rep_for` its cycle type, a second half with 1 and 2 relabelled."""
     classes = []
     for ct in partitions_of(n):
-        size, order = sn_class_size(ct), lcm(*ct)
-        if not alternating:
-            classes.append((size, ct, order))
-        elif is_even_class(ct):
-            halves = len(set(ct)) == len(ct) and all(k % 2 for k in ct)
-            classes += [(size // 2, ct, order)] * 2 if halves else [(size, ct, order)]
+        size, order, rep = sn_class_size(ct), lcm(*ct), class_rep_for(ct)
+        if alternating and len(set(ct)) == len(ct) and all(k % 2 for k in ct):
+            half = [tuple(3 - x if x < 3 else x for x in c) for c in rep.cycles()]
+            classes += [(size // 2, ct, order, r) for r in (rep, Permutation.from_cycles(n, half))]
+        elif not alternating or is_even_class(ct):
+            classes.append((size, ct, order, rep))
     return sorted(classes, key=_class_key)
 
 
 def _with_classes(gens: list[Permutation], name: str, order: int,
-                  classes: list[tuple[int, tuple[int, ...], int]]) -> PermGroup:
-    """A group with its classes recorded, checked by the class equation."""
-    if sum(size for size, _, _ in classes) != order:
+                  classes: list[ClassRecord]) -> PermGroup:
+    """A group with its classes recorded, checked by the class equation and
+    each representative by its record's cycle type and order."""
+    if sum(size for size, *_ in classes) != order:
         raise VerificationError(f"the class sizes of {name} must sum to its order {order}")
+    for _, ct, k, rep in classes:
+        if rep.cycle_type() != ct or rep.order() != k:
+            raise VerificationError(f"{name}: {rep.cycle_string()} cannot represent {label(ct)}")
     return PermGroup(gens, name, classes)
 
 

@@ -14,9 +14,12 @@ import heapq
 import itertools
 from functools import lru_cache
 from math import comb
+from typing import TYPE_CHECKING
 
 from .errors import UsageError, VerificationError
-from .perms import Permutation
+
+if TYPE_CHECKING:
+    from .perms import Permutation
 
 # A tableau is a bijective filling of a Young diagram by 1..n, as a tuple of
 # row tuples; a tabloid is its row-equivalence class: each row sorted

@@ -89,13 +89,14 @@ def embed_group(G: PermGroup, gram: BitMatrix | None = None) -> GF2Module:
     return GF2Module(gram.nrows, gens)
 
 
+def permutation_matrix(g: Permutation) -> BitMatrix:
+    """The matrix of g on the degree-d permutation module over GF(2)."""
+    rows = [0] * g.degree
+    for j, i in enumerate(g.images):
+        rows[i] |= 1 << j
+    return BitMatrix(rows, g.degree)
+
+
 def permutation_module_gf2(G: PermGroup) -> GF2Module:
     """The full degree-d permutation module over GF(2) (no restriction)."""
-    d = G.degree
-    mats = []
-    for g in G.generators:
-        rows = [0] * d
-        for j in range(d):
-            rows[g.images[j]] |= 1 << j
-        mats.append(BitMatrix(rows, d))
-    return GF2Module(d, mats)
+    return GF2Module(G.degree, [permutation_matrix(g) for g in G.generators])

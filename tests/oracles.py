@@ -9,7 +9,8 @@ families, embedded matrices against the cycle-type forms of the symplectic
 module, Garnir rewriting against leading-tabloid straightening, tabloid permutation
 modules against the character oracle, point counts over F_{p^k} against the
 L-polynomial as a character sum of resultants, the MeatAxe on reduced Specht
-matrices against James's mod-2 decomposition numbers, and so on.
+matrices against James's mod-2 decomposition numbers, products along the
+closure's tree words against the class matrices the MeatAxe carries, and so on.
 """
 
 from __future__ import annotations
@@ -615,7 +616,7 @@ def from_entries(entries) -> BitMatrix:
 def factor_dimensions(module: GF2Module, seed: int = DEFAULT_SEED) -> list[int]:
     """The MeatAxe's composition-factor dimensions, ascending: the reference
     for `specht.mod2_factor_dims`, James's decomposition numbers."""
-    return [f.dim for f in composition_factors(module, seed)]
+    return [f.dim for f, _ in composition_factors(module, seed)]
 
 
 def endomorphism_algebra_dim(module: GF2Module) -> int:
@@ -812,7 +813,7 @@ def matrix_classes(gens: list[BitMatrix]) -> list[tuple[int, int, BitMatrix]]:
 def top_factor_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
     """The `top_factor` of `embed audit --module permutation`, from the
     closure of the largest composition factor's generator matrices."""
-    top = max(composition_factors(permutation_module_gf2(G), seed), key=lambda f: f.dim)
+    top, _ = max(composition_factors(permutation_module_gf2(G), seed), key=lambda fc: fc[0].dim)
     els = matrix_closure(top.gens)
     return {
         "dim": top.dim,
@@ -820,6 +821,31 @@ def top_factor_by_matrices(G: PermGroup, seed: int = DEFAULT_SEED) -> dict:
         "absolutely_irreducible": endomorphism_algebra_dim(top) == 1,
         "unisingular": all(fixed_space_dim(m) > 0 for m in els),
     }
+
+
+def tree_word(group: IndexedGroup, i: int) -> list[int]:
+    """Generator indices k_0 = 0, k_1, ..., k_m along the closure's tree, so
+    that x_i = g_k0 * g_k1 * ... * g_km."""
+    out = []
+    while i >= 0:
+        out.append(group._via[i])
+        i = group._parent[i]
+    return out[::-1]
+
+
+def word_product_matrices(G: PermGroup, gens: list[BitMatrix], elements) -> list[BitMatrix]:
+    """The matrix of each of `elements` on a module of G whose generators act
+    as `gens`: the product of `gens` along the element's tree word in the
+    closure, the reference for the class matrices that `composition_factors`
+    carries."""
+    group = G.indexed
+    out = []
+    for x in elements:
+        M = BitMatrix.identity(gens[0].nrows)
+        for k in tree_word(group, group.index[x]):
+            M = M * gens[k]
+        out.append(M)
+    return out
 
 
 def two_generated_subgroups_by_pairs(

@@ -51,6 +51,7 @@ from oracles import (
     twisted_action_matrix,
     twisted_two_row_fixed_dim_by_orbits,
     two_row_fixed_dim_by_orbits,
+    word_product_matrices,
 )
 
 
@@ -365,7 +366,7 @@ def test_flag_factor_classes_unisingular():
     from eigenone.symplectic import permutation_module_gf2
 
     pm = permutation_module_gf2(builtin_group("l3_2_flags"))
-    top = max(composition_factors(pm), key=lambda f: f.dim)
+    top, _ = max(composition_factors(pm), key=lambda fc: fc[0].dim)
     classes = [(f"c{n}", size, order, M)
                for n, (size, order, M) in enumerate(matrix_classes(top.gens))]
     rep = audit_gf2_classes("flag-8dim", classes, top)
@@ -375,6 +376,30 @@ def test_flag_factor_classes_unisingular():
     assert sorted((c["element_order"], c["size"]) for c in rep["classes"]) == [
         (1, 1), (2, 21), (3, 56), (4, 42), (7, 24), (7, 24)
     ]
+
+
+PERMUTATION_MODULE_GROUPS = [("l3_2_flags", {})] + [
+    ("pgl2", {"q": q}) for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)] + [
+    (name, {"n": n}) for name in ("s_n", "a_n") for n in range(3, 9)]
+
+
+@pytest.mark.parametrize("name,params", PERMUTATION_MODULE_GROUPS,
+                         ids=[f"{g}{p}" for g, p in PERMUTATION_MODULE_GROUPS])
+def test_carried_class_matrices_equal_the_word_products(name, params):
+    # each class representative's permutation matrix, carried through the
+    # MeatAxe's splits, is on every factor the product of that factor's
+    # generators along the representative's tree word; the factors, in
+    # order, are those of the run that carries nothing
+    from eigenone.meataxe import composition_factors
+    from eigenone.symplectic import permutation_matrix, permutation_module_gf2
+
+    G = builtin_group(name, **params)
+    reps = [rep for *_, rep in G.classes()]
+    module = permutation_module_gf2(G)
+    factors = composition_factors(module, carried=[permutation_matrix(r) for r in reps])
+    assert [f.gens for f, _ in factors] == [f.gens for f, _ in composition_factors(module)]
+    for f, mats in factors:
+        assert mats == word_product_matrices(G, f.gens, reps)
 
 
 def test_audit_gf2_classes_reducible_module_flags():

@@ -542,18 +542,30 @@ def test_pgl2_above_the_bound_is_refused_before_closing(capsys, monkeypatch, arg
     assert capsys.readouterr().err == "error: closure exceeded bound 1000000\n"
 
 
-@pytest.mark.parametrize("group", [["pgl2", "--q", "97"], ["s_n", "--n", "9"]])
+@pytest.mark.parametrize("group", [
+    ["pgl2", "--q", "97"],
+    ["s_n", "--n", "9"],
+    ["pgl2", "--q", "47", "--module", "permutation"],
+    ["s_n", "--n", "9", "--module", "permutation"],
+    ["a_n", "--n", "9", "--module", "permutation"],
+])
 def test_named_group_audit_forms_no_product(capsys, monkeypatch, group):
-    # PGL(2,97) and S_9 carry their classes in closed form, so the audit
-    # closes neither; both have offenders on the symplectic module
-    from eigenone.perms import Permutation
+    # pgl2, s_n and a_n carry their classes, each with a representative, in
+    # closed form, so neither module's audit closes the group or multiplies
+    # two of its elements; each has offenders on its module
+    from eigenone.perms import IndexedGroup, Permutation
 
-    def no_product(self, other):
+    def no_product(*args):
         raise AssertionError("a group product was formed")
 
     monkeypatch.setattr(Permutation, "__mul__", no_product)
+    monkeypatch.setattr(IndexedGroup, "__init__", no_product)
     assert main(["embed", "audit", "--group", *group]) == 1
-    assert json.loads(capsys.readouterr().out)["result"]["irreducible"] is True
+    result = json.loads(capsys.readouterr().out)["result"]
+    if "permutation" in group:
+        assert result["top_factor"]["unisingular"] is False
+    else:
+        assert result["irreducible"] is True
 
 
 def test_embed_audit_builds_the_space_once(capsys, monkeypatch):
@@ -679,7 +691,8 @@ def test_mod2_factors_loads_no_gf2_layer(family):
     loaded = loaded_layers("from eigenone.cli import main\n"
                            f"assert main(['specht', 'mod2-factors', '--n', '9', '--family', {family!r}]) == 0")
     assert "eigenone.specht" in loaded
-    for layer in ("gf2", "meataxe", "intlinalg", "symplectic"):
+    # specht names Permutation only in annotations, so no group layer either
+    for layer in ("gf2", "meataxe", "intlinalg", "symplectic", "perms", "cycletypes"):
         assert f"eigenone.{layer}" not in loaded
 
 

@@ -46,7 +46,7 @@ def test_agl2_3_absolutely_irreducible():
 
 def test_flag_module_8dim_factor_absolutely_irreducible():
     pm = permutation_module_gf2(builtin_group("l3_2_flags"))
-    factors = composition_factors(pm)
+    factors = [f for f, _ in composition_factors(pm)]
     eight = [f for f in factors if f.dim == 8]
     assert len(eight) == 1
     assert endomorphism_algebra_dim(eight[0]) == 1  # a factor is certified irreducible
@@ -86,7 +86,7 @@ def test_norton_count_matches_the_commuting_algebra(group, params, seed):
     # GF(4), and the symplectic module of l3_2_flags is reducible
     G = builtin_group(group, **params)
     perm = permutation_module_gf2(G)
-    for mod in [embed_group(G), *composition_factors(perm, seed)]:
+    for mod in [embed_group(G), *(f for f, _ in composition_factors(perm, seed))]:
         expected = endomorphism_algebra_dim(mod) if is_irreducible(mod, seed) else None
         assert endomorphism_dim(mod, seed) == expected
     # reducible: the all-ones vector spans a submodule
@@ -155,21 +155,21 @@ def test_dimension_sum_check_fires(monkeypatch):
     from eigenone.errors import VerificationError
 
     split = mx._split_by_subspace
-    monkeypatch.setattr(mx, "_split_by_subspace", lambda m, sub: (split(m, sub)[0],) * 2)
+    monkeypatch.setattr(mx, "_split_by_subspace", lambda m, sub, c: (split(m, sub, c)[0],) * 2)
     with pytest.raises(VerificationError, match="must sum to the module dimension"):
         composition_factors(specht_mod2_module(5, (3, 1, 1)))
 
 
 def test_factors_re_irreducible():
     pm = permutation_module_gf2(builtin_group("l3_2_flags"))
-    for f in composition_factors(pm):
+    for f, _ in composition_factors(pm):
         assert is_irreducible(f)
 
 
 def test_determinism_of_seeded_runs():
     mod = specht_mod2_module(5, (3, 1, 1))
-    a = [tuple(g.rows) for f in composition_factors(mod, seed=0xC0FFEE) for g in f.gens]
-    b = [tuple(g.rows) for f in composition_factors(mod, seed=0xC0FFEE) for g in f.gens]
+    a = [tuple(g.rows) for f, _ in composition_factors(mod, seed=0xC0FFEE) for g in f.gens]
+    b = [tuple(g.rows) for f, _ in composition_factors(mod, seed=0xC0FFEE) for g in f.gens]
     assert a == b
 
 

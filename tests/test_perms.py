@@ -13,6 +13,7 @@ from eigenone.cycletypes import (
     prime_factors,
     sn_class_size,
 )
+from eigenone.errors import VerificationError
 from eigenone.perms import (
     ClosureOverflow,
     IndexedGroup,
@@ -21,6 +22,7 @@ from eigenone.perms import (
     builtin_group,
     class_rep_for,
     class_reps_symmetric,
+    orbit,
 )
 from oracles import (
     conjugate_by,
@@ -30,6 +32,7 @@ from oracles import (
     inverse,
     is_identity,
     is_transitive,
+    tree_word,
 )
 
 BUILTIN_ORDERS = {
@@ -172,14 +175,42 @@ def test_closed_form_classes_equal_the_closure(name, params):
     # pgl2, s_n and a_n list their classes without a closure, and the list,
     # in order, is the one the closure's conjugacy classes give: the payloads
     # of both routes are the same bytes.  S_6, S_8 and S_9 have ties in order
-    # and size between different cycle types, which the least images break
+    # and size between different cycle types, which the least images break.
+    # The records' representatives meet each closure class once, with its
+    # size and order
     G = builtin_group(name, **params)
     closed = G.classes()
     order = G.order()
     assert "indexed" not in vars(G)
-    assert closed == [(size, rep.cycle_type(), order)
-                      for size, rep, order in G.conjugacy_classes()]
+    assert [c[:3] for c in closed] == [(size, rep.cycle_type(), order)
+                                       for size, rep, order in G.conjugacy_classes()]
     assert order == len(G.indexed.elements)
+    group = G.indexed
+    conj = [c.__getitem__ for c in group.conjugators()]
+    met = [orbit(group.index[rep], conj) for *_, rep in closed]
+    assert len({min(orb) for orb in met}) == len(closed)
+    assert [(len(orb), group.elements[orb[0]].order()) for orb in met] == [
+        (size, k) for size, _, k, _ in closed]
+
+
+@pytest.mark.parametrize("mutation", ["order", "power"])
+def test_a_representative_off_its_record_is_refused(monkeypatch, mutation):
+    # each record's representative is checked against its cycle type and
+    # order: a record of S_5 claiming order 7, or PGL(2,7)'s torus classes
+    # represented by the next power of the generator
+    import eigenone.perms as perms
+
+    if mutation == "order":
+        symmetric = perms._symmetric_classes
+        monkeypatch.setattr(perms, "_symmetric_classes", lambda n, alt: [
+            (size, ct, 7 if ct == (5,) else k, rep) for size, ct, k, rep in symmetric(n, alt)])
+        group = {"name": "s_n", "n": 5}
+    else:
+        power = perms._cycle_power
+        monkeypatch.setattr(perms, "_cycle_power", lambda d, cycle, k: power(d, cycle, k + 1))
+        group = {"name": "pgl2", "q": 7}
+    with pytest.raises(VerificationError, match=r"^\w+: \(.*\) cannot represent "):
+        builtin_group(**group)
 
 
 def test_closure_is_closed_spot_check():
@@ -341,7 +372,7 @@ def test_indexed_group_tables_and_powers():
         assert all(table[b][a] == G.index[x * y]
                    for a, x in enumerate(els) for b, y in enumerate(els))
         for i, x in enumerate(els):
-            word = G.word(i)
+            word = tree_word(G, i)
             assert word[0] == 0
             y = G.generators[0]
             for k in word[1:]:
@@ -379,7 +410,7 @@ def test_only_the_closure_multiplies(gens, monkeypatch):
     products[0] = 0
     G.cayley_table
     for i in range(len(G.elements)):
-        G.word(i)
+        tree_word(G, i)
         G.normalizer(G.powers(i))
     G.inverses
     _cyclic_subgroups(G)
